@@ -23,7 +23,7 @@ from .qstate import (
     PAULI_Y,
     PAULI_Z,
     enforce_hermitian,
-    lift_operator,
+    evolve,
 )
 
 CPTP_TOL = 1e-10
@@ -100,14 +100,7 @@ def identity_channel(target: int = 0) -> KrausChannel:
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     """rho -> sum_i A_i rho A_i† on the target subspace, identity elsewhere."""
-    n = rho.num_qubits
-    if any(t >= n for t in channel.targets):
-        raise ValueError(f"channel targets {channel.targets} outside {n}-qubit register")
-    out = np.zeros_like(rho.matrix)
-    for a in channel.elements:
-        lifted = lift_operator(a, channel.targets, n)
-        out += lifted @ rho.matrix @ lifted.conj().T
-    return DensityMatrix(n, enforce_hermitian(out))
+    return DensityMatrix(rho.num_qubits, enforce_hermitian(evolve(rho.matrix, channel.elements, channel.targets)))
 
 
 def dephasing_channel(duration: float, t2: float, target: int = 0) -> KrausChannel:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, relaxation_channel
+from .channels import KrausChannel, relaxation_channel
 from .qstate import (
     CNOT,
     HADAMARD,
@@ -31,9 +31,10 @@ from .qstate import (
     PAULI_Z,
     UNITARY_TOL,
     DensityMatrix,
-    enforce_hermitian,
+    evolve,
     lift_operator,
     tensor_product,
+    validate_density,
 )
 
 if TYPE_CHECKING:
@@ -45,23 +46,20 @@ OUTCOMES = ("00", "01", "10", "11")
 
 @dataclass(frozen=True, eq=False)
 class GateEvent:
-    """One step of a circuit: a unitary, a noise channel, or a timed wait.
+    """One step of a circuit: a unitary or a noise channel.
 
-    Exactly the fields for the event's kind are populated.  A ``delay``
-    event records wall-clock structure only; decoherence for a wait is
-    always attached as explicit channel events by the circuit builders, so
-    both execution engines treat a bare delay as an idle interval.
+    Exactly the fields for the event's kind are populated; the circuit
+    builders express a wait as the channel events of its decoherence.
     """
 
     kind: str
     unitary: np.ndarray | None = None
     targets: tuple[int, ...] | None = None
     channel: KrausChannel | None = None
-    duration: float | None = None
 
     def __post_init__(self):
         if self.kind == "unitary":
-            if self.unitary is None or self.targets is None or self.channel is not None or self.duration is not None:
+            if self.unitary is None or self.targets is None or self.channel is not None:
                 raise ValueError("unitary event must carry exactly a matrix and targets")
             u = np.asarray(self.unitary, dtype=complex)
             targets = tuple(int(t) for t in self.targets)
@@ -78,15 +76,8 @@ class GateEvent:
             object.__setattr__(self, "unitary", u)
             object.__setattr__(self, "targets", targets)
         elif self.kind == "channel":
-            if self.channel is None or self.unitary is not None or self.targets is not None or self.duration is not None:
+            if not isinstance(self.channel, KrausChannel) or self.unitary is not None or self.targets is not None:
                 raise ValueError("channel event must carry exactly a KrausChannel")
-            if not isinstance(self.channel, KrausChannel):
-                raise ValueError(f"channel event needs a KrausChannel, got {type(self.channel)}")
-        elif self.kind == "delay":
-            if self.duration is None or self.unitary is not None or self.targets is not None or self.channel is not None:
-                raise ValueError("delay event must carry exactly a duration")
-            if self.duration < 0.0:
-                raise ValueError(f"delay duration must be nonnegative, got {self.duration}")
         else:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
@@ -99,26 +90,20 @@ def channel_event(channel: KrausChannel) -> GateEvent:
     return GateEvent("channel", channel=channel)
 
 
-def delay_event(duration: float) -> GateEvent:
-    return GateEvent("delay", duration=duration)
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered event sequence on a fixed-size register, with spin roles."""
+    """Ordered event sequence on a fixed-size register, with spin roles; the
+    first ``delay_start`` events do not depend on the delay (sweeps run them once)."""
 
     num_qubits: int
     events: tuple[GateEvent, ...]
     roles: Mapping[str, str] = field(default_factory=dict)
+    delay_start: int = 0
 
     def __post_init__(self):
         for ev in self.events:
-            if ev.kind == "unitary":
-                bad = [t for t in ev.targets if t >= self.num_qubits]
-            elif ev.kind == "channel":
-                bad = [t for t in ev.channel.targets if t >= self.num_qubits]
-            else:
-                bad = []
+            targets = ev.targets if ev.kind == "unitary" else ev.channel.targets
+            bad = [t for t in targets if t >= self.num_qubits]
             if bad:
                 raise ValueError(f"event targets {bad} exceed register size {self.num_qubits}")
         object.__setattr__(self, "events", tuple(self.events))
@@ -253,13 +238,9 @@ def teleport_circuit(delay: float, model: MoleculeModel) -> Circuit:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     if len(model.spins) != 3:
         raise ValueError("teleportation needs a three-spin model")
-    events = [
-        *entangle_gate(ANCILLA, TARGET),
-        *bell_to_computational(DATA, ANCILLA),
-        *_delay_noise(delay, model),
-        unitary_event(_controlled_correction(), (DATA, ANCILLA, TARGET)),
-    ]
-    return Circuit(3, tuple(events), _roles(model))
+    prefix = (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
+    correction = unitary_event(_controlled_correction(), (DATA, ANCILLA, TARGET))
+    return Circuit(3, (*prefix, *_delay_noise(delay, model), correction), _roles(model), len(prefix))
 
 
 def control_circuit(delay: float, model: MoleculeModel) -> Circuit:
@@ -272,35 +253,43 @@ def control_circuit(delay: float, model: MoleculeModel) -> Circuit:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     if len(model.spins) != 3:
         raise ValueError("the control experiment needs a three-spin model")
-    events = [
-        *entangle_gate(ANCILLA, TARGET),
-        *_delay_noise(delay, model),
-    ]
-    return Circuit(3, tuple(events), _roles(model))
+    prefix = entangle_gate(ANCILLA, TARGET)
+    return Circuit(3, (*prefix, *_delay_noise(delay, model)), _roles(model), len(prefix))
 
 
-def run_circuit(circuit: Circuit, input_data: DensityMatrix) -> DensityMatrix:
+Realize = Callable[[GateEvent], np.ndarray]
+
+
+def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Data-qubit inputs (a 2x2 matrix or a stack) with every other qubit in |0>, validated."""
+    padding = np.zeros((2 ** (num_qubits - 1),) * 2, dtype=complex)
+    padding[0, 0] = 1.0
+    stack = tensor_product(inputs, padding)
+    validate_density(stack)
+    return stack
+
+
+def run_events(events: Sequence[GateEvent], stack: np.ndarray, realize: Realize | None = None) -> np.ndarray:
+    """The one circuit executor, on a ``(..., 2^n, 2^n)`` stack, validating
+    every step in one batched check.  ``realize`` maps a unitary event to the
+    matrix applied instead (the pulse engine's substitution)."""
+    for ev in events:
+        if ev.kind == "unitary":
+            stack = evolve(stack, (ev.unitary if realize is None else realize(ev),), ev.targets)
+        else:
+            stack = evolve(stack, ev.channel.elements, ev.channel.targets)
+        stack = validate_density(stack)
+    return stack
+
+
+def run_circuit(circuit: Circuit, input_data: DensityMatrix, realize: Realize | None = None) -> DensityMatrix:
     """Execute the circuit on ``input_data`` ⊗ |0...0> and return the full state.
 
-    State preparation is idealized: all qubits except the data qubit start
-    in |0>.  Execution is deterministic; measurement never collapses the
-    state (decoherence plus controlled unitaries carry the ensemble
-    semantics instead).
+    State preparation is idealized; execution is deterministic, and
+    measurement never collapses the state (decoherence plus controlled
+    unitaries carry the ensemble semantics instead).
     """
     if input_data.num_qubits != 1:
         raise ValueError("input must be a single-qubit state")
-    rest = 2 ** (circuit.num_qubits - 1)
-    padding = np.zeros((rest, rest), dtype=complex)
-    padding[0, 0] = 1.0
-    rho = DensityMatrix(circuit.num_qubits, tensor_product(input_data.matrix, padding))
-    for ev in circuit.events:
-        if ev.kind == "unitary":
-            lifted = lift_operator(ev.unitary, ev.targets, circuit.num_qubits)
-            rho = DensityMatrix(circuit.num_qubits, enforce_hermitian(lifted @ rho.matrix @ lifted.conj().T))
-        elif ev.kind == "channel":
-            rho = apply_channel(rho, ev.channel)
-        elif ev.kind == "delay":
-            continue
-        else:  # pragma: no cover - GateEvent validation forbids this
-            raise ValueError(f"malformed event kind {ev.kind!r}")
-    return rho
+    stack = prepare(input_data.matrix, circuit.num_qubits)
+    return DensityMatrix(circuit.num_qubits, run_events(circuit.events, stack, realize))

@@ -3,9 +3,9 @@
 A sweep wraps the teleportation (readout on the target spin) or control
 (readout on the data spin) circuit as a single-qubit process for each
 decoherence delay, tomographs it, and records the entanglement fidelity.
-Sweeps are deterministic: the same configuration always produces
-bit-identical records.  Records for distinct delays are independent, but
-they are computed sequentially here to keep the determinism obvious.
+A sweep runs the delay-independent circuit prefix once and all four
+tomography inputs as one stack.  Sweeps are deterministic: the same
+configuration always produces bit-identical records.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .circuits import DATA, TARGET, control_circuit, run_circuit, teleport_circuit
+from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_circuit, run_events, teleport_circuit
 from .errors import FitConvergenceError
-from .nmr import MoleculeModel, run_circuit_pulse
-from .qstate import DensityMatrix, partial_trace
-from .tomography import ProcessMap, entanglement_fidelity, process_tomography
+from .nmr import MoleculeModel, pulse_realizer, run_circuit_pulse
+from .qstate import DensityMatrix, partial_trace, reduce_stack
+from .tomography import ProcessMap, TomographyInputSet, entanglement_fidelity, reconstruct_process
 
 EXPERIMENT_KINDS = ("teleport", "control")
 ENGINES = ("gate", "pulse")
@@ -100,14 +100,7 @@ def build_process(
     rotation_error: float = 0.0,
 ) -> Callable[[DensityMatrix], DensityMatrix]:
     """Wrap a circuit as the single-qubit map from input data to readout spin."""
-    if experiment == "teleport":
-        circuit = teleport_circuit(delay, model)
-        readout = TARGET
-    elif experiment == "control":
-        circuit = control_circuit(delay, model)
-        readout = DATA
-    else:
-        raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
+    circuit, readout = _circuit(experiment, delay, model)
     if engine == "gate":
         def evaluate(rho: DensityMatrix) -> DensityMatrix:
             return partial_trace(run_circuit(circuit, rho), [readout])
@@ -119,14 +112,32 @@ def build_process(
     return evaluate
 
 
+def _circuit(experiment: str, delay: float, model: MoleculeModel) -> tuple[Circuit, int]:
+    """The experiment's circuit at ``delay`` and its readout qubit."""
+    if experiment == "teleport":
+        return teleport_circuit(delay, model), TARGET
+    if experiment == "control":
+        return control_circuit(delay, model), DATA
+    raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Tomograph the configured process at every delay, in delay order."""
+    """Tomograph the configured process at every delay, in delay order.
+
+    The records of process tomography of :func:`build_process` at each
+    delay, with the circuit prefix run once and the inputs run as one stack.
+    """
+    realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
+    inputs = TomographyInputSet.canonical()
+    circuits = [_circuit(config.experiment, d, config.model) for d in config.delays]
+    first = circuits[0][0]
+    stack = prepare(np.stack([s.matrix for s in inputs.states]), first.num_qubits)
+    prefix = run_events(first.events[: first.delay_start], stack, realize)
     records = []
-    for delay in config.delays:
-        evaluate = build_process(
-            config.experiment, delay, config.model, config.engine, config.rotation_error
-        )
-        process_map = process_tomography(evaluate)
+    for delay, (circuit, readout) in zip(config.delays, circuits):
+        final = run_events(circuit.events[circuit.delay_start :], prefix, realize)
+        outputs = [DensityMatrix(1, m) for m in reduce_stack(final, [readout])]
+        process_map = reconstruct_process(outputs, inputs)
         records.append(SweepRecord(delay, entanglement_fidelity(process_map), process_map))
     return records
 

@@ -22,17 +22,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import RelaxationParams, apply_channel, relaxation_channel
-from .circuits import Circuit, GateEvent
+from .channels import RelaxationParams, relaxation_channel
+from .circuits import Circuit, GateEvent, Realize, channel_event, run_circuit, run_events, unitary_event
 from .errors import UnsupportedGateError
 from .qstate import (
     CNOT,
     DensityMatrix,
-    enforce_hermitian,
     lift_operator,
     rotation_x,
     rotation_y,
-    tensor_product,
 )
 
 _ANGLE_EPS = 1e-12
@@ -299,13 +297,11 @@ def _diagonal_schedule(u: np.ndarray, spin_a: str, spin_b: str, j: float) -> lis
 def compile_gate(gate: GateEvent, model: MoleculeModel) -> PulseSchedule:
     """Translate one circuit event into an rf/J-coupling schedule.
 
-    Supported: any single-qubit unitary (ZYZ decomposition), CNOT in either
-    orientation and diagonal two-qubit unitaries (controlled phases) between
-    J-coupled spins, and bare delays (free evolution with every coupling
-    refocused).  Everything else raises :class:`UnsupportedGateError`.
+    Supported: any single-qubit unitary (ZYZ decomposition), and CNOT in
+    either orientation and diagonal two-qubit unitaries (controlled phases)
+    between J-coupled spins.  Everything else raises
+    :class:`UnsupportedGateError`.
     """
-    if gate.kind == "delay":
-        return PulseSchedule((FreeEvolution(gate.duration, frozenset()),))
     if gate.kind != "unitary":
         raise UnsupportedGateError(f"cannot compile {gate.kind!r} events")
     if len(gate.targets) == 1:
@@ -331,16 +327,24 @@ def compile_gate(gate: GateEvent, model: MoleculeModel) -> PulseSchedule:
     raise UnsupportedGateError(f"gates on {len(gate.targets)} spins have no pulse realization")
 
 
-def _zz_phases(duration: float, pairs: list[tuple[int, int, float]], n: int) -> np.ndarray:
-    """Diagonal of exp(-i H t) for H = sum pi*J/2 sigma_z sigma_z (rad/s)."""
-    phases = np.zeros(2**n)
-    for ia, ib, j in pairs:
-        rate = math.pi * j * duration / 2.0
-        for idx in range(2**n):
-            za = 1.0 - 2.0 * ((idx >> (n - 1 - ia)) & 1)
-            zb = 1.0 - 2.0 * ((idx >> (n - 1 - ib)) & 1)
-            phases[idx] -= rate * za * zb
-    return phases
+def _events(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error: float) -> list[GateEvent]:
+    """Circuit events that carry out one schedule event; rf angles are scaled by ``1 + angle_error``."""
+    if isinstance(ev, RfRotation):
+        angle = ev.angle * (1.0 + angle_error)
+        return [unitary_event(rotation_x(angle) if ev.axis == "x" else rotation_y(angle), (model.index(ev.spin),))]
+    if not ev.duration > 0.0:
+        return []
+    events = []
+    for a, b in sorted(ev.couplings):
+        if model.is_active(a, b):
+            phase = np.exp(-0.5j * math.pi * model.coupling(a, b) * ev.duration)
+            zz = np.diag([phase, phase.conjugate(), phase.conjugate(), phase])
+            events.append(unitary_event(zz, (model.index(a), model.index(b))))
+    return events + [
+        channel_event(relaxation_channel(ev.duration, spin.relaxation(), target=q))
+        for q, spin in enumerate(model.spins)
+        if not (math.isinf(spin.t1) and math.isinf(spin.t2))
+    ]
 
 
 def simulate_schedule(
@@ -359,29 +363,26 @@ def simulate_schedule(
     n = len(model.spins)
     if rho.num_qubits != n:
         raise ValueError(f"state has {rho.num_qubits} qubits but model has {n} spins")
-    for ev in schedule.events:
-        if isinstance(ev, RfRotation):
-            idx = model.index(ev.spin)
-            angle = ev.angle * (1.0 + angle_error)
-            u = rotation_x(angle) if ev.axis == "x" else rotation_y(angle)
-            lifted = lift_operator(u, (idx,), n)
-            rho = DensityMatrix(n, enforce_hermitian(lifted @ rho.matrix @ lifted.conj().T))
-        else:
-            pairs = []
-            for a, b in ev.couplings:
-                ia, ib = model.index(a), model.index(b)
-                j = model.coupling(a, b)
-                if j is not None and model.is_active(a, b):
-                    pairs.append((ia, ib, j))
-            if pairs and ev.duration > 0.0:
-                diag = np.exp(1j * _zz_phases(ev.duration, pairs, n))
-                rho = DensityMatrix(n, enforce_hermitian(rho.matrix * np.outer(diag, diag.conj())))
-            if ev.duration > 0.0:
-                for q, spin in enumerate(model.spins):
-                    if math.isinf(spin.t1) and math.isinf(spin.t2):
-                        continue
-                    rho = apply_channel(rho, relaxation_channel(ev.duration, spin.relaxation(), target=q))
-    return rho
+    events = [step for ev in schedule.events for step in _events(ev, model, angle_error)]
+    return DensityMatrix(n, run_events(events, rho.matrix))
+
+
+def realized_unitary(gate: GateEvent, model: MoleculeModel, angle_error: float = 0.0) -> np.ndarray:
+    """The unitary on ``gate.targets`` that ``simulate_schedule`` applies for the
+    gate's compiled schedule with relaxation idealized away during gates."""
+    quiet = model.noiseless()
+    local = {t: i for i, t in enumerate(gate.targets)}
+    u = np.eye(2 ** len(local), dtype=complex)
+    for ev in compile_gate(gate, model).events:
+        for step in _events(ev, quiet, angle_error):
+            u = lift_operator(step.unitary, tuple(local[t] for t in step.targets), len(local)) @ u
+    return u
+
+
+def pulse_realizer(model: MoleculeModel, angle_error: float = 0.0) -> Realize:
+    """The pulse engine's substitution for the shared executor: one- and two-spin gates
+    become what their pulses realize; the correction block has no pulses and stays exact."""
+    return lambda gate: gate.unitary if len(gate.targets) > 2 else realized_unitary(gate, model, angle_error)
 
 
 def run_circuit_pulse(
@@ -390,35 +391,8 @@ def run_circuit_pulse(
     input_data: DensityMatrix,
     angle_error: float = 0.0,
 ) -> DensityMatrix:
-    """Hamiltonian-level twin of :func:`nmrteleport.circuits.run_circuit`.
-
-    Every one- and two-spin unitary is compiled to pulses and executed with
-    relaxation disabled (pulses and coupling intervals are idealized, just
-    as gates are instantaneous at the gate level); channel events carry the
-    noise and are applied directly, so both engines see identical noise.
-    The classically conditioned correction block spans three spins and has
-    no pulse decomposition here (the data and target spins are not
-    J-coupled), so it is applied as an exact unitary.
-    """
+    """:func:`nmrteleport.circuits.run_circuit` with :func:`pulse_realizer`: pulses
+    are noise-free and channel events carry the noise, as in the gate engine."""
     if len(model.spins) != circuit.num_qubits:
         raise ValueError("model and circuit register sizes differ")
-    if input_data.num_qubits != 1:
-        raise ValueError("input must be a single-qubit state")
-    quiet = model.noiseless()
-    n = circuit.num_qubits
-    rest = 2 ** (n - 1)
-    padding = np.zeros((rest, rest), dtype=complex)
-    padding[0, 0] = 1.0
-    rho = DensityMatrix(n, tensor_product(input_data.matrix, padding))
-    for ev in circuit.events:
-        if ev.kind == "unitary":
-            if len(ev.targets) <= 2:
-                rho = simulate_schedule(compile_gate(ev, model), quiet, rho, angle_error)
-            else:
-                lifted = lift_operator(ev.unitary, ev.targets, n)
-                rho = DensityMatrix(n, enforce_hermitian(lifted @ rho.matrix @ lifted.conj().T))
-        elif ev.kind == "channel":
-            rho = apply_channel(rho, ev.channel)
-        else:
-            continue
-    return rho
+    return run_circuit(circuit, input_data, pulse_realizer(model, angle_error))

@@ -12,7 +12,10 @@ Conventions used package-wide:
   significant bit;
 * normalization factors are always explicit; every state is normalized;
 * every :class:`DensityMatrix` is validated on construction (Hermitian
-  within 1e-10, unit trace within 1e-10, eigenvalues >= -1e-9).
+  within 1e-10, unit trace within 1e-10, eigenvalues >= -1e-9) by
+  :func:`validate_density`, which also checks whole stacks of states;
+* states evolve only through :func:`evolve`, an ``einsum`` kernel on raw
+  ``(..., 2^n, 2^n)`` stacks that lifts no operator to the full register.
 """
 
 from __future__ import annotations
@@ -67,19 +70,36 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def enforce_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check Hermiticity within ``tol``, then return (M + M†)/2.
+def validate_density(
+    matrices: np.ndarray,
+    hermiticity_tol: float = HERMITICITY_TOL,
+    trace_tol: float = TRACE_TOL,
+    psd_slack: float = PSD_SLACK,
+) -> np.ndarray:
+    """The density-matrix rule (Hermitian, unit trace, eigenvalues >= -psd_slack) on one
+    matrix or a ``(..., d, d)`` stack, with one ``eigvalsh`` call; NaN fails every guard.
 
-    The symmetrization damps floating-point drift accumulated by channel
-    applications; the check runs first so genuine violations are not
-    silently absorbed.
+    Returns the Hermitian part (M + M†)/2, which damps floating-point drift;
+    the checks run first so genuine violations are not silently absorbed.
     """
-    deviation = np.max(np.abs(matrix - matrix.conj().T))
-    if deviation > tol:
-        raise NumericalInvariantError(
-            f"matrix deviates from Hermitian by {deviation:.3e} (tol {tol:.1e})"
-        )
-    return (matrix + matrix.conj().T) / 2.0
+    m = np.asarray(matrices, dtype=complex)
+    dagger = np.conj(np.swapaxes(m, -1, -2))
+    deviation = float(np.max(np.abs(m - dagger)))
+    if not deviation <= hermiticity_tol:
+        raise NumericalInvariantError(f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})")
+    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+    if not trace_dev <= trace_tol:
+        raise NumericalInvariantError(f"trace deviates from 1 by {trace_dev:.3e}")
+    hermitian = (m + dagger) / 2.0
+    eigmin = float(np.min(np.linalg.eigvalsh(hermitian)))
+    if not eigmin >= -psd_slack:
+        raise NumericalInvariantError(f"eigenvalue {eigmin:.3e} < -{psd_slack:.1e}")
+    return hermitian
+
+
+def enforce_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Check Hermiticity within ``tol``, then return (M + M†)/2 (see :func:`validate_density`)."""
+    return validate_density(matrix, tol, np.inf, np.inf)
 
 
 def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
@@ -108,6 +128,27 @@ def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> 
     tens = full.reshape([2] * (2 * num_qubits))
     tens = tens.transpose(perm + [num_qubits + p for p in perm])
     return tens.reshape(2**num_qubits, 2**num_qubits)
+
+
+def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
+    """sum_i A_i rho A_i† on ``targets`` for every rho of a ``(..., 2^n, 2^n)`` stack,
+    unvalidated.  A unitary is a one-element set; terms add up in element order."""
+    stack = np.asarray(stack, dtype=complex)
+    n, k = stack.shape[-1].bit_length() - 1, len(targets)
+    if len(set(targets)) != k or not all(0 <= t < n for t in targets):
+        raise ValueError(f"targets {targets} invalid for a {n}-qubit register")
+    rows, cols = list(range(n)), list(range(n, 2 * n))
+    new_rows = [2 * n + targets.index(q) if q in targets else q for q in rows]
+    new_cols = [3 * n + targets.index(q) if q in targets else n + q for q in rows]
+    row_subs = [new_rows[t] for t in targets] + list(targets)
+    col_subs = [new_cols[t] for t in targets] + [n + t for t in targets]
+    tens = stack.reshape(stack.shape[:-2] + (2,) * (2 * n))
+    out = np.zeros_like(tens)
+    for a in elements:
+        a = np.asarray(a, dtype=complex).reshape((2,) * (2 * k))
+        left = np.einsum(a, row_subs, tens, [..., *rows, *cols], [..., *new_rows, *cols])
+        out += np.einsum(left, [..., *new_rows, *cols], a.conj(), col_subs, [..., *new_rows, *new_cols])
+    return out.reshape(stack.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,15 +212,7 @@ class DensityMatrix:
             raise ValueError("need at least one qubit")
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not fit {self.num_qubits} qubits")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise NumericalInvariantError(f"density matrix not Hermitian: deviation {dev:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NumericalInvariantError(f"density matrix trace {tr} differs from 1")
-        eigmin = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-        if eigmin < -PSD_SLACK:
-            raise NumericalInvariantError(f"density matrix has eigenvalue {eigmin:.3e} < -{PSD_SLACK:.1e}")
+        validate_density(m)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -201,22 +234,22 @@ class DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on ``keep``, in ascending original order."""
     keep = sorted(keep)
-    n = rho.num_qubits
-    if not keep:
-        raise ValueError("must keep at least one qubit")
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
+    return DensityMatrix(len(keep), reduce_stack(rho.matrix, keep))
+
+
+def reduce_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of every matrix of a ``(..., 2^n, 2^n)`` stack onto ``keep``."""
+    keep = sorted(keep)
+    n = stack.shape[-1].bit_length() - 1
+    if not keep or len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
         raise ValueError(f"invalid qubit indices {keep} for {n}-qubit state")
-    traced = [q for q in range(n) if q not in keep]
-    tens = rho.matrix.reshape([2] * (2 * n))
+    tens = stack.reshape(stack.shape[:-2] + (2,) * (2 * n))
     # Row subscript q, column subscript n+q; tracing a qubit identifies the pair.
     row = list(range(n))
-    col = [n + q for q in range(n)]
-    for q in traced:
-        col[q] = row[q]
+    col = [q if q not in keep else n + q for q in range(n)]
     out_subs = [row[q] for q in keep] + [col[q] for q in keep]
-    reduced = np.einsum(tens, row + col, out_subs)
     dim = 2 ** len(keep)
-    return DensityMatrix(len(keep), reduced.reshape(dim, dim))
+    return np.einsum(tens, [..., *row, *col], [..., *out_subs]).reshape(stack.shape[:-2] + (dim, dim))
 
 
 def pauli_string(label: str) -> np.ndarray:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .channels import KrausChannel
 from .errors import NumericalInvariantError, UnphysicalBlochError
 from .qstate import (
     DensityMatrix,
@@ -28,6 +29,7 @@ from .qstate import (
     PAULI_Y,
     PAULI_Z,
     pauli_expectation,
+    validate_density,
 )
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
@@ -40,7 +42,6 @@ CHI_TRACE_TOL = 1e-9
 CHI_PSD_SLACK = 1e-8
 ROUND_TRIP_TOL = 1e-10
 FIDELITY_CONSISTENCY_TOL = 1e-9
-CPTP_TOL = 1e-10
 
 
 def state_tomography(x: float, y: float, z: float) -> DensityMatrix:
@@ -135,17 +136,10 @@ class ProcessMap:
             raise ValueError("transfer and chi matrices must be 4x4")
         if abs(r[0, 0] - 1.0) > TRANSFER_TRACE_TOL:
             raise NumericalInvariantError(f"R[0][0] = {r[0, 0]} violates trace preservation")
-        herm_dev = np.max(np.abs(chi - chi.conj().T))
-        if herm_dev > CHI_HERMITICITY_TOL:
-            raise NumericalInvariantError(f"chi deviates from Hermitian by {herm_dev:.3e}")
-        tr = complex(np.trace(chi))
-        if abs(tr - 1.0) > CHI_TRACE_TOL:
-            raise NumericalInvariantError(f"tr(chi) = {tr} differs from 1")
-        eigmin = float(np.min(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)))
-        if eigmin < -CHI_PSD_SLACK:
-            raise NumericalInvariantError(
-                f"chi has eigenvalue {eigmin:.3e}; the process is not completely positive"
-            )
+        try:  # a CPTP process has a density-matrix-like chi
+            validate_density(chi, CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK)
+        except NumericalInvariantError as exc:
+            raise NumericalInvariantError(f"chi matrix: {exc}") from exc
         r = r.copy()
         chi = chi.copy()
         r.flags.writeable = False
@@ -159,7 +153,17 @@ def process_tomography(
     inputs: TomographyInputSet | None = None,
     clamp_positive: bool = False,
 ) -> ProcessMap:
-    """Characterize a linear trace-preserving map from four input/output pairs.
+    """Characterize a linear trace-preserving map from four input/output pairs."""
+    input_set = inputs if inputs is not None else TomographyInputSet.canonical()
+    return reconstruct_process([evaluate(s) for s in input_set.states], input_set, clamp_positive)
+
+
+def reconstruct_process(
+    outputs: Sequence[DensityMatrix],
+    inputs: TomographyInputSet,
+    clamp_positive: bool = False,
+) -> ProcessMap:
+    """Process map from the outputs of the four ``inputs``, in their order.
 
     Each output is itself reconstructed by state tomography from its Bloch
     components before the transfer matrix is solved for, mirroring how the
@@ -167,11 +171,9 @@ def process_tomography(
     the positive cone (for use with deliberately miscalibrated pulses);
     exact simulations never need it.
     """
-    input_set = inputs if inputs is not None else TomographyInputSet.canonical()
-    v = input_set.coordinate_matrix()
-    outputs = []
-    for state in input_set.states:
-        out = evaluate(state)
+    v = inputs.coordinate_matrix()
+    coords = []
+    for out in outputs:
         if not isinstance(out, DensityMatrix) or out.num_qubits != 1:
             raise ValueError("process under test must return single-qubit density matrices")
         reconstructed = state_tomography(
@@ -179,8 +181,8 @@ def process_tomography(
             pauli_expectation(out, "Y"),
             pauli_expectation(out, "Z"),
         )
-        outputs.append(_coords(reconstructed))
-    w = np.column_stack(outputs)
+        coords.append(_coords(reconstructed))
+    w = np.column_stack(coords)
     try:
         transfer = np.linalg.solve(v.T, w.T).T
     except np.linalg.LinAlgError as exc:
@@ -219,11 +221,5 @@ def entanglement_fidelity_from_kraus(elements) -> float:
     Serves as the oracle against which the tomography pipeline is checked;
     it never goes through a reconstruction.
     """
-    mats = [np.asarray(a, dtype=complex) for a in elements]
-    if not mats or any(a.shape != (2, 2) for a in mats):
-        raise ValueError("need a nonempty list of 2x2 operation elements")
-    total = sum(a.conj().T @ a for a in mats)
-    deviation = np.max(np.abs(total - np.eye(2)))
-    if deviation > CPTP_TOL:
-        raise ValueError(f"elements are not trace preserving (deviation {deviation:.3e})")
+    mats = KrausChannel((0,), tuple(elements)).elements  # checks trace preservation
     return float(sum(abs(np.trace(a)) ** 2 for a in mats)) / 4.0

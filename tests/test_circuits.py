@@ -14,7 +14,6 @@ from nmrteleport.circuits import (
     conditional_correction,
     control_circuit,
     correction_table,
-    delay_event,
     entangle_gate,
     run_circuit,
     teleport_circuit,
@@ -261,21 +260,13 @@ def test_run_circuit_teleports_plus_state_matches_hand_simulation():
     assert np.max(np.abs(reduced.matrix - PLUS.density().matrix)) < 1e-10
 
 
-def test_delay_events_are_inert_at_gate_level():
-    rng = np.random.default_rng(25)
-    psi = random_pure_state(rng, 1)
-    plain = run_circuit(Circuit(3, ()), psi.density())
-    delayed = run_circuit(Circuit(3, (delay_event(0.7),)), psi.density())
-    assert np.allclose(plain.matrix, delayed.matrix, atol=1e-15)
-
-
 def test_gate_event_validation():
     with pytest.raises(ValueError):
         unitary_event(np.array([[1.0, 0.0], [1.0, 0.0]]), (0,))  # not unitary
     with pytest.raises(ValueError):
-        GateEvent("unitary", unitary=IDENTITY_2, targets=(0,), duration=1.0)
+        GateEvent("unitary", unitary=IDENTITY_2, targets=(0,), channel=dephasing_channel(0.1, 0.3))
     with pytest.raises(ValueError):
-        GateEvent("delay", duration=-1.0)
+        GateEvent("delay")
     with pytest.raises(ValueError):
         GateEvent("wait")
     with pytest.raises(ValueError):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nmrteleport.errors import FitConvergenceError
+from nmrteleport import circuits
+from nmrteleport.circuits import ANCILLA, DATA, prepare
+from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
     DecayFit,
@@ -16,6 +18,7 @@ from nmrteleport.experiment import (
     run_sweep,
 )
 from nmrteleport.nmr import tce_model
+from nmrteleport.qstate import PureState, evolve, validate_density
 from nmrteleport.tomography import entanglement_fidelity, process_tomography
 from tests.helpers import relaxation_fe
 
@@ -202,3 +205,52 @@ def test_decay_fit_validation():
 def test_fit_convergence_error_carries_best_parameters():
     err = FitConvergenceError("no luck", best=DecayFit(0.5, 0.3, 0.5, 0.01))
     assert err.best.time_constant == pytest.approx(0.3)
+
+
+def test_hoisted_sweep_matches_per_delay_tomography():
+    # Oracle: tomograph each delay's full circuit input by input, with no
+    # shared prefix and no stacking.
+    model = tce_model()
+    delays = (0.0, 0.15, 0.7, math.inf)
+    for engine, rotation_error in (("gate", 0.0), ("pulse", 0.0), ("pulse", 0.05)):
+        for kind in ("teleport", "control"):
+            records = run_sweep(SweepConfig(delays, kind, model, engine, rotation_error))
+            for record in records:
+                expected = process_tomography(build_process(kind, record.delay, model, engine, rotation_error))
+                got = record.process_map
+                if engine == "gate":
+                    assert np.array_equal(got.transfer_matrix, expected.transfer_matrix)
+                    assert np.array_equal(got.chi_matrix, expected.chi_matrix)
+                    assert record.fe == entanglement_fidelity(expected)
+                else:
+                    assert np.max(np.abs(got.transfer_matrix - expected.transfer_matrix)) < 1e-12
+                    assert np.max(np.abs(got.chi_matrix - expected.chi_matrix)) < 1e-12
+                    assert abs(record.fe - entanglement_fidelity(expected)) < 1e-12
+
+
+def test_sweep_validates_every_intermediate_state(monkeypatch):
+    # Corrupt the delay channels after construction: the data spin's one
+    # gains trace by 1.21, the ancilla's loses it again, so the final state
+    # is physical and only the check after each step can see the violation.
+    real = circuits.relaxation_channel
+    scale = {DATA: 1.1, ANCILLA: 1.0 / 1.1}
+
+    def corrupted(duration, params, target=0):
+        channel = real(duration, params, target)
+        elements = tuple(scale.get(target, 1.0) * a for a in channel.elements)
+        object.__setattr__(channel, "elements", elements)
+        return channel
+
+    monkeypatch.setattr(circuits, "relaxation_channel", corrupted)
+    model = tce_model()
+    for kind, build in (("teleport", circuits.teleport_circuit), ("control", circuits.control_circuit)):
+        final = prepare(PureState.from_bits("0").density().matrix, 3)
+        for ev in build(0.3, model).events:  # unchecked replay: the end state passes
+            if ev.kind == "unitary":
+                final = evolve(final, (ev.unitary,), ev.targets)
+            else:
+                final = evolve(final, ev.channel.elements, ev.channel.targets)
+        validate_density(final)
+        for engine in ("gate", "pulse"):
+            with pytest.raises(NumericalInvariantError):
+                run_sweep(SweepConfig((0.0, 0.3), kind, model, engine))

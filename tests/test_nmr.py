@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nmrteleport.circuits import Circuit, teleport_circuit, unitary_event
+from nmrteleport.circuits import Circuit, control_circuit, teleport_circuit, unitary_event
 from nmrteleport.errors import UnsupportedGateError
 from nmrteleport.nmr import (
     FreeEvolution,
@@ -13,6 +13,7 @@ from nmrteleport.nmr import (
     RfRotation,
     SpinParams,
     compile_gate,
+    realized_unitary,
     run_circuit_pulse,
     simulate_schedule,
     tce_model,
@@ -25,6 +26,7 @@ from nmrteleport.qstate import (
     PAULI_Z,
     DensityMatrix,
     bell_states,
+    evolve,
     lift_operator,
     partial_trace,
     rotation_x,
@@ -180,13 +182,6 @@ def test_unsupported_two_spin_gate_rejected():
         )
 
 
-def test_delay_gate_compiles_to_refocused_interval():
-    from nmrteleport.circuits import delay_event
-
-    sched = compile_gate(delay_event(0.4), tce_model())
-    assert sched.events == (FreeEvolution(0.4, frozenset()),)
-
-
 def test_simulate_empty_schedule_is_identity():
     model = tce_model()
     rng = np.random.default_rng(40)
@@ -326,3 +321,25 @@ def test_gate_and_pulse_actions_agree_per_gate():
         lifted = lift_operator(ev.unitary, ev.targets, 3)
         ideal = lifted @ rho.matrix @ lifted.conj().T
         assert np.max(np.abs(via_pulse.matrix - ideal)) < 1e-8
+
+
+def test_realized_unitary_matches_step_by_step_schedule_simulation():
+    # Substitution oracle: for every pulse-compiled gate of both circuits,
+    # the kernel applying the realized unitary equals the schedule replayed
+    # pulse by pulse under the noiseless model.
+    model = tce_model()
+    rng = np.random.default_rng(61)
+    gates = [
+        ev
+        for circuit in (teleport_circuit(0.3, model), control_circuit(0.3, model))
+        for ev in circuit.events
+        if ev.kind == "unitary" and len(ev.targets) <= 2
+    ]
+    assert len(gates) == 6
+    for angle_error in (0.0, 0.05, 0.2):
+        for ev in gates:
+            rho = random_density(rng, 3)
+            realized = realized_unitary(ev, model, angle_error)
+            substituted = evolve(rho.matrix, (realized,), ev.targets)
+            stepped = simulate_schedule(compile_gate(ev, model), model.noiseless(), rho, angle_error)
+            assert np.max(np.abs(substituted - stepped.matrix)) < 1e-12

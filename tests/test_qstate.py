@@ -12,11 +12,13 @@ from nmrteleport.qstate import (
     PureState,
     bell_states,
     enforce_hermitian,
+    evolve,
     lift_operator,
     partial_trace,
     pauli_expectation,
     state_fidelity,
     tensor_product,
+    validate_density,
 )
 from tests.helpers import brute_reduced, random_density, random_pure_state
 
@@ -197,3 +199,46 @@ def test_partial_trace_of_product_matches_factor_randomized():
         joint = DensityMatrix(2, tensor_product(rho_a.matrix, rho_b.matrix))
         assert np.max(np.abs(partial_trace(joint, [0]).matrix - rho_a.matrix)) < 1e-10
         assert np.max(np.abs(partial_trace(joint, [1]).matrix - rho_b.matrix)) < 1e-10
+
+
+def test_nan_entry_raises_invariant_error_not_linalg_error():
+    matrix = np.eye(2, dtype=complex) / 2.0
+    matrix[0, 0] = np.nan
+    with pytest.raises(NumericalInvariantError):
+        DensityMatrix(1, matrix)
+    stack = np.stack([random_density(np.random.default_rng(i), 3).matrix for i in range(4)])
+    stack[2, 5, 5] = np.nan
+    with pytest.raises(NumericalInvariantError):
+        validate_density(stack)
+
+
+def test_validate_density_checks_every_member_of_a_stack():
+    rng = np.random.default_rng(37)
+    stack = np.stack([random_density(rng, 3).matrix for _ in range(4)])
+    hermitian = validate_density(stack)  # the Hermitian part, exactly
+    assert np.array_equal(hermitian, np.conj(np.swapaxes(hermitian, -1, -2)))
+    assert np.max(np.abs(hermitian - stack)) < 1e-15
+    off_trace = stack.copy()
+    off_trace[3] *= 1.5
+    negative = stack.copy()
+    negative[3] = np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    for bad in (off_trace, negative):
+        with pytest.raises(NumericalInvariantError):
+            validate_density(bad)
+
+
+def test_evolve_matches_lifted_conjugation_on_stacks():
+    # Oracle: lift every element to the full register and conjugate.
+    rng = np.random.default_rng(41)
+    stack = np.stack([random_density(rng, 3).matrix for _ in range(4)])
+    for targets in ((0,), (2,), (1, 0), (0, 2), (2, 0, 1)):
+        k = len(targets)
+        g = rng.normal(size=(2 * 2**k, 2**k)) + 1j * rng.normal(size=(2 * 2**k, 2**k))
+        q, _ = np.linalg.qr(g)
+        elements = (q[: 2**k], q[2**k :])  # a random two-element Kraus set
+        expected = sum(
+            lift_operator(a, targets, 3) @ stack @ lift_operator(a, targets, 3).conj().T for a in elements
+        )
+        assert np.max(np.abs(evolve(stack, elements, targets) - expected)) < 1e-13
+    with pytest.raises(ValueError):
+        evolve(stack, (PAULI_X,), (3,))
