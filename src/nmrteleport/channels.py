@@ -109,7 +109,7 @@ def dephasing_channel(duration: float, t2: float, target: int = 0) -> KrausChann
     ``duration=math.inf`` gives complete dephasing, i.e. projection onto the
     computational basis.
     """
-    if duration < 0.0:
+    if not duration >= 0.0:
         raise ValueError(f"duration must be nonnegative, got {duration}")
     factor = _decay(duration, t2)
     return KrausChannel((target,), _dephasing_elements(factor))
@@ -134,7 +134,7 @@ def relaxation_channel(
     decay factor is exp(-duration/t2).  The channel is specified by this
     action, not by a canonical factorization.
     """
-    if duration < 0.0:
+    if not duration >= 0.0:
         raise ValueError(f"duration must be nonnegative, got {duration}")
     survival = _decay(duration, params.t1)  # population of |1> retained
     gamma = 1.0 - survival

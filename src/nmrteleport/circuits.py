@@ -234,7 +234,7 @@ def teleport_circuit(delay: float, model: MoleculeModel) -> Circuit:
     correction restores the input on the target.  At ``delay=inf`` the
     dephasing equals the exact computational-basis projection.
     """
-    if delay < 0.0:
+    if not delay >= 0.0:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     if len(model.spins) != 3:
         raise ValueError("teleportation needs a three-spin model")
@@ -249,7 +249,7 @@ def control_circuit(delay: float, model: MoleculeModel) -> Circuit:
     No Bell rotation and no conditional correction; the input state simply
     rides out the delay on the data spin, which is where readout happens.
     """
-    if delay < 0.0:
+    if not delay >= 0.0:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     if len(model.spins) != 3:
         raise ValueError("the control experiment needs a three-spin model")

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import yaml
-
 from .channels import (
     RelaxationParams,
     apply_channel,
@@ -41,6 +39,7 @@ from .experiment import (
     compare_curves,
     fit_decay,
     run_sweep,
+    validate_delays,
 )
 from .nmr import MoleculeModel, SpinParams, tce_model
 from .qstate import DensityMatrix
@@ -86,6 +85,8 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _load_config_file(path: str) -> dict:
+    import yaml  # only a run with --config pays for the import
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -157,13 +158,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     out_dir = Path(args.out or data["output"].get("dir", "results"))
 
     try:
-        delays = tuple(float(d) for d in delays)
+        delays = validate_delays(delays)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid delay list {delays!r}") from exc
-    if not delays or any(d < 0.0 for d in delays):
-        raise ConfigError("delays must be a nonempty list of nonnegative seconds")
-    if any(b <= a for a, b in zip(delays, delays[1:])):
-        raise ConfigError("delays must be strictly increasing")
+        raise ConfigError(f"invalid delay list: {exc}") from exc
 
     model = _build_model(data["molecule"])
     try:
@@ -235,7 +232,9 @@ def _maybe_fit(records: Sequence[SweepRecord]) -> DecayFit | None:
     return fit_decay(records) if len(records) >= 4 else None
 
 
-def _yes(flag: bool) -> str:
+def _yes(flag: bool | None) -> str:
+    if flag is None:
+        return "undetermined"
     return "yes" if flag else "no"
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_circuit, run_events, teleport_circuit
 from .errors import FitConvergenceError
@@ -34,6 +33,22 @@ _TAU_GRID = np.geomspace(0.05, 10.0, 40)
 _AMPLITUDE_FLOOR = 1e-8
 
 
+def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
+    """The delay grid as a tuple of floats, checked.
+
+    The grid must be nonempty and strictly increasing, and every delay
+    nonnegative: ``inf`` is allowed, NaN is not.  Raises ``ValueError``.
+    """
+    delays = tuple(float(d) for d in delays)
+    if not delays:
+        raise ValueError("need at least one delay")
+    if any(not d >= 0.0 for d in delays):
+        raise ValueError(f"delays must be nonnegative seconds or inf, got {delays}")
+    if any(not b > a for a, b in zip(delays, delays[1:])):
+        raise ValueError(f"delays must be strictly increasing, got {delays}")
+    return delays
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """What to sweep: delays, experiment kind, molecule, and engine."""
@@ -45,13 +60,7 @@ class SweepConfig:
     rotation_error: float = 0.0
 
     def __post_init__(self):
-        delays = tuple(float(d) for d in self.delays)
-        if not delays:
-            raise ValueError("need at least one delay")
-        if any(d < 0.0 for d in delays):
-            raise ValueError("delays must be nonnegative")
-        if any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValueError("delays must be strictly increasing")
+        delays = validate_delays(self.delays)
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
         if self.engine not in ENGINES:
@@ -150,13 +159,114 @@ def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.
     return coef, float(residual @ residual)
 
 
+def _bounded_brent(
+    func: Callable[[float], float], lower: float, upper: float, xatol: float, maxfun: int
+) -> tuple[float, bool]:
+    """Minimize ``func`` on [lower, upper] by Brent's bounded search.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5:
+    golden-section steps, replaced by parabolic interpolation wherever the
+    parabola is acceptable.  A line-for-line port of
+    ``_minimize_scalar_bounded`` from SciPy's optimize package
+    (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. and 2003 onward
+    SciPy Developers), with the same floating-point operations in the same
+    order, so ``x`` is bit-identical to SciPy's
+    ``minimize_scalar(method="bounded")``.  Returns ``(x, converged)``;
+    ``converged`` is false when ``maxfun`` evaluations ran out or a NaN
+    appeared.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lower, upper
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = math.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit_sign(xm - xf)
+            else:
+                golden = True
+
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            converged = False
+            break
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        converged = False
+    return xf, converged
+
+
+def _unit_sign(value: float) -> float:
+    """numpy's ``sign(value) + (value == 0)``: -1.0 below zero, else 1.0."""
+    return -1.0 if value < 0.0 else 1.0
+
+
 def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit:
     """Deterministic least-squares fit of A*exp(-t/tau) + C.
 
     tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds)
-    and the best seed is refined by a bounded scalar search; amplitude and
-    offset come from an exact linear solve at each tau.  No randomness
-    anywhere, so refits are reproducible bit for bit.
+    and the best seed is refined by Brent's bounded search over
+    [seed/1.5, seed*1.5] (:func:`_bounded_brent`; tolerance 1e-12 of the
+    seed, at most 500 evaluations); amplitude and offset come from an exact
+    linear solve at each tau.  No randomness anywhere, so refits are
+    reproducible bit for bit.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -166,17 +276,13 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
         raise ValueError("need at least four points to fit a three-parameter decay")
     sses = [_profile_fit(times, values, tau)[1] for tau in _TAU_GRID]
     seed = float(_TAU_GRID[int(np.argmin(sses))])
-    result = minimize_scalar(
-        lambda tau: _profile_fit(times, values, tau)[1],
-        bounds=(seed / 1.5, seed * 1.5),
-        method="bounded",
-        options={"xatol": seed * 1e-12, "maxiter": 500},
+    tau, converged = _bounded_brent(
+        lambda tau: _profile_fit(times, values, tau)[1], seed / 1.5, seed * 1.5, seed * 1e-12, 500
     )
-    if not result.success:
+    if not converged:
         coef, sse = _profile_fit(times, values, seed)
         best = DecayFit(float(coef[0]), seed, float(coef[1]), math.sqrt(sse / times.size))
         raise FitConvergenceError("decay fit did not converge", best=best)
-    tau = float(result.x)
     coef, sse = _profile_fit(times, values, tau)
     amplitude, offset = float(coef[0]), float(coef[1])
     identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset))
@@ -194,8 +300,10 @@ class CurveComparison:
     """Teleport and control sweeps side by side, with fits and verdicts.
 
     ``teleport_beats_classical`` is an absolute statement about the teleport
-    curve; the other two verdicts compare the curves, so feeding the same
-    records twice makes both of them false.
+    curve; the other two verdicts compare the fitted decay times, so feeding
+    the same records twice makes both of them false, and they are ``None``
+    (undetermined) when either fit's tau is not identifiable, e.g. on a flat
+    noiseless curve where tau is fitted to rounding noise.
     """
 
     delays: tuple[float, ...]
@@ -205,8 +313,8 @@ class CurveComparison:
     control_fit: DecayFit
     tau_ratio: float
     teleport_beats_classical: bool
-    control_decays_faster: bool
-    teleport_outlasts_control: bool
+    control_decays_faster: bool | None
+    teleport_outlasts_control: bool | None
 
 
 def compare_curves(
@@ -224,6 +332,7 @@ def compare_curves(
     ratio = teleport_fit.time_constant / control_fit.time_constant
     nonzero = [r for r in tel if r.delay > 0.0]
     beats_classical = bool(nonzero and nonzero[0].fe > 0.5)
+    determined = teleport_fit.tau_identifiable and control_fit.tau_identifiable
     return CurveComparison(
         delays=tuple(r.delay for r in tel),
         fe_teleport=tuple(r.fe for r in tel),
@@ -232,6 +341,6 @@ def compare_curves(
         control_fit=control_fit,
         tau_ratio=ratio,
         teleport_beats_classical=beats_classical,
-        control_decays_faster=control_fit.time_constant < teleport_fit.time_constant,
-        teleport_outlasts_control=ratio > min_tau_ratio,
+        control_decays_faster=control_fit.time_constant < teleport_fit.time_constant if determined else None,
+        teleport_outlasts_control=ratio > min_tau_ratio if determined else None,
     )

@@ -86,14 +86,17 @@ class TomographyInputSet:
         coords = np.column_stack([_coords(s) for s in self.states])
         if np.linalg.cond(coords) > 1e9:
             raise ValueError("input states are not linearly independent as operators")
+        coords.flags.writeable = False
         object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "_coordinate_matrix", coords)
 
     @classmethod
     def canonical(cls) -> TomographyInputSet:
         return cls(canonical_input_states())
 
     def coordinate_matrix(self) -> np.ndarray:
-        return np.column_stack([_coords(s) for s in self.states])
+        """Read-only 4x4 matrix whose column n is the Pauli coordinates of input n."""
+        return self._coordinate_matrix
 
 
 @lru_cache(maxsize=1)

@@ -89,8 +89,9 @@ def test_dephasing_off_diagonal_factor():
 
 
 def test_dephasing_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        dephasing_channel(-0.1, 0.3)
+    for duration in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            dephasing_channel(duration, 0.3)
 
 
 def test_relaxation_zero_duration_is_identity():
@@ -124,8 +125,9 @@ def test_relaxation_rejects_unphysical_times():
         RelaxationParams(t1=1.0, t2=2.5)
     with pytest.raises(ValueError):
         RelaxationParams(t1=0.0, t2=0.3)
-    with pytest.raises(ValueError):
-        relaxation_channel(-1.0, RelaxationParams(25.0, 0.3))
+    for duration in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            relaxation_channel(duration, RelaxationParams(25.0, 0.3))
 
 
 def test_depolarizing_limits():

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmrteleport
 from nmrteleport import cli
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.experiment import DEFAULT_DELAYS, SweepConfig, run_sweep
@@ -68,12 +73,20 @@ def test_control_default_run_recovers_carbon_t2(tmp_path):
 
 
 def test_compare_no_noise_gives_unit_columns(tmp_path):
-    out = tmp_path / "flat"
-    assert cli.main(["compare", "--no-noise", "--delays", "0,0.3,0.6,0.9", "--out", str(out)]) == 0
-    _, rows = read_csv(out / "compare.csv")
-    for _, fe_teleport, fe_control in rows:
-        assert fe_teleport == pytest.approx(1.0, abs=1e-9)
-        assert fe_control == pytest.approx(1.0, abs=1e-9)
+    for engine in ("gate", "pulse"):
+        out = tmp_path / f"flat-{engine}"
+        args = ["compare", "--no-noise", "--delays", "0,0.3,0.6,0.9", "--engine", engine, "--out", str(out)]
+        assert cli.main(args) == 0
+        _, rows = read_csv(out / "compare.csv")
+        for _, fe_teleport, fe_control in rows:
+            assert fe_teleport == pytest.approx(1.0, abs=1e-9)
+            assert fe_control == pytest.approx(1.0, abs=1e-9)
+        # Flat curves leave tau unidentifiable, so the tau verdicts are not asserted.
+        summary = (out / "summary.txt").read_text()
+        assert "tau_identifiable = no" in summary
+        assert "verdict fe > 0.5 at smallest nonzero delay: yes" in summary
+        assert "verdict control decays faster than teleport: undetermined" in summary
+        assert "verdict teleport tau exceeds control tau by >3x: undetermined" in summary
 
 
 def test_curve_csv_round_trips_to_in_memory_values(tmp_path):
@@ -140,6 +153,28 @@ def test_bad_config_inputs_exit_2(tmp_path):
     listy = tmp_path / "list.yaml"
     listy.write_text("- 1\n- 2\n")
     assert cli.main(["teleport", "--config", str(listy)]) == 2
+
+
+def test_nan_delays_exit_2_and_inf_delay_runs(tmp_path, capsys):
+    for args in (
+        ["teleport", "--delays", "nan"],
+        ["teleport", "--delays", "0,nan,1"],
+        ["compare", "--delays", "0,0.3,nan,0.9"],
+        ["tomo", "--channel", "teleport(nan)"],
+    ):
+        assert cli.main(args + ["--out", str(tmp_path / "nan")]) == 2, args
+        assert "error:" in capsys.readouterr().err
+    assert cli.main(["teleport", "--delays", "0,0.5,inf", "--out", str(tmp_path / "inf")]) == 0
+    _, rows = read_csv(tmp_path / "inf" / "curve.csv")
+    assert rows[2][0] == math.inf
+
+
+def test_cli_import_loads_neither_scipy_nor_yaml():
+    src = str(Path(nmrteleport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, nmrteleport.cli; print(sorted({'scipy', 'yaml'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_hostile_config_sections_exit_2(tmp_path):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from nmrteleport import circuits
+from nmrteleport import circuits, experiment
 from nmrteleport.circuits import ANCILLA, DATA, prepare
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
@@ -108,6 +109,55 @@ def test_fit_flags_constant_data_as_unidentifiable():
     assert not fit.tau_identifiable
 
 
+def _seeded_curves(rng, count):
+    """Noisy, exact, and rounding-noise-only (as with --no-noise) decay curves."""
+    for i in range(count):
+        size = int(rng.integers(4, 31))
+        times = np.sort(rng.uniform(0.0, 1.5, size))
+        times[0] = 0.0
+        clean = rng.uniform(0.1, 0.75) * np.exp(-times / rng.uniform(0.05, 8.0)) + rng.uniform(0.25, 0.6)
+        if i % 3 == 0:
+            yield times, clean + rng.normal(scale=10.0 ** rng.uniform(-6, -2), size=size)
+        elif i % 3 == 1:
+            yield times, clean
+        else:
+            yield times, 1.0 + rng.integers(-2, 3, size) * 2.0**-53
+
+
+def test_bounded_brent_matches_scipy_bit_for_bit():
+    # Oracle: SciPy's bounded minimize_scalar, which the search is a port of,
+    # on the fit's own objective and bracket; the small evaluation limits
+    # make both give up, and both must say so.
+    rng = np.random.default_rng(2024)
+    for times, values in _seeded_curves(rng, 300):
+        sses = [experiment._profile_fit(times, values, tau)[1] for tau in experiment._TAU_GRID]
+        seed = float(experiment._TAU_GRID[int(np.argmin(sses))])
+
+        def sse(tau):
+            return experiment._profile_fit(times, values, tau)[1]
+
+        for maxfun in (500, int(rng.integers(2, 12))):
+            expected = minimize_scalar(
+                sse,
+                bounds=(seed / 1.5, seed * 1.5),
+                method="bounded",
+                options={"xatol": seed * 1e-12, "maxiter": maxfun},
+            )
+            x, converged = experiment._bounded_brent(sse, seed / 1.5, seed * 1.5, seed * 1e-12, maxfun)
+            assert x == float(expected.x)
+            assert converged == bool(expected.success)
+
+
+def test_fit_reports_non_convergence_with_best_seed(monkeypatch):
+    times = np.linspace(0.0, 1.4, 8)
+    values = 0.5 * np.exp(-times / 0.3) + 0.5
+    real = experiment._bounded_brent
+    monkeypatch.setattr(experiment, "_bounded_brent", lambda f, lo, hi, xatol, maxfun: real(f, lo, hi, xatol, 3))
+    with pytest.raises(FitConvergenceError) as info:
+        fit_exponential(times, values)
+    assert info.value.best.time_constant in experiment._TAU_GRID
+
+
 def test_fit_requires_four_points():
     with pytest.raises(ValueError):
         fit_exponential([0.0, 0.1, 0.2], [1.0, 0.9, 0.8])
@@ -134,6 +184,15 @@ def test_compare_curves_identical_inputs():
     assert comparison.tau_ratio == pytest.approx(1.0, abs=1e-15)
     assert not comparison.control_decays_faster
     assert not comparison.teleport_outlasts_control
+
+
+def test_compare_curves_leaves_tau_verdicts_undetermined_on_flat_fits():
+    records = run_sweep(SweepConfig((0.0, 0.3, 0.6, 0.9), "teleport", tce_model().with_relaxation(False, False)))
+    comparison = compare_curves(records, records)
+    assert not comparison.teleport_fit.tau_identifiable
+    assert comparison.teleport_beats_classical
+    assert comparison.control_decays_faster is None
+    assert comparison.teleport_outlasts_control is None
 
 
 def test_compare_curves_rejects_mismatched_grids():
@@ -185,6 +244,10 @@ def test_sweep_config_validation():
         SweepConfig((-0.1, 0.2), "teleport", model)
     with pytest.raises(ValueError):
         SweepConfig((0.3, 0.3), "teleport", model)
+    for delays in ((math.nan,), (0.0, math.nan, 1.0), (0.0, math.inf, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            SweepConfig(delays, "teleport", model)
+    assert SweepConfig((0, 0.5, math.inf), "teleport", model).delays == (0.0, 0.5, math.inf)
     with pytest.raises(ValueError):
         SweepConfig((0.0, 0.1), "reheat", model)
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from nmrteleport.qstate import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
+    pauli_expectation,
 )
 from nmrteleport.tomography import (
     ProcessMap,
@@ -172,6 +173,16 @@ def test_input_set_requires_linear_independence():
         TomographyInputSet((zero, zero, plus, plus_i))
     with pytest.raises(ValueError):
         TomographyInputSet((zero, plus))
+
+
+def test_input_coordinate_matrix_is_stored_read_only():
+    inputs = TomographyInputSet.canonical()
+    v = inputs.coordinate_matrix()
+    fresh = np.array([[pauli_expectation(s, p) for s in inputs.states] for p in "IXYZ"])
+    assert np.array_equal(v, fresh)
+    assert inputs.coordinate_matrix() is v
+    with pytest.raises(ValueError):
+        v[0, 0] = 2.0
 
 
 def test_canonical_inputs_are_the_four_reference_states():
