@@ -14,7 +14,6 @@ from .circuits import (
     CorrectionTable,
     GateEvent,
     bell_to_computational,
-    conditional_correction,
     control_circuit,
     correction_table,
     entangle_gate,

@@ -31,7 +31,7 @@ CPTP_TOL = 1e-10
 
 def _decay(duration: float, timescale: float) -> float:
     """exp(-duration/timescale) with the 0 and inf corner cases pinned."""
-    if timescale <= 0.0:
+    if not timescale > 0.0:
         raise ValueError(f"timescale must be positive, got {timescale}")
     if math.isinf(timescale):
         return 1.0
@@ -73,29 +73,22 @@ class KrausChannel:
         targets = tuple(int(t) for t in self.targets)
         if len(set(targets)) != len(targets):
             raise ValueError(f"duplicate channel targets {targets}")
-        if not self.elements:
+        if len(self.elements) == 0:
             raise ValueError("channel needs at least one operation element")
         dim = 2 ** len(targets)
-        elements = []
-        for a in self.elements:
-            a = np.asarray(a, dtype=complex)
-            if a.shape != (dim, dim):
-                raise ValueError(f"element shape {a.shape} does not fit targets {targets}")
-            a = a.copy()
-            a.flags.writeable = False
-            elements.append(a)
-        total = sum(a.conj().T @ a for a in elements)
-        deviation = np.max(np.abs(total - np.eye(dim)))
-        if deviation > CPTP_TOL:
+        shapes = {np.shape(a) for a in self.elements}
+        if shapes != {(dim, dim)}:
+            raise ValueError(f"element shapes {sorted(shapes)} do not fit targets {targets}")
+        elements = np.array(self.elements, dtype=complex)
+        total = np.einsum("kji,kjl->il", elements.conj(), elements)
+        deviation = float(np.max(np.abs(total - np.eye(dim))))
+        if not deviation <= CPTP_TOL:
             raise ValueError(
                 f"channel is not trace preserving: sum A†A deviates from I by {deviation:.3e}"
             )
+        elements.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "elements", tuple(elements))
-
-
-def identity_channel(target: int = 0) -> KrausChannel:
-    return KrausChannel((target,), (IDENTITY_2.copy(),))
 
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
@@ -142,15 +135,9 @@ def relaxation_channel(
     total = _decay(duration, params.t2)
     extra = 1.0 if amp == 0.0 else min(1.0, total / amp)
 
-    a0 = np.array([[1.0, 0.0], [0.0, amp]], dtype=complex)
-    a1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    elements = []
-    for d in _dephasing_elements(extra):
-        for a in (a0, a1):
-            prod = d @ a
-            if np.max(np.abs(prod)) > 0.0:
-                elements.append(prod)
-    return KrausChannel((target,), tuple(elements))
+    damping = np.array([[[1.0, 0.0], [0.0, amp]], [[0.0, math.sqrt(gamma)], [0.0, 0.0]]], dtype=complex)
+    products = (np.array(_dephasing_elements(extra))[:, None] @ damping).reshape(-1, 2, 2)
+    return KrausChannel((target,), products[np.abs(products).max(axis=(1, 2)) > 0.0])
 
 
 def depolarizing_channel(p: float, target: int = 0) -> KrausChannel:

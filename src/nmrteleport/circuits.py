@@ -69,7 +69,7 @@ class GateEvent:
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary shape {u.shape} does not fit targets {targets}")
             dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-            if dev > UNITARY_TOL:
+            if not dev <= UNITARY_TOL:
                 raise ValueError(f"matrix is not unitary: U†U deviates from I by {dev:.3e}")
             u = u.copy()
             u.flags.writeable = False
@@ -110,8 +110,9 @@ class Circuit:
         object.__setattr__(self, "roles", dict(self.roles))
 
 
+@lru_cache(maxsize=None)
 def entangle_gate(ancilla: int = 0, target: int = 1) -> tuple[GateEvent, GateEvent]:
-    """Hadamard on the ancilla, then CNOT onto the target.
+    """Hadamard on the ancilla, then CNOT onto the target; built once per qubit pair.
 
     Maps |0>|0> on (ancilla, target) to the Bell pair (|00>+|11>)/sqrt(2).
     """
@@ -121,8 +122,10 @@ def entangle_gate(ancilla: int = 0, target: int = 1) -> tuple[GateEvent, GateEve
     )
 
 
+@lru_cache(maxsize=None)
 def bell_to_computational(data: int = 0, ancilla: int = 1) -> tuple[GateEvent, GateEvent]:
-    """Rotate the Bell basis of (data, ancilla) into the computational basis.
+    """Rotate the Bell basis of (data, ancilla) into the computational basis;
+    built once per qubit pair.
 
     CNOT from data to ancilla followed by a Hadamard on data; sends the four
     Bell states (|00>±|11>, |01>±|10>)/sqrt(2) to |00>, |10>, |01>, |11>.
@@ -187,15 +190,9 @@ def correction_table() -> CorrectionTable:
     return CorrectionTable(table)
 
 
-def conditional_correction(outcome: str, target: int = TARGET) -> GateEvent:
-    """Recovery unitary for one measurement branch, as a gate on ``target``."""
-    if outcome not in OUTCOMES:
-        raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    return unitary_event(correction_table().corrections[outcome], (target,))
-
-
-def _controlled_correction() -> np.ndarray:
-    """All four corrections as one unitary controlled on (data, ancilla)."""
+@lru_cache(maxsize=1)
+def _controlled_correction() -> GateEvent:
+    """All four corrections as one unitary controlled on (data, ancilla), built once."""
     table = correction_table().corrections
     full = np.zeros((8, 8), dtype=complex)
     for b0 in (0, 1):
@@ -203,7 +200,7 @@ def _controlled_correction() -> np.ndarray:
             proj = np.zeros((4, 4), dtype=complex)
             proj[2 * b0 + b1, 2 * b0 + b1] = 1.0
             full += tensor_product(proj, table[f"{b0}{b1}"])
-    return full
+    return unitary_event(full, (DATA, ANCILLA, TARGET))
 
 
 def _roles(model: MoleculeModel) -> dict[str, str]:
@@ -239,8 +236,7 @@ def teleport_circuit(delay: float, model: MoleculeModel) -> Circuit:
     if len(model.spins) != 3:
         raise ValueError("teleportation needs a three-spin model")
     prefix = (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
-    correction = unitary_event(_controlled_correction(), (DATA, ANCILLA, TARGET))
-    return Circuit(3, (*prefix, *_delay_noise(delay, model), correction), _roles(model), len(prefix))
+    return Circuit(3, (*prefix, *_delay_noise(delay, model), _controlled_correction()), _roles(model), len(prefix))
 
 
 def control_circuit(delay: float, model: MoleculeModel) -> Circuit:
@@ -269,17 +265,36 @@ def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
     return stack
 
 
-def run_events(events: Sequence[GateEvent], stack: np.ndarray, realize: Realize | None = None) -> np.ndarray:
+def run_events(
+    events: Sequence[GateEvent | tuple[GateEvent, ...]], stack: np.ndarray, realize: Realize | None = None
+) -> np.ndarray:
     """The one circuit executor, on a ``(..., 2^n, 2^n)`` stack, validating
     every step in one batched check.  ``realize`` maps a unitary event to the
-    matrix applied instead (the pulse engine's substitution)."""
+    matrix applied instead (the pulse engine's substitution).
+
+    A step may also be a tuple of channel events on the same targets, one for
+    each entry of the stack's leading axis (a sweep's delays): their elements
+    are stacked, padded with zero matrices to a common count."""
     for ev in events:
-        if ev.kind == "unitary":
-            stack = evolve(stack, (ev.unitary if realize is None else realize(ev),), ev.targets)
+        if isinstance(ev, tuple):
+            elements, targets = _stacked_elements([e.channel for e in ev], stack.ndim), ev[0].channel.targets
+        elif ev.kind == "unitary":
+            elements, targets = (ev.unitary if realize is None else realize(ev),), ev.targets
         else:
-            stack = evolve(stack, ev.channel.elements, ev.channel.targets)
-        stack = validate_density(stack)
+            elements, targets = ev.channel.elements, ev.channel.targets
+        stack = validate_density(evolve(stack, elements, targets))
     return stack
+
+
+def _stacked_elements(channels: Sequence[KrausChannel], ndim: int) -> np.ndarray:
+    """``(count, len(channels), 1, ..., 1, d, d)`` elements: channel i's own
+    elements at ``[:, i]``, zero matrices after them, broadcasting against a
+    stack of ``ndim`` axes."""
+    count, dim = max(len(c.elements) for c in channels), channels[0].elements[0].shape[-1]
+    stacked = np.zeros((count, len(channels)) + (1,) * (ndim - 3) + (dim, dim), dtype=complex)
+    for i, channel in enumerate(channels):
+        stacked[: len(channel.elements), i] = np.reshape(channel.elements, (-1,) + stacked.shape[2:])
+    return stacked
 
 
 def run_circuit(circuit: Circuit, input_data: DensityMatrix, realize: Realize | None = None) -> DensityMatrix:

@@ -15,6 +15,7 @@ the same configuration produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -163,11 +164,17 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"invalid delay list: {exc}") from exc
 
     model = _build_model(data["molecule"])
+    switches = {key: noise.get(key, True) for key in ("t1", "t2")}
+    for key, value in switches.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"noise.{key} must be true or false, got {value!r}")
     try:
-        model = model.with_relaxation(bool(noise.get("t1", True)), bool(noise.get("t2", True)))
+        model = model.with_relaxation(switches["t1"], switches["t2"])
         rotation_error = float(noise.get("rf_miscalibration", 0.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise section: {exc}") from exc
+    if not math.isfinite(rotation_error):
+        raise ConfigError(f"noise.rf_miscalibration must be finite, got {rotation_error}")
 
     return RunConfig(
         model=model,

@@ -3,9 +3,10 @@
 A sweep wraps the teleportation (readout on the target spin) or control
 (readout on the data spin) circuit as a single-qubit process for each
 decoherence delay, tomographs it, and records the entanglement fidelity.
-A sweep runs the delay-independent circuit prefix once and all four
-tomography inputs as one stack.  Sweeps are deterministic: the same
-configuration always produces bit-identical records.
+A sweep runs the delay-independent circuit prefix once, then every delay
+and all four tomography inputs as one ``(delays, 4, 8, 8)`` stack, and
+tomographs every delay in one vectorized reconstruction.  Sweeps are
+deterministic: the same configuration always produces bit-identical records.
 """
 
 from __future__ import annotations
@@ -16,7 +17,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_circuit, run_events, teleport_circuit
+from .circuits import (
+    DATA,
+    TARGET,
+    Circuit,
+    GateEvent,
+    control_circuit,
+    prepare,
+    run_circuit,
+    run_events,
+    teleport_circuit,
+)
 from .errors import FitConvergenceError
 from .nmr import MoleculeModel, pulse_realizer, run_circuit_pulse
 from .qstate import DensityMatrix, partial_trace, reduce_stack
@@ -31,6 +42,7 @@ DEFAULT_DELAYS: tuple[float, ...] = tuple(np.linspace(0.0, 1.2, 12))
 
 _TAU_GRID = np.geomspace(0.05, 10.0, 40)
 _AMPLITUDE_FLOOR = 1e-8
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
@@ -65,6 +77,8 @@ class SweepConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
+        if not math.isfinite(self.rotation_error):
+            raise ValueError(f"rotation error must be finite, got {self.rotation_error}")
         object.__setattr__(self, "delays", delays)
 
 
@@ -134,21 +148,45 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Tomograph the configured process at every delay, in delay order.
 
     The records of process tomography of :func:`build_process` at each
-    delay, with the circuit prefix run once and the inputs run as one stack.
+    delay: the circuit prefix runs once, then every delay's circuit and all
+    four inputs run as one stack, one step at a time.
     """
     realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
     inputs = TomographyInputSet.canonical()
     circuits = [_circuit(config.experiment, d, config.model) for d in config.delays]
-    first = circuits[0][0]
+    first, readout = circuits[0]
     stack = prepare(np.stack([s.matrix for s in inputs.states]), first.num_qubits)
     prefix = run_events(first.events[: first.delay_start], stack, realize)
-    records = []
-    for delay, (circuit, readout) in zip(config.delays, circuits):
-        final = run_events(circuit.events[circuit.delay_start :], prefix, realize)
-        outputs = [DensityMatrix(1, m) for m in reduce_stack(final, [readout])]
-        process_map = reconstruct_process(outputs, inputs)
-        records.append(SweepRecord(delay, entanglement_fidelity(process_map), process_map))
-    return records
+    stack = np.broadcast_to(prefix, (len(circuits),) + prefix.shape)
+    final = run_events(_delay_steps([c for c, _ in circuits]), stack, realize)
+    maps = reconstruct_process(reduce_stack(final, [readout]), inputs)
+    return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(config.delays, maps)]
+
+
+def _delay_steps(circuits: Sequence[Circuit]) -> list[GateEvent | tuple[GateEvent, ...]]:
+    """The steps after the shared prefix, for all circuits at once: a unitary
+    event common to every circuit, or the tuple of each circuit's own channel
+    event.  Raises ``ValueError`` unless the circuits agree event by event in
+    kind and targets, and share the prefix and every unitary event."""
+    first = circuits[0]
+    for circuit in circuits[1:]:
+        if _layout(circuit) != _layout(first):
+            raise ValueError("sweep circuits differ in structure")
+        for i, (ev, ref) in enumerate(zip(circuit.events, first.events)):
+            shared = ev is ref or (ev.kind == "unitary" and np.array_equal(ev.unitary, ref.unitary))
+            if not shared and (ev.kind == "unitary" or i < first.delay_start):
+                raise ValueError(f"sweep circuits do not share event {i}")
+    return [
+        ref if ref.kind == "unitary" else tuple(c.events[i] for c in circuits)
+        for i, ref in enumerate(first.events)
+        if i >= first.delay_start
+    ]
+
+
+def _layout(circuit: Circuit) -> tuple:
+    """Register size, prefix length, and the kind and targets of every event."""
+    events = [(ev.kind, ev.targets or ev.channel.targets) for ev in circuit.events]
+    return circuit.num_qubits, circuit.delay_start, events
 
 
 def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
@@ -175,7 +213,7 @@ def _bounded_brent(
     ``converged`` is false when ``maxfun`` evaluations ran out or a NaN
     appeared.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
+    sqrt_eps = _SQRT_EPS
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lower, upper
     fulc = a + golden_mean * (b - a)
@@ -267,6 +305,11 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     seed, at most 500 evaluations); amplitude and offset come from an exact
     linear solve at each tau.  No randomness anywhere, so refits are
     reproducible bit for bit.
+
+    tau is not identifiable when the amplitude vanishes, or when the refined
+    tau lies within the search's final tolerance of an end of its bracket:
+    then the best tau lies at or beyond that end, and the value is the
+    bracket's, not the data's.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -276,16 +319,17 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
         raise ValueError("need at least four points to fit a three-parameter decay")
     sses = [_profile_fit(times, values, tau)[1] for tau in _TAU_GRID]
     seed = float(_TAU_GRID[int(np.argmin(sses))])
-    tau, converged = _bounded_brent(
-        lambda tau: _profile_fit(times, values, tau)[1], seed / 1.5, seed * 1.5, seed * 1e-12, 500
-    )
+    lower, upper, xatol = seed / 1.5, seed * 1.5, seed * 1e-12
+    tau, converged = _bounded_brent(lambda tau: _profile_fit(times, values, tau)[1], lower, upper, xatol, 500)
     if not converged:
         coef, sse = _profile_fit(times, values, seed)
         best = DecayFit(float(coef[0]), seed, float(coef[1]), math.sqrt(sse / times.size))
         raise FitConvergenceError("decay fit did not converge", best=best)
     coef, sse = _profile_fit(times, values, tau)
     amplitude, offset = float(coef[0]), float(coef[1])
-    identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset))
+    resolution = 2.0 * (_SQRT_EPS * abs(tau) + xatol / 3.0)  # the search's final tolerance at tau
+    clipped = not min(tau - lower, upper - tau) > resolution
+    identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset)) and not clipped
     return DecayFit(amplitude, tau, offset, math.sqrt(sse / times.size), identifiable)
 
 

@@ -44,7 +44,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def rotation_x(angle: float) -> np.ndarray:
@@ -57,12 +56,6 @@ def rotation_y(angle: float) -> np.ndarray:
     """exp(-i*angle*Y/2)."""
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    """exp(-i*angle*Z/2)."""
-    phase = np.exp(-0.5j * angle)
-    return np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=complex)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,7 +125,11 @@ def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> 
 
 def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     """sum_i A_i rho A_i† on ``targets`` for every rho of a ``(..., 2^n, 2^n)`` stack,
-    unvalidated.  A unitary is a one-element set; terms add up in element order."""
+    unvalidated.  A unitary is a one-element set; terms add up in element order.
+
+    An element may carry leading batch axes that broadcast against the stack's
+    (a sweep gives each delay its own channel this way); a zero element adds
+    exact zeros, so padding a shorter set leaves its result unchanged."""
     stack = np.asarray(stack, dtype=complex)
     n, k = stack.shape[-1].bit_length() - 1, len(targets)
     if len(set(targets)) != k or not all(0 <= t < n for t in targets):
@@ -145,9 +142,10 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     tens = stack.reshape(stack.shape[:-2] + (2,) * (2 * n))
     out = np.zeros_like(tens)
     for a in elements:
-        a = np.asarray(a, dtype=complex).reshape((2,) * (2 * k))
-        left = np.einsum(a, row_subs, tens, [..., *rows, *cols], [..., *new_rows, *cols])
-        out += np.einsum(left, [..., *new_rows, *cols], a.conj(), col_subs, [..., *new_rows, *new_cols])
+        a = np.asarray(a, dtype=complex)
+        a = a.reshape(a.shape[:-2] + (2,) * (2 * k))
+        left = np.einsum(a, [..., *row_subs], tens, [..., *rows, *cols], [..., *new_rows, *cols])
+        out += np.einsum(left, [..., *new_rows, *cols], a.conj(), [..., *col_subs], [..., *new_rows, *new_cols])
     return out.reshape(stack.shape)
 
 
@@ -263,19 +261,24 @@ def pauli_string(label: str) -> np.ndarray:
 
 
 def pauli_expectation(rho: DensityMatrix, label: str) -> float:
-    """tr(rho * P) for the Pauli string ``label``; guaranteed real.
-
-    The imaginary residue must stay below 1e-9 (it is discarded after the
-    check); larger residues indicate a corrupted state.
-    """
+    """tr(rho * P) for the Pauli string ``label``; see :func:`real_expectations`."""
     if len(label) != rho.num_qubits:
         raise ValueError(f"label {label!r} does not match {rho.num_qubits} qubits")
-    value = complex(np.trace(rho.matrix @ pauli_string(label)))
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise NumericalInvariantError(
-            f"expectation of {label} has imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
+    return float(real_expectations(rho.matrix, pauli_string(label)[None])[0])
+
+
+def real_expectations(stack: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """tr(rho * P) for every rho of a ``(..., d, d)`` stack and every P of an
+    ``(m, d, d)`` stack of Hermitian operators, as a real ``(..., m)`` array.
+
+    The imaginary residue must stay below 1e-9 (it is discarded after the
+    check; NaN fails it); larger residues indicate a corrupted state.
+    """
+    values = np.trace(np.asarray(stack)[..., None, :, :] @ operators, axis1=-2, axis2=-1)
+    residue = float(np.max(np.abs(values.imag)))
+    if not residue <= EXPECTATION_IMAG_TOL:
+        raise NumericalInvariantError(f"expectation value has imaginary part {residue:.3e}")
+    return values.real
 
 
 def _clipped_eigenvalues(vals: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    pauli_expectation,
+    PAULIS,
+    real_expectations,
     validate_density,
 )
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
-_PAULI_OPS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_OPS = np.stack([PAULIS[p] for p in PAULI_BASIS])
 
 BLOCH_EXCESS_TOL = 1e-6
 TRANSFER_TRACE_TOL = 1e-9
@@ -50,18 +51,20 @@ def state_tomography(x: float, y: float, z: float) -> DensityMatrix:
     A Bloch vector up to 1e-6 beyond unit length is renormalized onto the
     Bloch sphere; anything longer is unphysical data and raises.
     """
-    length = float(np.sqrt(x * x + y * y + z * z))
-    if length > 1.0 + BLOCH_EXCESS_TOL:
-        raise UnphysicalBlochError(f"Bloch vector length {length} exceeds 1")
-    if length > 1.0:
-        x, y, z = x / length, y / length, z / length
-    matrix = (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
-    return DensityMatrix(1, matrix)
+    return DensityMatrix(1, _bloch_matrices(np.array([x, y, z], dtype=float)))
 
 
-def _coords(rho: DensityMatrix) -> np.ndarray:
-    """Pauli coordinates (tr(P_m rho)); component 0 is the trace."""
-    return np.array([pauli_expectation(rho, label) for label in PAULI_BASIS])
+def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
+    """(I + xX + yY + zZ)/2 for every Bloch vector of a ``(..., 3)`` array, after the
+    Bloch rule of :func:`state_tomography` (NaN fails it); unvalidated."""
+    x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
+    length = np.sqrt(x * x + y * y + z * z)
+    worst = float(np.max(length))
+    if not worst <= 1.0 + BLOCH_EXCESS_TOL:
+        raise UnphysicalBlochError(f"Bloch vector length {worst} exceeds 1")
+    scale = np.where(length > 1.0, length, 1.0)
+    x, y, z = (c[..., None, None] / scale[..., None, None] for c in (x, y, z))
+    return (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
 
 
 def canonical_input_states() -> tuple[DensityMatrix, ...]:
@@ -83,7 +86,7 @@ class TomographyInputSet:
     def __post_init__(self):
         if len(self.states) != 4 or any(s.num_qubits != 1 for s in self.states):
             raise ValueError("need exactly four single-qubit input states")
-        coords = np.column_stack([_coords(s) for s in self.states])
+        coords = real_expectations(np.stack([s.matrix for s in self.states]), _PAULI_OPS).T
         if np.linalg.cond(coords) > 1e9:
             raise ValueError("input states are not linearly independent as operators")
         coords.flags.writeable = False
@@ -102,27 +105,8 @@ class TomographyInputSet:
 @lru_cache(maxsize=1)
 def _transfer_from_chi() -> np.ndarray:
     """16x16 map M with vec(R) = M vec(chi), fixed by the Pauli basis."""
-    m = np.zeros((16, 16), dtype=complex)
-    for l in range(4):
-        for k in range(4):
-            for a in range(4):
-                for b in range(4):
-                    m[4 * l + k, 4 * a + b] = (
-                        np.trace(_PAULI_OPS[l] @ _PAULI_OPS[a] @ _PAULI_OPS[k] @ _PAULI_OPS[b]) / 2.0
-                    )
-    return m
-
-
-def _chi_from_transfer(transfer: np.ndarray) -> np.ndarray:
-    vec = np.linalg.solve(_transfer_from_chi(), transfer.astype(complex).reshape(16))
-    return vec.reshape(4, 4)
-
-
-def _transfer_from_chi_matrix(chi: np.ndarray) -> np.ndarray:
-    vec = _transfer_from_chi() @ chi.reshape(16)
-    if np.max(np.abs(vec.imag)) > ROUND_TRIP_TOL:
-        raise NumericalInvariantError("transfer matrix reconstructed from chi is not real")
-    return vec.real.reshape(4, 4)
+    p = _PAULI_OPS  # M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2
+    return (np.einsum("lij,ajm,kmn,bni->lkab", p, p, p, p) / 2.0).reshape(16, 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +121,7 @@ class ProcessMap:
         chi = np.asarray(self.chi_matrix, dtype=complex)
         if r.shape != (4, 4) or chi.shape != (4, 4):
             raise ValueError("transfer and chi matrices must be 4x4")
-        if abs(r[0, 0] - 1.0) > TRANSFER_TRACE_TOL:
+        if not abs(r[0, 0] - 1.0) <= TRANSFER_TRACE_TOL:
             raise NumericalInvariantError(f"R[0][0] = {r[0, 0]} violates trace preservation")
         try:  # a CPTP process has a density-matrix-like chi
             validate_density(chi, CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK)
@@ -154,53 +138,46 @@ class ProcessMap:
 def process_tomography(
     evaluate: Callable[[DensityMatrix], DensityMatrix],
     inputs: TomographyInputSet | None = None,
-    clamp_positive: bool = False,
 ) -> ProcessMap:
     """Characterize a linear trace-preserving map from four input/output pairs."""
     input_set = inputs if inputs is not None else TomographyInputSet.canonical()
-    return reconstruct_process([evaluate(s) for s in input_set.states], input_set, clamp_positive)
+    outputs = [evaluate(s) for s in input_set.states]
+    if any(not isinstance(out, DensityMatrix) or out.num_qubits != 1 for out in outputs):
+        raise ValueError("process under test must return single-qubit density matrices")
+    (process_map,) = reconstruct_process(np.stack([out.matrix for out in outputs]), input_set)
+    return process_map
 
 
-def reconstruct_process(
-    outputs: Sequence[DensityMatrix],
-    inputs: TomographyInputSet,
-    clamp_positive: bool = False,
-) -> ProcessMap:
-    """Process map from the outputs of the four ``inputs``, in their order.
+def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list[ProcessMap]:
+    """Process maps from a ``(..., 4, 2, 2)`` stack of outputs of the four ``inputs``
+    (in their order), one per leading index in C order.
 
-    Each output is itself reconstructed by state tomography from its Bloch
-    components before the transfer matrix is solved for, mirroring how the
-    data would be taken.  ``clamp_positive`` projects the chi matrix onto
-    the positive cone (for use with deliberately miscalibrated pulses);
-    exact simulations never need it.
+    Each output must be a density matrix, and is itself reconstructed by
+    state tomography from its Bloch components before the transfer matrix
+    is solved for, mirroring how the data would be taken.  Every check runs
+    once over the whole stack; each map then checks itself.
     """
-    v = inputs.coordinate_matrix()
-    coords = []
-    for out in outputs:
-        if not isinstance(out, DensityMatrix) or out.num_qubits != 1:
-            raise ValueError("process under test must return single-qubit density matrices")
-        reconstructed = state_tomography(
-            pauli_expectation(out, "X"),
-            pauli_expectation(out, "Y"),
-            pauli_expectation(out, "Z"),
-        )
-        coords.append(_coords(reconstructed))
-    w = np.column_stack(coords)
+    outputs = np.asarray(outputs, dtype=complex)
+    if outputs.shape[-3:] != (4, 2, 2):
+        raise ValueError(f"outputs of shape {outputs.shape} are not four single-qubit states")
+    validate_density(outputs)
+    states = _bloch_matrices(real_expectations(outputs, _PAULI_OPS[1:]))
+    validate_density(states)
+    w = real_expectations(states, _PAULI_OPS)  # w[..., n, m]: coordinate m of output n
     try:
-        transfer = np.linalg.solve(v.T, w.T).T
+        transfer = np.swapaxes(np.linalg.solve(inputs.coordinate_matrix().T, w), -1, -2)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular tomography reconstruction system") from exc
-    chi = _chi_from_transfer(transfer)
-    if clamp_positive:
-        vals, vecs = np.linalg.eigh((chi + chi.conj().T) / 2.0)
-        vals = np.clip(vals, 0.0, None)
-        chi = (vecs * vals) @ vecs.conj().T
-        chi = chi / np.trace(chi)
-        transfer = _transfer_from_chi_matrix(chi)
-    round_trip = _transfer_from_chi_matrix(chi)
-    if np.max(np.abs(round_trip - transfer)) > ROUND_TRIP_TOL:
-        raise NumericalInvariantError("chi/transfer round trip failed")
-    return ProcessMap(transfer, chi)
+    vec_r = transfer.astype(complex).reshape(transfer.shape[:-2] + (16, 1))
+    chi = np.linalg.solve(_transfer_from_chi(), vec_r).reshape(transfer.shape)
+    round_trip = (_transfer_from_chi() @ chi.reshape(vec_r.shape)).reshape(transfer.shape)
+    residue = float(np.max(np.abs(round_trip.imag)))
+    if not residue <= ROUND_TRIP_TOL:
+        raise NumericalInvariantError(f"transfer matrix reconstructed from chi is not real (by {residue:.3e})")
+    gap = float(np.max(np.abs(round_trip.real - transfer)))
+    if not gap <= ROUND_TRIP_TOL:
+        raise NumericalInvariantError(f"chi/transfer round trip failed by {gap:.3e}")
+    return [ProcessMap(r, c) for r, c in zip(transfer.reshape(-1, 4, 4), chi.reshape(-1, 4, 4))]
 
 
 def entanglement_fidelity(process: ProcessMap) -> float:
@@ -211,7 +188,7 @@ def entanglement_fidelity(process: ProcessMap) -> float:
     """
     fe_chi = float(process.chi_matrix[0, 0].real)
     fe_transfer = float(np.trace(process.transfer_matrix)) / 4.0
-    if abs(fe_chi - fe_transfer) > FIDELITY_CONSISTENCY_TOL:
+    if not abs(fe_chi - fe_transfer) <= FIDELITY_CONSISTENCY_TOL:
         raise NumericalInvariantError(
             f"fidelity mismatch: chi00={fe_chi} vs tr(R)/4={fe_transfer}"
         )

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from nmrteleport.qstate import DensityMatrix, PureState
+from nmrteleport.qstate import DensityMatrix, PureState, pauli_expectation
+from nmrteleport.tomography import state_tomography
 
 
 def random_pure_state(rng, num_qubits: int = 1) -> PureState:
@@ -74,6 +75,15 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - phase * b)))
 
 
+CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+def rotation_z(angle: float) -> np.ndarray:
+    """exp(-i*angle*Z/2)."""
+    phase = np.exp(-0.5j * angle)
+    return np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=complex)
+
+
 def relaxation_fe(duration: float, t1: float, t2: float) -> float:
     """Closed-form entanglement fidelity of T1/T2 relaxation.
 
@@ -97,3 +107,33 @@ SPANNING_1Q = (
     np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
     np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
 )
+
+
+PAULI_LABELS = ("I", "X", "Y", "Z")
+
+
+def per_output_reconstruction(outputs, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer and chi matrices of a process, one output at a time.
+
+    Each output (a DensityMatrix) goes through Pauli expectations, state
+    tomography of its Bloch vector and the coordinates of that state; one
+    linear solve then gives R, and a second one chi from the 16x16 map
+    vec(R) = M vec(chi), built here with M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2.
+    """
+    coords = []
+    for out in outputs:
+        state = state_tomography(*(pauli_expectation(out, p) for p in PAULI_LABELS[1:]))
+        coords.append([pauli_expectation(state, p) for p in PAULI_LABELS])
+    w = np.array(coords).T
+    transfer = np.linalg.solve(inputs.coordinate_matrix().T, w.T).T
+    ops = [
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    m = np.zeros((16, 16), dtype=complex)
+    for l, k, a, b in np.ndindex(4, 4, 4, 4):
+        m[4 * l + k, 4 * a + b] = np.trace(ops[l] @ ops[a] @ ops[k] @ ops[b]) / 2.0
+    chi = np.linalg.solve(m, transfer.astype(complex).reshape(16)).reshape(4, 4)
+    return transfer, chi

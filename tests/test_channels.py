@@ -9,11 +9,10 @@ from nmrteleport.channels import (
     apply_channel,
     dephasing_channel,
     depolarizing_channel,
-    identity_channel,
     measurement_dephasing,
     relaxation_channel,
 )
-from nmrteleport.qstate import DensityMatrix, PureState, bell_states
+from nmrteleport.qstate import IDENTITY_2, DensityMatrix, PureState, bell_states
 from tests.helpers import SPANNING_1Q, random_cptp_elements, random_density
 
 PLUS = DensityMatrix(1, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
@@ -27,7 +26,7 @@ def channel_action(channel, states):
 def test_identity_channel_leaves_state_unchanged():
     rng = np.random.default_rng(2)
     rho = random_density(rng, 2)
-    out = apply_channel(rho, identity_channel(target=1))
+    out = apply_channel(rho, KrausChannel((1,), (IDENTITY_2,)))
     assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
@@ -209,3 +208,12 @@ def test_apply_channel_preserves_trace_randomized():
         rho = random_density(rng, 2)
         out = apply_channel(rho, ch)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+
+
+def test_nan_fails_trace_preservation_and_timescale_checks():
+    with pytest.raises(ValueError):
+        KrausChannel((0,), (np.full((2, 2), np.nan, dtype=complex),))
+    with pytest.raises(ValueError):
+        dephasing_channel(0.3, math.nan)
+    with pytest.raises(ValueError):
+        relaxation_channel(0.3, RelaxationParams(math.nan, 0.3))

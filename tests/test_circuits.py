@@ -8,10 +8,10 @@ from nmrteleport.circuits import (
     DATA,
     TARGET,
     Circuit,
+    CorrectionTable,
     GateEvent,
     bell_to_computational,
     channel_event,
-    conditional_correction,
     control_circuit,
     correction_table,
     entangle_gate,
@@ -133,7 +133,7 @@ def test_corrections_restore_every_branch():
     )
     for outcome in ("00", "01", "10", "11"):
         b = int(outcome, 2)
-        correction = conditional_correction(outcome).unitary
+        correction = correction_table().corrections[outcome]
         for _ in range(20):
             psi = random_pure_state(rng, 1)
             full = np.kron(psi.amplitudes, PureState.from_bits("00").amplitudes)
@@ -142,11 +142,6 @@ def test_corrections_restore_every_branch():
             recovered = correction @ branch
             fidelity = abs(np.vdot(psi.amplitudes, recovered)) ** 2
             assert fidelity == pytest.approx(1.0, abs=1e-10)
-
-
-def test_conditional_correction_rejects_bad_outcome():
-    with pytest.raises(ValueError):
-        conditional_correction("2")
 
 
 def test_pre_measurement_state_expands_into_four_branches():
@@ -280,3 +275,26 @@ def test_teleport_output_satisfies_state_invariants():
     out = run_circuit(teleport_circuit(0.4, model), PLUS.density())
     # DensityMatrix construction enforces the invariants; spot-check trace.
     assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+
+
+def test_gate_event_rejects_nan_unitary():
+    with pytest.raises(ValueError):
+        unitary_event(np.full((2, 2), np.nan, dtype=complex), (0,))
+
+
+def test_correction_table_accepts_only_paulis():
+    table = dict(correction_table().corrections)
+    table["11"] = HADAMARD
+    with pytest.raises(ValueError):
+        CorrectionTable(table)
+    del table["11"]
+    with pytest.raises(ValueError):
+        CorrectionTable(table)
+
+
+def test_constant_events_are_shared_by_every_delay():
+    model = tce_model()
+    short, long = teleport_circuit(0.1, model), teleport_circuit(0.9, model)
+    for i in (*range(short.delay_start), -1):
+        assert short.events[i] is long.events[i]
+    assert control_circuit(0.1, model).events[0] is short.events[0]

@@ -169,6 +169,31 @@ def test_nan_delays_exit_2_and_inf_delay_runs(tmp_path, capsys):
     assert rows[2][0] == math.inf
 
 
+def test_nan_relaxation_times_and_rf_errors_exit_2(tmp_path, capsys):
+    for value in (".nan", ".inf", "-.inf"):
+        cfg = tmp_path / "rf.yaml"
+        cfg.write_text(f"noise: {{rf_miscalibration: {value}}}\n")
+        args = ["teleport", "--engine", "pulse", "--delays", "0,0.3", "--config", str(cfg)]
+        assert cli.main(args + ["--out", str(tmp_path / "rf")]) == 2, value
+        assert capsys.readouterr().err.startswith("error:")
+    for channel in ("dephasing(0.3,nan)", "relaxation(0.3,nan,0.2)", "relaxation(0.3,2,nan)"):
+        assert cli.main(["tomo", "--channel", channel, "--out", str(tmp_path / "t")]) == 2, channel
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_noise_switches_must_be_booleans(tmp_path, capsys):
+    for body in ('noise: {t1: "false", t2: "false"}\n', "noise: {t2: 0}\n", "noise: {t1: null}\n"):
+        cfg = tmp_path / "switches.yaml"
+        cfg.write_text(body)
+        assert cli.main(["control", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, body
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise.t") and err.count("\n") == 1
+    cfg.write_text("noise: {t1: false, t2: false}\n")
+    assert cli.main(["control", "--config", str(cfg), "--delays", "0,1.2", "--out", str(tmp_path / "b")]) == 0
+    _, rows = read_csv(tmp_path / "b" / "curve.csv")
+    assert rows[-1][1] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_cli_import_loads_neither_scipy_nor_yaml():
     src = str(Path(nmrteleport.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from nmrteleport import circuits, experiment
-from nmrteleport.circuits import ANCILLA, DATA, prepare
+from nmrteleport.circuits import ANCILLA, DATA, TARGET, prepare
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
@@ -20,8 +20,8 @@ from nmrteleport.experiment import (
 )
 from nmrteleport.nmr import tce_model
 from nmrteleport.qstate import PureState, evolve, validate_density
-from nmrteleport.tomography import entanglement_fidelity, process_tomography
-from tests.helpers import relaxation_fe
+from nmrteleport.tomography import TomographyInputSet, entanglement_fidelity, process_tomography
+from tests.helpers import per_output_reconstruction, relaxation_fe
 
 IDENTITY_MAP = process_tomography(lambda rho: rho)
 
@@ -317,3 +317,86 @@ def test_sweep_validates_every_intermediate_state(monkeypatch):
         for engine in ("gate", "pulse"):
             with pytest.raises(NumericalInvariantError):
                 run_sweep(SweepConfig((0.0, 0.3), kind, model, engine))
+
+
+def test_sweep_reconstruction_matches_per_output_oracle():
+    # Oracle: each delay's outputs computed input by input through the full
+    # circuit, then reconstructed one output at a time.
+    model = tce_model()
+    inputs = TomographyInputSet.canonical()
+    delays = (0.0, 0.15, 0.7, math.inf)
+    for engine, rotation_error in (("gate", 0.0), ("pulse", 0.0), ("pulse", 0.05)):
+        for kind in ("teleport", "control"):
+            for record in run_sweep(SweepConfig(delays, kind, model, engine, rotation_error)):
+                evaluate = build_process(kind, record.delay, model, engine, rotation_error)
+                transfer, chi = per_output_reconstruction([evaluate(s) for s in inputs.states], inputs)
+                got = record.process_map
+                if engine == "gate":
+                    assert np.array_equal(got.transfer_matrix, transfer)
+                    assert np.array_equal(got.chi_matrix, chi)
+                else:
+                    assert np.max(np.abs(got.transfer_matrix - transfer)) <= 1e-15
+                    assert np.max(np.abs(got.chi_matrix - chi)) <= 1e-15
+
+
+def test_sweep_catches_a_corrupted_channel_on_the_last_delay_only(monkeypatch):
+    real = circuits.relaxation_channel
+    delays = (0.0, 0.3, 0.6, 0.9)
+    for corrupt in (1.1, math.nan):
+
+        def corrupted(duration, params, target=0):
+            channel = real(duration, params, target)
+            if duration == delays[-1] and target == DATA:
+                object.__setattr__(channel, "elements", tuple(corrupt * a for a in channel.elements))
+            return channel
+
+        monkeypatch.setattr(circuits, "relaxation_channel", corrupted)
+        for kind in ("teleport", "control"):
+            for engine in ("gate", "pulse"):
+                with pytest.raises(NumericalInvariantError):
+                    run_sweep(SweepConfig(delays, kind, tce_model(), engine))
+                run_sweep(SweepConfig(delays[:-1], kind, tce_model(), engine))
+
+
+def test_run_sweep_rejects_circuits_that_differ_in_structure(monkeypatch):
+    real = experiment._circuit
+    model = tce_model()
+    identity = circuits.unitary_event(np.eye(2), (ANCILLA,))
+    variants = (
+        lambda events: events + (identity,),  # one event more
+        lambda events: events[:-2] + (events[-1], events[-2]),  # last two swapped
+        lambda events: (identity,) + events[1:],  # another prefix
+        lambda events: events[:-1] + (circuits.unitary_event(np.eye(8), (DATA, ANCILLA, TARGET)),),
+    )
+    for change in variants:
+
+        def patched(kind, delay, model):
+            circuit, readout = real(kind, delay, model)
+            if delay == 0.6:
+                circuit = circuits.Circuit(circuit.num_qubits, change(circuit.events), circuit.roles, circuit.delay_start)
+            return circuit, readout
+
+        monkeypatch.setattr(experiment, "_circuit", patched)
+        for kind in ("teleport", "control"):
+            with pytest.raises(ValueError):
+                run_sweep(SweepConfig((0.0, 0.3, 0.6), kind, model))
+
+
+def test_rotation_error_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SweepConfig((0.0, 0.3), "teleport", tce_model(), "pulse", bad)
+
+
+def test_fit_flags_tau_clipped_at_bracket_edge():
+    # tau = 40 s and 200 s both lie far beyond the seed grid's last bracket
+    # (10 s * 1.5): the search stops at its edge, so tau is not identified.
+    times = np.linspace(0.0, 1.2, 12)
+    for tau in (40.0, 200.0):
+        fit = fit_exponential(times, 0.5 * np.exp(-times / tau) + 0.5)
+        assert not fit.tau_identifiable
+    slow = records_from_curve(times, 0.5 * np.exp(-times / 200.0) + 0.5)
+    fast = records_from_curve(times, 0.5 * np.exp(-times / 0.3) + 0.5)
+    comparison = compare_curves(slow, fast)
+    assert comparison.control_decays_faster is None
+    assert comparison.teleport_outlasts_control is None

@@ -20,7 +20,6 @@ from nmrteleport.nmr import (
 )
 from nmrteleport.qstate import (
     CNOT,
-    CZ,
     HADAMARD,
     PAULI_X,
     PAULI_Z,
@@ -30,10 +29,9 @@ from nmrteleport.qstate import (
     lift_operator,
     partial_trace,
     rotation_x,
-    rotation_z,
     state_fidelity,
 )
-from tests.helpers import phase_distance, random_density, random_pure_state
+from tests.helpers import CZ, phase_distance, random_density, random_pure_state, rotation_z
 
 
 def schedule_unitary(schedule: PulseSchedule, model: MoleculeModel) -> np.ndarray:

@@ -242,3 +242,20 @@ def test_evolve_matches_lifted_conjugation_on_stacks():
         assert np.max(np.abs(evolve(stack, elements, targets) - expected)) < 1e-13
     with pytest.raises(ValueError):
         evolve(stack, (PAULI_X,), (3,))
+
+
+def test_evolve_takes_batched_elements_padded_with_zeros():
+    # Oracle: evolve each member of the stack with its own, unpadded set.
+    rng = np.random.default_rng(43)
+    stack = np.stack([[random_density(rng, 3).matrix for _ in range(4)] for _ in range(3)])
+    sets = []
+    for count in (1, 3, 2):
+        g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+        q, _ = np.linalg.qr(g)
+        sets.append([q[2 * i : 2 * i + 2] for i in range(count)])
+    batched = np.zeros((3, 3, 1, 2, 2), dtype=complex)
+    for i, elements in enumerate(sets):
+        batched[: len(elements), i, 0] = elements
+    got = evolve(stack, batched, (1,))
+    for member, elements in zip(range(3), sets):
+        assert np.array_equal(got[member], evolve(stack[member], elements, (1,)))

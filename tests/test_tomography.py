@@ -25,9 +25,10 @@ from nmrteleport.tomography import (
     entanglement_fidelity,
     entanglement_fidelity_from_kraus,
     process_tomography,
+    reconstruct_process,
     state_tomography,
 )
-from tests.helpers import apply_elements, random_cptp_elements
+from tests.helpers import apply_elements, per_output_reconstruction, random_cptp_elements
 
 
 def channel_process(channel):
@@ -207,9 +208,45 @@ def test_evaluate_must_return_single_qubit_density_matrix():
         process_tomography(lambda rho: rho.matrix)
 
 
-def test_clamp_option_returns_physical_map():
-    rng = np.random.default_rng(77)
-    elements = random_cptp_elements(rng, 2)
-    pm = process_tomography(kraus_process(elements), clamp_positive=True)
-    assert float(np.min(np.linalg.eigvalsh(pm.chi_matrix))) >= -1e-12
-    assert abs(np.trace(pm.chi_matrix) - 1.0) < 1e-10
+def random_outputs(rng, shape):
+    """Outputs of a random CPTP map per leading index, for the canonical inputs."""
+    inputs = TomographyInputSet.canonical()
+    outputs = np.empty(shape + (4, 2, 2), dtype=complex)
+    for index in np.ndindex(*shape):
+        elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
+        outputs[index] = [apply_elements(s.matrix, elements) for s in inputs.states]
+    return outputs
+
+
+def test_vectorized_reconstruction_matches_per_output_oracle():
+    rng = np.random.default_rng(79)
+    inputs = TomographyInputSet.canonical()
+    outputs = random_outputs(rng, (2, 3))
+    maps = reconstruct_process(outputs, inputs)
+    assert len(maps) == 6
+    for pm, member in zip(maps, outputs.reshape(-1, 4, 2, 2)):
+        transfer, chi = per_output_reconstruction([DensityMatrix(1, m) for m in member], inputs)
+        assert np.max(np.abs(pm.transfer_matrix - transfer)) <= 1e-15
+        assert np.max(np.abs(pm.chi_matrix - chi)) <= 1e-15
+
+
+def test_batched_reconstruction_checks_every_member():
+    rng = np.random.default_rng(80)
+    inputs = TomographyInputSet.canonical()
+    for corrupt in (np.nan, 1.5):
+        outputs = random_outputs(rng, (5,))
+        outputs[-1, 3, 0, 0] *= corrupt
+        with pytest.raises(NumericalInvariantError):
+            reconstruct_process(outputs, inputs)
+    with pytest.raises(ValueError):
+        reconstruct_process(np.zeros((3, 2, 2)), inputs)
+
+
+def test_nan_fails_process_map_and_fidelity_checks():
+    good = process_tomography(lambda rho: rho)
+    with pytest.raises(NumericalInvariantError):
+        ProcessMap(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
+    with pytest.raises(NumericalInvariantError):
+        entanglement_fidelity(ProcessMap(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix))
+    with pytest.raises(UnphysicalBlochError):
+        state_tomography(np.nan, 0.0, 0.0)
