@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +64,9 @@ class KrausChannel:
     """CPTP map defined by operation elements acting on ``targets``.
 
     Construction rejects non-trace-preserving sets, so every instance in
-    circulation satisfies sum_i A_i† A_i = I within 1e-10.
+    circulation satisfies sum_i A_i† A_i = I within 1e-10.  The elements may
+    share leading batch axes, ``(..., d, d)`` each: then the channel is one
+    map per batch index (a sweep's delays), each checked by the same rule.
     """
 
     targets: tuple[int, ...]
@@ -77,10 +80,10 @@ class KrausChannel:
             raise ValueError("channel needs at least one operation element")
         dim = 2 ** len(targets)
         shapes = {np.shape(a) for a in self.elements}
-        if shapes != {(dim, dim)}:
+        if len(shapes) != 1 or next(iter(shapes))[-2:] != (dim, dim):
             raise ValueError(f"element shapes {sorted(shapes)} do not fit targets {targets}")
         elements = np.array(self.elements, dtype=complex)
-        total = np.einsum("kji,kjl->il", elements.conj(), elements)
+        total = np.einsum("k...ji,k...jl->...il", elements.conj(), elements)
         deviation = float(np.max(np.abs(total - np.eye(dim))))
         if not deviation <= CPTP_TOL:
             raise ValueError(
@@ -125,19 +128,43 @@ def relaxation_channel(
     Amplitude damping toward |0> with gamma = 1 - exp(-duration/t1),
     composed with just enough extra dephasing that the total off-diagonal
     decay factor is exp(-duration/t2).  The channel is specified by this
-    action, not by a canonical factorization.
+    action, not by a canonical factorization; its zero elements are dropped.
     """
-    if not duration >= 0.0:
-        raise ValueError(f"duration must be nonnegative, got {duration}")
-    survival = _decay(duration, params.t1)  # population of |1> retained
-    gamma = 1.0 - survival
-    amp = math.sqrt(survival)  # off-diagonal factor from T1 alone
-    total = _decay(duration, params.t2)
-    extra = 1.0 if amp == 0.0 else min(1.0, total / amp)
-
-    damping = np.array([[[1.0, 0.0], [0.0, amp]], [[0.0, math.sqrt(gamma)], [0.0, 0.0]]], dtype=complex)
-    products = (np.array(_dephasing_elements(extra))[:, None] @ damping).reshape(-1, 2, 2)
+    products = _relaxation_elements((duration,), params)[:, 0]
     return KrausChannel((target,), products[np.abs(products).max(axis=(1, 2)) > 0.0])
+
+
+def relaxation_channels(
+    durations: Sequence[float], params: RelaxationParams, target: int = 0
+) -> KrausChannel:
+    """:func:`relaxation_channel` of every duration of a grid, as one channel of
+    four ``(D, 2, 2)`` elements: ``elements[i][d]`` is element i of the channel
+    for ``durations[d]``, a zero matrix where that channel drops it (a zero
+    element adds exact zeros).  One trace-preservation check covers the grid."""
+    return KrausChannel((target,), _relaxation_elements(durations, params))
+
+
+def _relaxation_elements(durations: Sequence[float], params: RelaxationParams) -> np.ndarray:
+    """``(4, D, 2, 2)``: dephasing element i // 2 times damping element i % 2 at
+    every duration, zero elements kept in place."""
+    factors = []
+    for duration in durations:
+        if not duration >= 0.0:
+            raise ValueError(f"duration must be nonnegative, got {duration}")
+        survival = _decay(duration, params.t1)  # population of |1> retained
+        amp = math.sqrt(survival)  # off-diagonal factor from T1 alone
+        extra = 1.0 if amp == 0.0 else min(1.0, _decay(duration, params.t2) / amp)
+        factors.append((amp, math.sqrt(1.0 - survival), extra))
+    if not factors:
+        raise ValueError("need at least one duration")
+    amp, sqrt_gamma, extra = np.array(factors).T
+    damping = np.zeros((len(factors), 2, 2, 2), dtype=complex)
+    damping[:, 0, 0, 0], damping[:, 0, 1, 1], damping[:, 1, 0, 1] = 1.0, amp, sqrt_gamma
+    k0 = np.sqrt((1.0 + extra) / 2.0)[:, None, None]
+    k1 = np.sqrt((1.0 - extra) / 2.0)[:, None, None]
+    dephasing = np.stack((k0 * IDENTITY_2, k1 * PAULI_Z), axis=1)  # scales off-diagonals by extra
+    products = dephasing[:, :, None] @ damping[:, None]
+    return np.swapaxes(products.reshape(-1, 4, 2, 2), 0, 1)
 
 
 def depolarizing_channel(p: float, target: int = 0) -> KrausChannel:

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, relaxation_channel
+from .channels import KrausChannel, relaxation_channel, relaxation_channels
+from .errors import NumericalInvariantError
 from .qstate import (
     CNOT,
     HADAMARD,
@@ -211,42 +212,40 @@ def _roles(model: MoleculeModel) -> dict[str, str]:
     }
 
 
-def _delay_noise(delay: float, model: MoleculeModel) -> list[GateEvent]:
-    """Relaxation of every spin for the wall-clock duration of the delay.
+def _delay_noise(delay: float | Sequence[float], model: MoleculeModel) -> list[GateEvent]:
+    """Relaxation of every spin for the wall-clock duration of the delay, or
+    one batched channel per spin for a grid of delays (a sweep's).
 
     Couplings are refocused during the delay, so each spin decoheres
     independently with its own T1/T2.
     """
-    return [
-        channel_event(relaxation_channel(delay, spin.relaxation(), target=q))
-        for q, spin in enumerate(model.spins)
-    ]
+    relax = relaxation_channel if np.ndim(delay) == 0 else relaxation_channels
+    return [channel_event(relax(delay, spin.relaxation(), target=q)) for q, spin in enumerate(model.spins)]
 
 
-def teleport_circuit(delay: float, model: MoleculeModel) -> Circuit:
+def teleport_circuit(delay: float | Sequence[float], model: MoleculeModel) -> Circuit:
     """Full teleportation: entangle, Bell rotation, decoherence delay, recovery.
 
     The delay doubles as the measurement: carbon dephasing diagonalizes the
     data/ancilla pair in the computational basis, after which the controlled
     correction restores the input on the target.  At ``delay=inf`` the
-    dephasing equals the exact computational-basis projection.
+    dephasing equals the exact computational-basis projection.  A grid of
+    delays gives the circuit of all of them at once, for a stack whose
+    leading axis runs over the grid.
     """
-    if not delay >= 0.0:
-        raise ValueError(f"delay must be nonnegative, got {delay}")
     if len(model.spins) != 3:
         raise ValueError("teleportation needs a three-spin model")
     prefix = (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
     return Circuit(3, (*prefix, *_delay_noise(delay, model), _controlled_correction()), _roles(model), len(prefix))
 
 
-def control_circuit(delay: float, model: MoleculeModel) -> Circuit:
+def control_circuit(delay: float | Sequence[float], model: MoleculeModel) -> Circuit:
     """Control experiment: entangle ancilla and target, then only decohere.
 
     No Bell rotation and no conditional correction; the input state simply
     rides out the delay on the data spin, which is where readout happens.
+    A grid of delays is handled as in :func:`teleport_circuit`.
     """
-    if not delay >= 0.0:
-        raise ValueError(f"delay must be nonnegative, got {delay}")
     if len(model.spins) != 3:
         raise ValueError("the control experiment needs a three-spin model")
     prefix = entangle_gate(ANCILLA, TARGET)
@@ -265,36 +264,23 @@ def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
     return stack
 
 
-def run_events(
-    events: Sequence[GateEvent | tuple[GateEvent, ...]], stack: np.ndarray, realize: Realize | None = None
-) -> np.ndarray:
+def run_events(events: Sequence[GateEvent], stack: np.ndarray, realize: Realize | None = None) -> np.ndarray:
     """The one circuit executor, on a ``(..., 2^n, 2^n)`` stack, validating
     every step in one batched check.  ``realize`` maps a unitary event to the
-    matrix applied instead (the pulse engine's substitution).
-
-    A step may also be a tuple of channel events on the same targets, one for
-    each entry of the stack's leading axis (a sweep's delays): their elements
-    are stacked, padded with zero matrices to a common count."""
-    for ev in events:
-        if isinstance(ev, tuple):
-            elements, targets = _stacked_elements([e.channel for e in ev], stack.ndim), ev[0].channel.targets
-        elif ev.kind == "unitary":
+    matrix applied instead (the pulse engine's substitution).  A failed check
+    raises with ``step`` and ``event`` set to the failing step's position in
+    ``events`` and its event."""
+    for step, ev in enumerate(events):
+        if ev.kind == "unitary":
             elements, targets = (ev.unitary if realize is None else realize(ev),), ev.targets
         else:
             elements, targets = ev.channel.elements, ev.channel.targets
-        stack = validate_density(evolve(stack, elements, targets))
+        try:
+            stack = validate_density(evolve(stack, elements, targets))
+        except NumericalInvariantError as exc:
+            exc.step, exc.event = step, ev
+            raise
     return stack
-
-
-def _stacked_elements(channels: Sequence[KrausChannel], ndim: int) -> np.ndarray:
-    """``(count, len(channels), 1, ..., 1, d, d)`` elements: channel i's own
-    elements at ``[:, i]``, zero matrices after them, broadcasting against a
-    stack of ``ndim`` axes."""
-    count, dim = max(len(c.elements) for c in channels), channels[0].elements[0].shape[-1]
-    stacked = np.zeros((count, len(channels)) + (1,) * (ndim - 3) + (dim, dim), dtype=complex)
-    for i, channel in enumerate(channels):
-        stacked[: len(channel.elements), i] = np.reshape(channel.elements, (-1,) + stacked.shape[2:])
-    return stacked
 
 
 def run_circuit(circuit: Circuit, input_data: DensityMatrix, realize: Realize | None = None) -> DensityMatrix:

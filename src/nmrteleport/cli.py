@@ -36,14 +36,12 @@ from .experiment import (
     DecayFit,
     SweepConfig,
     SweepRecord,
-    build_process,
     compare_curves,
     fit_decay,
     run_sweep,
     validate_delays,
 )
 from .nmr import MoleculeModel, SpinParams, tce_model
-from .qstate import DensityMatrix
 from .tomography import ProcessMap, entanglement_fidelity, process_tomography
 
 EXIT_OK = 0
@@ -325,7 +323,9 @@ def cmd_compare(cfg: RunConfig) -> None:
 _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
-def _parse_channel(cfg: RunConfig) -> tuple[str, Callable[[DensityMatrix], DensityMatrix]]:
+def _parse_channel(cfg: RunConfig) -> Callable[[], ProcessMap]:
+    """The named channel's process tomography, checked, to run once the output
+    directory exists; a circuit runs as a sweep of one delay."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
@@ -340,37 +340,37 @@ def _parse_channel(cfg: RunConfig) -> tuple[str, Callable[[DensityMatrix], Densi
         if len(args) != n:
             raise ConfigError(f"channel {name!r} takes {n} argument(s), got {len(args)}")
 
+    if name not in ("identity", "dephasing", "depolarizing", "relaxation", "teleport", "control"):
+        raise ConfigError(
+            f"unknown channel {name!r}; expected identity, dephasing(t,t2), depolarizing(p), "
+            "relaxation(t,t1,t2), teleport(delay) or control(delay)"
+        )
     try:
         if name == "identity":
             expect(0)
-            return name, lambda rho: rho
+            return lambda: process_tomography(lambda rho: rho)
+        if name in ("teleport", "control"):
+            expect(1)
+            sweep = SweepConfig((args[0],), name, cfg.model, cfg.engine, cfg.rotation_error)
+            return lambda: run_sweep(sweep)[0].process_map
         if name == "dephasing":
             expect(2)
             channel = dephasing_channel(args[0], args[1])
-            return name, lambda rho: apply_channel(rho, channel)
-        if name == "depolarizing":
+        elif name == "depolarizing":
             expect(1)
             channel = depolarizing_channel(args[0])
-            return name, lambda rho: apply_channel(rho, channel)
-        if name == "relaxation":
+        else:
             expect(3)
             channel = relaxation_channel(args[0], RelaxationParams(args[1], args[2]))
-            return name, lambda rho: apply_channel(rho, channel)
-        if name in ("teleport", "control"):
-            expect(1)
-            return name, build_process(name, args[0], cfg.model, cfg.engine, cfg.rotation_error)
     except ValueError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
-    raise ConfigError(
-        f"unknown channel {name!r}; expected identity, dephasing(t,t2), depolarizing(p), "
-        "relaxation(t,t1,t2), teleport(delay) or control(delay)"
-    )
+    return lambda: process_tomography(lambda rho: apply_channel(rho, channel))
 
 
 def cmd_tomo(cfg: RunConfig) -> None:
-    name, evaluate = _parse_channel(cfg)
+    tomograph = _parse_channel(cfg)
     out_dir = _prepare_out_dir(cfg)
-    process_map = process_tomography(evaluate)
+    process_map = tomograph()
     fe = entanglement_fidelity(process_map)
     _write_process_map(out_dir, process_map)
     summary = [

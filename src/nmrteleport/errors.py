@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class NumericalInvariantError(Exception):
-    """A computed quantity violated a physicality or consistency bound."""
+    """A computed quantity violated a physicality or consistency bound.
+
+    Where it is known, a violation says where it happened: ``index`` is the
+    position of the failing matrix in a checked stack's leading axes, and
+    ``step`` and ``event`` are the circuit step that produced it.
+    """
+
+    index: tuple[int, ...] = ()
+    step: int | None = None
+    event = None
 
 
 class UnphysicalBlochError(NumericalInvariantError):

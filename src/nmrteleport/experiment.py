@@ -21,14 +21,13 @@ from .circuits import (
     DATA,
     TARGET,
     Circuit,
-    GateEvent,
     control_circuit,
     prepare,
     run_circuit,
     run_events,
     teleport_circuit,
 )
-from .errors import FitConvergenceError
+from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, pulse_realizer, run_circuit_pulse
 from .qstate import DensityMatrix, partial_trace, reduce_stack
 from .tomography import ProcessMap, TomographyInputSet, entanglement_fidelity, reconstruct_process
@@ -108,8 +107,8 @@ class DecayFit:
     def __post_init__(self):
         if not self.time_constant > 0.0:
             raise ValueError(f"time constant must be positive, got {self.time_constant}")
-        if self.residual_norm < 0.0:
-            raise ValueError("residual norm cannot be negative")
+        if not self.residual_norm >= 0.0:
+            raise ValueError(f"residual norm must be nonnegative, got {self.residual_norm}")
 
     def value(self, t: float) -> float:
         return self.amplitude * math.exp(-t / self.time_constant) + self.offset
@@ -135,8 +134,8 @@ def build_process(
     return evaluate
 
 
-def _circuit(experiment: str, delay: float, model: MoleculeModel) -> tuple[Circuit, int]:
-    """The experiment's circuit at ``delay`` and its readout qubit."""
+def _circuit(experiment: str, delay: float | Sequence[float], model: MoleculeModel) -> tuple[Circuit, int]:
+    """The experiment's circuit at ``delay`` (or a grid of delays) and its readout qubit."""
     if experiment == "teleport":
         return teleport_circuit(delay, model), TARGET
     if experiment == "control":
@@ -148,45 +147,35 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Tomograph the configured process at every delay, in delay order.
 
     The records of process tomography of :func:`build_process` at each
-    delay: the circuit prefix runs once, then every delay's circuit and all
-    four inputs run as one stack, one step at a time.
+    delay, from one circuit for the whole grid: its prefix runs once, then
+    every delay and all four inputs run as one ``(delays, 4, 8, 8)`` stack,
+    one step at a time.  A violated invariant is reported with the delay,
+    the tomography input and the circuit step where it happened.
     """
     realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
     inputs = TomographyInputSet.canonical()
-    circuits = [_circuit(config.experiment, d, config.model) for d in config.delays]
-    first, readout = circuits[0]
-    stack = prepare(np.stack([s.matrix for s in inputs.states]), first.num_qubits)
-    prefix = run_events(first.events[: first.delay_start], stack, realize)
-    stack = np.broadcast_to(prefix, (len(circuits),) + prefix.shape)
-    final = run_events(_delay_steps([c for c, _ in circuits]), stack, realize)
+    circuit, readout = _circuit(config.experiment, config.delays, config.model)
+    start = circuit.delay_start
+    stack = prepare(np.stack([s.matrix for s in inputs.states]), circuit.num_qubits)
+    try:
+        prefix = run_events(circuit.events[:start], stack, realize)
+        stack = np.broadcast_to(prefix, (len(config.delays),) + prefix.shape)
+        final = run_events(circuit.events[start:], stack, realize)
+    except NumericalInvariantError as exc:
+        raise NumericalInvariantError(f"{_where(exc, config.delays, start)}: {exc}") from exc
     maps = reconstruct_process(reduce_stack(final, [readout]), inputs)
     return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(config.delays, maps)]
 
 
-def _delay_steps(circuits: Sequence[Circuit]) -> list[GateEvent | tuple[GateEvent, ...]]:
-    """The steps after the shared prefix, for all circuits at once: a unitary
-    event common to every circuit, or the tuple of each circuit's own channel
-    event.  Raises ``ValueError`` unless the circuits agree event by event in
-    kind and targets, and share the prefix and every unitary event."""
-    first = circuits[0]
-    for circuit in circuits[1:]:
-        if _layout(circuit) != _layout(first):
-            raise ValueError("sweep circuits differ in structure")
-        for i, (ev, ref) in enumerate(zip(circuit.events, first.events)):
-            shared = ev is ref or (ev.kind == "unitary" and np.array_equal(ev.unitary, ref.unitary))
-            if not shared and (ev.kind == "unitary" or i < first.delay_start):
-                raise ValueError(f"sweep circuits do not share event {i}")
-    return [
-        ref if ref.kind == "unitary" else tuple(c.events[i] for c in circuits)
-        for i, ref in enumerate(first.events)
-        if i >= first.delay_start
-    ]
-
-
-def _layout(circuit: Circuit) -> tuple:
-    """Register size, prefix length, and the kind and targets of every event."""
-    events = [(ev.kind, ev.targets or ev.channel.targets) for ev in circuit.events]
-    return circuit.num_qubits, circuit.delay_start, events
+def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:
+    """Where in a sweep ``exc`` happened: the prefix stack is indexed by input,
+    the stack after it by (delay, input), with steps counted from ``start``."""
+    if len(exc.index) == 1:
+        where, step = f"every delay, tomography input {exc.index[0]}", exc.step
+    else:
+        where, step = f"delay {delays[exc.index[0]]!r} s, tomography input {exc.index[1]}", start + exc.step
+    targets = exc.event.targets or exc.event.channel.targets
+    return f"{where}, circuit step {step} ({exc.event.kind} on qubits {targets})"
 
 
 def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, float]:

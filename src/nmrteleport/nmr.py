@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -174,7 +175,7 @@ class FreeEvolution:
     couplings: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self):
-        if self.duration < 0.0:
+        if not self.duration >= 0.0:
             raise ValueError(f"duration must be nonnegative, got {self.duration}")
         couplings = frozenset(_pair(a, b) for a, b in self.couplings)
         if math.isinf(self.duration) and couplings:
@@ -327,24 +328,34 @@ def compile_gate(gate: GateEvent, model: MoleculeModel) -> PulseSchedule:
     raise UnsupportedGateError(f"gates on {len(gate.targets)} spins have no pulse realization")
 
 
-def _events(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error: float) -> list[GateEvent]:
-    """Circuit events that carry out one schedule event; rf angles are scaled by ``1 + angle_error``."""
+def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error: float) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """(matrix, targets) of the unitaries that carry out one schedule event, in
+    order; rf angles are scaled by ``1 + angle_error``."""
     if isinstance(ev, RfRotation):
         angle = ev.angle * (1.0 + angle_error)
-        return [unitary_event(rotation_x(angle) if ev.axis == "x" else rotation_y(angle), (model.index(ev.spin),))]
+        return [(rotation_x(angle) if ev.axis == "x" else rotation_y(angle), (model.index(ev.spin),))]
     if not ev.duration > 0.0:
         return []
-    events = []
+    steps = []
     for a, b in sorted(ev.couplings):
         if model.is_active(a, b):
             phase = np.exp(-0.5j * math.pi * model.coupling(a, b) * ev.duration)
             zz = np.diag([phase, phase.conjugate(), phase.conjugate(), phase])
-            events.append(unitary_event(zz, (model.index(a), model.index(b))))
-    return events + [
-        channel_event(relaxation_channel(ev.duration, spin.relaxation(), target=q))
-        for q, spin in enumerate(model.spins)
-        if not (math.isinf(spin.t1) and math.isinf(spin.t2))
-    ]
+            steps.append((zz, (model.index(a), model.index(b))))
+    return steps
+
+
+def _events(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error: float) -> list[GateEvent]:
+    """Circuit events that carry out one schedule event: its unitaries, then the
+    relaxation of every spin over a free-evolution interval."""
+    events = [unitary_event(u, targets) for u, targets in _unitaries(ev, model, angle_error)]
+    if isinstance(ev, FreeEvolution) and ev.duration > 0.0:
+        events += [
+            channel_event(relaxation_channel(ev.duration, spin.relaxation(), target=q))
+            for q, spin in enumerate(model.spins)
+            if not (math.isinf(spin.t1) and math.isinf(spin.t2))
+        ]
+    return events
 
 
 def simulate_schedule(
@@ -367,21 +378,27 @@ def simulate_schedule(
     return DensityMatrix(n, run_events(events, rho.matrix))
 
 
+@lru_cache(maxsize=32)
 def realized_unitary(gate: GateEvent, model: MoleculeModel, angle_error: float = 0.0) -> np.ndarray:
     """The unitary on ``gate.targets`` that ``simulate_schedule`` applies for the
-    gate's compiled schedule with relaxation idealized away during gates."""
-    quiet = model.noiseless()
+    gate's compiled schedule with relaxation idealized away during gates.
+
+    Computed once per (gate, model, angle error) while it stays among the 32
+    most recent (events and models compare by identity), and read-only.
+    """
     local = {t: i for i, t in enumerate(gate.targets)}
     u = np.eye(2 ** len(local), dtype=complex)
     for ev in compile_gate(gate, model).events:
-        for step in _events(ev, quiet, angle_error):
-            u = lift_operator(step.unitary, tuple(local[t] for t in step.targets), len(local)) @ u
+        for step, targets in _unitaries(ev, model, angle_error):
+            u = lift_operator(step, tuple(local[t] for t in targets), len(local)) @ u
+    u.flags.writeable = False
     return u
 
 
 def pulse_realizer(model: MoleculeModel, angle_error: float = 0.0) -> Realize:
     """The pulse engine's substitution for the shared executor: one- and two-spin gates
-    become what their pulses realize; the correction block has no pulses and stays exact."""
+    become what their pulses realize (:func:`realized_unitary`); the correction block
+    has no pulses and stays exact."""
     return lambda gate: gate.unitary if len(gate.targets) > 2 else realized_unitary(gate, model, angle_error)
 
 

@@ -71,23 +71,38 @@ def validate_density(
 ) -> np.ndarray:
     """The density-matrix rule (Hermitian, unit trace, eigenvalues >= -psd_slack) on one
     matrix or a ``(..., d, d)`` stack, with one ``eigvalsh`` call; NaN fails every guard.
+    A violation raises with ``index``, the position of the worst matrix (the first
+    NaN one, if any) in the stack's leading axes.
 
     Returns the Hermitian part (M + M†)/2, which damps floating-point drift;
     the checks run first so genuine violations are not silently absorbed.
     """
     m = np.asarray(matrices, dtype=complex)
+    batch = m.shape[:-2]
     dagger = np.conj(np.swapaxes(m, -1, -2))
-    deviation = float(np.max(np.abs(m - dagger)))
+    asymmetry = np.max(np.abs(m - dagger), axis=(-2, -1))
+    deviation = float(np.max(asymmetry))
     if not deviation <= hermiticity_tol:
-        raise NumericalInvariantError(f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})")
-    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+        message = f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})"
+        raise _violation(message, np.argmax(asymmetry), batch)
+    trace_devs = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    trace_dev = float(np.max(trace_devs))
     if not trace_dev <= trace_tol:
-        raise NumericalInvariantError(f"trace deviates from 1 by {trace_dev:.3e}")
+        raise _violation(f"trace deviates from 1 by {trace_dev:.3e}", np.argmax(trace_devs), batch)
     hermitian = (m + dagger) / 2.0
-    eigmin = float(np.min(np.linalg.eigvalsh(hermitian)))
+    eigmins = np.min(np.linalg.eigvalsh(hermitian), axis=-1)
+    eigmin = float(np.min(eigmins))
     if not eigmin >= -psd_slack:
-        raise NumericalInvariantError(f"eigenvalue {eigmin:.3e} < -{psd_slack:.1e}")
+        raise _violation(f"eigenvalue {eigmin:.3e} < -{psd_slack:.1e}", np.argmin(eigmins), batch)
     return hermitian
+
+
+def _violation(message: str, worst: np.intp, batch: tuple[int, ...]) -> NumericalInvariantError:
+    """The error of a failed check, located at flat position ``worst`` of a stack's
+    leading axes of shape ``batch``."""
+    error = NumericalInvariantError(message)
+    error.index = tuple(int(i) for i in np.unravel_index(worst, batch))
+    return error
 
 
 def enforce_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -127,9 +142,9 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     """sum_i A_i rho A_i† on ``targets`` for every rho of a ``(..., 2^n, 2^n)`` stack,
     unvalidated.  A unitary is a one-element set; terms add up in element order.
 
-    An element may carry leading batch axes that broadcast against the stack's
-    (a sweep gives each delay its own channel this way); a zero element adds
-    exact zeros, so padding a shorter set leaves its result unchanged."""
+    An element may carry leading batch axes, which index the stack's leading
+    axes (a sweep's relaxation gives each delay its own channel this way); a
+    zero element adds exact zeros, so zeros in a set leave its result unchanged."""
     stack = np.asarray(stack, dtype=complex)
     n, k = stack.shape[-1].bit_length() - 1, len(targets)
     if len(set(targets)) != k or not all(0 <= t < n for t in targets):
@@ -143,7 +158,8 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     out = np.zeros_like(tens)
     for a in elements:
         a = np.asarray(a, dtype=complex)
-        a = a.reshape(a.shape[:-2] + (2,) * (2 * k))
+        batch = a.shape[:-2] + (1,) * (stack.ndim - a.ndim) if a.ndim > 2 else ()
+        a = a.reshape(batch + (2,) * (2 * k))
         left = np.einsum(a, [..., *row_subs], tens, [..., *rows, *cols], [..., *new_rows, *cols])
         out += np.einsum(left, [..., *new_rows, *cols], a.conj(), [..., *col_subs], [..., *new_rows, *new_cols])
     return out.reshape(stack.shape)
@@ -165,7 +181,7 @@ class PureState:
                 f"{amps.size} amplitudes do not fit {self.num_qubits} qubits"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > TRACE_TOL:
+        if not abs(norm - 1.0) <= TRACE_TOL:
             raise ValueError(f"squared amplitudes sum to {norm}, not 1")
         amps = amps.copy()
         amps.flags.writeable = False

@@ -137,3 +137,36 @@ def per_output_reconstruction(outputs, inputs) -> tuple[np.ndarray, np.ndarray]:
         m[4 * l + k, 4 * a + b] = np.trace(ops[l] @ ops[a] @ ops[k] @ ops[b]) / 2.0
     chi = np.linalg.solve(m, transfer.astype(complex).reshape(16)).reshape(4, 4)
     return transfer, chi
+
+
+def teleport_fe(duration: float, t1_data: float, t1_ancilla: float, t1_target: float, t2_target: float) -> float:
+    """Closed-form entanglement fidelity of the teleport circuit after a delay.
+
+    After the Bell rotation the data and ancilla spins hold computational
+    basis states, each bit 1 with probability 1/2, so carbon dephasing does
+    nothing and amplitude damping relabels a 1 as 0 with probability
+    g = (1 - e^{-t/T1})/2.  A relabeled data bit applies the wrong Z
+    correction, a relabeled ancilla bit the wrong X, both the wrong Y.  The
+    target meanwhile relaxes with the Pauli-diagonal chi of T1/T2 relaxation,
+    and a Pauli P after it leaves Fe = chi_PP:
+
+        Fe = (1-g_D)(1-g_A) chi_II + g_D (1-g_A) chi_ZZ + (1-g_D) g_A chi_XX + g_D g_A chi_YY.
+    """
+
+    def decay(tau: float) -> float:
+        if math.isinf(tau):
+            return 1.0
+        if math.isinf(duration):
+            return 0.0
+        return math.exp(-duration / tau)
+
+    g_data, g_ancilla = (1.0 - decay(t1_data)) / 2.0, (1.0 - decay(t1_ancilla)) / 2.0
+    chi_ii = (1.0 + decay(t1_target) + 2.0 * decay(t2_target)) / 4.0
+    chi_xx = chi_yy = (1.0 - decay(t1_target)) / 4.0
+    chi_zz = (1.0 + decay(t1_target) - 2.0 * decay(t2_target)) / 4.0
+    return (
+        (1.0 - g_data) * (1.0 - g_ancilla) * chi_ii
+        + g_data * (1.0 - g_ancilla) * chi_zz
+        + (1.0 - g_data) * g_ancilla * chi_xx
+        + g_data * g_ancilla * chi_yy
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmrteleport.channels import (
     KrausChannel,
@@ -11,6 +13,7 @@ from nmrteleport.channels import (
     depolarizing_channel,
     measurement_dephasing,
     relaxation_channel,
+    relaxation_channels,
 )
 from nmrteleport.qstate import IDENTITY_2, DensityMatrix, PureState, bell_states
 from tests.helpers import SPANNING_1Q, random_cptp_elements, random_density
@@ -217,3 +220,42 @@ def test_nan_fails_trace_preservation_and_timescale_checks():
         dephasing_channel(0.3, math.nan)
     with pytest.raises(ValueError):
         relaxation_channel(0.3, RelaxationParams(math.nan, 0.3))
+
+
+@st.composite
+def relaxation_params(draw):
+    """Valid (T1, T2): either may be inf, and T2 <= 2 T1."""
+    t1 = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)))
+    t2 = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)) if math.isinf(t1) else st.floats(1e-3, 2.0 * t1))
+    return RelaxationParams(t1, t2)
+
+
+delay_grids = st.lists(
+    st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e3, allow_subnormal=False)), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delay_grids, relaxation_params())
+def test_batched_relaxation_matches_the_scalar_channel_of_every_delay(durations, params):
+    batched = np.stack(relaxation_channels(durations, params, target=1).elements)
+    assert batched.shape == (4, len(durations), 2, 2)
+    for d, duration in enumerate(durations):
+        scalar = np.stack(relaxation_channel(duration, params).elements)
+        kept = np.abs(batched[:, d]).max(axis=(1, 2)) > 0.0
+        assert batched[kept, d].tobytes() == scalar.tobytes()
+        assert not batched[~kept, d].any()
+
+
+@settings(max_examples=20, deadline=None)
+@given(delay_grids, relaxation_params(), st.integers(0, 7))
+def test_nan_duration_and_t2_beyond_twice_t1_are_rejected(durations, params, position):
+    with_nan = list(durations)
+    with_nan.insert(min(position, len(with_nan)), math.nan)
+    with pytest.raises(ValueError):
+        relaxation_channels(with_nan, params)
+    with pytest.raises(ValueError):
+        relaxation_channel(math.nan, params)
+    if math.isfinite(params.t1):
+        with pytest.raises(ValueError):
+            RelaxationParams(params.t1, math.nextafter(2.0 * params.t1, math.inf))

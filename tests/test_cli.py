@@ -1,11 +1,16 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmrteleport
 from nmrteleport import cli
@@ -310,3 +315,24 @@ def test_csv_values_use_twelve_significant_digits(tmp_path):
     assert float(fe_text) == pytest.approx(
         run_sweep(SweepConfig((0.0, 0.7), "control", tce_model()))[1].fe, rel=1e-11
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(("teleport", "control", "compare")),
+    st.lists(st.sampled_from((0.0, 0.3, 0.7, 1.2, math.inf, math.nan, -0.5, -math.inf)), min_size=1, max_size=6),
+)
+def test_any_delay_list_exits_0_with_valid_csv_or_2(command, delays):
+    text = ",".join(str(d) for d in delays)
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, f"--delays={text}", "--out", tmp])
+        if code == cli.EXIT_CONFIG:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            return
+        assert code == cli.EXIT_OK, err.getvalue()
+        header, rows = read_csv(Path(tmp) / ("compare.csv" if command == "compare" else "curve.csv"))
+    assert [row[0] for row in rows] == delays
+    for row in rows:
+        assert all(0.0 <= fe <= 1.0 for fe in row[1:]), (header, row)

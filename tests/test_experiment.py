@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from nmrteleport import circuits, experiment
-from nmrteleport.circuits import ANCILLA, DATA, TARGET, prepare
+from nmrteleport import circuits, cli, experiment
+from nmrteleport.channels import relaxation_channels
+from nmrteleport.circuits import ANCILLA, DATA, prepare
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
@@ -18,10 +19,10 @@ from nmrteleport.experiment import (
     fit_exponential,
     run_sweep,
 )
-from nmrteleport.nmr import tce_model
+from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import PureState, evolve, validate_density
 from nmrteleport.tomography import TomographyInputSet, entanglement_fidelity, process_tomography
-from tests.helpers import per_output_reconstruction, relaxation_fe
+from tests.helpers import per_output_reconstruction, relaxation_fe, teleport_fe
 
 IDENTITY_MAP = process_tomography(lambda rho: rho)
 
@@ -258,11 +259,40 @@ def test_sweep_config_validation():
         SweepRecord(0.1, 1.5, IDENTITY_MAP)
 
 
+def _carbon_model(t1_data: float, t2_data: float, t1_ancilla: float, t2_ancilla: float) -> MoleculeModel:
+    base = tce_model()
+    c2, c1, h = base.spins
+    spins = (SpinParams(c2.name, c2.larmor_hz, t1_data, t2_data), SpinParams(c1.name, c1.larmor_hz, t1_ancilla, t2_ancilla), h)
+    return MoleculeModel(spins, base.j_couplings, base.active_couplings)
+
+
+def test_teleport_sweep_matches_closed_form_curve():
+    # Carbon T2 must not matter (0.01 s against 40 s), carbon T1 does, per spin.
+    models = (
+        tce_model(),
+        _carbon_model(4.0, 0.3, 40.0, 0.4),
+        _carbon_model(25.0, 0.01, 25.0, 0.01),
+        _carbon_model(25.0, 40.0, 25.0, 40.0),
+    )
+    delays = DEFAULT_DELAYS + (math.inf,)
+    for model in models:
+        c2, c1, h = model.spins
+        expected = [teleport_fe(d, c2.t1, c1.t1, h.t1, h.t2) for d in delays]
+        for engine in ("gate", "pulse"):
+            fe = [r.fe for r in run_sweep(SweepConfig(delays, "teleport", model, engine))]
+            assert np.max(np.abs(np.array(fe) - expected)) <= 1e-12
+
+
 def test_decay_fit_validation():
     with pytest.raises(ValueError):
         DecayFit(0.5, -1.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         DecayFit(0.5, 1.0, 0.5, -0.1)
+
+
+def test_decay_fit_rejects_nan_residual():
+    with pytest.raises(ValueError):
+        DecayFit(0.5, 1.0, 0.5, math.nan)
 
 
 def test_fit_convergence_error_carries_best_parameters():
@@ -292,23 +322,24 @@ def test_hoisted_sweep_matches_per_delay_tomography():
 
 
 def test_sweep_validates_every_intermediate_state(monkeypatch):
-    # Corrupt the delay channels after construction: the data spin's one
-    # gains trace by 1.21, the ancilla's loses it again, so the final state
-    # is physical and only the check after each step can see the violation.
-    real = circuits.relaxation_channel
+    # Corrupt the sweep's batched delay channels after construction: the data
+    # spin's one gains trace by 1.21, the ancilla's loses it again, so the
+    # final states are physical and only the check after each step can see
+    # the violation.
     scale = {DATA: 1.1, ANCILLA: 1.0 / 1.1}
 
-    def corrupted(duration, params, target=0):
-        channel = real(duration, params, target)
+    def corrupted(durations, params, target=0):
+        channel = relaxation_channels(durations, params, target)
         elements = tuple(scale.get(target, 1.0) * a for a in channel.elements)
         object.__setattr__(channel, "elements", elements)
         return channel
 
-    monkeypatch.setattr(circuits, "relaxation_channel", corrupted)
+    monkeypatch.setattr(circuits, "relaxation_channels", corrupted)
     model = tce_model()
+    delays = (0.0, 0.3)
     for kind, build in (("teleport", circuits.teleport_circuit), ("control", circuits.control_circuit)):
-        final = prepare(PureState.from_bits("0").density().matrix, 3)
-        for ev in build(0.3, model).events:  # unchecked replay: the end state passes
+        final = np.broadcast_to(prepare(PureState.from_bits("0").density().matrix, 3), (len(delays), 8, 8))
+        for ev in build(delays, model).events:  # unchecked replay: the end states pass
             if ev.kind == "unitary":
                 final = evolve(final, (ev.unitary,), ev.targets)
             else:
@@ -316,7 +347,7 @@ def test_sweep_validates_every_intermediate_state(monkeypatch):
         validate_density(final)
         for engine in ("gate", "pulse"):
             with pytest.raises(NumericalInvariantError):
-                run_sweep(SweepConfig((0.0, 0.3), kind, model, engine))
+                run_sweep(SweepConfig(delays, kind, model, engine))
 
 
 def test_sweep_reconstruction_matches_per_output_oracle():
@@ -339,18 +370,23 @@ def test_sweep_reconstruction_matches_per_output_oracle():
                     assert np.max(np.abs(got.chi_matrix - chi)) <= 1e-15
 
 
+def _corrupt_last_delay(monkeypatch, delays, factor):
+    """Scale the data spin's batched delay channel by ``factor`` at ``delays[-1]`` only."""
+
+    def corrupted(durations, params, target=0):
+        channel = relaxation_channels(durations, params, target)
+        if target == DATA:
+            scale = np.where(np.asarray(durations) == delays[-1], factor, 1.0)[:, None, None]
+            object.__setattr__(channel, "elements", tuple(scale * a for a in channel.elements))
+        return channel
+
+    monkeypatch.setattr(circuits, "relaxation_channels", corrupted)
+
+
 def test_sweep_catches_a_corrupted_channel_on_the_last_delay_only(monkeypatch):
-    real = circuits.relaxation_channel
     delays = (0.0, 0.3, 0.6, 0.9)
     for corrupt in (1.1, math.nan):
-
-        def corrupted(duration, params, target=0):
-            channel = real(duration, params, target)
-            if duration == delays[-1] and target == DATA:
-                object.__setattr__(channel, "elements", tuple(corrupt * a for a in channel.elements))
-            return channel
-
-        monkeypatch.setattr(circuits, "relaxation_channel", corrupted)
+        _corrupt_last_delay(monkeypatch, delays, corrupt)
         for kind in ("teleport", "control"):
             for engine in ("gate", "pulse"):
                 with pytest.raises(NumericalInvariantError):
@@ -358,28 +394,46 @@ def test_sweep_catches_a_corrupted_channel_on_the_last_delay_only(monkeypatch):
                 run_sweep(SweepConfig(delays[:-1], kind, tce_model(), engine))
 
 
-def test_run_sweep_rejects_circuits_that_differ_in_structure(monkeypatch):
-    real = experiment._circuit
-    model = tce_model()
-    identity = circuits.unitary_event(np.eye(2), (ANCILLA,))
-    variants = (
-        lambda events: events + (identity,),  # one event more
-        lambda events: events[:-2] + (events[-1], events[-2]),  # last two swapped
-        lambda events: (identity,) + events[1:],  # another prefix
-        lambda events: events[:-1] + (circuits.unitary_event(np.eye(8), (DATA, ANCILLA, TARGET)),),
-    )
-    for change in variants:
+def test_sweep_violation_names_its_delay_input_and_step(monkeypatch, tmp_path, capsys):
+    delays = (0.0, 0.3, 0.6, 0.9)
+    # The data spin's relaxation is step 4 of the teleport circuit (after
+    # entangle and Bell rotation) and step 2 of the control circuit.
+    for kind, step in (("teleport", 4), ("control", 2)):
+        for engine in ("gate", "pulse"):
+            _corrupt_last_delay(monkeypatch, delays, math.nan)
+            with pytest.raises(NumericalInvariantError) as info:
+                run_sweep(SweepConfig(delays, kind, tce_model(), engine))
+            assert str(info.value) == (
+                f"delay 0.9 s, tomography input 0, circuit step {step} (channel on qubits (0,)): "
+                "matrix deviates from Hermitian by nan (tol 1.0e-10)"
+            )
+            _corrupt_last_delay(monkeypatch, delays, 1.1)
+            with pytest.raises(NumericalInvariantError) as info:
+                run_sweep(SweepConfig(delays, kind, tce_model(), engine))
+            message = str(info.value)
+            assert message.startswith("delay 0.9 s, tomography input ")
+            assert message.endswith(f", circuit step {step} (channel on qubits (0,)): trace deviates from 1 by 2.100e-01")
+    code = cli.main(["teleport", "--delays", "0,0.3,0.6,0.9", "--out", str(tmp_path)])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical invariant violated: delay 0.9 s, tomography input ")
 
-        def patched(kind, delay, model):
-            circuit, readout = real(kind, delay, model)
-            if delay == 0.6:
-                circuit = circuits.Circuit(circuit.num_qubits, change(circuit.events), circuit.roles, circuit.delay_start)
-            return circuit, readout
 
-        monkeypatch.setattr(experiment, "_circuit", patched)
+def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatch):
+    counts = {circuits.Circuit: 0, circuits.KrausChannel: 0}
+    for cls in counts:
+        real = cls.__post_init__
+
+        def counted(self, real=real, cls=cls):
+            counts[cls] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    delays = tuple(np.linspace(0.0, 1.2, 30))
+    for engine in ("gate", "pulse"):
         for kind in ("teleport", "control"):
-            with pytest.raises(ValueError):
-                run_sweep(SweepConfig((0.0, 0.3, 0.6), kind, model))
+            counts.update(dict.fromkeys(counts, 0))
+            run_sweep(SweepConfig(delays, kind, tce_model(), engine))
+            assert counts == {circuits.Circuit: 1, circuits.KrausChannel: 3}
 
 
 def test_rotation_error_must_be_finite():

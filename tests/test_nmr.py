@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nmrteleport import nmr
 from nmrteleport.circuits import Circuit, control_circuit, teleport_circuit, unitary_event
 from nmrteleport.errors import UnsupportedGateError
+from nmrteleport.experiment import SweepConfig, run_sweep
 from nmrteleport.nmr import (
     FreeEvolution,
     MoleculeModel,
@@ -295,6 +297,11 @@ def test_schedule_validation():
         PulseSchedule(("not an event",))
 
 
+def test_nan_free_evolution_is_rejected():
+    with pytest.raises(ValueError):
+        FreeEvolution(math.nan, frozenset({("C1", "C2")}))
+
+
 def test_simulate_unknown_spin_rejected():
     model = two_spin_model()
     sched = PulseSchedule((RfRotation("Q", "x", 1.0),))
@@ -341,3 +348,17 @@ def test_realized_unitary_matches_step_by_step_schedule_simulation():
             substituted = evolve(rho.matrix, (realized,), ev.targets)
             stepped = simulate_schedule(compile_gate(ev, model), model.noiseless(), rho, angle_error)
             assert np.max(np.abs(substituted - stepped.matrix)) < 1e-12
+
+
+def test_pulse_gates_are_realized_once_per_gate_model_and_error(monkeypatch):
+    compiled = []
+    real = nmr.compile_gate
+    monkeypatch.setattr(nmr, "compile_gate", lambda gate, model: compiled.append(gate) or real(gate, model))
+    model = tce_model()  # models compare by identity, so nothing is cached for this one
+    for kind in ("teleport", "control"):
+        run_sweep(SweepConfig((0.0, 0.5), kind, model, "pulse"))
+    assert len(compiled) == 4  # H and CNOT shared by both prefixes, then CNOT and H
+    run_sweep(SweepConfig((0.0, 0.5), "teleport", model, "pulse", 0.05))
+    assert len(compiled) == 8
+    assert not realized_unitary(compiled[0], model).flags.writeable
+    assert realized_unitary.cache_info().maxsize == 32

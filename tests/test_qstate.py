@@ -175,6 +175,28 @@ def test_pure_state_requires_normalization():
         PureState(1, np.array([1.0, 1.0]))
 
 
+def test_nan_amplitudes_are_rejected_at_construction():
+    with pytest.raises(ValueError):
+        PureState(1, np.array([np.nan, 0.0]))
+
+
+def test_validate_density_names_the_failing_matrix():
+    rng = np.random.default_rng(39)
+    stack = np.stack([[random_density(rng, 2).matrix for _ in range(3)] for _ in range(2)])
+    asymmetric, off_trace, negative, nan = (stack.copy() for _ in range(4))
+    asymmetric[1, 2, 0, 1] += 1e-6
+    off_trace[1, 2] *= 1.5
+    negative[1, 2] = np.diag([1.5, -0.5, 0.0, 0.0])
+    nan[0, 1, 3, 3] = nan[1, 2, 3, 3] = np.nan  # the first NaN matrix is named
+    for bad, index in ((asymmetric, (1, 2)), (off_trace, (1, 2)), (negative, (1, 2)), (nan, (0, 1))):
+        with pytest.raises(NumericalInvariantError) as info:
+            validate_density(bad)
+        assert info.value.index == index
+    with pytest.raises(NumericalInvariantError) as info:
+        validate_density(off_trace[1, 2])
+    assert info.value.index == ()
+
+
 def test_bell_projectors_complete():
     total = sum(b.density().matrix for b in bell_states())
     assert np.max(np.abs(total - np.eye(4))) < 1e-12
