@@ -3,10 +3,8 @@
 from .channels import (
     KrausChannel,
     RelaxationParams,
-    apply_channel,
     dephasing_channel,
     depolarizing_channel,
-    measurement_dephasing,
     relaxation_channel,
 )
 from .circuits import (
@@ -17,7 +15,6 @@ from .circuits import (
     control_circuit,
     correction_table,
     entangle_gate,
-    run_circuit,
     teleport_circuit,
 )
 from .errors import (
@@ -33,11 +30,11 @@ from .experiment import (
     DecayFit,
     SweepConfig,
     SweepRecord,
-    build_process,
     compare_curves,
     fit_decay,
     fit_exponential,
     run_sweep,
+    tomograph,
 )
 from .nmr import (
     FreeEvolution,
@@ -46,27 +43,17 @@ from .nmr import (
     RfRotation,
     SpinParams,
     compile_gate,
-    run_circuit_pulse,
-    simulate_schedule,
     tce_model,
 )
 from .qstate import (
     DensityMatrix,
-    PureState,
-    bell_states,
     lift_operator,
-    partial_trace,
-    pauli_expectation,
-    pauli_string,
-    state_fidelity,
     tensor_product,
 )
 from .tomography import (
     ProcessMap,
     TomographyInputSet,
     entanglement_fidelity,
-    entanglement_fidelity_from_kraus,
-    process_tomography,
     state_tomography,
 )
 

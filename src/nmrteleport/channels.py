@@ -1,8 +1,8 @@
 """Completely positive trace-preserving noise maps as Kraus operation elements.
 
 Provides phase damping (T2), amplitude damping combined with phase damping
-(T1/T2 relaxation), depolarizing noise, and the two-qubit computational-basis
-projection that models ensemble dephasing acting as a measurement.
+(T1/T2 relaxation), for one duration or a whole delay grid at once, and
+depolarizing noise.
 
 Durations may be ``math.inf``: an infinite dephasing interval is exactly the
 projection onto the computational basis, so the idealized measurement limit
@@ -17,15 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import (
-    DensityMatrix,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    enforce_hermitian,
-    evolve,
-)
+from .qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 CPTP_TOL = 1e-10
 
@@ -92,11 +84,6 @@ class KrausChannel:
         elements.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "elements", tuple(elements))
-
-
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """rho -> sum_i A_i rho A_i† on the target subspace, identity elsewhere."""
-    return DensityMatrix(rho.num_qubits, enforce_hermitian(evolve(rho.matrix, channel.elements, channel.targets)))
 
 
 def dephasing_channel(duration: float, t2: float, target: int = 0) -> KrausChannel:
@@ -177,20 +164,3 @@ def depolarizing_channel(p: float, target: int = 0) -> KrausChannel:
     if k_pauli > 0.0:
         elements += [k_pauli * PAULI_X, k_pauli * PAULI_Y, k_pauli * PAULI_Z]
     return KrausChannel((target,), tuple(elements))
-
-
-def measurement_dephasing(targets: tuple[int, int] = (0, 1)) -> KrausChannel:
-    """Projection of a two-qubit subspace onto its computational basis.
-
-    The four operation elements are the projectors |b><b|; the output is
-    diagonal in that basis, which is indistinguishable from the environment
-    measuring the two qubits and discarding the outcome.
-    """
-    if len(targets) != 2 or targets[0] == targets[1]:
-        raise ValueError(f"need two distinct targets, got {targets}")
-    elements = []
-    for b in range(4):
-        proj = np.zeros((4, 4), dtype=complex)
-        proj[b, b] = 1.0
-        elements.append(proj)
-    return KrausChannel(tuple(targets), tuple(elements))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, relaxation_channel, relaxation_channels
+from .channels import KrausChannel, relaxation_channels
 from .errors import NumericalInvariantError
 from .qstate import (
     CNOT,
@@ -31,7 +31,6 @@ from .qstate import (
     PAULI_Y,
     PAULI_Z,
     UNITARY_TOL,
-    DensityMatrix,
     evolve,
     lift_operator,
     tensor_product,
@@ -205,6 +204,9 @@ def _controlled_correction() -> GateEvent:
 
 
 def _roles(model: MoleculeModel) -> dict[str, str]:
+    """The spin in each role; the register is exactly these three spins."""
+    if len(model.spins) != 3:
+        raise ValueError("teleportation needs a three-spin model")
     return {
         "data": model.spins[DATA].name,
         "ancilla": model.spins[ANCILLA].name,
@@ -212,44 +214,40 @@ def _roles(model: MoleculeModel) -> dict[str, str]:
     }
 
 
-def _delay_noise(delay: float | Sequence[float], model: MoleculeModel) -> list[GateEvent]:
-    """Relaxation of every spin for the wall-clock duration of the delay, or
-    one batched channel per spin for a grid of delays (a sweep's).
+def _delay_noise(delays: Sequence[float], model: MoleculeModel) -> list[GateEvent]:
+    """Relaxation of every spin over each delay of the grid, one batched channel per spin.
 
     Couplings are refocused during the delay, so each spin decoheres
     independently with its own T1/T2.
     """
-    relax = relaxation_channel if np.ndim(delay) == 0 else relaxation_channels
-    return [channel_event(relax(delay, spin.relaxation(), target=q)) for q, spin in enumerate(model.spins)]
+    return [channel_event(relaxation_channels(delays, spin.relaxation(), target=q)) for q, spin in enumerate(model.spins)]
 
 
-def teleport_circuit(delay: float | Sequence[float], model: MoleculeModel) -> Circuit:
+def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     """Full teleportation: entangle, Bell rotation, decoherence delay, recovery.
 
     The delay doubles as the measurement: carbon dephasing diagonalizes the
     data/ancilla pair in the computational basis, after which the controlled
-    correction restores the input on the target.  At ``delay=inf`` the
-    dephasing equals the exact computational-basis projection.  A grid of
-    delays gives the circuit of all of them at once, for a stack whose
-    leading axis runs over the grid.
+    correction restores the input on the target.  At a delay of ``inf`` the
+    dephasing equals the exact computational-basis projection.  The circuit
+    covers every delay of the grid at once, for a stack whose leading axis
+    runs over the grid.
     """
-    if len(model.spins) != 3:
-        raise ValueError("teleportation needs a three-spin model")
+    roles = _roles(model)
     prefix = (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
-    return Circuit(3, (*prefix, *_delay_noise(delay, model), _controlled_correction()), _roles(model), len(prefix))
+    return Circuit(3, (*prefix, *_delay_noise(delays, model), _controlled_correction()), roles, len(prefix))
 
 
-def control_circuit(delay: float | Sequence[float], model: MoleculeModel) -> Circuit:
+def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     """Control experiment: entangle ancilla and target, then only decohere.
 
     No Bell rotation and no conditional correction; the input state simply
     rides out the delay on the data spin, which is where readout happens.
-    A grid of delays is handled as in :func:`teleport_circuit`.
+    The delay grid is handled as in :func:`teleport_circuit`.
     """
-    if len(model.spins) != 3:
-        raise ValueError("the control experiment needs a three-spin model")
+    roles = _roles(model)
     prefix = entangle_gate(ANCILLA, TARGET)
-    return Circuit(3, (*prefix, *_delay_noise(delay, model)), _roles(model), len(prefix))
+    return Circuit(3, (*prefix, *_delay_noise(delays, model)), roles, len(prefix))
 
 
 Realize = Callable[[GateEvent], np.ndarray]
@@ -281,16 +279,3 @@ def run_events(events: Sequence[GateEvent], stack: np.ndarray, realize: Realize 
             exc.step, exc.event = step, ev
             raise
     return stack
-
-
-def run_circuit(circuit: Circuit, input_data: DensityMatrix, realize: Realize | None = None) -> DensityMatrix:
-    """Execute the circuit on ``input_data`` ⊗ |0...0> and return the full state.
-
-    State preparation is idealized; execution is deterministic, and
-    measurement never collapses the state (decoherence plus controlled
-    unitaries carry the ensemble semantics instead).
-    """
-    if input_data.num_qubits != 1:
-        raise ValueError("input must be a single-qubit state")
-    stack = prepare(input_data.matrix, circuit.num_qubits)
-    return DensityMatrix(circuit.num_qubits, run_events(circuit.events, stack, realize))

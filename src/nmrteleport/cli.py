@@ -22,14 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .channels import (
-    RelaxationParams,
-    apply_channel,
-    dephasing_channel,
-    depolarizing_channel,
-    relaxation_channel,
-)
-from .errors import ConfigError, NumericalInvariantError
+from .channels import RelaxationParams, dephasing_channel, depolarizing_channel, relaxation_channel
+from .circuits import channel_event, run_events
+from .errors import ConfigError, NumericalInvariantError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,
     CurveComparison,
@@ -39,10 +34,11 @@ from .experiment import (
     compare_curves,
     fit_decay,
     run_sweep,
+    tomograph,
     validate_delays,
 )
-from .nmr import MoleculeModel, SpinParams, tce_model
-from .tomography import ProcessMap, entanglement_fidelity, process_tomography
+from .nmr import MoleculeModel, SpinParams, pulse_realizer, tce_model
+from .tomography import ProcessMap, entanglement_fidelity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,7 +150,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     engine = args.engine or data["experiment"].get("engine", "gate")
     if engine not in ("gate", "pulse"):
         raise ConfigError(f"engine must be 'gate' or 'pulse', got {engine!r}")
-    out_dir = Path(args.out or data["output"].get("dir", "results"))
+    out_dir = args.out or data["output"].get("dir", "results")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output.dir must be a path string, got {out_dir!r}")
 
     try:
         delays = validate_delays(delays)
@@ -179,7 +177,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         delays=delays,
         engine=engine,
         rotation_error=rotation_error,
-        out_dir=out_dir,
+        out_dir=Path(out_dir),
         channel=getattr(args, "channel", None),
     )
 
@@ -243,15 +241,26 @@ def _yes(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
-def _sweep(cfg: RunConfig, experiment: str) -> list[SweepRecord]:
-    config = SweepConfig(
-        delays=cfg.delays,
-        experiment=experiment,
-        model=cfg.model,
-        engine=cfg.engine,
-        rotation_error=cfg.rotation_error,
-    )
-    return run_sweep(config)
+def _sweep(cfg: RunConfig, experiment: str) -> SweepConfig:
+    return _checked(SweepConfig(cfg.delays, experiment, cfg.model, cfg.engine, cfg.rotation_error))
+
+
+def _checked(sweep: SweepConfig) -> SweepConfig:
+    """``sweep``, checked before anything is written: its circuit is built, which
+    needs a three-spin molecule, and on the pulse engine the gates of the circuit's
+    prefix are compiled, which needs the couplings they use."""
+    try:
+        circuit, _ = sweep.circuit()
+    except ValueError as exc:
+        raise ConfigError(f"invalid molecule section: {exc}") from exc
+    if sweep.engine == "pulse":
+        realize = pulse_realizer(sweep.model, sweep.rotation_error)
+        try:
+            for event in circuit.events[: circuit.delay_start]:
+                realize(event)
+        except UnsupportedGateError as exc:
+            raise ConfigError(f"the pulse engine cannot run {sweep.experiment} on this molecule: {exc}") from exc
+    return sweep
 
 
 def _emit(out_dir: Path, summary: list[str]) -> None:
@@ -260,8 +269,9 @@ def _emit(out_dir: Path, summary: list[str]) -> None:
 
 
 def cmd_teleport(cfg: RunConfig) -> None:
+    sweep = _sweep(cfg, "teleport")
     out_dir = _prepare_out_dir(cfg)
-    records = _sweep(cfg, "teleport")
+    records = run_sweep(sweep)
     _write_curve_csv(out_dir / "curve.csv", records)
     _write_process_map(out_dir, records[0].process_map)
     nonzero = [r for r in records if r.delay > 0.0]
@@ -280,8 +290,9 @@ def cmd_teleport(cfg: RunConfig) -> None:
 
 
 def cmd_control(cfg: RunConfig) -> None:
+    sweep = _sweep(cfg, "control")
     out_dir = _prepare_out_dir(cfg)
-    records = _sweep(cfg, "control")
+    records = run_sweep(sweep)
     _write_curve_csv(out_dir / "curve.csv", records)
     _write_process_map(out_dir, records[0].process_map)
     last = records[-1]
@@ -299,10 +310,9 @@ def cmd_control(cfg: RunConfig) -> None:
 def cmd_compare(cfg: RunConfig) -> None:
     if len(cfg.delays) < 4:
         raise ConfigError("compare needs at least 4 delays to fit both decay curves")
+    sweeps = [_sweep(cfg, experiment) for experiment in ("teleport", "control")]
     out_dir = _prepare_out_dir(cfg)
-    teleport_records = _sweep(cfg, "teleport")
-    control_records = _sweep(cfg, "control")
-    comparison = compare_curves(teleport_records, control_records)
+    comparison = compare_curves(*(run_sweep(sweep) for sweep in sweeps))
     _write_compare_csv(out_dir / "compare.csv", comparison)
     summary = [
         "experiment: compare",
@@ -325,7 +335,8 @@ _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
 def _parse_channel(cfg: RunConfig) -> Callable[[], ProcessMap]:
     """The named channel's process tomography, checked, to run once the output
-    directory exists; a circuit runs as a sweep of one delay."""
+    directory exists: a circuit runs as a sweep of one delay, a built-in channel
+    as one event on a one-qubit register."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
@@ -348,23 +359,26 @@ def _parse_channel(cfg: RunConfig) -> Callable[[], ProcessMap]:
     try:
         if name == "identity":
             expect(0)
-            return lambda: process_tomography(lambda rho: rho)
-        if name in ("teleport", "control"):
+            channels = ()
+        elif name in ("teleport", "control"):
             expect(1)
             sweep = SweepConfig((args[0],), name, cfg.model, cfg.engine, cfg.rotation_error)
-            return lambda: run_sweep(sweep)[0].process_map
-        if name == "dephasing":
+        elif name == "dephasing":
             expect(2)
-            channel = dephasing_channel(args[0], args[1])
+            channels = (dephasing_channel(args[0], args[1]),)
         elif name == "depolarizing":
             expect(1)
-            channel = depolarizing_channel(args[0])
+            channels = (depolarizing_channel(args[0]),)
         else:
             expect(3)
-            channel = relaxation_channel(args[0], RelaxationParams(args[1], args[2]))
+            channels = (relaxation_channel(args[0], RelaxationParams(args[1], args[2])),)
     except ValueError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
-    return lambda: process_tomography(lambda rho: apply_channel(rho, channel))
+    if name in ("teleport", "control"):
+        _checked(sweep)
+        return lambda: run_sweep(sweep)[0].process_map
+    events = tuple(channel_event(channel) for channel in channels)
+    return lambda: tomograph(lambda stack: run_events(events, stack), 1, 0)[0]
 
 
 def cmd_tomo(cfg: RunConfig) -> None:

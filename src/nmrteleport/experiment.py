@@ -17,19 +17,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuits import (
-    DATA,
-    TARGET,
-    Circuit,
-    control_circuit,
-    prepare,
-    run_circuit,
-    run_events,
-    teleport_circuit,
-)
+from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_events, teleport_circuit
 from .errors import FitConvergenceError, NumericalInvariantError
-from .nmr import MoleculeModel, pulse_realizer, run_circuit_pulse
-from .qstate import DensityMatrix, partial_trace, reduce_stack
+from .nmr import MoleculeModel, pulse_realizer
+from .qstate import reduce_stack
 from .tomography import ProcessMap, TomographyInputSet, entanglement_fidelity, reconstruct_process
 
 EXPERIMENT_KINDS = ("teleport", "control")
@@ -80,6 +71,12 @@ class SweepConfig:
             raise ValueError(f"rotation error must be finite, got {self.rotation_error}")
         object.__setattr__(self, "delays", delays)
 
+    def circuit(self) -> tuple[Circuit, int]:
+        """The experiment's circuit for the whole delay grid, and its readout qubit."""
+        if self.experiment == "teleport":
+            return teleport_circuit(self.delays, self.model), TARGET
+        return control_circuit(self.delays, self.model), DATA
+
 
 @dataclass(frozen=True, eq=False)
 class SweepRecord:
@@ -114,56 +111,41 @@ class DecayFit:
         return self.amplitude * math.exp(-t / self.time_constant) + self.offset
 
 
-def build_process(
-    experiment: str,
-    delay: float,
-    model: MoleculeModel,
-    engine: str = "gate",
-    rotation_error: float = 0.0,
-) -> Callable[[DensityMatrix], DensityMatrix]:
-    """Wrap a circuit as the single-qubit map from input data to readout spin."""
-    circuit, readout = _circuit(experiment, delay, model)
-    if engine == "gate":
-        def evaluate(rho: DensityMatrix) -> DensityMatrix:
-            return partial_trace(run_circuit(circuit, rho), [readout])
-    elif engine == "pulse":
-        def evaluate(rho: DensityMatrix) -> DensityMatrix:
-            return partial_trace(run_circuit_pulse(circuit, model, rho, rotation_error), [readout])
-    else:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    return evaluate
+def tomograph(run: Callable[[np.ndarray], np.ndarray], num_qubits: int, readout: int) -> list[ProcessMap]:
+    """Process tomography through the circuit executor.
 
-
-def _circuit(experiment: str, delay: float | Sequence[float], model: MoleculeModel) -> tuple[Circuit, int]:
-    """The experiment's circuit at ``delay`` (or a grid of delays) and its readout qubit."""
-    if experiment == "teleport":
-        return teleport_circuit(delay, model), TARGET
-    if experiment == "control":
-        return control_circuit(delay, model), DATA
-    raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
+    ``run`` takes the four canonical tomography inputs on qubit 0 of a
+    ``num_qubits``-qubit register, every other qubit in |0>, as one ``(4, d, d)``
+    stack, and returns the final stack with any leading axes it adds in
+    front.  The readout qubit's outputs give one process map per leading index.
+    """
+    inputs = TomographyInputSet.canonical()
+    final = run(prepare(np.stack([s.matrix for s in inputs.states]), num_qubits))
+    return reconstruct_process(reduce_stack(final, [readout]), inputs)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Tomograph the configured process at every delay, in delay order.
 
-    The records of process tomography of :func:`build_process` at each
-    delay, from one circuit for the whole grid: its prefix runs once, then
-    every delay and all four inputs run as one ``(delays, 4, 8, 8)`` stack,
-    one step at a time.  A violated invariant is reported with the delay,
-    the tomography input and the circuit step where it happened.
+    One circuit covers the whole grid: its prefix runs once on the four
+    tomography inputs, then every delay and all four inputs run as one
+    ``(delays, 4, 8, 8)`` stack, one step at a time.  A violated invariant
+    is reported with the delay, the tomography input and the circuit step
+    where it happened.
     """
     realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
-    inputs = TomographyInputSet.canonical()
-    circuit, readout = _circuit(config.experiment, config.delays, config.model)
+    circuit, readout = config.circuit()
     start = circuit.delay_start
-    stack = prepare(np.stack([s.matrix for s in inputs.states]), circuit.num_qubits)
-    try:
-        prefix = run_events(circuit.events[:start], stack, realize)
-        stack = np.broadcast_to(prefix, (len(config.delays),) + prefix.shape)
-        final = run_events(circuit.events[start:], stack, realize)
-    except NumericalInvariantError as exc:
-        raise NumericalInvariantError(f"{_where(exc, config.delays, start)}: {exc}") from exc
-    maps = reconstruct_process(reduce_stack(final, [readout]), inputs)
+
+    def run(stack: np.ndarray) -> np.ndarray:
+        try:
+            prefix = run_events(circuit.events[:start], stack, realize)
+            stack = np.broadcast_to(prefix, (len(config.delays),) + prefix.shape)
+            return run_events(circuit.events[start:], stack, realize)
+        except NumericalInvariantError as exc:
+            raise NumericalInvariantError(f"{_where(exc, config.delays, start)}: {exc}") from exc
+
+    maps = tomograph(run, circuit.num_qubits, readout)
     return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(config.delays, maps)]
 
 

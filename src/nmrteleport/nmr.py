@@ -1,4 +1,4 @@
-"""Spin-level model of the three-spin molecule and a pulse-level engine.
+"""Spin-level model of the three-spin molecule and the pulse engine's gate compiler.
 
 The built-in parameter set describes trichloroethylene (TCE): one hydrogen
 and two carbon-13 nuclei, with measured Larmor frequencies, J couplings and
@@ -7,7 +7,9 @@ rotations plus free evolution under the weak-coupling (sigma_z.sigma_z)
 Hamiltonian; z rotations never appear explicitly because in the rotating
 frame they are realized by x/y conjugation.  Refocusing is modeled
 declaratively: a free-evolution interval lists the couplings that are
-active, and everything else contributes nothing.
+active, and everything else contributes nothing.  The pulse engine does
+not replay a schedule pulse by pulse: for each gate it substitutes the
+unitary the gate's schedule realizes (:func:`realized_unitary`).
 
 The order of ``MoleculeModel.spins`` defines the qubit register: spin i is
 qubit i.  For TCE that order is (C2, C1, H), matching the circuit roles
@@ -23,25 +25,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import RelaxationParams, relaxation_channel
-from .circuits import Circuit, GateEvent, Realize, channel_event, run_circuit, run_events, unitary_event
+from .channels import RelaxationParams
+from .circuits import GateEvent, Realize
 from .errors import UnsupportedGateError
-from .qstate import (
-    CNOT,
-    DensityMatrix,
-    lift_operator,
-    rotation_x,
-    rotation_y,
-)
+from .qstate import CNOT, lift_operator, rotation_x, rotation_y
 
 _ANGLE_EPS = 1e-12
 _MATCH_TOL = 1e-9
-
-# Control = first qubit of the pair (matches qstate.CNOT); the reversed form
-# has the control on the second qubit.
-_CNOT_REVERSED = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
 
 
 @dataclass(frozen=True)
@@ -56,8 +46,8 @@ class SpinParams:
     def __post_init__(self):
         if not self.name:
             raise ValueError("spin needs a name")
-        if not self.larmor_hz > 0.0:
-            raise ValueError(f"Larmor frequency must be positive, got {self.larmor_hz}")
+        if not 0.0 < self.larmor_hz < math.inf:
+            raise ValueError(f"Larmor frequency must be positive and finite, got {self.larmor_hz}")
         self.relaxation()  # validates t1/t2
 
     def relaxation(self) -> RelaxationParams:
@@ -90,8 +80,8 @@ class MoleculeModel:
         for (a, b), j in dict(self.j_couplings).items():
             if a not in names or b not in names:
                 raise ValueError(f"coupling ({a}, {b}) references unknown spin")
-            if not j > 0.0:
-                raise ValueError(f"J coupling must be positive, got {j} for ({a}, {b})")
+            if not 0.0 < j < math.inf:
+                raise ValueError(f"J coupling must be positive and finite, got {j} for ({a}, {b})")
             couplings[_pair(a, b)] = float(j)
         active = frozenset(_pair(a, b) for a, b in self.active_couplings)
         if not active <= set(couplings):
@@ -105,9 +95,6 @@ class MoleculeModel:
             if s.name == name:
                 return i
         raise ValueError(f"unknown spin {name!r}")
-
-    def spin(self, name: str) -> SpinParams:
-        return self.spins[self.index(name)]
 
     def coupling(self, a: str, b: str) -> float | None:
         return self.j_couplings.get(_pair(a, b))
@@ -128,9 +115,6 @@ class MoleculeModel:
             t2 = s.t2 if t2_enabled else 2.0 * t1
             spins.append(SpinParams(s.name, s.larmor_hz, t1, t2))
         return MoleculeModel(tuple(spins), self.j_couplings, self.active_couplings)
-
-    def noiseless(self) -> MoleculeModel:
-        return self.with_relaxation(t1_enabled=False, t2_enabled=False)
 
 
 def tce_model(carbon_t1: float = 25.0) -> MoleculeModel:
@@ -194,9 +178,6 @@ class PulseSchedule:
             if not isinstance(ev, (RfRotation, FreeEvolution)):
                 raise ValueError(f"unsupported schedule event {ev!r}")
         object.__setattr__(self, "events", tuple(self.events))
-
-    def total_free_evolution(self) -> float:
-        return sum(ev.duration for ev in self.events if isinstance(ev, FreeEvolution))
 
 
 def _wrap_angle(angle: float) -> float:
@@ -280,28 +261,12 @@ def _cnot_schedule(control: str, target: str, j: float) -> list[RfRotation | Fre
     return events
 
 
-def _diagonal_schedule(u: np.ndarray, spin_a: str, spin_b: str, j: float) -> list[RfRotation | FreeEvolution]:
-    """Any diagonal two-qubit unitary via z rotations plus zz evolution."""
-    p = np.angle(np.diag(u))
-    coef_a = (p[0] + p[1] - p[2] - p[3]) / 4.0
-    coef_b = (p[0] - p[1] + p[2] - p[3]) / 4.0
-    coef_zz = (p[0] - p[1] - p[2] + p[3]) / 4.0
-    events: list[RfRotation | FreeEvolution] = []
-    events += _rz_pulses(spin_a, -2.0 * coef_a)
-    events += _rz_pulses(spin_b, -2.0 * coef_b)
-    theta = (-coef_zz) % math.pi  # shifting by pi only flips the global sign
-    if theta > _ANGLE_EPS and (math.pi - theta) > _ANGLE_EPS:
-        events.append(FreeEvolution(2.0 * theta / (math.pi * j), frozenset({_pair(spin_a, spin_b)})))
-    return events
-
-
 def compile_gate(gate: GateEvent, model: MoleculeModel) -> PulseSchedule:
     """Translate one circuit event into an rf/J-coupling schedule.
 
-    Supported: any single-qubit unitary (ZYZ decomposition), and CNOT in
-    either orientation and diagonal two-qubit unitaries (controlled phases)
-    between J-coupled spins.  Everything else raises
-    :class:`UnsupportedGateError`.
+    Supported: any single-qubit unitary (ZYZ decomposition), and a CNOT,
+    controlled by the first of its targets, between spins with an active J
+    coupling.  Everything else raises :class:`UnsupportedGateError`.
     """
     if gate.kind != "unitary":
         raise UnsupportedGateError(f"cannot compile {gate.kind!r} events")
@@ -319,12 +284,7 @@ def compile_gate(gate: GateEvent, model: MoleculeModel) -> PulseSchedule:
             return PulseSchedule(())
         if _matches(u, CNOT):
             return PulseSchedule(tuple(_cnot_schedule(name_a, name_b, j)))
-        if _matches(u, _CNOT_REVERSED):
-            return PulseSchedule(tuple(_cnot_schedule(name_b, name_a, j)))
-        off_diag = u - np.diag(np.diag(u))
-        if np.max(np.abs(off_diag)) < _MATCH_TOL:
-            return PulseSchedule(tuple(_diagonal_schedule(u, name_a, name_b, j)))
-        raise UnsupportedGateError("two-spin gate is neither a CNOT nor diagonal")
+        raise UnsupportedGateError("two-spin gate is not a CNOT")
     raise UnsupportedGateError(f"gates on {len(gate.targets)} spins have no pulse realization")
 
 
@@ -345,43 +305,12 @@ def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error
     return steps
 
 
-def _events(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error: float) -> list[GateEvent]:
-    """Circuit events that carry out one schedule event: its unitaries, then the
-    relaxation of every spin over a free-evolution interval."""
-    events = [unitary_event(u, targets) for u, targets in _unitaries(ev, model, angle_error)]
-    if isinstance(ev, FreeEvolution) and ev.duration > 0.0:
-        events += [
-            channel_event(relaxation_channel(ev.duration, spin.relaxation(), target=q))
-            for q, spin in enumerate(model.spins)
-            if not (math.isinf(spin.t1) and math.isinf(spin.t2))
-        ]
-    return events
-
-
-def simulate_schedule(
-    schedule: PulseSchedule,
-    model: MoleculeModel,
-    rho: DensityMatrix,
-    angle_error: float = 0.0,
-) -> DensityMatrix:
-    """Execute a schedule: ideal instantaneous rf pulses, exact zz evolution,
-    and per-spin relaxation over each free-evolution interval.
-
-    ``angle_error`` is a fractional miscalibration applied to every rf
-    rotation angle (0 means perfect pulses).  Couplings listed by an
-    interval but refocused away in the model contribute nothing.
-    """
-    n = len(model.spins)
-    if rho.num_qubits != n:
-        raise ValueError(f"state has {rho.num_qubits} qubits but model has {n} spins")
-    events = [step for ev in schedule.events for step in _events(ev, model, angle_error)]
-    return DensityMatrix(n, run_events(events, rho.matrix))
-
-
 @lru_cache(maxsize=32)
 def realized_unitary(gate: GateEvent, model: MoleculeModel, angle_error: float = 0.0) -> np.ndarray:
-    """The unitary on ``gate.targets`` that ``simulate_schedule`` applies for the
-    gate's compiled schedule with relaxation idealized away during gates.
+    """The unitary on ``gate.targets`` that the gate's compiled schedule realizes:
+    its rf rotations, each angle scaled by ``1 + angle_error``, and the zz phases
+    of its active couplings, in schedule order; relaxation during gates is
+    idealized away.
 
     Computed once per (gate, model, angle error) while it stays among the 32
     most recent (events and models compare by identity), and read-only.
@@ -400,16 +329,3 @@ def pulse_realizer(model: MoleculeModel, angle_error: float = 0.0) -> Realize:
     become what their pulses realize (:func:`realized_unitary`); the correction block
     has no pulses and stays exact."""
     return lambda gate: gate.unitary if len(gate.targets) > 2 else realized_unitary(gate, model, angle_error)
-
-
-def run_circuit_pulse(
-    circuit: Circuit,
-    model: MoleculeModel,
-    input_data: DensityMatrix,
-    angle_error: float = 0.0,
-) -> DensityMatrix:
-    """:func:`nmrteleport.circuits.run_circuit` with :func:`pulse_realizer`: pulses
-    are noise-free and channel events carry the noise, as in the gate engine."""
-    if len(model.spins) != circuit.num_qubits:
-        raise ValueError("model and circuit register sizes differ")
-    return run_circuit(circuit, input_data, pulse_realizer(model, angle_error))

@@ -2,8 +2,8 @@
 
 Everything in the simulator lives on at most three qubits, so states and
 operators are plain dense numpy arrays: Kronecker products, density
-matrices with physicality checks, partial traces, Pauli expectation
-values, and Uhlmann fidelity.
+matrices with physicality checks, and batched partial traces and Pauli
+expectation values on stacks of them.
 
 Conventions used package-wide:
 
@@ -105,11 +105,6 @@ def _violation(message: str, worst: np.intp, batch: tuple[int, ...]) -> Numerica
     return error
 
 
-def enforce_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check Hermiticity within ``tol``, then return (M + M†)/2 (see :func:`validate_density`)."""
-    return validate_density(matrix, tol, np.inf, np.inf)
-
-
 def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
     """Embed a k-qubit operator into an n-qubit register.
 
@@ -166,53 +161,6 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """State vector of an n-qubit register, normalized to one."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.num_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if amps.size != 2**self.num_qubits:
-            raise ValueError(
-                f"{amps.size} amplitudes do not fit {self.num_qubits} qubits"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm - 1.0) <= TRACE_TOL:
-            raise ValueError(f"squared amplitudes sum to {norm}, not 1")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_bits(cls, bits: str) -> PureState:
-        """Computational basis state, e.g. ``'01'`` for |01>."""
-        if not bits or any(b not in "01" for b in bits):
-            raise ValueError(f"invalid bit string {bits!r}")
-        amps = np.zeros(2 ** len(bits), dtype=complex)
-        amps[int(bits, 2)] = 1.0
-        return cls(len(bits), amps)
-
-    def density(self) -> DensityMatrix:
-        """Projector |psi><psi| as a density matrix."""
-        return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-def bell_states() -> tuple[PureState, PureState, PureState, PureState]:
-    """The four Bell states, ordered (|00>+|11>, |00>-|11>, |01>+|10>, |01>-|10>)/sqrt(2)."""
-    r = 1.0 / np.sqrt(2.0)
-    return (
-        PureState(2, np.array([r, 0, 0, r])),
-        PureState(2, np.array([r, 0, 0, -r])),
-        PureState(2, np.array([0, r, r, 0])),
-        PureState(2, np.array([0, r, -r, 0])),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian operator on n qubits."""
 
@@ -231,25 +179,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-    @classmethod
-    def ground(cls, num_qubits: int) -> DensityMatrix:
-        """|0...0><0...0|."""
-        return PureState.from_bits("0" * num_qubits).density()
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> DensityMatrix:
-        return cls(num_qubits, np.eye(2**num_qubits, dtype=complex) / 2**num_qubits)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep``, in ascending original order."""
-    keep = sorted(keep)
-    return DensityMatrix(len(keep), reduce_stack(rho.matrix, keep))
-
 
 def reduce_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
     """Partial trace of every matrix of a ``(..., 2^n, 2^n)`` stack onto ``keep``."""
@@ -266,23 +195,6 @@ def reduce_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
     return np.einsum(tens, [..., *row, *col], [..., *out_subs]).reshape(stack.shape[:-2] + (dim, dim))
 
 
-def pauli_string(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis named by ``label``, e.g. ``'IXZ'``."""
-    if not label or any(c not in PAULIS for c in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
-    op = PAULIS[label[0]]
-    for c in label[1:]:
-        op = np.kron(op, PAULIS[c])
-    return op
-
-
-def pauli_expectation(rho: DensityMatrix, label: str) -> float:
-    """tr(rho * P) for the Pauli string ``label``; see :func:`real_expectations`."""
-    if len(label) != rho.num_qubits:
-        raise ValueError(f"label {label!r} does not match {rho.num_qubits} qubits")
-    return float(real_expectations(rho.matrix, pauli_string(label)[None])[0])
-
-
 def real_expectations(stack: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """tr(rho * P) for every rho of a ``(..., d, d)`` stack and every P of an
     ``(m, d, d)`` stack of Hermitian operators, as a real ``(..., m)`` array.
@@ -295,30 +207,3 @@ def real_expectations(stack: np.ndarray, operators: np.ndarray) -> np.ndarray:
     if not residue <= EXPECTATION_IMAG_TOL:
         raise NumericalInvariantError(f"expectation value has imaginary part {residue:.3e}")
     return values.real
-
-
-def _clipped_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    # Square roots amplify spurious near-zero eigenvalues (eps -> sqrt(eps)),
-    # so zero out anything far below the spectral radius before taking them.
-    cutoff = 1e-12 * max(float(np.max(vals, initial=0.0)), 0.0)
-    return np.where(vals > cutoff, vals, 0.0)
-
-
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = _clipped_eigenvalues(vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity F(a, b) = (tr sqrt(sqrt(a) b sqrt(a)))^2 in [0, 1].
-
-    Symmetric in its arguments; reduces to |<psi|phi>|^2 for pure states.
-    """
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits")
-    sqrt_a = _psd_sqrt(a.matrix)
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    fid = float(np.sum(np.sqrt(_clipped_eigenvalues(vals))) ** 2)
-    return min(max(fid, 0.0), 1.0)

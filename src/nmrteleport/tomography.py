@@ -1,9 +1,10 @@
 """Single-qubit quantum process tomography and entanglement fidelity.
 
-A process is characterized by sending four linearly independent input
-states through it, reconstructing each output from its Pauli expectation
-values, and solving the exactly determined linear system for the Pauli
-transfer matrix R[m][n] = tr(P_m E(P_n))/2 over the basis (I, X, Y, Z).
+A process is characterized by its outputs for four linearly independent
+input states, given as one stack (the circuit executor runs the four inputs
+together): each output is reconstructed from its Pauli expectation values,
+then the exactly determined linear system is solved for the Pauli transfer
+matrix R[m][n] = tr(P_m E(P_n))/2 over the basis (I, X, Y, Z).
 The chi matrix (E(rho) = sum chi_mn P_m rho P_n) follows by a fixed linear
 basis change, and the entanglement fidelity with respect to the maximally
 mixed input is chi[0][0] = tr(R)/4.
@@ -16,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel
 from .errors import NumericalInvariantError, UnphysicalBlochError
 from .qstate import (
     DensityMatrix,
@@ -135,19 +134,6 @@ class ProcessMap:
         object.__setattr__(self, "chi_matrix", chi)
 
 
-def process_tomography(
-    evaluate: Callable[[DensityMatrix], DensityMatrix],
-    inputs: TomographyInputSet | None = None,
-) -> ProcessMap:
-    """Characterize a linear trace-preserving map from four input/output pairs."""
-    input_set = inputs if inputs is not None else TomographyInputSet.canonical()
-    outputs = [evaluate(s) for s in input_set.states]
-    if any(not isinstance(out, DensityMatrix) or out.num_qubits != 1 for out in outputs):
-        raise ValueError("process under test must return single-qubit density matrices")
-    (process_map,) = reconstruct_process(np.stack([out.matrix for out in outputs]), input_set)
-    return process_map
-
-
 def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list[ProcessMap]:
     """Process maps from a ``(..., 4, 2, 2)`` stack of outputs of the four ``inputs``
     (in their order), one per leading index in C order.
@@ -193,13 +179,3 @@ def entanglement_fidelity(process: ProcessMap) -> float:
             f"fidelity mismatch: chi00={fe_chi} vs tr(R)/4={fe_transfer}"
         )
     return min(max(fe_chi, 0.0), 1.0)
-
-
-def entanglement_fidelity_from_kraus(elements) -> float:
-    """Independent fidelity route: Fe = sum_i |tr(A_i)|^2 / 4.
-
-    Serves as the oracle against which the tomography pipeline is checked;
-    it never goes through a reconstruction.
-    """
-    mats = KrausChannel((0,), tuple(elements)).elements  # checks trace preservation
-    return float(sum(abs(np.trace(a)) ** 2 for a in mats)) / 4.0

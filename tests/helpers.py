@@ -9,15 +9,39 @@ import math
 
 import numpy as np
 
-from nmrteleport.qstate import DensityMatrix, PureState, pauli_expectation
-from nmrteleport.tomography import state_tomography
+from nmrteleport.channels import KrausChannel
+from nmrteleport.circuits import Circuit, Realize, channel_event, prepare, run_events
+from nmrteleport.experiment import tomograph
+from nmrteleport.nmr import MoleculeModel, PulseSchedule, RfRotation
+from nmrteleport.qstate import PAULIS, DensityMatrix, lift_operator, real_expectations
+from nmrteleport.tomography import ProcessMap, state_tomography
 
 
-def random_pure_state(rng, num_qubits: int = 1) -> PureState:
+def random_pure_state(rng, num_qubits: int = 1) -> np.ndarray:
+    """Normalized amplitudes of a random pure state."""
     size = 2**num_qubits
     amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-    amps /= np.linalg.norm(amps)
-    return PureState(num_qubits, amps)
+    return amps / np.linalg.norm(amps)
+
+
+def projector(amplitudes) -> np.ndarray:
+    """|psi><psi| of a state vector."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return np.outer(amplitudes, amplitudes.conj())
+
+
+def basis_state(bits: str) -> np.ndarray:
+    """Amplitudes of a computational basis state, e.g. ``'01'`` for |01>."""
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return amps
+
+
+_R = 1.0 / np.sqrt(2.0)
+# (|00>+|11>, |00>-|11>, |01>+|10>, |01>-|10>)/sqrt(2)
+BELL_STATES = tuple(
+    np.array(v, dtype=complex) for v in ([_R, 0, 0, _R], [_R, 0, 0, -_R], [0, _R, _R, 0], [0, _R, -_R, 0])
+)
 
 
 def random_density(rng, num_qubits: int = 1, rank: int | None = None) -> DensityMatrix:
@@ -27,8 +51,7 @@ def random_density(rng, num_qubits: int = 1, rank: int | None = None) -> Density
     weights /= weights.sum()
     matrix = np.zeros((dim, dim), dtype=complex)
     for w in weights:
-        psi = random_pure_state(rng, num_qubits)
-        matrix += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        matrix += w * projector(random_pure_state(rng, num_qubits))
     return DensityMatrix(num_qubits, matrix)
 
 
@@ -39,8 +62,26 @@ def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:
     return [q[2 * i : 2 * i + 2, :].copy() for i in range(num_elements)]
 
 
+def run_inputs(circuit: Circuit, inputs, realize: Realize | None = None) -> np.ndarray:
+    """Final states of a one-delay circuit for data-qubit inputs (state vectors),
+    every other qubit starting in |0>: a ``(len(inputs), 2^n, 2^n)`` stack."""
+    stack = prepare(np.stack([projector(psi) for psi in inputs]), circuit.num_qubits)
+    return run_events(circuit.events, stack[None], realize)[0]
+
+
+def process_map(run) -> ProcessMap:
+    """The process map of ``run`` on the one-qubit stack of the four canonical inputs."""
+    (pm,) = tomograph(run, 1, 0)
+    return pm
+
+
+def channel_map(channel: KrausChannel) -> ProcessMap:
+    """The process map of one channel event run by the executor."""
+    return process_map(lambda stack: run_events((channel_event(channel),), stack))
+
+
 def apply_elements(matrix: np.ndarray, elements) -> np.ndarray:
-    """Plain sum_i A rho A-dagger, no package machinery."""
+    """Plain sum_i A rho A-dagger on a matrix or a stack, no package machinery."""
     out = np.zeros_like(matrix, dtype=complex)
     for a in elements:
         out += a @ matrix @ a.conj().T
@@ -73,9 +114,6 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     overlap = np.sum(np.conj(b) * a)
     phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
     return float(np.max(np.abs(a - phase * b)))
-
-
-CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -122,8 +160,8 @@ def per_output_reconstruction(outputs, inputs) -> tuple[np.ndarray, np.ndarray]:
     """
     coords = []
     for out in outputs:
-        state = state_tomography(*(pauli_expectation(out, p) for p in PAULI_LABELS[1:]))
-        coords.append([pauli_expectation(state, p) for p in PAULI_LABELS])
+        state = state_tomography(*(pauli_expectation(out.matrix, p) for p in PAULI_LABELS[1:]))
+        coords.append([pauli_expectation(state.matrix, p) for p in PAULI_LABELS])
     w = np.array(coords).T
     transfer = np.linalg.solve(inputs.coordinate_matrix().T, w.T).T
     ops = [
@@ -170,3 +208,75 @@ def teleport_fe(duration: float, t1_data: float, t1_ancilla: float, t1_target: f
         + (1.0 - g_data) * g_ancilla * chi_xx
         + g_data * g_ancilla * chi_yy
     )
+
+
+def pauli_string(label: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis named by ``label``, e.g. ``'IXZ'``."""
+    if not label or any(c not in PAULIS for c in label):
+        raise ValueError(f"invalid Pauli label {label!r}")
+    op = PAULIS[label[0]]
+    for c in label[1:]:
+        op = np.kron(op, PAULIS[c])
+    return op
+
+
+def pauli_expectation(matrix: np.ndarray, label: str) -> float:
+    """tr(rho * P) of one density matrix for the Pauli string ``label``."""
+    if 2 ** len(label) != len(matrix):
+        raise ValueError(f"label {label!r} does not match a {len(matrix)}-dimensional state")
+    return float(real_expectations(matrix, pauli_string(label)[None])[0])
+
+
+def _clipped_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    # Square roots amplify spurious near-zero eigenvalues (eps -> sqrt(eps)),
+    # so zero out anything far below the spectral radius before taking them.
+    cutoff = 1e-12 * max(float(np.max(vals, initial=0.0)), 0.0)
+    return np.where(vals > cutoff, vals, 0.0)
+
+
+def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(matrix)
+    return (vecs * np.sqrt(_clipped_eigenvalues(vals))) @ vecs.conj().T
+
+
+def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity F(a, b) = (tr sqrt(sqrt(a) b sqrt(a)))^2 in [0, 1] of two
+    density matrices; symmetric, and |<psi|phi>|^2 for pure states."""
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"dimension mismatch: {np.shape(a)} vs {np.shape(b)}")
+    sqrt_a = _psd_sqrt(a)
+    inner = sqrt_a @ b @ sqrt_a
+    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    return min(max(float(np.sum(np.sqrt(_clipped_eigenvalues(vals))) ** 2), 0.0), 1.0)
+
+
+def kraus_fe(elements) -> float:
+    """Entanglement fidelity by the Kraus-trace formula Fe = sum_i |tr(A_i)|^2 / 4,
+    with no reconstruction; the element set must be trace preserving."""
+    mats = KrausChannel((0,), tuple(elements)).elements
+    return float(sum(abs(np.trace(a)) ** 2 for a in mats)) / 4.0
+
+
+def schedule_product(schedule: PulseSchedule, model: MoleculeModel, angle_error: float = 0.0) -> np.ndarray:
+    """The full-register unitary of a pulse schedule, one event at a time with expm:
+    each rf angle scaled by ``1 + angle_error``, each interval evolving under the
+    active couplings it lists (pi*J/2 ZZ each)."""
+    from scipy.linalg import expm  # a test-only dependency, needed by the pulse oracles only
+
+    n = len(model.spins)
+    u = np.eye(2**n, dtype=complex)
+    for ev in schedule.events:
+        if isinstance(ev, RfRotation):
+            axis = PAULIS["X"] if ev.axis == "x" else PAULIS["Y"]
+            local = expm(-0.5j * ev.angle * (1.0 + angle_error) * axis)
+            u = lift_operator(local, (model.index(ev.spin),), n) @ u
+        else:
+            ham = np.zeros((2**n, 2**n), dtype=complex)
+            for a, b in ev.couplings:
+                j = model.coupling(a, b)
+                if j is None or not model.is_active(a, b):
+                    continue
+                zz = lift_operator(np.kron(PAULIS["Z"], PAULIS["Z"]), (model.index(a), model.index(b)), n)
+                ham += math.pi * j / 2.0 * zz
+            u = expm(-1j * ham * ev.duration) @ u
+    return u

@@ -17,12 +17,11 @@ import numpy as np
 from nmrteleport.channels import (
     KrausChannel,
     RelaxationParams,
-    apply_channel,
     dephasing_channel,
     depolarizing_channel,
     relaxation_channel,
 )
-from nmrteleport.circuits import TARGET, run_circuit, teleport_circuit, unitary_event
+from nmrteleport.circuits import TARGET, channel_event, run_events, teleport_circuit, unitary_event
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
     SweepConfig,
@@ -31,23 +30,21 @@ from nmrteleport.experiment import (
     run_sweep,
 )
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, SpinParams, compile_gate, tce_model
-from nmrteleport.qstate import (
-    CNOT,
-    DensityMatrix,
-    bell_states,
-    partial_trace,
-    state_fidelity,
-)
-from nmrteleport.tomography import (
-    entanglement_fidelity,
-    entanglement_fidelity_from_kraus,
-    process_tomography,
-)
+from nmrteleport.qstate import CNOT, reduce_stack
+from nmrteleport.tomography import entanglement_fidelity
 from tests.helpers import (
+    BELL_STATES,
+    apply_elements,
+    channel_map,
+    kraus_fe,
+    process_map,
+    projector,
     random_cptp_elements,
     random_density,
     random_pure_state,
     relaxation_fe,
+    run_inputs,
+    state_fidelity,
 )
 
 
@@ -60,14 +57,12 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_noiseless_teleportation_identity():
     start = time.perf_counter()
-    model = tce_model().noiseless()
-    circuit = teleport_circuit(0.0, model)
+    model = tce_model().with_relaxation(False, False)
+    circuit = teleport_circuit((0.0,), model)
     rng = np.random.default_rng(101)
-    worst = 1.0
-    for _ in range(50):
-        psi = random_pure_state(rng, 1)
-        out = run_circuit(circuit, psi.density())
-        worst = min(worst, state_fidelity(partial_trace(out, [TARGET]), psi.density()))
+    inputs = [random_pure_state(rng, 1) for _ in range(50)]
+    reduced = reduce_stack(run_inputs(circuit, inputs), [TARGET])
+    worst = min(state_fidelity(rho, projector(psi)) for psi, rho in zip(inputs, reduced))
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -86,13 +81,11 @@ def test_criterion_2_decoherence_immunity():
     )
     couplings = {("C1", "H"): 201.0, ("C1", "C2"): 103.0}
     model = MoleculeModel(spins, couplings, frozenset(couplings))
-    circuit = teleport_circuit(math.inf, model)  # carbons fully dephased
+    circuit = teleport_circuit((math.inf,), model)  # carbons fully dephased
     rng = np.random.default_rng(102)
-    worst = 1.0
-    for _ in range(20):
-        psi = random_pure_state(rng, 1)
-        out = run_circuit(circuit, psi.density())
-        worst = min(worst, state_fidelity(partial_trace(out, [TARGET]), psi.density()))
+    inputs = [random_pure_state(rng, 1) for _ in range(20)]
+    reduced = reduce_stack(run_inputs(circuit, inputs), [TARGET])
+    worst = min(state_fidelity(rho, projector(psi)) for psi, rho in zip(inputs, reduced))
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -103,15 +96,9 @@ def test_criterion_2_decoherence_immunity():
 
 
 def test_criterion_3_fidelity_calibration_triple():
-    fe_identity = entanglement_fidelity(process_tomography(lambda rho: rho))
-    deph = dephasing_channel(math.inf, 0.3)
-    fe_classical = entanglement_fidelity(
-        process_tomography(lambda rho: apply_channel(rho, deph))
-    )
-    depol = depolarizing_channel(1.0)
-    fe_random = entanglement_fidelity(
-        process_tomography(lambda rho: apply_channel(rho, depol))
-    )
+    fe_identity = entanglement_fidelity(process_map(lambda stack: stack))
+    fe_classical = entanglement_fidelity(channel_map(dephasing_channel(math.inf, 0.3)))
+    fe_random = entanglement_fidelity(channel_map(depolarizing_channel(1.0)))
     ok = (
         abs(fe_identity - 1.0) <= 1e-9
         and abs(fe_classical - 0.5) <= 1e-9
@@ -131,15 +118,9 @@ def test_criterion_4_tomography_matches_kraus_formula():
     worst = 0.0
     for _ in range(100):
         elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
-        direct = entanglement_fidelity_from_kraus(elements)
-
-        def evaluate(rho, elements=elements):
-            out = np.zeros((2, 2), dtype=complex)
-            for a in elements:
-                out += a @ rho.matrix @ a.conj().T
-            return DensityMatrix(1, out)
-
-        worst = max(worst, abs(entanglement_fidelity(process_tomography(evaluate)) - direct))
+        direct = kraus_fe(elements)
+        pm = process_map(lambda stack, elements=elements: apply_elements(stack, elements))
+        worst = max(worst, abs(entanglement_fidelity(pm) - direct))
     elapsed = time.perf_counter() - start
     report(
         4,
@@ -152,7 +133,7 @@ def test_criterion_4_tomography_matches_kraus_formula():
 def test_criterion_5_control_curve_matches_closed_form():
     model = tce_model()
     records = run_sweep(SweepConfig(DEFAULT_DELAYS, "control", model))
-    c2 = model.spin("C2")
+    c2 = model.spins[model.index("C2")]
     worst = max(
         abs(r.fe - relaxation_fe(r.delay, c2.t1, c2.t2)) for r in records
     )
@@ -212,7 +193,7 @@ def test_criterion_8_randomized_invariant_suite():
     rng = np.random.default_rng(108)
     violations = 0
 
-    total = sum(b.density().matrix for b in bell_states())
+    total = sum(projector(b) for b in BELL_STATES)
     if np.max(np.abs(total - np.eye(4))) > 1e-12:
         violations += 1
 
@@ -232,17 +213,17 @@ def test_criterion_8_randomized_invariant_suite():
                     first = relaxation_channel(split, params)
                     second = relaxation_channel(t_total - split, params)
                     joined = relaxation_channel(t_total, params)
-                stepped = apply_channel(apply_channel(rho, first), second)
-                direct = apply_channel(rho, joined)
-                if np.max(np.abs(stepped.matrix - direct.matrix)) > 1e-10:
+                stepped = run_events((channel_event(first), channel_event(second)), rho.matrix)
+                direct = run_events((channel_event(joined),), rho.matrix)
+                if np.max(np.abs(stepped - direct)) > 1e-10:
                     violations += 1
             else:
                 # Random CPTP channel on a random state: construction checks
                 # CPTP, the output state checks Hermiticity/trace/PSD.
                 channel = KrausChannel((int(rng.integers(0, 2)),), tuple(random_cptp_elements(rng, int(rng.integers(1, 4)))))
                 rho = random_density(rng, 2)
-                out = apply_channel(rho, channel)
-                if abs(np.trace(out.matrix) - 1.0) > 1e-10:
+                out = run_events((channel_event(channel),), rho.matrix)
+                if abs(np.trace(out) - 1.0) > 1e-10:
                     violations += 1
         except Exception:
             violations += 1

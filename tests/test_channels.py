@@ -8,86 +8,54 @@ from hypothesis import strategies as st
 from nmrteleport.channels import (
     KrausChannel,
     RelaxationParams,
-    apply_channel,
     dephasing_channel,
     depolarizing_channel,
-    measurement_dephasing,
     relaxation_channel,
     relaxation_channels,
 )
-from nmrteleport.qstate import IDENTITY_2, DensityMatrix, PureState, bell_states
+from nmrteleport.circuits import channel_event, run_events
+from nmrteleport.errors import NumericalInvariantError
+from nmrteleport.qstate import IDENTITY_2
 from tests.helpers import SPANNING_1Q, random_cptp_elements, random_density
 
-PLUS = DensityMatrix(1, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+SPANNING = np.stack(SPANNING_1Q)
 
 
-def channel_action(channel, states):
-    """Outputs of a channel over a list of density-matrix arrays."""
-    return [apply_channel(DensityMatrix(1, s), channel).matrix for s in states]
+def act(channel, rho):
+    """The executor's output, checked, for one channel event on a state or a stack."""
+    return run_events((channel_event(channel),), np.asarray(rho))
 
 
 def test_identity_channel_leaves_state_unchanged():
     rng = np.random.default_rng(2)
     rho = random_density(rng, 2)
-    out = apply_channel(rho, KrausChannel((1,), (IDENTITY_2,)))
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
-
-
-def test_measurement_dephasing_diagonalizes_bell_state():
-    bell = bell_states()[0].density()
-    out = apply_channel(bell, measurement_dephasing((0, 1)))
-    expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    assert np.allclose(out.matrix, expected, atol=1e-12)
-
-
-def test_measurement_dephasing_fixes_diagonal_states():
-    diag = DensityMatrix(2, np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-    out = apply_channel(diag, measurement_dephasing((0, 1)))
-    assert np.allclose(out.matrix, diag.matrix, atol=1e-12)
-
-
-def test_measurement_dephasing_idempotent():
-    rng = np.random.default_rng(4)
-    rho = random_density(rng, 2)
-    once = apply_channel(rho, measurement_dephasing((0, 1)))
-    twice = apply_channel(once, measurement_dephasing((0, 1)))
-    assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-12
-
-
-def test_measurement_dephasing_requires_distinct_targets():
-    with pytest.raises(ValueError):
-        measurement_dephasing((1, 1))
+    out = act(KrausChannel((1,), (IDENTITY_2,)), rho.matrix)
+    assert np.allclose(out, rho.matrix, atol=1e-12)
 
 
 def test_complete_amplitude_damping_decays_excited_state():
-    one = PureState.from_bits("1").density()
-    ch = relaxation_channel(math.inf, RelaxationParams(t1=1.0, t2=2.0))
-    out = apply_channel(one, ch)
-    assert np.allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    one = np.diag([0.0, 1.0]).astype(complex)
+    out = act(relaxation_channel(math.inf, RelaxationParams(t1=1.0, t2=2.0)), one)
+    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_dephasing_zero_duration_is_identity():
-    ch = dephasing_channel(0.0, 0.3)
-    for s in SPANNING_1Q:
-        out = apply_channel(DensityMatrix(1, s), ch)
-        assert np.allclose(out.matrix, s, atol=1e-12)
+    assert np.allclose(act(dephasing_channel(0.0, 0.3), SPANNING), SPANNING, atol=1e-12)
 
 
 def test_dephasing_infinite_duration_fully_mixes_plus():
-    out = apply_channel(PLUS, dephasing_channel(math.inf, 0.3))
-    assert np.allclose(out.matrix, np.eye(2) / 2.0, atol=1e-12)
+    out = act(dephasing_channel(math.inf, 0.3), PLUS)
+    assert np.allclose(out, np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_dephasing_off_diagonal_factor():
     # Closed form: factor exp(-duration/t2); cross-checked by composing ten
     # short steps against the single long step.
-    out = apply_channel(PLUS, dephasing_channel(0.3, 0.3))
-    assert out.matrix[0, 1] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
-
-    stepped = PLUS
-    for _ in range(10):
-        stepped = apply_channel(stepped, dephasing_channel(0.03, 0.3))
-    assert np.max(np.abs(stepped.matrix - out.matrix)) < 1e-10
+    out = act(dephasing_channel(0.3, 0.3), PLUS)
+    assert out[0, 1] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
+    stepped = run_events([channel_event(dephasing_channel(0.03, 0.3))] * 10, PLUS)
+    assert np.max(np.abs(stepped - out)) < 1e-10
 
 
 def test_dephasing_rejects_negative_duration():
@@ -98,28 +66,23 @@ def test_dephasing_rejects_negative_duration():
 
 def test_relaxation_zero_duration_is_identity():
     ch = relaxation_channel(0.0, RelaxationParams(25.0, 0.3))
-    for s in SPANNING_1Q:
-        out = apply_channel(DensityMatrix(1, s), ch)
-        assert np.allclose(out.matrix, s, atol=1e-12)
+    assert np.allclose(act(ch, SPANNING), SPANNING, atol=1e-12)
 
 
 def test_relaxation_without_t1_reduces_to_dephasing():
     relax = relaxation_channel(0.7, RelaxationParams(math.inf, 0.3))
     pure_t2 = dephasing_channel(0.7, 0.3)
-    for a, b in zip(channel_action(relax, SPANNING_1Q), channel_action(pure_t2, SPANNING_1Q)):
-        assert np.max(np.abs(a - b)) < 1e-12
+    assert np.max(np.abs(act(relax, SPANNING) - act(pure_t2, SPANNING))) < 1e-12
 
 
 def test_relaxation_closed_form_action_on_plus():
-    out = apply_channel(PLUS, relaxation_channel(0.3, RelaxationParams(25.0, 0.3)))
-    assert out.matrix[0, 1] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
-    assert out.matrix[1, 1].real == pytest.approx(0.5 * math.exp(-0.3 / 25.0), abs=1e-12)
+    out = act(relaxation_channel(0.3, RelaxationParams(25.0, 0.3)), PLUS)
+    assert out[0, 1] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
+    assert out[1, 1].real == pytest.approx(0.5 * math.exp(-0.3 / 25.0), abs=1e-12)
 
     # Small-step composition oracle: thirty 0.01 s steps equal one 0.3 s step.
-    stepped = PLUS
-    for _ in range(30):
-        stepped = apply_channel(stepped, relaxation_channel(0.01, RelaxationParams(25.0, 0.3)))
-    assert np.max(np.abs(stepped.matrix - out.matrix)) < 1e-10
+    stepped = run_events([channel_event(relaxation_channel(0.01, RelaxationParams(25.0, 0.3)))] * 30, PLUS)
+    assert np.max(np.abs(stepped - out)) < 1e-10
 
 
 def test_relaxation_rejects_unphysical_times():
@@ -134,22 +97,19 @@ def test_relaxation_rejects_unphysical_times():
 
 def test_depolarizing_limits():
     rng = np.random.default_rng(9)
-    rho = random_density(rng, 1)
-    unchanged = apply_channel(rho, depolarizing_channel(0.0))
-    assert np.allclose(unchanged.matrix, rho.matrix, atol=1e-12)
-    mixed = apply_channel(rho, depolarizing_channel(1.0))
-    assert np.allclose(mixed.matrix, np.eye(2) / 2.0, atol=1e-12)
+    rho = random_density(rng, 1).matrix
+    assert np.allclose(act(depolarizing_channel(0.0), rho), rho, atol=1e-12)
+    assert np.allclose(act(depolarizing_channel(1.0), rho), np.eye(2) / 2.0, atol=1e-12)
     with pytest.raises(ValueError):
         depolarizing_channel(1.5)
 
 
 def test_depolarizing_interpolates():
     rng = np.random.default_rng(10)
-    rho = random_density(rng, 1)
+    rho = random_density(rng, 1).matrix
     p = 0.37
-    out = apply_channel(rho, depolarizing_channel(p))
-    expected = (1 - p) * rho.matrix + p * np.eye(2) / 2.0
-    assert np.max(np.abs(out.matrix - expected)) < 1e-12
+    expected = (1 - p) * rho + p * np.eye(2) / 2.0
+    assert np.max(np.abs(act(depolarizing_channel(p), rho) - expected)) < 1e-12
 
 
 def test_channel_construction_rejects_non_trace_preserving():
@@ -164,19 +124,16 @@ def test_channel_construction_rejects_non_trace_preserving():
 def test_apply_channel_rejects_out_of_range_targets():
     ch = dephasing_channel(0.1, 0.3, target=2)
     with pytest.raises(ValueError):
-        apply_channel(DensityMatrix.ground(2), ch)
+        act(ch, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 
 
 def test_dephasing_semigroup():
     rng = np.random.default_rng(14)
     for _ in range(10):
         t_a, t_b = rng.random(2) * 0.8
-        one_step = dephasing_channel(t_a + t_b, 0.4)
-        for s in SPANNING_1Q:
-            rho = DensityMatrix(1, s)
-            split = apply_channel(apply_channel(rho, dephasing_channel(t_a, 0.4)), dephasing_channel(t_b, 0.4))
-            joined = apply_channel(rho, one_step)
-            assert np.max(np.abs(split.matrix - joined.matrix)) < 1e-10
+        split = run_events([channel_event(dephasing_channel(t, 0.4)) for t in (t_a, t_b)], SPANNING)
+        joined = act(dephasing_channel(t_a + t_b, 0.4), SPANNING)
+        assert np.max(np.abs(split - joined)) < 1e-10
 
 
 def test_relaxation_semigroup():
@@ -184,33 +141,22 @@ def test_relaxation_semigroup():
     params = RelaxationParams(2.0, 0.5)
     for _ in range(10):
         t_a, t_b = rng.random(2) * 0.8
-        one_step = relaxation_channel(t_a + t_b, params)
-        for s in SPANNING_1Q:
-            rho = DensityMatrix(1, s)
-            split = apply_channel(apply_channel(rho, relaxation_channel(t_a, params)), relaxation_channel(t_b, params))
-            joined = apply_channel(rho, one_step)
-            assert np.max(np.abs(split.matrix - joined.matrix)) < 1e-10
-
-
-def test_measurement_dephasing_equals_infinite_per_qubit_dephasing():
-    rng = np.random.default_rng(16)
-    projection = measurement_dephasing((0, 1))
-    deph_0 = dephasing_channel(math.inf, 0.3, target=0)
-    deph_1 = dephasing_channel(math.inf, 0.3, target=1)
-    for _ in range(10):
-        rho = random_density(rng, 2)
-        via_projection = apply_channel(rho, projection)
-        via_dephasing = apply_channel(apply_channel(rho, deph_0), deph_1)
-        assert np.max(np.abs(via_projection.matrix - via_dephasing.matrix)) < 1e-12
+        split = run_events([channel_event(relaxation_channel(t, params)) for t in (t_a, t_b)], SPANNING)
+        joined = act(relaxation_channel(t_a + t_b, params), SPANNING)
+        assert np.max(np.abs(split - joined)) < 1e-10
 
 
 def test_apply_channel_preserves_trace_randomized():
     rng = np.random.default_rng(21)
     for _ in range(25):
         ch = KrausChannel((0,), tuple(random_cptp_elements(rng, 3)))
-        rho = random_density(rng, 2)
-        out = apply_channel(rho, ch)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+        out = act(ch, random_density(rng, 2).matrix)
+        assert abs(np.trace(out) - 1.0) < 1e-10
+    # The executor checks every output: a channel scaled after its own check
+    # leaves states of trace 1.21, which it rejects.
+    object.__setattr__(ch, "elements", tuple(1.1 * a for a in ch.elements))
+    with pytest.raises(NumericalInvariantError):
+        act(ch, random_density(rng, 2).matrix)
 
 
 def test_nan_fails_trace_preservation_and_timescale_checks():

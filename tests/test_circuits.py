@@ -15,7 +15,8 @@ from nmrteleport.circuits import (
     control_circuit,
     correction_table,
     entangle_gate,
-    run_circuit,
+    prepare,
+    run_events,
     teleport_circuit,
     unitary_event,
 )
@@ -28,17 +29,21 @@ from nmrteleport.qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
-    PureState,
-    bell_states,
     lift_operator,
-    partial_trace,
-    state_fidelity,
+    reduce_stack,
     tensor_product,
 )
-from tests.helpers import phase_distance, random_pure_state
+from tests.helpers import (
+    BELL_STATES,
+    basis_state,
+    phase_distance,
+    projector,
+    random_pure_state,
+    run_inputs,
+    state_fidelity,
+)
 
-PLUS = PureState(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
+PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 # Residual operator on the target for each (data, ancilla) outcome, written
 # down independently of the package's derived table.
@@ -68,10 +73,13 @@ def events_unitary(events, num_qubits):
     return u
 
 
+def noiseless_tce():
+    return tce_model().with_relaxation(t1_enabled=False, t2_enabled=False)
+
+
 def test_entangle_gate_creates_bell_pair():
-    circuit = Circuit(2, entangle_gate(0, 1))
-    out = run_circuit(circuit, PureState.from_bits("0").density())
-    assert np.allclose(out.matrix, bell_states()[0].density().matrix, atol=1e-12)
+    out = run_events(entangle_gate(0, 1), prepare(projector(basis_state("0")), 2))
+    assert np.allclose(out, projector(BELL_STATES[0]), atol=1e-12)
 
 
 def test_entangle_gate_inverse_returns_input():
@@ -88,7 +96,7 @@ def test_entangle_gate_on_excited_ancilla():
     ket = np.zeros(4, dtype=complex)
     ket[2] = 1.0
     expected = u @ ket
-    assert np.allclose(expected, bell_states()[1].amplitudes, atol=1e-12)
+    assert np.allclose(expected, BELL_STATES[1], atol=1e-12)
     via_events = events_unitary(entangle_gate(0, 1), 2) @ ket
     assert np.allclose(via_events, expected, atol=1e-12)
 
@@ -97,19 +105,16 @@ def test_bell_rotation_maps_bell_basis_to_computational():
     u = events_unitary(bell_to_computational(0, 1), 2)
     expected_bits = ("00", "10", "01", "11")
     outputs = []
-    for bell, bits in zip(bell_states(), expected_bits):
-        out = u @ bell.amplitudes
-        target = PureState.from_bits(bits).amplitudes
-        assert phase_distance(out.reshape(2, 2), target.reshape(2, 2)) < 1e-12
+    for bell, bits in zip(BELL_STATES, expected_bits):
+        out = u @ bell
+        assert phase_distance(out.reshape(2, 2), basis_state(bits).reshape(2, 2)) < 1e-12
         outputs.append(bits)
     assert len(set(outputs)) == 4
 
 
 def test_bell_rotation_singlet_lands_on_11_exactly():
     u = events_unitary(bell_to_computational(0, 1), 2)
-    out = u @ bell_states()[3].amplitudes
-    expected = PureState.from_bits("11").amplitudes
-    assert np.allclose(out, expected, atol=1e-12)
+    assert np.allclose(u @ BELL_STATES[3], basis_state("11"), atol=1e-12)
 
 
 def test_bell_rotation_composes_with_inverse_to_identity():
@@ -136,11 +141,11 @@ def test_corrections_restore_every_branch():
         correction = correction_table().corrections[outcome]
         for _ in range(20):
             psi = random_pure_state(rng, 1)
-            full = np.kron(psi.amplitudes, PureState.from_bits("00").amplitudes)
+            full = np.kron(psi, basis_state("00"))
             rotated = pre @ full
             branch = 2.0 * rotated[2 * b : 2 * b + 2]  # weight 1/2 per branch
             recovered = correction @ branch
-            fidelity = abs(np.vdot(psi.amplitudes, recovered)) ** 2
+            fidelity = abs(np.vdot(psi, recovered)) ** 2
             assert fidelity == pytest.approx(1.0, abs=1e-10)
 
 
@@ -149,92 +154,80 @@ def test_pre_measurement_state_expands_into_four_branches():
     # exposes the residual I, Z, X, -iY on the target, amplitude 1/2 each.
     rng = np.random.default_rng(6)
     psi = random_pure_state(rng, 1)
-    state = np.kron(psi.amplitudes, bell_states()[0].amplitudes)
+    state = np.kron(psi, BELL_STATES[0])
     bell_order = ("00", "10", "01", "11")  # computational label of each Bell state
-    for bell, label in zip(bell_states(), bell_order):
+    for bell, label in zip(BELL_STATES, bell_order):
         residual = BRANCH_RESIDUALS[label]
-        expected = 0.5 * (residual @ psi.amplitudes)
+        expected = 0.5 * (residual @ psi)
         for t in (0, 1):
-            basis = np.kron(bell.amplitudes, np.eye(2)[t])
+            basis = np.kron(bell, np.eye(2)[t])
             amplitude = np.vdot(basis, state)
             assert amplitude == pytest.approx(expected[t], abs=1e-12)
 
 
 def test_noiseless_teleportation_identity():
-    model = tce_model().noiseless()
     rng = np.random.default_rng(8)
-    circuit = teleport_circuit(0.5, model)
-    for _ in range(10):
-        psi = random_pure_state(rng, 1)
-        out = run_circuit(circuit, psi.density())
-        fidelity = state_fidelity(partial_trace(out, [TARGET]), psi.density())
-        assert fidelity >= 1.0 - 1e-9
+    inputs = [random_pure_state(rng, 1) for _ in range(10)]
+    reduced = reduce_stack(run_inputs(teleport_circuit((0.5,), noiseless_tce()), inputs), [TARGET])
+    for psi, rho in zip(inputs, reduced):
+        assert state_fidelity(rho, projector(psi)) >= 1.0 - 1e-9
 
 
 def test_teleportation_survives_complete_carbon_dephasing():
-    model = dephasing_only_model()
-    circuit = teleport_circuit(math.inf, model)
+    circuit = teleport_circuit((math.inf,), dephasing_only_model())
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        psi = random_pure_state(rng, 1)
-        out = run_circuit(circuit, psi.density())
-        fidelity = state_fidelity(partial_trace(out, [TARGET]), psi.density())
-        assert fidelity >= 1.0 - 1e-9
+    inputs = [random_pure_state(rng, 1) for _ in range(10)]
+    for psi, rho in zip(inputs, reduce_stack(run_inputs(circuit, inputs), [TARGET])):
+        assert state_fidelity(rho, projector(psi)) >= 1.0 - 1e-9
     # After an infinite delay the carbons really are diagonal.
-    reduced = partial_trace(run_circuit(circuit, PLUS.density()), [DATA, ANCILLA])
-    off_diag = reduced.matrix - np.diag(np.diag(reduced.matrix))
+    reduced = reduce_stack(run_inputs(circuit, [PLUS])[0], [DATA, ANCILLA])
+    off_diag = reduced - np.diag(np.diag(reduced))
     assert np.max(np.abs(off_diag)) < 1e-12
 
 
 def test_teleport_circuit_roles_and_validation():
     model = tce_model()
-    circuit = teleport_circuit(0.1, model)
+    circuit = teleport_circuit((0.1,), model)
     assert circuit.roles == {"data": "C2", "ancilla": "C1", "target": "H"}
     with pytest.raises(ValueError):
-        teleport_circuit(-0.1, model)
+        teleport_circuit((-0.1,), model)
     with pytest.raises(ValueError):
-        control_circuit(-0.1, model)
+        control_circuit((-0.1,), model)
+    two_spins = MoleculeModel(model.spins[:2], {("C1", "C2"): 103.0}, frozenset())
+    for build in (teleport_circuit, control_circuit):
+        with pytest.raises(ValueError, match="three-spin"):
+            build((0.1,), two_spins)
 
 
 def test_control_circuit_zero_delay_keeps_data_state():
-    model = tce_model()
-    circuit = control_circuit(0.0, model)
     rng = np.random.default_rng(13)
     psi = random_pure_state(rng, 1)
-    out = run_circuit(circuit, psi.density())
-    assert state_fidelity(partial_trace(out, [DATA]), psi.density()) >= 1.0 - 1e-10
+    out = run_inputs(control_circuit((0.0,), tce_model()), [psi])[0]
+    assert state_fidelity(reduce_stack(out, [DATA]), projector(psi)) >= 1.0 - 1e-10
 
 
 def test_control_circuit_infinite_delay_kills_data_coherence():
-    model = dephasing_only_model()
-    circuit = control_circuit(math.inf, model)
-    out = run_circuit(circuit, PLUS.density())
-    reduced = partial_trace(out, [DATA])
-    assert np.allclose(reduced.matrix, np.eye(2) / 2.0, atol=1e-12)
+    out = run_inputs(control_circuit((math.inf,), dephasing_only_model()), [PLUS])[0]
+    assert np.allclose(reduce_stack(out, [DATA]), np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_run_circuit_empty_pads_with_ground_states():
     rng = np.random.default_rng(19)
     psi = random_pure_state(rng, 1)
-    out = run_circuit(Circuit(3, ()), psi.density())
-    expected = tensor_product(
-        psi.density().matrix, PureState.from_bits("00").density().matrix
-    )
-    assert np.allclose(out.matrix, expected, atol=1e-12)
+    out = run_inputs(Circuit(3, ()), [psi])[0]
+    expected = tensor_product(projector(psi), projector(basis_state("00")))
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_run_circuit_single_x_flips_data():
-    circuit = Circuit(3, (unitary_event(PAULI_X, (DATA,)),))
-    out = run_circuit(circuit, PureState.from_bits("0").density())
-    reduced = partial_trace(out, [DATA])
-    assert np.allclose(reduced.matrix, np.diag([0.0, 1.0]), atol=1e-12)
+    out = run_inputs(Circuit(3, (unitary_event(PAULI_X, (DATA,)),)), [basis_state("0")])[0]
+    assert np.allclose(reduce_stack(out, [DATA]), np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_run_circuit_teleports_plus_state_matches_hand_simulation():
     # Independent oracle: compose the known gate matrices and the known
     # correction table by hand and compare full output states.
-    model = tce_model().noiseless()
-    out = run_circuit(teleport_circuit(0.0, model), PLUS.density())
+    out = run_inputs(teleport_circuit((0.0,), noiseless_tce()), [PLUS])[0]
 
     pre = (
         lift_operator(HADAMARD, (DATA,), 3)
@@ -248,11 +241,10 @@ def test_run_circuit_teleports_plus_state_matches_hand_simulation():
         proj = np.zeros((4, 4), dtype=complex)
         proj[b, b] = 1.0
         correction += np.kron(proj, residual.conj().T)
-    rho0 = tensor_product(PLUS.density().matrix, PureState.from_bits("00").density().matrix)
+    rho0 = tensor_product(projector(PLUS), projector(basis_state("00")))
     expected = correction @ pre @ rho0 @ pre.conj().T @ correction.conj().T
-    assert np.max(np.abs(out.matrix - expected)) < 1e-12
-    reduced = partial_trace(out, [TARGET])
-    assert np.max(np.abs(reduced.matrix - PLUS.density().matrix)) < 1e-10
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert np.max(np.abs(reduce_stack(out, [TARGET]) - projector(PLUS))) < 1e-10
 
 
 def test_gate_event_validation():
@@ -271,10 +263,10 @@ def test_gate_event_validation():
 
 
 def test_teleport_output_satisfies_state_invariants():
-    model = tce_model()
-    out = run_circuit(teleport_circuit(0.4, model), PLUS.density())
-    # DensityMatrix construction enforces the invariants; spot-check trace.
-    assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+    out = run_inputs(teleport_circuit((0.4,), tce_model()), [PLUS])[0]
+    # The executor validates every step; spot-check trace and positivity.
+    assert abs(np.trace(out) - 1.0) < 1e-10
+    assert np.min(np.linalg.eigvalsh(out)) >= -1e-9
 
 
 def test_gate_event_rejects_nan_unitary():
@@ -294,7 +286,7 @@ def test_correction_table_accepts_only_paulis():
 
 def test_constant_events_are_shared_by_every_delay():
     model = tce_model()
-    short, long = teleport_circuit(0.1, model), teleport_circuit(0.9, model)
+    short, long = teleport_circuit((0.1,), model), teleport_circuit((0.3, 0.9), model)
     for i in (*range(short.delay_start), -1):
         assert short.events[i] is long.events[i]
-    assert control_circuit(0.1, model).events[0] is short.events[0]
+    assert control_circuit((0.1,), model).events[0] is short.events[0]

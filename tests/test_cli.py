@@ -26,6 +26,24 @@ def read_csv(path):
     return header, rows
 
 
+MOLECULE_SPINS = """
+molecule:
+  spins:
+    - {name: C2, larmor_hz: 125771669.0, t1: 25.0, t2: 0.3}
+    - {name: C1, larmor_hz: %s, t1: 25.0, t2: 0.4}
+    - {name: H, larmor_hz: 500133491.0, t1: 5.0, t2: 3.0}%s
+  couplings:
+    - {pair: [C1, H], j_hz: 201.0}%s
+"""
+
+
+def molecule_yaml(larmor_c1="125772580.0", extra_spin=False, c1_c2=True):
+    """A TCE-like molecule section, with a fourth spin or without the C1-C2 coupling if asked."""
+    extra = "\n    - {name: F, larmor_hz: 470000000.0, t1: 2.0, t2: 1.0}" if extra_spin else ""
+    coupling = "\n    - {pair: [C1, C2], j_hz: 103.0}" if c1_c2 else ""
+    return MOLECULE_SPINS % (larmor_c1, extra, coupling)
+
+
 def test_compare_writes_expected_files_and_verdicts(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["compare", "--out", str(out)]) == 0
@@ -216,6 +234,9 @@ def test_hostile_config_sections_exit_2(tmp_path):
         "noise:\n  rf_miscalibration: wobbly\n",
         "experiment:\n  engine: analog\n",
         "molecule:\n  carbon_t1: -3\n",
+        molecule_yaml(larmor_c1=".inf"),
+        molecule_yaml(larmor_c1=".nan"),
+        molecule_yaml().replace("j_hz: 201.0", "j_hz: .inf"),
     ):
         cfg = tmp_path / "hostile.yaml"
         cfg.write_text(body)
@@ -336,3 +357,44 @@ def test_any_delay_list_exits_0_with_valid_csv_or_2(command, delays):
     assert [row[0] for row in rows] == delays
     for row in rows:
         assert all(0.0 <= fe <= 1.0 for fe in row[1:]), (header, row)
+
+
+def run_cli(args):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, err.getvalue()
+
+
+def test_register_size_and_output_path_exit_2_before_writing(tmp_path, monkeypatch):
+    cfg = tmp_path / "four.yaml"
+    cfg.write_text(molecule_yaml(extra_spin=True))
+    for engine in ("gate", "pulse"):
+        for command in (["compare"], ["teleport"], ["control"], ["tomo", "--channel", "teleport(0.5)"]):
+            out = tmp_path / f"out-{engine}-{command[0]}"
+            code, err = run_cli([*command, "--engine", engine, "--config", str(cfg), "--out", str(out)])
+            assert code == cli.EXIT_CONFIG, (engine, command, err)
+            assert err.startswith("error:") and err.count("\n") == 1 and "three-spin" in err
+            assert not out.exists()
+    cfg.write_text("output: {dir: 5}\n")
+    monkeypatch.chdir(tmp_path)
+    code, err = run_cli(["compare", "--config", str(cfg)])
+    assert code == cli.EXIT_CONFIG and err == "error: output.dir must be a path string, got 5\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_pulse_engine_rejects_an_uncompilable_molecule(tmp_path):
+    cfg = tmp_path / "uncoupled.yaml"
+    cfg.write_text(molecule_yaml(c1_c2=False))
+    for command in (["compare"], ["teleport"], ["tomo", "--channel", "teleport(0.5)"]):
+        out = tmp_path / f"pulse-{command[0]}"
+        code, err = run_cli([*command, "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, (command, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no active J coupling between C2 and C1" in err
+        assert not out.exists()
+    # The gate engine needs no coupling, and the control circuit's pulses need only C1-H.
+    for args in (["compare", "--engine", "gate"], ["control", "--engine", "pulse"]):
+        code, err = run_cli([*args, "--config", str(cfg), "--out", str(tmp_path / args[0])])
+        assert code == cli.EXIT_OK, (args, err)

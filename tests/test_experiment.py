@@ -6,25 +6,38 @@ from scipy.optimize import minimize_scalar
 
 from nmrteleport import circuits, cli, experiment
 from nmrteleport.channels import relaxation_channels
-from nmrteleport.circuits import ANCILLA, DATA, prepare
+from nmrteleport.circuits import ANCILLA, DATA, prepare, run_events
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
     DecayFit,
     SweepConfig,
     SweepRecord,
-    build_process,
     compare_curves,
     fit_decay,
     fit_exponential,
     run_sweep,
 )
-from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
-from nmrteleport.qstate import PureState, evolve, validate_density
-from nmrteleport.tomography import TomographyInputSet, entanglement_fidelity, process_tomography
-from tests.helpers import per_output_reconstruction, relaxation_fe, teleport_fe
+from nmrteleport.nmr import MoleculeModel, SpinParams, pulse_realizer, tce_model
+from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
+from nmrteleport.tomography import TomographyInputSet, entanglement_fidelity, reconstruct_process
+from tests.helpers import kraus_fe, per_output_reconstruction, process_map, relaxation_fe, teleport_fe
 
-IDENTITY_MAP = process_tomography(lambda rho: rho)
+IDENTITY_MAP = process_map(lambda stack: stack)
+
+
+def per_input_outputs(config: SweepConfig) -> list[list[DensityMatrix]]:
+    """Readout states of each delay and tomography input, every input run alone
+    through the whole circuit of its one delay: no shared prefix, no stacking."""
+    realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
+    outputs = []
+    for delay in config.delays:
+        circuit, readout = SweepConfig((delay,), config.experiment, config.model).circuit()
+        outputs.append([])
+        for state in TomographyInputSet.canonical().states:
+            final = run_events(circuit.events, prepare(state.matrix, 3)[None], realize)
+            outputs[-1].append(DensityMatrix(1, reduce_stack(final, [readout])[0]))
+    return outputs
 
 
 def records_from_curve(times, values):
@@ -32,7 +45,7 @@ def records_from_curve(times, values):
 
 
 def test_noiseless_teleport_sweep_is_flat_at_one():
-    config = SweepConfig((0.0, 0.3, 0.6, 0.9), "teleport", tce_model().noiseless())
+    config = SweepConfig((0.0, 0.3, 0.6, 0.9), "teleport", tce_model().with_relaxation(False, False))
     records = run_sweep(config)
     for record in records:
         assert record.fe == pytest.approx(1.0, abs=1e-9)
@@ -48,7 +61,7 @@ def test_control_sweep_matches_closed_form_oracle():
     model = tce_model()
     delays = tuple(np.linspace(0.1, 1.2, 12))
     records = run_sweep(SweepConfig(delays, "control", model))
-    c2 = model.spin("C2")
+    c2 = model.spins[model.index("C2")]
     for record in records:
         oracle = relaxation_fe(record.delay, c2.t1, c2.t2)
         assert record.fe == pytest.approx(oracle, abs=1e-8)
@@ -61,18 +74,14 @@ def test_control_fit_recovers_carbon_t2():
 
 
 def test_teleport_fe_exceeds_classical_bound_at_one_second():
-    evaluate = build_process("teleport", 1.0, tce_model())
-    fe = entanglement_fidelity(process_tomography(evaluate))
-    assert fe > 0.5
+    (record,) = run_sweep(SweepConfig((1.0,), "teleport", tce_model()))
+    assert record.fe > 0.5
 
 
 def test_control_process_at_infinite_delay_is_classical_transmission():
     # Dephasing-only molecule: after an infinite delay the data-to-data map
     # is exactly the computational-basis projection, whose fidelity the
     # independent Kraus-trace formula puts at 0.5.
-    from nmrteleport.nmr import MoleculeModel, SpinParams
-    from nmrteleport.tomography import entanglement_fidelity_from_kraus
-
     spins = (
         SpinParams("C2", 1e6, math.inf, 0.3),
         SpinParams("C1", 2e6, math.inf, 0.4),
@@ -80,9 +89,9 @@ def test_control_process_at_infinite_delay_is_classical_transmission():
     )
     couplings = {("C1", "H"): 201.0, ("C1", "C2"): 103.0}
     model = MoleculeModel(spins, couplings, frozenset(couplings))
-    evaluate = build_process("control", math.inf, model)
-    fe = entanglement_fidelity(process_tomography(evaluate))
-    oracle = entanglement_fidelity_from_kraus(
+    (record,) = run_sweep(SweepConfig((math.inf,), "control", model))
+    fe = record.fe
+    oracle = kraus_fe(
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     )
     assert oracle == pytest.approx(0.5, abs=1e-12)
@@ -254,8 +263,6 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig((0.0, 0.1), "teleport", model, engine="analog")
     with pytest.raises(ValueError):
-        build_process("reheat", 0.1, model)
-    with pytest.raises(ValueError):
         SweepRecord(0.1, 1.5, IDENTITY_MAP)
 
 
@@ -304,12 +311,13 @@ def test_hoisted_sweep_matches_per_delay_tomography():
     # Oracle: tomograph each delay's full circuit input by input, with no
     # shared prefix and no stacking.
     model = tce_model()
+    inputs = TomographyInputSet.canonical()
     delays = (0.0, 0.15, 0.7, math.inf)
     for engine, rotation_error in (("gate", 0.0), ("pulse", 0.0), ("pulse", 0.05)):
         for kind in ("teleport", "control"):
-            records = run_sweep(SweepConfig(delays, kind, model, engine, rotation_error))
-            for record in records:
-                expected = process_tomography(build_process(kind, record.delay, model, engine, rotation_error))
+            config = SweepConfig(delays, kind, model, engine, rotation_error)
+            for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
+                (expected,) = reconstruct_process(np.stack([out.matrix for out in outputs]), inputs)
                 got = record.process_map
                 if engine == "gate":
                     assert np.array_equal(got.transfer_matrix, expected.transfer_matrix)
@@ -338,7 +346,7 @@ def test_sweep_validates_every_intermediate_state(monkeypatch):
     model = tce_model()
     delays = (0.0, 0.3)
     for kind, build in (("teleport", circuits.teleport_circuit), ("control", circuits.control_circuit)):
-        final = np.broadcast_to(prepare(PureState.from_bits("0").density().matrix, 3), (len(delays), 8, 8))
+        final = np.broadcast_to(prepare(np.diag([1.0, 0.0]).astype(complex), 3), (len(delays), 8, 8))
         for ev in build(delays, model).events:  # unchecked replay: the end states pass
             if ev.kind == "unitary":
                 final = evolve(final, (ev.unitary,), ev.targets)
@@ -358,9 +366,9 @@ def test_sweep_reconstruction_matches_per_output_oracle():
     delays = (0.0, 0.15, 0.7, math.inf)
     for engine, rotation_error in (("gate", 0.0), ("pulse", 0.0), ("pulse", 0.05)):
         for kind in ("teleport", "control"):
-            for record in run_sweep(SweepConfig(delays, kind, model, engine, rotation_error)):
-                evaluate = build_process(kind, record.delay, model, engine, rotation_error)
-                transfer, chi = per_output_reconstruction([evaluate(s) for s in inputs.states], inputs)
+            config = SweepConfig(delays, kind, model, engine, rotation_error)
+            for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
+                transfer, chi = per_output_reconstruction(outputs, inputs)
                 got = record.process_map
                 if engine == "gate":
                     assert np.array_equal(got.transfer_matrix, transfer)

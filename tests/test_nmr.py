@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from nmrteleport import nmr
-from nmrteleport.circuits import Circuit, control_circuit, teleport_circuit, unitary_event
+from nmrteleport.circuits import Circuit, control_circuit, prepare, run_events, teleport_circuit, unitary_event
 from nmrteleport.errors import UnsupportedGateError
 from nmrteleport.experiment import SweepConfig, run_sweep
 from nmrteleport.nmr import (
@@ -15,48 +14,32 @@ from nmrteleport.nmr import (
     RfRotation,
     SpinParams,
     compile_gate,
+    pulse_realizer,
     realized_unitary,
-    run_circuit_pulse,
-    simulate_schedule,
     tce_model,
 )
-from nmrteleport.qstate import (
-    CNOT,
-    HADAMARD,
-    PAULI_X,
-    PAULI_Z,
-    DensityMatrix,
-    bell_states,
-    evolve,
-    lift_operator,
-    partial_trace,
-    rotation_x,
+from nmrteleport.qstate import CNOT, HADAMARD, PAULI_X, PAULI_Z, evolve, lift_operator, reduce_stack, rotation_x
+from tests.helpers import (
+    BELL_STATES,
+    basis_state,
+    phase_distance,
+    projector,
+    random_density,
+    random_pure_state,
+    rotation_z,
+    run_inputs,
+    schedule_product,
     state_fidelity,
 )
-from tests.helpers import CZ, phase_distance, random_density, random_pure_state, rotation_z
 
 
-def schedule_unitary(schedule: PulseSchedule, model: MoleculeModel) -> np.ndarray:
-    """Independent oracle: compose the schedule into a matrix with expm."""
-    n = len(model.spins)
-    u = np.eye(2**n, dtype=complex)
-    for ev in schedule.events:
-        if isinstance(ev, RfRotation):
-            axis = PAULI_X if ev.axis == "x" else np.array([[0, -1j], [1j, 0]])
-            local = expm(-0.5j * ev.angle * axis)
-            u = lift_operator(local, (model.index(ev.spin),), n) @ u
-        else:
-            ham = np.zeros((2**n, 2**n), dtype=complex)
-            for a, b in ev.couplings:
-                j = model.coupling(a, b)
-                if j is None or not model.is_active(a, b):
-                    continue
-                zz = lift_operator(PAULI_Z, (model.index(a),), n) @ lift_operator(
-                    PAULI_Z, (model.index(b),), n
-                )
-                ham += math.pi * j / 2.0 * zz
-            u = expm(-1j * ham * ev.duration) @ u
-    return u
+def schedule_events(schedule: PulseSchedule, model: MoleculeModel, angle_error: float = 0.0):
+    """The schedule's rf rotations and zz evolutions, in order, as circuit events."""
+    return [unitary_event(u, targets) for ev in schedule.events for u, targets in nmr._unitaries(ev, model, angle_error)]
+
+
+def spin(model: MoleculeModel, name: str) -> SpinParams:
+    return model.spins[model.index(name)]
 
 
 def two_spin_model(j=103.0):
@@ -70,21 +53,21 @@ def test_tce_parameters():
     assert model.coupling("H", "C1") == pytest.approx(201.0)
     assert model.coupling("C1", "C2") == pytest.approx(103.0)
     assert model.coupling("H", "C2") is None
-    assert model.spin("H").t2 == pytest.approx(3.0)
-    assert model.spin("C1").t2 == pytest.approx(0.4)
-    assert model.spin("C2").t2 == pytest.approx(0.3)
-    assert model.spin("H").t1 == pytest.approx(5.0)
-    assert model.spin("C1").t1 == pytest.approx(25.0)
-    assert model.spin("H").larmor_hz == pytest.approx(500_133_491.0)
-    assert model.spin("C1").larmor_hz == pytest.approx(125_772_580.0)
-    assert model.spin("C1").larmor_hz - model.spin("C2").larmor_hz == pytest.approx(911.0)
+    assert spin(model, "H").t2 == pytest.approx(3.0)
+    assert spin(model, "C1").t2 == pytest.approx(0.4)
+    assert spin(model, "C2").t2 == pytest.approx(0.3)
+    assert spin(model, "H").t1 == pytest.approx(5.0)
+    assert spin(model, "C1").t1 == pytest.approx(25.0)
+    assert spin(model, "H").larmor_hz == pytest.approx(500_133_491.0)
+    assert spin(model, "C1").larmor_hz == pytest.approx(125_772_580.0)
+    assert spin(model, "C1").larmor_hz - spin(model, "C2").larmor_hz == pytest.approx(911.0)
 
 
 def test_tce_carbon_t1_configurable():
     model = tce_model(carbon_t1=20.0)
-    assert model.spin("C1").t1 == pytest.approx(20.0)
-    assert model.spin("C2").t1 == pytest.approx(20.0)
-    assert model.spin("H").t1 == pytest.approx(5.0)
+    assert spin(model, "C1").t1 == pytest.approx(20.0)
+    assert spin(model, "C2").t1 == pytest.approx(20.0)
+    assert spin(model, "H").t1 == pytest.approx(5.0)
 
 
 def test_model_validation():
@@ -97,16 +80,23 @@ def test_model_validation():
         MoleculeModel((good,), {("A", "B"): 1.0}, frozenset())
     with pytest.raises(ValueError):
         MoleculeModel((good,), {}, frozenset({("A", "B")}))
+    other = SpinParams("B", 2e6, 1.0, 1.0)
+    for j in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MoleculeModel((good, other), {("A", "B"): j}, frozenset())
+    for larmor in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SpinParams("A", larmor, 1.0, 1.0)
 
 
 def test_with_relaxation_toggles():
     model = tce_model()
     no_t1 = model.with_relaxation(t1_enabled=False)
-    assert math.isinf(no_t1.spin("C2").t1)
-    assert no_t1.spin("C2").t2 == pytest.approx(0.3)
+    assert math.isinf(spin(no_t1, "C2").t1)
+    assert spin(no_t1, "C2").t2 == pytest.approx(0.3)
     no_t2 = model.with_relaxation(t2_enabled=False)
-    assert no_t2.spin("C2").t2 == pytest.approx(2.0 * 25.0)
-    quiet = model.noiseless()
+    assert spin(no_t2, "C2").t2 == pytest.approx(2.0 * 25.0)
+    quiet = model.with_relaxation(t1_enabled=False, t2_enabled=False)
     assert all(math.isinf(s.t1) and math.isinf(s.t2) for s in quiet.spins)
     # Couplings survive the copies.
     assert quiet.coupling("C1", "C2") == pytest.approx(103.0)
@@ -118,7 +108,6 @@ def test_compiled_cnot_interval_is_half_inverse_j():
     frees = [ev for ev in sched.events if isinstance(ev, FreeEvolution)]
     assert len(frees) == 1
     assert frees[0].duration == pytest.approx(1.0 / (2.0 * 103.0), abs=1e-15)
-    assert sched.total_free_evolution() == pytest.approx(frees[0].duration, abs=1e-18)
     sched_h = compile_gate(unitary_event(CNOT, (1, 2)), model)  # C1 -> H
     frees_h = [ev for ev in sched_h.events if isinstance(ev, FreeEvolution)]
     assert frees_h[0].duration == pytest.approx(1.0 / (2.0 * 201.0), abs=1e-15)
@@ -134,7 +123,7 @@ def test_compiled_cnot_matches_ideal_unitary():
     model = tce_model()
     for targets in ((0, 1), (1, 0), (1, 2), (2, 1)):
         sched = compile_gate(unitary_event(CNOT, targets), model)
-        u = schedule_unitary(sched, model)
+        u = schedule_product(sched, model)
         ideal = lift_operator(CNOT, targets, 3)
         assert phase_distance(u, ideal) < 1e-8
 
@@ -150,19 +139,8 @@ def test_compiled_single_spin_gates_match_ideal():
     for q_idx in (0, 1, 2):
         for gate in gates:
             sched = compile_gate(unitary_event(gate, (q_idx,)), model)
-            u = schedule_unitary(sched, model)
+            u = schedule_product(sched, model)
             assert phase_distance(u, lift_operator(gate, (q_idx,), 3)) < 1e-8
-
-
-def test_compiled_cz_and_controlled_phase_match_ideal():
-    model = tce_model()
-    for phi in (math.pi, math.pi / 2.0, -2.0 * math.pi / 3.0):
-        gate = np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
-        sched = compile_gate(unitary_event(gate, (0, 1)), model)
-        u = schedule_unitary(sched, model)
-        assert phase_distance(u, lift_operator(gate, (0, 1), 3)) < 1e-8
-    sched_cz = compile_gate(unitary_event(CZ, (1, 2)), model)
-    assert phase_distance(schedule_unitary(sched_cz, model), lift_operator(CZ, (1, 2), 3)) < 1e-8
 
 
 def test_uncoupled_spins_are_rejected():
@@ -174,8 +152,11 @@ def test_uncoupled_spins_are_rejected():
 def test_unsupported_two_spin_gate_rejected():
     model = tce_model()
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    with pytest.raises(UnsupportedGateError):
-        compile_gate(unitary_event(swap, (0, 1)), model)
+    cz = np.diag([1.0, 1.0, 1.0, -1.0])
+    reversed_cnot = lift_operator(CNOT, (1, 0), 2)  # a CNOT is compiled only with its control first
+    for gate in (swap, cz, reversed_cnot):
+        with pytest.raises(UnsupportedGateError):
+            compile_gate(unitary_event(gate, (0, 1)), model)
     with pytest.raises(UnsupportedGateError):
         compile_gate(
             unitary_event(np.eye(8), (0, 1, 2)), model
@@ -184,10 +165,9 @@ def test_unsupported_two_spin_gate_rejected():
 
 def test_simulate_empty_schedule_is_identity():
     model = tce_model()
-    rng = np.random.default_rng(40)
-    rho = random_density(rng, 3)
-    out = simulate_schedule(PulseSchedule(()), model, rho)
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-15)
+    assert schedule_events(PulseSchedule(()), model) == []
+    for gate in (unitary_event(np.eye(2), (2,)), unitary_event(np.eye(4), (1, 2))):
+        assert np.array_equal(realized_unitary(gate, model), np.eye(len(gate.unitary)))
 
 
 def test_coupling_interval_plus_local_rotations_make_bell_state():
@@ -201,34 +181,31 @@ def test_coupling_interval_plus_local_rotations_make_bell_state():
             RfRotation("B", "x", math.pi / 2.0),
         )
     )
-    out = simulate_schedule(sched, model, DensityMatrix.ground(2))
-    bell = bell_states()[0].density()
+    out = run_events(schedule_events(sched, model), prepare(projector(basis_state("0")), 2))
+    bell = projector(BELL_STATES[0])
     assert state_fidelity(out, bell) >= 1.0 - 1e-9
-    oracle = schedule_unitary(sched, model)
-    expected = oracle @ np.array([1, 0, 0, 0], dtype=complex)
-    assert phase_distance(np.outer(expected, expected.conj()), bell.matrix) < 1e-9
+    expected = schedule_product(sched, model) @ basis_state("00")
+    assert phase_distance(projector(expected), bell) < 1e-9
 
 
 def test_compiled_teleport_at_zero_delay_reaches_unit_fidelity():
-    model = tce_model().noiseless()
-    circuit = teleport_circuit(0.0, model)
+    model = tce_model().with_relaxation(t1_enabled=False, t2_enabled=False)
+    circuit = teleport_circuit((0.0,), model)
     rng = np.random.default_rng(44)
-    for _ in range(5):
-        psi = random_pure_state(rng, 1)
-        out = run_circuit_pulse(circuit, model, psi.density())
-        assert state_fidelity(partial_trace(out, [2]), psi.density()) >= 1.0 - 1e-8
+    inputs = [random_pure_state(rng, 1) for _ in range(5)]
+    reduced = reduce_stack(run_inputs(circuit, inputs, pulse_realizer(model)), [2])
+    for psi, rho in zip(inputs, reduced):
+        assert state_fidelity(rho, projector(psi)) >= 1.0 - 1e-8
 
 
 def test_free_evolution_semigroup():
     model = two_spin_model()
     rng = np.random.default_rng(47)
-    rho = random_density(rng, 2)
+    rho = random_density(rng, 2).matrix
     pair = frozenset({("A", "B")})
-    split = simulate_schedule(
-        PulseSchedule((FreeEvolution(0.003, pair), FreeEvolution(0.011, pair))), model, rho
-    )
-    joined = simulate_schedule(PulseSchedule((FreeEvolution(0.014, pair),)), model, rho)
-    assert np.max(np.abs(split.matrix - joined.matrix)) < 1e-10
+    split = run_events(schedule_events(PulseSchedule((FreeEvolution(0.003, pair), FreeEvolution(0.011, pair))), model), rho)
+    joined = run_events(schedule_events(PulseSchedule((FreeEvolution(0.014, pair),)), model), rho)
+    assert np.max(np.abs(split - joined)) < 1e-10
 
 
 def test_refocused_coupling_matches_model_without_coupling():
@@ -237,20 +214,17 @@ def test_refocused_coupling_matches_model_without_coupling():
     uncoupled = MoleculeModel(spins, {}, frozenset())
     active = two_spin_model()
     rng = np.random.default_rng(50)
-    rho = random_density(rng, 2)
+    rho = random_density(rng, 2).matrix
     sched = PulseSchedule((FreeEvolution(0.004, frozenset({("A", "B")})),))
-    out_inactive = simulate_schedule(sched, coupled_inactive, rho)
-    out_uncoupled = simulate_schedule(sched, uncoupled, rho)
-    out_active = simulate_schedule(sched, active, rho)
-    assert np.allclose(out_inactive.matrix, out_uncoupled.matrix, atol=1e-15)
-    assert np.allclose(out_inactive.matrix, rho.matrix, atol=1e-15)
-    assert not np.allclose(out_active.matrix, rho.matrix, atol=1e-6)
+    assert schedule_events(sched, coupled_inactive) == schedule_events(sched, uncoupled) == []
+    out_active = run_events(schedule_events(sched, active), rho)
+    assert not np.allclose(out_active, rho, atol=1e-6)
 
 
 def test_schedule_preserves_purity_without_relaxation():
-    model = tce_model().noiseless()
+    model = tce_model()
     rng = np.random.default_rng(52)
-    psi = random_pure_state(rng, 3)
+    rho = projector(random_pure_state(rng, 3))
     sched = PulseSchedule(
         (
             RfRotation("C2", "x", 0.7),
@@ -259,29 +233,21 @@ def test_schedule_preserves_purity_without_relaxation():
             FreeEvolution(0.001, frozenset({("C1", "H")})),
         )
     )
-    out = simulate_schedule(sched, model, psi.density())
-    purity = float(np.trace(out.matrix @ out.matrix).real)
+    out = run_events(schedule_events(sched, model), rho)
+    purity = float(np.trace(out @ out).real)
     assert purity == pytest.approx(1.0, abs=1e-9)
 
 
-def test_relaxation_applies_during_free_evolution():
-    model = tce_model()
-    plus = DensityMatrix(1, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    rho = DensityMatrix(3, np.kron(plus.matrix, np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))).astype(complex))
-    out = simulate_schedule(PulseSchedule((FreeEvolution(0.3, frozenset()),)), model, rho)
-    reduced = partial_trace(out, [0])
-    assert reduced.matrix[0, 1] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
-
-
 def test_angle_error_knob_perturbs_gates():
-    model = tce_model().noiseless()
+    model = tce_model()
     circuit = Circuit(3, (unitary_event(HADAMARD, (0,)), unitary_event(HADAMARD, (0,))))
     rng = np.random.default_rng(55)
     psi = random_pure_state(rng, 1)
-    exact = run_circuit_pulse(circuit, model, psi.density())
-    assert state_fidelity(partial_trace(exact, [0]), psi.density()) >= 1.0 - 1e-9
-    skewed = run_circuit_pulse(circuit, model, psi.density(), angle_error=0.2)
-    assert state_fidelity(partial_trace(skewed, [0]), psi.density()) < 1.0 - 1e-3
+    stack = prepare(projector(psi), 3)
+    exact = run_events(circuit.events, stack, pulse_realizer(model))
+    assert state_fidelity(reduce_stack(exact, [0]), projector(psi)) >= 1.0 - 1e-9
+    skewed = run_events(circuit.events, stack, pulse_realizer(model, angle_error=0.2))
+    assert state_fidelity(reduce_stack(skewed, [0]), projector(psi)) < 1.0 - 1e-3
 
 
 def test_schedule_validation():
@@ -303,51 +269,50 @@ def test_nan_free_evolution_is_rejected():
 
 
 def test_simulate_unknown_spin_rejected():
-    model = two_spin_model()
-    sched = PulseSchedule((RfRotation("Q", "x", 1.0),))
     with pytest.raises(ValueError):
-        simulate_schedule(sched, model, DensityMatrix.ground(2))
+        schedule_events(PulseSchedule((RfRotation("Q", "x", 1.0),)), two_spin_model())
 
 
 def test_gate_and_pulse_actions_agree_per_gate():
     model = tce_model()
-    quiet = model.noiseless()
     rng = np.random.default_rng(60)
     events = [
         unitary_event(HADAMARD, (1,)),
         unitary_event(CNOT, (0, 1)),
         unitary_event(CNOT, (1, 2)),
-        unitary_event(CZ, (0, 1)),
+        unitary_event(CNOT, (2, 1)),
     ]
     for ev in events:
-        rho = random_density(rng, 3)
-        sched = compile_gate(ev, model)
-        via_pulse = simulate_schedule(sched, quiet, rho)
+        rho = random_density(rng, 3).matrix
+        via_pulse = run_events(schedule_events(compile_gate(ev, model), model), rho)
         lifted = lift_operator(ev.unitary, ev.targets, 3)
-        ideal = lifted @ rho.matrix @ lifted.conj().T
-        assert np.max(np.abs(via_pulse.matrix - ideal)) < 1e-8
+        ideal = lifted @ rho @ lifted.conj().T
+        assert np.max(np.abs(via_pulse - ideal)) < 1e-8
 
 
 def test_realized_unitary_matches_step_by_step_schedule_simulation():
     # Substitution oracle: for every pulse-compiled gate of both circuits,
-    # the kernel applying the realized unitary equals the schedule replayed
-    # pulse by pulse under the noiseless model.
+    # the realized unitary equals the schedule multiplied out event by event
+    # with expm, and the kernel applying it equals the schedule replayed
+    # pulse by pulse through the executor.
     model = tce_model()
     rng = np.random.default_rng(61)
     gates = [
         ev
-        for circuit in (teleport_circuit(0.3, model), control_circuit(0.3, model))
+        for circuit in (teleport_circuit((0.3,), model), control_circuit((0.3,), model))
         for ev in circuit.events
         if ev.kind == "unitary" and len(ev.targets) <= 2
     ]
     assert len(gates) == 6
     for angle_error in (0.0, 0.05, 0.2):
         for ev in gates:
-            rho = random_density(rng, 3)
             realized = realized_unitary(ev, model, angle_error)
-            substituted = evolve(rho.matrix, (realized,), ev.targets)
-            stepped = simulate_schedule(compile_gate(ev, model), model.noiseless(), rho, angle_error)
-            assert np.max(np.abs(substituted - stepped.matrix)) < 1e-12
+            product = schedule_product(compile_gate(ev, model), model, angle_error)
+            assert np.max(np.abs(lift_operator(realized, ev.targets, 3) - product)) < 1e-12
+            rho = random_density(rng, 3).matrix
+            substituted = evolve(rho, (realized,), ev.targets)
+            stepped = run_events(schedule_events(compile_gate(ev, model), model, angle_error), rho)
+            assert np.max(np.abs(substituted - stepped)) < 1e-12
 
 
 def test_pulse_gates_are_realized_once_per_gate_model_and_error(monkeypatch):

@@ -3,40 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from nmrteleport.channels import (
-    KrausChannel,
-    apply_channel,
-    dephasing_channel,
-    depolarizing_channel,
-)
+from nmrteleport.channels import dephasing_channel, depolarizing_channel
 from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
-from nmrteleport.qstate import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    DensityMatrix,
-    pauli_expectation,
-)
+from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from nmrteleport.tomography import (
     ProcessMap,
     TomographyInputSet,
     canonical_input_states,
     entanglement_fidelity,
-    entanglement_fidelity_from_kraus,
-    process_tomography,
     reconstruct_process,
     state_tomography,
 )
-from tests.helpers import apply_elements, per_output_reconstruction, random_cptp_elements
+from tests.helpers import (
+    apply_elements,
+    channel_map,
+    kraus_fe,
+    pauli_expectation,
+    per_output_reconstruction,
+    process_map,
+    random_cptp_elements,
+)
 
 
-def channel_process(channel):
-    return lambda rho: apply_channel(rho, channel)
+def kraus_map(elements) -> ProcessMap:
+    return process_map(lambda stack: apply_elements(stack, elements))
 
 
-def kraus_process(elements):
-    return lambda rho: DensityMatrix(1, apply_elements(rho.matrix, elements))
+IDENTITY_MAP = process_map(lambda stack: stack)
 
 
 def test_state_tomography_anchors():
@@ -59,27 +52,27 @@ def test_state_tomography_rejects_unphysical_bloch_vector():
 
 
 def test_identity_process_map():
-    pm = process_tomography(lambda rho: rho)
+    pm = IDENTITY_MAP
     assert np.allclose(pm.transfer_matrix, np.eye(4), atol=1e-10)
     assert np.allclose(pm.chi_matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-10)
     assert entanglement_fidelity(pm) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_complete_dephasing_process_map():
-    pm = process_tomography(channel_process(dephasing_channel(math.inf, 1.0)))
+    pm = channel_map(dephasing_channel(math.inf, 1.0))
     assert np.allclose(pm.transfer_matrix, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-10)
     assert np.allclose(pm.chi_matrix, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-10)
     assert entanglement_fidelity(pm) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_total_depolarizing_process_map():
-    pm = process_tomography(channel_process(depolarizing_channel(1.0)))
+    pm = channel_map(depolarizing_channel(1.0))
     assert np.allclose(pm.transfer_matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-10)
     assert entanglement_fidelity(pm) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_fe_from_kraus_anchors():
-    assert entanglement_fidelity_from_kraus([IDENTITY_2]) == pytest.approx(1.0, abs=1e-12)
+    assert kraus_fe([IDENTITY_2]) == pytest.approx(1.0, abs=1e-12)
     p = 0.75
     twirl = [
         math.sqrt(1.0 - p) * IDENTITY_2,
@@ -87,16 +80,16 @@ def test_fe_from_kraus_anchors():
         math.sqrt(p / 3.0) * PAULI_Y,
         math.sqrt(p / 3.0) * PAULI_Z,
     ]
-    assert entanglement_fidelity_from_kraus(twirl) == pytest.approx(0.25, abs=1e-12)
+    assert kraus_fe(twirl) == pytest.approx(0.25, abs=1e-12)
     projectors = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    assert entanglement_fidelity_from_kraus(projectors) == pytest.approx(0.5, abs=1e-12)
+    assert kraus_fe(projectors) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fe_from_kraus_rejects_non_cptp():
     with pytest.raises(ValueError):
-        entanglement_fidelity_from_kraus([0.9 * IDENTITY_2])
+        kraus_fe([0.9 * IDENTITY_2])
     with pytest.raises(ValueError):
-        entanglement_fidelity_from_kraus([])
+        kraus_fe([])
 
 
 def test_pauli_twirl_equals_total_depolarizing():
@@ -107,7 +100,7 @@ def test_pauli_twirl_equals_total_depolarizing():
         math.sqrt(p / 3.0) * PAULI_Y,
         math.sqrt(p / 3.0) * PAULI_Z,
     ]
-    pm = process_tomography(kraus_process(twirl))
+    pm = kraus_map(twirl)
     assert np.allclose(pm.transfer_matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-10)
 
 
@@ -115,16 +108,16 @@ def test_tomography_agrees_with_kraus_formula_randomized():
     rng = np.random.default_rng(71)
     for _ in range(25):
         elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
-        direct = entanglement_fidelity_from_kraus(elements)
-        via_tomography = entanglement_fidelity(process_tomography(kraus_process(elements)))
+        direct = kraus_fe(elements)
+        via_tomography = entanglement_fidelity(kraus_map(elements))
         assert via_tomography == pytest.approx(direct, abs=1e-8)
 
 
 def test_bare_pauli_processes_have_zero_fidelity():
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-        pm = process_tomography(kraus_process([pauli]))
+        pm = kraus_map([pauli])
         assert entanglement_fidelity(pm) == pytest.approx(0.0, abs=1e-9)
-    pm_x = process_tomography(kraus_process([PAULI_X]))
+    pm_x = kraus_map([PAULI_X])
     assert np.allclose(pm_x.transfer_matrix, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-10)
 
 
@@ -133,26 +126,25 @@ def test_unitary_followed_by_inverse_is_perfect():
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(g)
 
-    def corrected(rho):
-        out = q @ rho.matrix @ q.conj().T
-        out = q.conj().T @ out @ q
-        return DensityMatrix(1, out)
+    def corrected(stack):
+        out = q @ stack @ q.conj().T
+        return q.conj().T @ out @ q
 
-    assert entanglement_fidelity(process_tomography(corrected)) == pytest.approx(1.0, abs=1e-9)
+    assert entanglement_fidelity(process_map(corrected)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_alternate_input_set_reconstructs_same_transfer_matrix():
     rng = np.random.default_rng(74)
     elements = random_cptp_elements(rng, 3)
-    evaluate = kraus_process(elements)
-    canonical = process_tomography(evaluate)
+    canonical = kraus_map(elements)
     alternate_states = (
         state_tomography(1.0, 0.0, 0.0),
         state_tomography(-1.0, 0.0, 0.0),
         state_tomography(0.0, 0.0, 1.0),
         state_tomography(0.0, 1.0, 0.0),
     )
-    alternate = process_tomography(evaluate, inputs=TomographyInputSet(alternate_states))
+    outputs = apply_elements(np.stack([s.matrix for s in alternate_states]), elements)
+    (alternate,) = reconstruct_process(outputs, TomographyInputSet(alternate_states))
     assert np.max(np.abs(canonical.transfer_matrix - alternate.transfer_matrix)) < 1e-8
 
 
@@ -160,7 +152,7 @@ def test_trace_over_four_equals_chi00():
     rng = np.random.default_rng(75)
     for _ in range(10):
         elements = random_cptp_elements(rng, 2)
-        pm = process_tomography(kraus_process(elements))
+        pm = kraus_map(elements)
         assert float(np.trace(pm.transfer_matrix)) / 4.0 == pytest.approx(
             float(pm.chi_matrix[0, 0].real), abs=1e-12
         )
@@ -179,7 +171,7 @@ def test_input_set_requires_linear_independence():
 def test_input_coordinate_matrix_is_stored_read_only():
     inputs = TomographyInputSet.canonical()
     v = inputs.coordinate_matrix()
-    fresh = np.array([[pauli_expectation(s, p) for s in inputs.states] for p in "IXYZ"])
+    fresh = np.array([[pauli_expectation(s.matrix, p) for s in inputs.states] for p in "IXYZ"])
     assert np.array_equal(v, fresh)
     assert inputs.coordinate_matrix() is v
     with pytest.raises(ValueError):
@@ -195,7 +187,7 @@ def test_canonical_inputs_are_the_four_reference_states():
 
 
 def test_process_map_validation():
-    good = process_tomography(lambda rho: rho)
+    good = IDENTITY_MAP
     with pytest.raises(NumericalInvariantError):
         ProcessMap(np.diag([0.9, 1.0, 1.0, 1.0]), good.chi_matrix)
     bad_chi = np.diag([0.7, 0.0, 0.0, 0.0]).astype(complex)
@@ -204,8 +196,11 @@ def test_process_map_validation():
 
 
 def test_evaluate_must_return_single_qubit_density_matrix():
+    inputs = TomographyInputSet.canonical()
     with pytest.raises(ValueError):
-        process_tomography(lambda rho: rho.matrix)
+        reconstruct_process(np.stack([np.kron(s.matrix, s.matrix) for s in inputs.states]), inputs)
+    with pytest.raises(NumericalInvariantError):
+        process_map(lambda stack: 2.0 * stack)
 
 
 def random_outputs(rng, shape):
@@ -243,7 +238,7 @@ def test_batched_reconstruction_checks_every_member():
 
 
 def test_nan_fails_process_map_and_fidelity_checks():
-    good = process_tomography(lambda rho: rho)
+    good = IDENTITY_MAP
     with pytest.raises(NumericalInvariantError):
         ProcessMap(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
     with pytest.raises(NumericalInvariantError):
