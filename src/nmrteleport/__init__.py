@@ -10,7 +10,6 @@ from .channels import (
 from .circuits import (
     Circuit,
     CorrectionTable,
-    GateEvent,
     bell_to_computational,
     control_circuit,
     correction_table,

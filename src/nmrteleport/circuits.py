@@ -4,6 +4,11 @@ The register order is fixed: qubit 0 carries the unknown input state (the
 data spin, C2), qubit 1 is the ancilla (C1), and qubit 2 is the target (H)
 that should end up holding the input.
 
+Every step of a circuit is a :class:`~nmrteleport.channels.KrausChannel`: a
+gate is the one-element channel of its unitary, ``KrausChannel(targets,
+(U,))``, so one trace-preservation rule checks gates and noise alike, and
+one executor, :func:`run_events`, runs them.
+
 The measurement of the data/ancilla pair is never sampled.  Dephasing during
 the decoherence delay diagonalizes those qubits in the computational basis,
 and the final correction is applied as a single unitary controlled on that
@@ -15,9 +20,9 @@ rather than hand-entered, so the two cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    UNITARY_TOL,
     evolve,
     lift_operator,
     tensor_product,
@@ -45,95 +49,40 @@ OUTCOMES = ("00", "01", "10", "11")
 
 
 @dataclass(frozen=True, eq=False)
-class GateEvent:
-    """One step of a circuit: a unitary or a noise channel.
-
-    Exactly the fields for the event's kind are populated; the circuit
-    builders express a wait as the channel events of its decoherence.
-    """
-
-    kind: str
-    unitary: np.ndarray | None = None
-    targets: tuple[int, ...] | None = None
-    channel: KrausChannel | None = None
-
-    def __post_init__(self):
-        if self.kind == "unitary":
-            if self.unitary is None or self.targets is None or self.channel is not None:
-                raise ValueError("unitary event must carry exactly a matrix and targets")
-            u = np.asarray(self.unitary, dtype=complex)
-            targets = tuple(int(t) for t in self.targets)
-            if len(set(targets)) != len(targets):
-                raise ValueError(f"duplicate targets {targets}")
-            dim = 2 ** len(targets)
-            if u.shape != (dim, dim):
-                raise ValueError(f"unitary shape {u.shape} does not fit targets {targets}")
-            dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-            if not dev <= UNITARY_TOL:
-                raise ValueError(f"matrix is not unitary: U†U deviates from I by {dev:.3e}")
-            u = u.copy()
-            u.flags.writeable = False
-            object.__setattr__(self, "unitary", u)
-            object.__setattr__(self, "targets", targets)
-        elif self.kind == "channel":
-            if not isinstance(self.channel, KrausChannel) or self.unitary is not None or self.targets is not None:
-                raise ValueError("channel event must carry exactly a KrausChannel")
-        else:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-
-
-def unitary_event(matrix: np.ndarray, targets: tuple[int, ...]) -> GateEvent:
-    return GateEvent("unitary", unitary=matrix, targets=targets)
-
-
-def channel_event(channel: KrausChannel) -> GateEvent:
-    return GateEvent("channel", channel=channel)
-
-
-@dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered event sequence on a fixed-size register, with spin roles; the
-    first ``delay_start`` events do not depend on the delay (sweeps run them once)."""
+    """Ordered steps on a fixed-size register; the first ``delay_start`` steps
+    do not depend on the delay (sweeps run them once)."""
 
     num_qubits: int
-    events: tuple[GateEvent, ...]
-    roles: Mapping[str, str] = field(default_factory=dict)
+    events: tuple[KrausChannel, ...]
     delay_start: int = 0
 
     def __post_init__(self):
         for ev in self.events:
-            targets = ev.targets if ev.kind == "unitary" else ev.channel.targets
-            bad = [t for t in targets if t >= self.num_qubits]
+            bad = [t for t in ev.targets if t >= self.num_qubits]
             if bad:
                 raise ValueError(f"event targets {bad} exceed register size {self.num_qubits}")
         object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "roles", dict(self.roles))
 
 
 @lru_cache(maxsize=None)
-def entangle_gate(ancilla: int = 0, target: int = 1) -> tuple[GateEvent, GateEvent]:
+def entangle_gate(ancilla: int = 0, target: int = 1) -> tuple[KrausChannel, KrausChannel]:
     """Hadamard on the ancilla, then CNOT onto the target; built once per qubit pair.
 
     Maps |0>|0> on (ancilla, target) to the Bell pair (|00>+|11>)/sqrt(2).
     """
-    return (
-        unitary_event(HADAMARD, (ancilla,)),
-        unitary_event(CNOT, (ancilla, target)),
-    )
+    return KrausChannel((ancilla,), (HADAMARD,)), KrausChannel((ancilla, target), (CNOT,))
 
 
 @lru_cache(maxsize=None)
-def bell_to_computational(data: int = 0, ancilla: int = 1) -> tuple[GateEvent, GateEvent]:
+def bell_to_computational(data: int = 0, ancilla: int = 1) -> tuple[KrausChannel, KrausChannel]:
     """Rotate the Bell basis of (data, ancilla) into the computational basis;
     built once per qubit pair.
 
     CNOT from data to ancilla followed by a Hadamard on data; sends the four
     Bell states (|00>±|11>, |01>±|10>)/sqrt(2) to |00>, |10>, |01>, |11>.
     """
-    return (
-        unitary_event(CNOT, (data, ancilla)),
-        unitary_event(HADAMARD, (data,)),
-    )
+    return KrausChannel((data, ancilla), (CNOT,)), KrausChannel((data,), (HADAMARD,))
 
 
 _PAULI_LIKE = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -191,7 +140,7 @@ def correction_table() -> CorrectionTable:
 
 
 @lru_cache(maxsize=1)
-def _controlled_correction() -> GateEvent:
+def _controlled_correction() -> KrausChannel:
     """All four corrections as one unitary controlled on (data, ancilla), built once."""
     table = correction_table().corrections
     full = np.zeros((8, 8), dtype=complex)
@@ -200,27 +149,19 @@ def _controlled_correction() -> GateEvent:
             proj = np.zeros((4, 4), dtype=complex)
             proj[2 * b0 + b1, 2 * b0 + b1] = 1.0
             full += tensor_product(proj, table[f"{b0}{b1}"])
-    return unitary_event(full, (DATA, ANCILLA, TARGET))
+    return KrausChannel((DATA, ANCILLA, TARGET), (full,))
 
 
-def _roles(model: MoleculeModel) -> dict[str, str]:
-    """The spin in each role; the register is exactly these three spins."""
-    if len(model.spins) != 3:
-        raise ValueError("teleportation needs a three-spin model")
-    return {
-        "data": model.spins[DATA].name,
-        "ancilla": model.spins[ANCILLA].name,
-        "target": model.spins[TARGET].name,
-    }
-
-
-def _delay_noise(delays: Sequence[float], model: MoleculeModel) -> list[GateEvent]:
+def _delay_noise(delays: Sequence[float], model: MoleculeModel) -> list[KrausChannel]:
     """Relaxation of every spin over each delay of the grid, one batched channel per spin.
 
     Couplings are refocused during the delay, so each spin decoheres
-    independently with its own T1/T2.
+    independently with its own T1/T2.  The register is exactly the model's
+    spins, in the roles (data, ancilla, target), so the model needs three.
     """
-    return [channel_event(relaxation_channels(delays, spin.relaxation(), target=q)) for q, spin in enumerate(model.spins)]
+    if len(model.spins) != 3:
+        raise ValueError("teleportation needs a three-spin model")
+    return [relaxation_channels(delays, spin.relaxation(), target=q) for q, spin in enumerate(model.spins)]
 
 
 def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
@@ -233,9 +174,8 @@ def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     covers every delay of the grid at once, for a stack whose leading axis
     runs over the grid.
     """
-    roles = _roles(model)
     prefix = (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
-    return Circuit(3, (*prefix, *_delay_noise(delays, model), _controlled_correction()), roles, len(prefix))
+    return Circuit(3, (*prefix, *_delay_noise(delays, model), _controlled_correction()), len(prefix))
 
 
 def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
@@ -245,12 +185,8 @@ def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     rides out the delay on the data spin, which is where readout happens.
     The delay grid is handled as in :func:`teleport_circuit`.
     """
-    roles = _roles(model)
     prefix = entangle_gate(ANCILLA, TARGET)
-    return Circuit(3, (*prefix, *_delay_noise(delays, model)), roles, len(prefix))
-
-
-Realize = Callable[[GateEvent], np.ndarray]
+    return Circuit(3, (*prefix, *_delay_noise(delays, model)), len(prefix))
 
 
 def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -262,19 +198,13 @@ def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
     return stack
 
 
-def run_events(events: Sequence[GateEvent], stack: np.ndarray, realize: Realize | None = None) -> np.ndarray:
+def run_events(events: Sequence[KrausChannel], stack: np.ndarray) -> np.ndarray:
     """The one circuit executor, on a ``(..., 2^n, 2^n)`` stack, validating
-    every step in one batched check.  ``realize`` maps a unitary event to the
-    matrix applied instead (the pulse engine's substitution).  A failed check
-    raises with ``step`` and ``event`` set to the failing step's position in
-    ``events`` and its event."""
+    every step in one batched check.  A failed check raises with ``step`` and
+    ``event`` set to the failing step's position in ``events`` and its step."""
     for step, ev in enumerate(events):
-        if ev.kind == "unitary":
-            elements, targets = (ev.unitary if realize is None else realize(ev),), ev.targets
-        else:
-            elements, targets = ev.channel.elements, ev.channel.targets
         try:
-            stack = validate_density(evolve(stack, elements, targets))
+            stack = validate_density(evolve(stack, ev.elements, ev.targets))
         except NumericalInvariantError as exc:
             exc.step, exc.event = step, ev
             raise

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .channels import RelaxationParams, dephasing_channel, depolarizing_channel, relaxation_channel
-from .circuits import channel_event, run_events
+from .circuits import run_events
 from .errors import ConfigError, NumericalInvariantError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,
@@ -37,7 +38,7 @@ from .experiment import (
     tomograph,
     validate_delays,
 )
-from .nmr import MoleculeModel, SpinParams, pulse_realizer, tce_model
+from .nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
 from .tomography import ProcessMap, entanglement_fidelity
 
 EXIT_OK = 0
@@ -143,7 +144,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     if args.no_noise:
         noise = {"t1": False, "t2": False, "rf_miscalibration": 0.0}
     delays = data["experiment"].get("delays", list(DEFAULT_DELAYS))
-    if args.delays is not None:
+    if getattr(args, "delays", None) is not None:
         delays = _parse_delays(args.delays)
     if not isinstance(delays, (list, tuple)):
         raise ConfigError("experiment.delays must be a list of seconds")
@@ -254,10 +255,8 @@ def _checked(sweep: SweepConfig) -> SweepConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid molecule section: {exc}") from exc
     if sweep.engine == "pulse":
-        realize = pulse_realizer(sweep.model, sweep.rotation_error)
         try:
-            for event in circuit.events[: circuit.delay_start]:
-                realize(event)
+            realize_pulses(circuit.events[: circuit.delay_start], sweep.model, sweep.rotation_error)
         except UnsupportedGateError as exc:
             raise ConfigError(f"the pulse engine cannot run {sweep.experiment} on this molecule: {exc}") from exc
     return sweep
@@ -265,7 +264,7 @@ def _checked(sweep: SweepConfig) -> SweepConfig:
 
 def _emit(out_dir: Path, summary: list[str]) -> None:
     _write_lines(out_dir / "summary.txt", summary)
-    print("\n".join(summary))
+    print("\n".join(summary), flush=True)
 
 
 def cmd_teleport(cfg: RunConfig) -> None:
@@ -336,7 +335,7 @@ _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 def _parse_channel(cfg: RunConfig) -> Callable[[], ProcessMap]:
     """The named channel's process tomography, checked, to run once the output
     directory exists: a circuit runs as a sweep of one delay, a built-in channel
-    as one event on a one-qubit register."""
+    as one step on a one-qubit register."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
@@ -377,8 +376,7 @@ def _parse_channel(cfg: RunConfig) -> Callable[[], ProcessMap]:
     if name in ("teleport", "control"):
         _checked(sweep)
         return lambda: run_sweep(sweep)[0].process_map
-    events = tuple(channel_event(channel) for channel in channels)
-    return lambda: tomograph(lambda stack: run_events(events, stack), 1, 0)[0]
+    return lambda: tomograph(lambda stack: run_events(channels, stack), 1, 0)[0]
 
 
 def cmd_tomo(cfg: RunConfig) -> None:
@@ -417,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="YAML config file; flags override its keys")
-        p.add_argument("--delays", help="comma-separated delay list in seconds")
+        if command != "tomo":  # a tomo process fixes its own delay
+            p.add_argument("--delays", help="comma-separated delay list in seconds")
         p.add_argument("--engine", choices=("gate", "pulse"), help="simulation engine")
         p.add_argument("--no-noise", action="store_true", help="disable all relaxation")
         p.add_argument("--out", help="output directory (default: results)")
@@ -442,6 +441,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # The reader of stdout left early: the files are complete, only the echo
+        # was cut.  Point stdout at devnull so the flush at shutdown cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_events, teleport_circuit
 from .errors import FitConvergenceError, NumericalInvariantError
-from .nmr import MoleculeModel, pulse_realizer
+from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
 from .tomography import ProcessMap, TomographyInputSet, entanglement_fidelity, reconstruct_process
 
@@ -133,15 +133,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     is reported with the delay, the tomography input and the circuit step
     where it happened.
     """
-    realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
     circuit, readout = config.circuit()
-    start = circuit.delay_start
+    events, start = circuit.events, circuit.delay_start
+    if config.engine == "pulse":
+        events = realize_pulses(events, config.model, config.rotation_error)
 
     def run(stack: np.ndarray) -> np.ndarray:
         try:
-            prefix = run_events(circuit.events[:start], stack, realize)
+            prefix = run_events(events[:start], stack)
             stack = np.broadcast_to(prefix, (len(config.delays),) + prefix.shape)
-            return run_events(circuit.events[start:], stack, realize)
+            return run_events(events[start:], stack)
         except NumericalInvariantError as exc:
             raise NumericalInvariantError(f"{_where(exc, config.delays, start)}: {exc}") from exc
 
@@ -151,13 +152,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
 def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:
     """Where in a sweep ``exc`` happened: the prefix stack is indexed by input,
-    the stack after it by (delay, input), with steps counted from ``start``."""
+    the stack after it by (delay, input), with steps counted from ``start``.
+    A one-element step is a gate, any other a noise channel."""
     if len(exc.index) == 1:
         where, step = f"every delay, tomography input {exc.index[0]}", exc.step
     else:
         where, step = f"delay {delays[exc.index[0]]!r} s, tomography input {exc.index[1]}", start + exc.step
-    targets = exc.event.targets or exc.event.channel.targets
-    return f"{where}, circuit step {step} ({exc.event.kind} on qubits {targets})"
+    kind = "unitary" if len(exc.event.elements) == 1 else "channel"
+    return f"{where}, circuit step {step} ({kind} on qubits {exc.event.targets})"
 
 
 def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, float]:

@@ -7,9 +7,10 @@ rotations plus free evolution under the weak-coupling (sigma_z.sigma_z)
 Hamiltonian; z rotations never appear explicitly because in the rotating
 frame they are realized by x/y conjugation.  Refocusing is modeled
 declaratively: a free-evolution interval lists the couplings that are
-active, and everything else contributes nothing.  The pulse engine does
-not replay a schedule pulse by pulse: for each gate it substitutes the
-unitary the gate's schedule realizes (:func:`realized_unitary`).
+active, and everything else contributes nothing.  The pulse engine,
+:func:`realize_pulses`, does not replay a schedule pulse by pulse: it
+rewrites a circuit's steps, replacing each one- and two-spin gate by the
+one-element channel of the unitary the gate's schedule realizes.
 
 The order of ``MoleculeModel.spins`` defines the qubit register: spin i is
 qubit i.  For TCE that order is (C2, C1, H), matching the circuit roles
@@ -21,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import RelaxationParams
-from .circuits import GateEvent, Realize
+from .channels import KrausChannel, RelaxationParams
 from .errors import UnsupportedGateError
 from .qstate import CNOT, lift_operator, rotation_x, rotation_y
 
@@ -261,25 +261,25 @@ def _cnot_schedule(control: str, target: str, j: float) -> list[RfRotation | Fre
     return events
 
 
-def compile_gate(gate: GateEvent, model: MoleculeModel) -> PulseSchedule:
-    """Translate one circuit event into an rf/J-coupling schedule.
+def compile_gate(gate: KrausChannel, model: MoleculeModel) -> PulseSchedule:
+    """Translate one gate, a one-element circuit step, into an rf/J-coupling schedule.
 
     Supported: any single-qubit unitary (ZYZ decomposition), and a CNOT,
     controlled by the first of its targets, between spins with an active J
     coupling.  Everything else raises :class:`UnsupportedGateError`.
     """
-    if gate.kind != "unitary":
-        raise UnsupportedGateError(f"cannot compile {gate.kind!r} events")
+    if len(gate.elements) != 1:
+        raise UnsupportedGateError(f"cannot compile a channel of {len(gate.elements)} elements")
+    u = gate.elements[0]
     if len(gate.targets) == 1:
         spin = model.spins[gate.targets[0]].name
-        if _matches(gate.unitary, np.eye(2, dtype=complex)):
+        if _matches(u, np.eye(2, dtype=complex)):
             return PulseSchedule(())
-        return PulseSchedule(tuple(_single_spin_schedule(gate.unitary, spin)))
+        return PulseSchedule(tuple(_single_spin_schedule(u, spin)))
     if len(gate.targets) == 2:
         name_a = model.spins[gate.targets[0]].name
         name_b = model.spins[gate.targets[1]].name
         j = _coupling_for(model, name_a, name_b)
-        u = gate.unitary
         if _matches(u, np.eye(4, dtype=complex)):
             return PulseSchedule(())
         if _matches(u, CNOT):
@@ -293,6 +293,8 @@ def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error
     order; rf angles are scaled by ``1 + angle_error``."""
     if isinstance(ev, RfRotation):
         angle = ev.angle * (1.0 + angle_error)
+        if not math.isfinite(angle):
+            raise UnsupportedGateError(f"rf angle {ev.angle} scaled by 1 + {angle_error} is not finite")
         return [(rotation_x(angle) if ev.axis == "x" else rotation_y(angle), (model.index(ev.spin),))]
     if not ev.duration > 0.0:
         return []
@@ -306,26 +308,28 @@ def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error
 
 
 @lru_cache(maxsize=32)
-def realized_unitary(gate: GateEvent, model: MoleculeModel, angle_error: float = 0.0) -> np.ndarray:
-    """The unitary on ``gate.targets`` that the gate's compiled schedule realizes:
+def _realized(gate: KrausChannel, model: MoleculeModel, angle_error: float) -> KrausChannel:
+    """The step that the gate's compiled schedule realizes, on ``gate.targets``:
     its rf rotations, each angle scaled by ``1 + angle_error``, and the zz phases
     of its active couplings, in schedule order; relaxation during gates is
     idealized away.
 
     Computed once per (gate, model, angle error) while it stays among the 32
-    most recent (events and models compare by identity), and read-only.
+    most recent (steps and models compare by identity).
     """
     local = {t: i for i, t in enumerate(gate.targets)}
     u = np.eye(2 ** len(local), dtype=complex)
     for ev in compile_gate(gate, model).events:
         for step, targets in _unitaries(ev, model, angle_error):
             u = lift_operator(step, tuple(local[t] for t in targets), len(local)) @ u
-    u.flags.writeable = False
-    return u
+    return KrausChannel(gate.targets, (u,))
 
 
-def pulse_realizer(model: MoleculeModel, angle_error: float = 0.0) -> Realize:
-    """The pulse engine's substitution for the shared executor: one- and two-spin gates
-    become what their pulses realize (:func:`realized_unitary`); the correction block
-    has no pulses and stays exact."""
-    return lambda gate: gate.unitary if len(gate.targets) > 2 else realized_unitary(gate, model, angle_error)
+def realize_pulses(steps: Sequence[KrausChannel], model: MoleculeModel, angle_error: float = 0.0) -> tuple[KrausChannel, ...]:
+    """The pulse engine: ``steps`` with each gate on one or two spins (a one-element
+    step) replaced by the step its compiled pulses realize.  The three-spin
+    correction has no pulses and stays exact; noise steps pass unchanged."""
+    return tuple(
+        _realized(step, model, angle_error) if len(step.elements) == 1 and len(step.targets) <= 2 else step
+        for step in steps
+    )

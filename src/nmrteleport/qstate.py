@@ -30,7 +30,6 @@ from .errors import NumericalInvariantError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_SLACK = 1e-9
-UNITARY_TOL = 1e-10
 EXPECTATION_IMAG_TOL = 1e-9
 
 IDENTITY_2 = np.eye(2, dtype=complex)

@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from nmrteleport.channels import KrausChannel
-from nmrteleport.circuits import Circuit, Realize, channel_event, prepare, run_events
+from nmrteleport.circuits import Circuit, prepare, run_events
 from nmrteleport.experiment import tomograph
-from nmrteleport.nmr import MoleculeModel, PulseSchedule, RfRotation
+from nmrteleport.nmr import MoleculeModel, PulseSchedule, RfRotation, realize_pulses
 from nmrteleport.qstate import PAULIS, DensityMatrix, lift_operator, real_expectations
 from nmrteleport.tomography import ProcessMap, state_tomography
 
@@ -62,11 +62,13 @@ def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:
     return [q[2 * i : 2 * i + 2, :].copy() for i in range(num_elements)]
 
 
-def run_inputs(circuit: Circuit, inputs, realize: Realize | None = None) -> np.ndarray:
+def run_inputs(circuit: Circuit, inputs, pulse_model: MoleculeModel | None = None) -> np.ndarray:
     """Final states of a one-delay circuit for data-qubit inputs (state vectors),
-    every other qubit starting in |0>: a ``(len(inputs), 2^n, 2^n)`` stack."""
+    every other qubit starting in |0>: a ``(len(inputs), 2^n, 2^n)`` stack.  With
+    ``pulse_model``, the gates are those the pulse engine realizes on it."""
     stack = prepare(np.stack([projector(psi) for psi in inputs]), circuit.num_qubits)
-    return run_events(circuit.events, stack[None], realize)[0]
+    events = circuit.events if pulse_model is None else realize_pulses(circuit.events, pulse_model)
+    return run_events(events, stack[None])[0]
 
 
 def process_map(run) -> ProcessMap:
@@ -76,8 +78,8 @@ def process_map(run) -> ProcessMap:
 
 
 def channel_map(channel: KrausChannel) -> ProcessMap:
-    """The process map of one channel event run by the executor."""
-    return process_map(lambda stack: run_events((channel_event(channel),), stack))
+    """The process map of one channel step run by the executor."""
+    return process_map(lambda stack: run_events((channel,), stack))
 
 
 def apply_elements(matrix: np.ndarray, elements) -> np.ndarray:

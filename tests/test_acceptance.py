@@ -21,7 +21,7 @@ from nmrteleport.channels import (
     depolarizing_channel,
     relaxation_channel,
 )
-from nmrteleport.circuits import TARGET, channel_event, run_events, teleport_circuit, unitary_event
+from nmrteleport.circuits import TARGET, run_events, teleport_circuit
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
     SweepConfig,
@@ -176,7 +176,7 @@ def test_criterion_7_engine_cross_validation():
     pulse = run_sweep(SweepConfig(DEFAULT_DELAYS, "teleport", model, engine="pulse"))
     worst = max(abs(g.fe - p.fe) for g, p in zip(gate, pulse))
 
-    schedule = compile_gate(unitary_event(CNOT, (0, 1)), model)
+    schedule = compile_gate(KrausChannel((0, 1), (CNOT,)), model)
     intervals = [ev.duration for ev in schedule.events if isinstance(ev, FreeEvolution)]
     interval_ok = len(intervals) == 1 and abs(intervals[0] - 1.0 / 206.0) < 1e-15
     elapsed = time.perf_counter() - start
@@ -213,8 +213,8 @@ def test_criterion_8_randomized_invariant_suite():
                     first = relaxation_channel(split, params)
                     second = relaxation_channel(t_total - split, params)
                     joined = relaxation_channel(t_total, params)
-                stepped = run_events((channel_event(first), channel_event(second)), rho.matrix)
-                direct = run_events((channel_event(joined),), rho.matrix)
+                stepped = run_events((first, second), rho.matrix)
+                direct = run_events((joined,), rho.matrix)
                 if np.max(np.abs(stepped - direct)) > 1e-10:
                     violations += 1
             else:
@@ -222,7 +222,7 @@ def test_criterion_8_randomized_invariant_suite():
                 # CPTP, the output state checks Hermiticity/trace/PSD.
                 channel = KrausChannel((int(rng.integers(0, 2)),), tuple(random_cptp_elements(rng, int(rng.integers(1, 4)))))
                 rho = random_density(rng, 2)
-                out = run_events((channel_event(channel),), rho.matrix)
+                out = run_events((channel,), rho.matrix)
                 if abs(np.trace(out) - 1.0) > 1e-10:
                     violations += 1
         except Exception:

@@ -13,7 +13,7 @@ from nmrteleport.channels import (
     relaxation_channel,
     relaxation_channels,
 )
-from nmrteleport.circuits import channel_event, run_events
+from nmrteleport.circuits import run_events
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.qstate import IDENTITY_2
 from tests.helpers import SPANNING_1Q, random_cptp_elements, random_density
@@ -24,7 +24,7 @@ SPANNING = np.stack(SPANNING_1Q)
 
 def act(channel, rho):
     """The executor's output, checked, for one channel event on a state or a stack."""
-    return run_events((channel_event(channel),), np.asarray(rho))
+    return run_events((channel,), np.asarray(rho))
 
 
 def test_identity_channel_leaves_state_unchanged():
@@ -54,7 +54,7 @@ def test_dephasing_off_diagonal_factor():
     # short steps against the single long step.
     out = act(dephasing_channel(0.3, 0.3), PLUS)
     assert out[0, 1] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
-    stepped = run_events([channel_event(dephasing_channel(0.03, 0.3))] * 10, PLUS)
+    stepped = run_events([dephasing_channel(0.03, 0.3)] * 10, PLUS)
     assert np.max(np.abs(stepped - out)) < 1e-10
 
 
@@ -81,7 +81,7 @@ def test_relaxation_closed_form_action_on_plus():
     assert out[1, 1].real == pytest.approx(0.5 * math.exp(-0.3 / 25.0), abs=1e-12)
 
     # Small-step composition oracle: thirty 0.01 s steps equal one 0.3 s step.
-    stepped = run_events([channel_event(relaxation_channel(0.01, RelaxationParams(25.0, 0.3)))] * 30, PLUS)
+    stepped = run_events([relaxation_channel(0.01, RelaxationParams(25.0, 0.3))] * 30, PLUS)
     assert np.max(np.abs(stepped - out)) < 1e-10
 
 
@@ -131,7 +131,7 @@ def test_dephasing_semigroup():
     rng = np.random.default_rng(14)
     for _ in range(10):
         t_a, t_b = rng.random(2) * 0.8
-        split = run_events([channel_event(dephasing_channel(t, 0.4)) for t in (t_a, t_b)], SPANNING)
+        split = run_events([dephasing_channel(t, 0.4) for t in (t_a, t_b)], SPANNING)
         joined = act(dephasing_channel(t_a + t_b, 0.4), SPANNING)
         assert np.max(np.abs(split - joined)) < 1e-10
 
@@ -141,7 +141,7 @@ def test_relaxation_semigroup():
     params = RelaxationParams(2.0, 0.5)
     for _ in range(10):
         t_a, t_b = rng.random(2) * 0.8
-        split = run_events([channel_event(relaxation_channel(t, params)) for t in (t_a, t_b)], SPANNING)
+        split = run_events([relaxation_channel(t, params) for t in (t_a, t_b)], SPANNING)
         joined = act(relaxation_channel(t_a + t_b, params), SPANNING)
         assert np.max(np.abs(split - joined)) < 1e-10
 

@@ -9,18 +9,15 @@ from nmrteleport.circuits import (
     TARGET,
     Circuit,
     CorrectionTable,
-    GateEvent,
     bell_to_computational,
-    channel_event,
     control_circuit,
     correction_table,
     entangle_gate,
     prepare,
     run_events,
     teleport_circuit,
-    unitary_event,
 )
-from nmrteleport.channels import dephasing_channel
+from nmrteleport.channels import KrausChannel, dephasing_channel
 from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import (
     CNOT,
@@ -66,10 +63,11 @@ def dephasing_only_model(c1_t2=0.4, c2_t2=0.3, h_t2=math.inf):
 
 
 def events_unitary(events, num_qubits):
-    """Compose unitary events into one matrix (time order = list order)."""
+    """Compose gate steps into one matrix (time order = list order)."""
     u = np.eye(2**num_qubits, dtype=complex)
     for ev in events:
-        u = lift_operator(ev.unitary, ev.targets, num_qubits) @ u
+        (unitary,) = ev.elements
+        u = lift_operator(unitary, ev.targets, num_qubits) @ u
     return u
 
 
@@ -185,10 +183,8 @@ def test_teleportation_survives_complete_carbon_dephasing():
     assert np.max(np.abs(off_diag)) < 1e-12
 
 
-def test_teleport_circuit_roles_and_validation():
+def test_teleport_circuit_validation():
     model = tce_model()
-    circuit = teleport_circuit((0.1,), model)
-    assert circuit.roles == {"data": "C2", "ancilla": "C1", "target": "H"}
     with pytest.raises(ValueError):
         teleport_circuit((-0.1,), model)
     with pytest.raises(ValueError):
@@ -220,7 +216,7 @@ def test_run_circuit_empty_pads_with_ground_states():
 
 
 def test_run_circuit_single_x_flips_data():
-    out = run_inputs(Circuit(3, (unitary_event(PAULI_X, (DATA,)),)), [basis_state("0")])[0]
+    out = run_inputs(Circuit(3, (KrausChannel((DATA,), (PAULI_X,)),)), [basis_state("0")])[0]
     assert np.allclose(reduce_stack(out, [DATA]), np.diag([0.0, 1.0]), atol=1e-12)
 
 
@@ -248,18 +244,17 @@ def test_run_circuit_teleports_plus_state_matches_hand_simulation():
 
 
 def test_gate_event_validation():
+    # A gate is a one-element step, so the trace-preservation rule is its unitarity check.
+    with pytest.raises(ValueError, match="not trace preserving"):
+        KrausChannel((0,), (np.array([[1.0, 0.0], [1.0, 0.0]]),))  # not unitary
+    with pytest.raises(ValueError, match="not trace preserving"):
+        KrausChannel((0,), (0.5 * IDENTITY_2,))  # unitary up to a scale only
     with pytest.raises(ValueError):
-        unitary_event(np.array([[1.0, 0.0], [1.0, 0.0]]), (0,))  # not unitary
+        KrausChannel((0, 1), (PAULI_X,))  # 2x2 matrix on two targets
     with pytest.raises(ValueError):
-        GateEvent("unitary", unitary=IDENTITY_2, targets=(0,), channel=dephasing_channel(0.1, 0.3))
+        Circuit(2, (KrausChannel((5,), (PAULI_X,)),))
     with pytest.raises(ValueError):
-        GateEvent("delay")
-    with pytest.raises(ValueError):
-        GateEvent("wait")
-    with pytest.raises(ValueError):
-        Circuit(2, (unitary_event(PAULI_X, (5,)),))
-    with pytest.raises(ValueError):
-        Circuit(1, (channel_event(dephasing_channel(0.1, 0.3, target=4)),))
+        Circuit(1, (dephasing_channel(0.1, 0.3, target=4),))
 
 
 def test_teleport_output_satisfies_state_invariants():
@@ -270,8 +265,8 @@ def test_teleport_output_satisfies_state_invariants():
 
 
 def test_gate_event_rejects_nan_unitary():
-    with pytest.raises(ValueError):
-        unitary_event(np.full((2, 2), np.nan, dtype=complex), (0,))
+    with pytest.raises(ValueError, match="not trace preserving"):
+        KrausChannel((0,), (np.full((2, 2), np.nan, dtype=complex),))
 
 
 def test_correction_table_accepts_only_paulis():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,12 +218,62 @@ def test_config_noise_switches_must_be_booleans(tmp_path, capsys):
     assert rows[-1][1] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_cli_import_loads_neither_scipy_nor_yaml():
+def child_env():
+    """The environment of a child Python that imports this package."""
     src = str(Path(nmrteleport.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_neither_scipy_nor_yaml():
     code = "import sys, nmrteleport.cli; print(sorted({'scipy', 'yaml'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_0_with_every_file_written(tmp_path):
+    # Like `nmrteleport tomo ... | head -0`: the reader of stdout is gone before the echo.
+    # Buffered stdout, as by default, would fail only at the flush on shutdown.
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    args = ["tomo", "--channel", "identity", "--out"]
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nmrteleport", *args, str(tmp_path / "piped")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0 and result.stderr == b""
+    assert cli.main([*args, str(tmp_path / "direct")]) == 0
+    written = sorted(path.name for path in (tmp_path / "direct").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "piped").iterdir())
+    for name in written:
+        assert (tmp_path / "piped" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+
+def test_tomo_takes_no_delays(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["tomo", "--channel", "teleport(0.5)", "--delays", "0,1,2", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --delays" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rf_error_too_large_for_the_pulse_angles_exits_2(tmp_path):
+    # pi * (1 + 1e308) overflows: no rf rotation has that angle, so the pulse
+    # engine cannot run; the gate engine ignores the knob.
+    cfg = tmp_path / "rf.yaml"
+    cfg.write_text("noise: {rf_miscalibration: 1.0e308}\n")
+    for command in (["compare"], ["tomo", "--channel", "teleport(0.5)"]):
+        out = tmp_path / f"pulse-{command[0]}"
+        code, err = run_cli([*command, "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, (command, err)
+        assert err.startswith("error: the pulse engine cannot run teleport") and err.count("\n") == 1
+        assert "is not finite" in err and not out.exists()
+    code, err = run_cli(["compare", "--engine", "gate", "--config", str(cfg), "--out", str(tmp_path / "gate")])
+    assert code == cli.EXIT_OK, err
 
 
 def test_hostile_config_sections_exit_2(tmp_path):
@@ -398,3 +449,73 @@ def test_pulse_engine_rejects_an_uncompilable_molecule(tmp_path):
     for args in (["compare", "--engine", "gate"], ["control", "--engine", "pulse"]):
         code, err = run_cli([*args, "--config", str(cfg), "--out", str(tmp_path / args[0])])
         assert code == cli.EXIT_OK, (args, err)
+
+
+HOSTILE_NUMBERS = (0.0, -1.0, math.nan, math.inf, 1e-300, 1e300)
+SPIN_NAMES = ("C2", "C1", "H", "F")
+
+
+def sound_or(sound, hostile):
+    """A sound value or a hostile one, each half the time."""
+    return st.one_of(st.sampled_from(sound), st.sampled_from(hostile))
+
+
+@st.composite
+def spin_molecules(draw):
+    """2-4 TCE-like spins with any couplings among them and to an unknown spin,
+    and half the time one Larmor frequency or J coupling set to a hostile number."""
+    names = SPIN_NAMES[: draw(st.sampled_from((3, 2, 4)))]
+    spins = [{"name": n, "larmor_hz": 125_772_580.0, "t1": 25.0, "t2": 0.4} for n in names]
+    pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1 :]] + [["C1", "X"]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=len(pairs)))
+    couplings = [{"pair": pair, "j_hz": 103.0} for pair in chosen]
+    if draw(st.booleans()):
+        entry, key = draw(st.sampled_from([(s, "larmor_hz") for s in spins] + [(c, "j_hz") for c in couplings]))
+        entry[key] = draw(st.sampled_from(HOSTILE_NUMBERS))
+    return {"spins": spins, "couplings": couplings}
+
+
+SECTIONS = {
+    "molecule": st.one_of(spin_molecules(), st.fixed_dictionaries({"carbon_t1": sound_or((25.0,), ("warm", *HOSTILE_NUMBERS))})),
+    "experiment": st.fixed_dictionaries(
+        {}, optional={"delays": sound_or(([0.0, 0.3, 0.6, 0.9],), ("quick", [0.0, 0.3], [0.3, 0.0, 1.0, 2.0]))}
+    ),
+    "noise": st.fixed_dictionaries(
+        {},
+        optional={
+            "t1": sound_or((True, False), ("false", 0)),
+            "t2": sound_or((True, False), ("true", None)),
+            "rf_miscalibration": sound_or((0.0, 0.1), ("wobbly", math.nan, 1e308)),
+        },
+    ),
+    "output": st.fixed_dictionaries({"dir": st.sampled_from((5, "ignored-under-out"))}),
+}
+
+
+@st.composite
+def config_documents(draw):
+    """Config documents with any sections missing, and at most one of the
+    present ones null or of a wrong type."""
+    document = draw(st.fixed_dictionaries({}, optional=SECTIONS))
+    if document and draw(st.booleans()):
+        document[draw(st.sampled_from(sorted(document)))] = draw(st.sampled_from((None, 7, "fast", [1, 2])))
+    return document
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(config_documents())
+def test_any_config_document_exits_0_with_valid_csv_or_2(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.yaml"
+        cfg.write_text(yaml.safe_dump(document))
+        for engine in ("gate", "pulse"):
+            out = Path(tmp) / engine
+            code, err = run_cli(["compare", "--config", str(cfg), "--engine", engine, "--out", str(out)])
+            if code == cli.EXIT_CONFIG:
+                assert err.startswith("error:") and err.count("\n") == 1, (document, engine, err)
+                assert not out.exists()
+                continue
+            assert code == cli.EXIT_OK, (document, engine, err)
+            header, rows = read_csv(out / "compare.csv")
+            assert header == ["delay_s", "fe_teleport", "fe_control"] and rows
+            assert all(0.0 <= fe <= 1.0 for row in rows for fe in row[1:]), (document, engine, rows)

@@ -18,7 +18,7 @@ from nmrteleport.experiment import (
     fit_exponential,
     run_sweep,
 )
-from nmrteleport.nmr import MoleculeModel, SpinParams, pulse_realizer, tce_model
+from nmrteleport.nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
 from nmrteleport.tomography import TomographyInputSet, entanglement_fidelity, reconstruct_process
 from tests.helpers import kraus_fe, per_output_reconstruction, process_map, relaxation_fe, teleport_fe
@@ -29,13 +29,15 @@ IDENTITY_MAP = process_map(lambda stack: stack)
 def per_input_outputs(config: SweepConfig) -> list[list[DensityMatrix]]:
     """Readout states of each delay and tomography input, every input run alone
     through the whole circuit of its one delay: no shared prefix, no stacking."""
-    realize = pulse_realizer(config.model, config.rotation_error) if config.engine == "pulse" else None
     outputs = []
     for delay in config.delays:
         circuit, readout = SweepConfig((delay,), config.experiment, config.model).circuit()
+        events = circuit.events
+        if config.engine == "pulse":
+            events = realize_pulses(events, config.model, config.rotation_error)
         outputs.append([])
         for state in TomographyInputSet.canonical().states:
-            final = run_events(circuit.events, prepare(state.matrix, 3)[None], realize)
+            final = run_events(events, prepare(state.matrix, 3)[None])
             outputs[-1].append(DensityMatrix(1, reduce_stack(final, [readout])[0]))
     return outputs
 
@@ -348,10 +350,7 @@ def test_sweep_validates_every_intermediate_state(monkeypatch):
     for kind, build in (("teleport", circuits.teleport_circuit), ("control", circuits.control_circuit)):
         final = np.broadcast_to(prepare(np.diag([1.0, 0.0]).astype(complex), 3), (len(delays), 8, 8))
         for ev in build(delays, model).events:  # unchecked replay: the end states pass
-            if ev.kind == "unitary":
-                final = evolve(final, (ev.unitary,), ev.targets)
-            else:
-                final = evolve(final, ev.channel.elements, ev.channel.targets)
+            final = evolve(final, ev.elements, ev.targets)
         validate_density(final)
         for engine in ("gate", "pulse"):
             with pytest.raises(NumericalInvariantError):
@@ -427,6 +426,12 @@ def test_sweep_violation_names_its_delay_input_and_step(monkeypatch, tmp_path, c
 
 
 def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatch):
+    # The gate steps are built once per process; on the pulse engine a fresh model
+    # adds one realized step per distinct prefix gate (H, CNOT, CNOT, H; H, CNOT).
+    delays = tuple(np.linspace(0.0, 1.2, 30))
+    for kind in ("teleport", "control"):
+        SweepConfig(delays, kind, tce_model()).circuit()
+    realized = {("gate", "teleport"): 0, ("gate", "control"): 0, ("pulse", "teleport"): 4, ("pulse", "control"): 2}
     counts = {circuits.Circuit: 0, circuits.KrausChannel: 0}
     for cls in counts:
         real = cls.__post_init__
@@ -436,12 +441,11 @@ def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatc
             real(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    delays = tuple(np.linspace(0.0, 1.2, 30))
     for engine in ("gate", "pulse"):
         for kind in ("teleport", "control"):
             counts.update(dict.fromkeys(counts, 0))
             run_sweep(SweepConfig(delays, kind, tce_model(), engine))
-            assert counts == {circuits.Circuit: 1, circuits.KrausChannel: 3}
+            assert counts == {circuits.Circuit: 1, circuits.KrausChannel: 3 + realized[engine, kind]}
 
 
 def test_rotation_error_must_be_finite():

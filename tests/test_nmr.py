@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nmrteleport import nmr
-from nmrteleport.circuits import Circuit, control_circuit, prepare, run_events, teleport_circuit, unitary_event
+from nmrteleport.channels import KrausChannel
+from nmrteleport.circuits import Circuit, control_circuit, prepare, run_events, teleport_circuit
 from nmrteleport.errors import UnsupportedGateError
 from nmrteleport.experiment import SweepConfig, run_sweep
 from nmrteleport.nmr import (
@@ -14,8 +15,7 @@ from nmrteleport.nmr import (
     RfRotation,
     SpinParams,
     compile_gate,
-    pulse_realizer,
-    realized_unitary,
+    realize_pulses,
     tce_model,
 )
 from nmrteleport.qstate import CNOT, HADAMARD, PAULI_X, PAULI_Z, evolve, lift_operator, reduce_stack, rotation_x
@@ -34,8 +34,8 @@ from tests.helpers import (
 
 
 def schedule_events(schedule: PulseSchedule, model: MoleculeModel, angle_error: float = 0.0):
-    """The schedule's rf rotations and zz evolutions, in order, as circuit events."""
-    return [unitary_event(u, targets) for ev in schedule.events for u, targets in nmr._unitaries(ev, model, angle_error)]
+    """The schedule's rf rotations and zz evolutions, in order, as circuit steps."""
+    return [KrausChannel(targets, (u,)) for ev in schedule.events for u, targets in nmr._unitaries(ev, model, angle_error)]
 
 
 def spin(model: MoleculeModel, name: str) -> SpinParams:
@@ -104,25 +104,25 @@ def test_with_relaxation_toggles():
 
 def test_compiled_cnot_interval_is_half_inverse_j():
     model = tce_model()
-    sched = compile_gate(unitary_event(CNOT, (0, 1)), model)  # C2 -> C1
+    sched = compile_gate(KrausChannel((0, 1), (CNOT,)), model)  # C2 -> C1
     frees = [ev for ev in sched.events if isinstance(ev, FreeEvolution)]
     assert len(frees) == 1
     assert frees[0].duration == pytest.approx(1.0 / (2.0 * 103.0), abs=1e-15)
-    sched_h = compile_gate(unitary_event(CNOT, (1, 2)), model)  # C1 -> H
+    sched_h = compile_gate(KrausChannel((1, 2), (CNOT,)), model)  # C1 -> H
     frees_h = [ev for ev in sched_h.events if isinstance(ev, FreeEvolution)]
     assert frees_h[0].duration == pytest.approx(1.0 / (2.0 * 201.0), abs=1e-15)
 
 
 def test_identity_gate_compiles_to_empty_schedule():
     model = tce_model()
-    assert compile_gate(unitary_event(np.eye(2), (0,)), model).events == ()
-    assert compile_gate(unitary_event(np.eye(4), (0, 1)), model).events == ()
+    assert compile_gate(KrausChannel((0,), (np.eye(2),)), model).events == ()
+    assert compile_gate(KrausChannel((0, 1), (np.eye(4),)), model).events == ()
 
 
 def test_compiled_cnot_matches_ideal_unitary():
     model = tce_model()
     for targets in ((0, 1), (1, 0), (1, 2), (2, 1)):
-        sched = compile_gate(unitary_event(CNOT, targets), model)
+        sched = compile_gate(KrausChannel(targets, (CNOT,)), model)
         u = schedule_product(sched, model)
         ideal = lift_operator(CNOT, targets, 3)
         assert phase_distance(u, ideal) < 1e-8
@@ -138,7 +138,7 @@ def test_compiled_single_spin_gates_match_ideal():
         gates.append(q)
     for q_idx in (0, 1, 2):
         for gate in gates:
-            sched = compile_gate(unitary_event(gate, (q_idx,)), model)
+            sched = compile_gate(KrausChannel((q_idx,), (gate,)), model)
             u = schedule_product(sched, model)
             assert phase_distance(u, lift_operator(gate, (q_idx,), 3)) < 1e-8
 
@@ -146,7 +146,7 @@ def test_compiled_single_spin_gates_match_ideal():
 def test_uncoupled_spins_are_rejected():
     model = tce_model()
     with pytest.raises(UnsupportedGateError):
-        compile_gate(unitary_event(CNOT, (0, 2)), model)  # C2 and H, refocused apart
+        compile_gate(KrausChannel((0, 2), (CNOT,)), model)  # C2 and H, refocused apart
 
 
 def test_unsupported_two_spin_gate_rejected():
@@ -156,18 +156,17 @@ def test_unsupported_two_spin_gate_rejected():
     reversed_cnot = lift_operator(CNOT, (1, 0), 2)  # a CNOT is compiled only with its control first
     for gate in (swap, cz, reversed_cnot):
         with pytest.raises(UnsupportedGateError):
-            compile_gate(unitary_event(gate, (0, 1)), model)
+            compile_gate(KrausChannel((0, 1), (gate,)), model)
     with pytest.raises(UnsupportedGateError):
-        compile_gate(
-            unitary_event(np.eye(8), (0, 1, 2)), model
-        )
+        compile_gate(KrausChannel((0, 1, 2), (np.eye(8),)), model)
 
 
 def test_simulate_empty_schedule_is_identity():
     model = tce_model()
     assert schedule_events(PulseSchedule(()), model) == []
-    for gate in (unitary_event(np.eye(2), (2,)), unitary_event(np.eye(4), (1, 2))):
-        assert np.array_equal(realized_unitary(gate, model), np.eye(len(gate.unitary)))
+    for gate in (KrausChannel((2,), (np.eye(2),)), KrausChannel((1, 2), (np.eye(4),))):
+        (realized,) = realize_pulses((gate,), model)
+        assert np.array_equal(realized.elements[0], gate.elements[0])
 
 
 def test_coupling_interval_plus_local_rotations_make_bell_state():
@@ -193,7 +192,7 @@ def test_compiled_teleport_at_zero_delay_reaches_unit_fidelity():
     circuit = teleport_circuit((0.0,), model)
     rng = np.random.default_rng(44)
     inputs = [random_pure_state(rng, 1) for _ in range(5)]
-    reduced = reduce_stack(run_inputs(circuit, inputs, pulse_realizer(model)), [2])
+    reduced = reduce_stack(run_inputs(circuit, inputs, model), [2])
     for psi, rho in zip(inputs, reduced):
         assert state_fidelity(rho, projector(psi)) >= 1.0 - 1e-8
 
@@ -240,13 +239,13 @@ def test_schedule_preserves_purity_without_relaxation():
 
 def test_angle_error_knob_perturbs_gates():
     model = tce_model()
-    circuit = Circuit(3, (unitary_event(HADAMARD, (0,)), unitary_event(HADAMARD, (0,))))
+    circuit = Circuit(3, (KrausChannel((0,), (HADAMARD,)), KrausChannel((0,), (HADAMARD,))))
     rng = np.random.default_rng(55)
     psi = random_pure_state(rng, 1)
     stack = prepare(projector(psi), 3)
-    exact = run_events(circuit.events, stack, pulse_realizer(model))
+    exact = run_events(realize_pulses(circuit.events, model), stack)
     assert state_fidelity(reduce_stack(exact, [0]), projector(psi)) >= 1.0 - 1e-9
-    skewed = run_events(circuit.events, stack, pulse_realizer(model, angle_error=0.2))
+    skewed = run_events(realize_pulses(circuit.events, model, angle_error=0.2), stack)
     assert state_fidelity(reduce_stack(skewed, [0]), projector(psi)) < 1.0 - 1e-3
 
 
@@ -277,15 +276,15 @@ def test_gate_and_pulse_actions_agree_per_gate():
     model = tce_model()
     rng = np.random.default_rng(60)
     events = [
-        unitary_event(HADAMARD, (1,)),
-        unitary_event(CNOT, (0, 1)),
-        unitary_event(CNOT, (1, 2)),
-        unitary_event(CNOT, (2, 1)),
+        KrausChannel((1,), (HADAMARD,)),
+        KrausChannel((0, 1), (CNOT,)),
+        KrausChannel((1, 2), (CNOT,)),
+        KrausChannel((2, 1), (CNOT,)),
     ]
     for ev in events:
         rho = random_density(rng, 3).matrix
         via_pulse = run_events(schedule_events(compile_gate(ev, model), model), rho)
-        lifted = lift_operator(ev.unitary, ev.targets, 3)
+        lifted = lift_operator(ev.elements[0], ev.targets, 3)
         ideal = lifted @ rho @ lifted.conj().T
         assert np.max(np.abs(via_pulse - ideal)) < 1e-8
 
@@ -301,12 +300,14 @@ def test_realized_unitary_matches_step_by_step_schedule_simulation():
         ev
         for circuit in (teleport_circuit((0.3,), model), control_circuit((0.3,), model))
         for ev in circuit.events
-        if ev.kind == "unitary" and len(ev.targets) <= 2
+        if len(ev.elements) == 1 and len(ev.targets) <= 2
     ]
     assert len(gates) == 6
     for angle_error in (0.0, 0.05, 0.2):
         for ev in gates:
-            realized = realized_unitary(ev, model, angle_error)
+            (step,) = realize_pulses((ev,), model, angle_error)
+            assert step.targets == ev.targets
+            (realized,) = step.elements
             product = schedule_product(compile_gate(ev, model), model, angle_error)
             assert np.max(np.abs(lift_operator(realized, ev.targets, 3) - product)) < 1e-12
             rho = random_density(rng, 3).matrix
@@ -325,5 +326,19 @@ def test_pulse_gates_are_realized_once_per_gate_model_and_error(monkeypatch):
     assert len(compiled) == 4  # H and CNOT shared by both prefixes, then CNOT and H
     run_sweep(SweepConfig((0.0, 0.5), "teleport", model, "pulse", 0.05))
     assert len(compiled) == 8
-    assert not realized_unitary(compiled[0], model).flags.writeable
-    assert realized_unitary.cache_info().maxsize == 32
+    assert not nmr._realized(compiled[0], model, 0.0).elements[0].flags.writeable
+    assert nmr._realized.cache_info().maxsize == 32
+
+
+def test_pulse_engine_rewrites_only_one_and_two_spin_gates():
+    model = tce_model()
+    circuit = teleport_circuit((0.0, 0.3), model)
+    start = circuit.delay_start
+    steps = realize_pulses(circuit.events, model)
+    assert len(steps) == len(circuit.events)
+    assert all(new is not old and new.targets == old.targets for new, old in zip(steps[:start], circuit.events[:start]))
+    # The three relaxation channels and the three-spin correction pass unchanged.
+    assert all(new is old for new, old in zip(steps[start:], circuit.events[start:]))
+    assert all(new is old for new, old in zip(realize_pulses(circuit.events, model), steps))
+    with pytest.raises(UnsupportedGateError, match="4 elements"):
+        compile_gate(circuit.events[start], model)
