@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .channels import RelaxationParams, dephasing_channel, depolarizing_channel, relaxation_channel
 from .circuits import run_events
-from .errors import ConfigError, NumericalInvariantError, UnsupportedGateError
+from .errors import ConfigError, NumericalInvariantError, RfAngleError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,
     CurveComparison,
@@ -51,7 +51,7 @@ PAULI_HEADER = "I,X,Y,Z"
 @dataclass
 class RunConfig:
     model: MoleculeModel
-    delays: tuple[float, ...]
+    delays: tuple[float, ...]  # empty for tomo, whose process names its own delay
     engine: str
     rotation_error: float
     out_dir: Path
@@ -143,22 +143,21 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     noise = data["noise"]
     if args.no_noise:
         noise = {"t1": False, "t2": False, "rf_miscalibration": 0.0}
-    delays = data["experiment"].get("delays", list(DEFAULT_DELAYS))
-    if getattr(args, "delays", None) is not None:
-        delays = _parse_delays(args.delays)
-    if not isinstance(delays, (list, tuple)):
-        raise ConfigError("experiment.delays must be a list of seconds")
+    delays = ()
+    if args.command != "tomo":  # a tomo process names its own delay
+        delays = data["experiment"].get("delays", list(DEFAULT_DELAYS)) if args.delays is None else _parse_delays(args.delays)
+        if not isinstance(delays, (list, tuple)):
+            raise ConfigError("experiment.delays must be a list of seconds")
+        try:
+            delays = validate_delays(delays)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid delay list: {exc}") from exc
     engine = args.engine or data["experiment"].get("engine", "gate")
     if engine not in ("gate", "pulse"):
         raise ConfigError(f"engine must be 'gate' or 'pulse', got {engine!r}")
     out_dir = args.out or data["output"].get("dir", "results")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.dir must be a path string, got {out_dir!r}")
-
-    try:
-        delays = validate_delays(delays)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid delay list: {exc}") from exc
 
     model = _build_model(data["molecule"])
     switches = {key: noise.get(key, True) for key in ("t1", "t2")}
@@ -247,9 +246,9 @@ def _sweep(cfg: RunConfig, experiment: str) -> SweepConfig:
 
 
 def _checked(sweep: SweepConfig) -> SweepConfig:
-    """``sweep``, checked before anything is written: its circuit is built, which
-    needs a three-spin molecule, and on the pulse engine the gates of the circuit's
-    prefix are compiled, which needs the couplings they use."""
+    """``sweep``, checked before anything is written: its circuit is built (and kept
+    for the run), which needs a three-spin molecule, and on the pulse engine its
+    prefix is realized, which needs the couplings it uses and finite rf angles."""
     try:
         circuit, _ = sweep.circuit()
     except ValueError as exc:
@@ -258,7 +257,8 @@ def _checked(sweep: SweepConfig) -> SweepConfig:
         try:
             realize_pulses(circuit.events[: circuit.delay_start], sweep.model, sweep.rotation_error)
         except UnsupportedGateError as exc:
-            raise ConfigError(f"the pulse engine cannot run {sweep.experiment} on this molecule: {exc}") from exc
+            culprit = "with this noise.rf_miscalibration" if isinstance(exc, RfAngleError) else "on this molecule"
+            raise ConfigError(f"the pulse engine cannot run {sweep.experiment} {culprit}: {exc}") from exc
     return sweep
 
 
@@ -446,7 +446,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # was cut.  Point stdout at devnull so the flush at shutdown cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
-
-
-def entry() -> None:
-    sys.exit(main())

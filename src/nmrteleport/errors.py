@@ -24,6 +24,10 @@ class UnsupportedGateError(ValueError):
     """The gate cannot be realized as an rf-pulse / J-coupling schedule."""
 
 
+class RfAngleError(UnsupportedGateError):
+    """An rf miscalibration scales a pulse angle beyond the finite floats."""
+
+
 class FitConvergenceError(NumericalInvariantError):
     """Decay curve fit did not converge; carries the best parameters found."""
 

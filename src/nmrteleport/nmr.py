@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import KrausChannel, RelaxationParams
-from .errors import UnsupportedGateError
+from .errors import RfAngleError, UnsupportedGateError
 from .qstate import CNOT, lift_operator, rotation_x, rotation_y
 
 _ANGLE_EPS = 1e-12
@@ -294,7 +294,7 @@ def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error
     if isinstance(ev, RfRotation):
         angle = ev.angle * (1.0 + angle_error)
         if not math.isfinite(angle):
-            raise UnsupportedGateError(f"rf angle {ev.angle} scaled by 1 + {angle_error} is not finite")
+            raise RfAngleError(f"rf angle {ev.angle} scaled by 1 + {angle_error} is not finite")
         return [(rotation_x(angle) if ev.axis == "x" else rotation_y(angle), (model.index(ev.spin),))]
     if not ev.duration > 0.0:
         return []

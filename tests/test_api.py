@@ -1,6 +1,10 @@
-"""The package exports no symbol that only its tests use."""
+"""The package exports no symbol that only its tests use, loads lazily, and only
+its command line sets a BLAS thread default."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nmrteleport
@@ -9,8 +13,7 @@ PACKAGE = Path(nmrteleport.__file__).resolve().parent
 
 
 def _exports() -> list[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return [name for names in nmrteleport._EXPORTS.values() for name in names]
 
 
 def _uses(path: Path) -> set[str]:
@@ -29,3 +32,60 @@ def test_every_export_is_used_inside_the_package():
     assert "run_sweep" in exports and "SweepConfig" in exports
     used = set().union(*(_uses(path) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"))
     assert sorted(name for name in exports if name not in used) == []
+
+
+def _child(code: str, **env: str) -> str:
+    """Stdout of ``code`` in a fresh Python that imports this package, with
+    ``OPENBLAS_NUM_THREADS`` unset unless ``env`` sets it."""
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True, check=True)
+    return child.stdout.strip()
+
+
+def test_import_loads_neither_numpy_nor_a_module():
+    code = "import sys, nmrteleport; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'nmrteleport.'))))"
+    assert _child(code) == "[]"
+
+
+def test_every_export_resolves_to_its_module():
+    code = """
+import importlib, nmrteleport
+exports = [(module, name) for module, names in nmrteleport._EXPORTS.items() for name in names]
+assert sorted(name for _, name in exports) == nmrteleport.__all__ and set(nmrteleport.__all__) <= set(dir(nmrteleport))
+for module, name in exports:
+    assert getattr(nmrteleport, name) is getattr(importlib.import_module(f"nmrteleport.{module}"), name), name
+from nmrteleport import *
+from nmrteleport import SweepConfig, cli, run_sweep
+print(len(exports), run_sweep is nmrteleport.experiment.run_sweep, cli.__name__)
+"""
+    assert _child(code) == f"{len(_exports())} True nmrteleport.cli"
+
+
+# Runs a statement, then prints the thread variable as numpy's first import saw it, and as it is.
+SPY = """
+import os, runpy, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+try:
+    %s
+finally:
+    print(seen, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+# What the ``nmrteleport`` script runs, and what ``python -m nmrteleport --help`` runs.
+SCRIPT = "import nmrteleport.__main__"
+MODULE = "sys.argv = ['nmrteleport', '--help']; runpy.run_module('nmrteleport', run_name='__main__')"
+
+
+def test_command_line_runs_blas_on_one_thread_unless_the_user_says_otherwise():
+    for statement in (SCRIPT, MODULE):
+        assert _child(SPY % statement).splitlines()[-1] == "['1'] 1", statement
+        assert _child(SPY % statement, OPENBLAS_NUM_THREADS="3").splitlines()[-1] == "['3'] 3", statement
+
+
+def test_library_import_leaves_blas_threads_alone():
+    assert _child(SPY % "import nmrteleport.cli") == "[None] None"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmrteleport
-from nmrteleport import cli
+from nmrteleport import circuits, cli, experiment
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.experiment import DEFAULT_DELAYS, SweepConfig, run_sweep
 from nmrteleport.nmr import tce_model
@@ -274,6 +275,63 @@ def test_rf_error_too_large_for_the_pulse_angles_exits_2(tmp_path):
         assert "is not finite" in err and not out.exists()
     code, err = run_cli(["compare", "--engine", "gate", "--config", str(cfg), "--out", str(tmp_path / "gate")])
     assert code == cli.EXIT_OK, err
+
+
+def test_tomo_ignores_the_config_delays(tmp_path):
+    # A tomo process names its own delay, so the file's delay grid is neither read nor checked.
+    for body in ("experiment: {delays: [1, 0]}\n", "experiment: {delays: quick}\n"):
+        cfg = tmp_path / "delays.yaml"
+        cfg.write_text(body)
+        for channel in ("identity", "teleport(0.5)"):
+            plain, configured = tmp_path / "plain", tmp_path / "configured"
+            assert cli.main(["tomo", "--channel", channel, "--out", str(plain)]) == cli.EXIT_OK
+            code, err = run_cli(["tomo", "--channel", channel, "--config", str(cfg), "--out", str(configured)])
+            assert code == cli.EXIT_OK, (body, channel, err)
+            for path in plain.iterdir():
+                assert (configured / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_rf_error_that_overflows_an_angle_is_blamed_on_the_noise_section(tmp_path):
+    cfg = tmp_path / "rf.yaml"
+    cfg.write_text("noise: {rf_miscalibration: 1.0e308}\n")
+    cases = ((["teleport"], "teleport"), (["compare"], "teleport"), (["tomo", "--channel", "control(0.5)"], "control"))
+    for command, kind in cases:
+        out = tmp_path / command[0]
+        code, err = run_cli([*command, "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, (command, err)
+        assert err.startswith(f"error: the pulse engine cannot run {kind} with this noise.rf_miscalibration: rf angle")
+        assert err.endswith("scaled by 1 + 1e+308 is not finite\n") and "molecule" not in err
+        assert not out.exists()
+
+
+def test_missing_coupling_is_blamed_on_the_molecule(tmp_path):
+    cfg = tmp_path / "uncoupled.yaml"
+    cfg.write_text(molecule_yaml(c1_c2=False))
+    for command in (["teleport"], ["compare"], ["tomo", "--channel", "teleport(0.5)"]):
+        out = tmp_path / command[0]
+        code, err = run_cli([*command, "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, (command, err)
+        assert err == (
+            "error: the pulse engine cannot run teleport on this molecule: "
+            "no active J coupling between C2 and C1; two-spin gates need one\n"
+        )
+        assert not out.exists()
+
+
+def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch):
+    # The checks before writing and the sweep share one circuit per experiment.
+    calls = Counter()
+    targets = ((experiment, "teleport_circuit"), (experiment, "control_circuit"), (circuits, "relaxation_channels"))
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["compare", "--engine", "pulse", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert calls == {"teleport_circuit": 1, "control_circuit": 1, "relaxation_channels": 6}
 
 
 def test_hostile_config_sections_exit_2(tmp_path):
