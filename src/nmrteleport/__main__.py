@@ -1,5 +1,6 @@
 """The command line: ``python -m nmrteleport`` and the ``nmrteleport`` script (``entry``)."""
 
+import gc
 import os
 import sys
 
@@ -12,7 +13,12 @@ from .cli import main  # noqa: E402
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Shutdown would run full collections over every object numpy made, all about
+    # to die with the process; frozen, the collector skips them.  atexit handlers
+    # and the flush of stdio still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -132,8 +132,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     One circuit covers the whole grid: its prefix runs once on the four
     tomography inputs, then every delay and all four inputs run as one
     ``(delays, 4, 8, 8)`` stack, one step at a time.  A violated invariant
-    is reported with the delay, the tomography input and the circuit step
-    where it happened.
+    is reported with the experiment, the engine, and the delay, tomography
+    input and circuit step (or reconstruction) where it happened.
     """
     circuit, readout = config.circuit()
     events, start = circuit.events, circuit.delay_start
@@ -141,21 +141,27 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         events = realize_pulses(events, config.model, config.rotation_error)
 
     def run(stack: np.ndarray) -> np.ndarray:
-        try:
-            prefix = run_events(events[:start], stack)
-            stack = np.broadcast_to(prefix, (len(config.delays),) + prefix.shape)
-            return run_events(events[start:], stack)
-        except NumericalInvariantError as exc:
-            raise NumericalInvariantError(f"{_where(exc, config.delays, start)}: {exc}") from exc
+        prefix = run_events(events[:start], stack)
+        return run_events(events[start:], np.broadcast_to(prefix, (len(config.delays),) + prefix.shape))
 
-    maps = tomograph(run, circuit.num_qubits, readout)
+    try:
+        maps = tomograph(run, circuit.num_qubits, readout)
+    except NumericalInvariantError as exc:
+        where = _where(exc, config.delays, start)
+        raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {where}: {exc}") from exc
     return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(config.delays, maps)]
 
 
 def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:
-    """Where in a sweep ``exc`` happened: the prefix stack is indexed by input,
-    the stack after it by (delay, input), with steps counted from ``start``.
-    A one-element step is a gate, any other a noise channel."""
+    """Where in a sweep ``exc`` happened.  In the circuit (``exc.event`` set) the
+    prefix stack is indexed by input, the stack after it by (delay, input), with
+    steps counted from ``start``; a one-element step is a gate, any other a noise
+    channel.  In the reconstruction an output state is indexed by (delay, input),
+    a process map by delay."""
+    if exc.event is None:
+        where = [f"delay {delays[exc.index[0]]!r} s"] if exc.index else []
+        where += [f"tomography input {i}" for i in exc.index[1:]]
+        return ", ".join(where + ["process reconstruction"])
     if len(exc.index) == 1:
         where, step = f"every delay, tomography input {exc.index[0]}", exc.step
     else:

@@ -9,6 +9,12 @@ The chi matrix (E(rho) = sum chi_mn P_m rho P_n) follows by a fixed linear
 basis change, and the entanglement fidelity with respect to the maximally
 mixed input is chi[0][0] = tr(R)/4.
 
+The canonical input set is built once per process and shared.  A
+reconstruction checks each rule once over its whole stack (the output
+states, then R[0][0] = 1 and the chi matrices) and builds its maps
+without checking them again; a :class:`ProcessMap` built anywhere else
+checks itself against the same rules.
+
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
 """
@@ -28,6 +34,7 @@ from .qstate import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
+    _violation,
     real_expectations,
     validate_density,
 )
@@ -93,7 +100,10 @@ class TomographyInputSet:
         object.__setattr__(self, "_coordinate_matrix", coords)
 
     @classmethod
+    @lru_cache(maxsize=1)
     def canonical(cls) -> TomographyInputSet:
+        """The set of :func:`canonical_input_states`, built on the first call and
+        shared: it is immutable and its arrays are read-only."""
         return cls(canonical_input_states())
 
     def coordinate_matrix(self) -> np.ndarray:
@@ -116,22 +126,40 @@ class ProcessMap:
     chi_matrix: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.transfer_matrix, dtype=float)
-        chi = np.asarray(self.chi_matrix, dtype=complex)
+        r = np.array(self.transfer_matrix, dtype=float)
+        chi = np.array(self.chi_matrix, dtype=complex)
         if r.shape != (4, 4) or chi.shape != (4, 4):
             raise ValueError("transfer and chi matrices must be 4x4")
-        if not abs(r[0, 0] - 1.0) <= TRANSFER_TRACE_TOL:
-            raise NumericalInvariantError(f"R[0][0] = {r[0, 0]} violates trace preservation")
-        try:  # a CPTP process has a density-matrix-like chi
-            validate_density(chi, CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK)
-        except NumericalInvariantError as exc:
-            raise NumericalInvariantError(f"chi matrix: {exc}") from exc
-        r = r.copy()
-        chi = chi.copy()
+        _check_process(r, chi)
         r.flags.writeable = False
         chi.flags.writeable = False
         object.__setattr__(self, "transfer_matrix", r)
         object.__setattr__(self, "chi_matrix", chi)
+
+    @classmethod
+    def _from_checked(cls, transfer: np.ndarray, chi: np.ndarray) -> ProcessMap:
+        """The map of read-only 4x4 arrays that have passed :func:`_check_process`."""
+        process = object.__new__(cls)
+        object.__setattr__(process, "transfer_matrix", transfer)
+        object.__setattr__(process, "chi_matrix", chi)
+        return process
+
+
+def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
+    """The process rule on one map or on ``(..., 4, 4)`` stacks of them: R[0][0] = 1
+    (trace preservation) and a density-matrix-like chi (complete positivity).  NaN
+    fails both; a violation raises with the ``index`` of the worst map."""
+    r00 = transfer[..., 0, 0]
+    deviations = np.abs(r00 - 1.0)
+    if not float(np.max(deviations)) <= TRANSFER_TRACE_TOL:
+        worst = np.argmax(deviations)
+        raise _violation(f"R[0][0] = {r00.flat[worst]} violates trace preservation", worst, r00.shape)
+    try:
+        validate_density(chi, CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK)
+    except NumericalInvariantError as exc:
+        error = NumericalInvariantError(f"chi matrix: {exc}")
+        error.index = exc.index
+        raise error from exc
 
 
 def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list[ProcessMap]:
@@ -141,7 +169,8 @@ def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list
     Each output must be a density matrix, and is itself reconstructed by
     state tomography from its Bloch components before the transfer matrix
     is solved for, mirroring how the data would be taken.  Every check runs
-    once over the whole stack; each map then checks itself.
+    once over the whole stack, and a violation raises with the ``index`` of the
+    worst member: (..., input) for an output state, (...) for a map.
     """
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (4, 2, 2):
@@ -163,7 +192,11 @@ def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list
     gap = float(np.max(np.abs(round_trip.real - transfer)))
     if not gap <= ROUND_TRIP_TOL:
         raise NumericalInvariantError(f"chi/transfer round trip failed by {gap:.3e}")
-    return [ProcessMap(r, c) for r, c in zip(transfer.reshape(-1, 4, 4), chi.reshape(-1, 4, 4))]
+    _check_process(transfer, chi)
+    transfer, chi = np.array(transfer.reshape(-1, 4, 4)), np.array(chi.reshape(-1, 4, 4))
+    transfer.flags.writeable = False
+    chi.flags.writeable = False
+    return [ProcessMap._from_checked(r, c) for r, c in zip(transfer, chi)]
 
 
 def entanglement_fidelity(process: ProcessMap) -> float:

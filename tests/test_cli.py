@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import math
 import os
@@ -229,6 +230,36 @@ def test_cli_import_loads_neither_scipy_nor_yaml():
     code = "import sys, nmrteleport.cli; print(sorted({'scipy', 'yaml'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_module_run_with_a_nan_delay_exits_2_with_one_error_line(tmp_path):
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "nmrteleport", "teleport", "--delays", "0,nan", "--out", str(out)],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: invalid delay list: ") and result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_entry_freezes_the_collector_after_main_and_exits_with_its_code():
+    # The atexit handler runs after sys.exit, as at any exit of the script.
+    code = """
+import atexit, gc
+import nmrteleport.__main__ as script
+script.main = lambda: print(gc.get_freeze_count()) or 3
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+script.entry()
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "0\nTrue\n", "")
+
+
+def test_library_main_leaves_the_collector_alone(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["tomo", "--channel", "identity", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_closed_stdout_exits_0_with_every_file_written(tmp_path):

@@ -411,18 +411,57 @@ def test_sweep_violation_names_its_delay_input_and_step(monkeypatch, tmp_path, c
             with pytest.raises(NumericalInvariantError) as info:
                 run_sweep(SweepConfig(delays, kind, tce_model(), engine))
             assert str(info.value) == (
-                f"delay 0.9 s, tomography input 0, circuit step {step} (channel on qubits (0,)): "
+                f"{kind} sweep, {engine} engine, delay 0.9 s, tomography input 0, circuit step {step} (channel on qubits (0,)): "
                 "matrix deviates from Hermitian by nan (tol 1.0e-10)"
             )
             _corrupt_last_delay(monkeypatch, delays, 1.1)
             with pytest.raises(NumericalInvariantError) as info:
                 run_sweep(SweepConfig(delays, kind, tce_model(), engine))
             message = str(info.value)
-            assert message.startswith("delay 0.9 s, tomography input ")
+            assert message.startswith(f"{kind} sweep, {engine} engine, delay 0.9 s, tomography input ")
             assert message.endswith(f", circuit step {step} (channel on qubits (0,)): trace deviates from 1 by 2.100e-01")
     code = cli.main(["teleport", "--delays", "0,0.3,0.6,0.9", "--out", str(tmp_path)])
     assert code == cli.EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("numerical invariant violated: delay 0.9 s, tomography input ")
+    assert capsys.readouterr().err.startswith(
+        "numerical invariant violated: teleport sweep, gate engine, delay 0.9 s, tomography input "
+    )
+
+
+def test_reconstruction_violation_in_a_sweep_names_its_delay(monkeypatch):
+    # Transposed outputs are valid states of a process that is not completely
+    # positive; scaled ones are not states.
+    delays = (0.0, 0.3, 0.6, 0.9)
+
+    def corrupt(index, change):
+        def reduced(stack, keep):
+            outputs = reduce_stack(stack, keep).copy()
+            outputs[index] = change(outputs[index])
+            return outputs
+
+        monkeypatch.setattr(experiment, "reduce_stack", reduced)
+
+    corrupt(2, lambda outputs: np.swapaxes(outputs, -1, -2))
+    with pytest.raises(NumericalInvariantError) as info:
+        run_sweep(SweepConfig(delays, "teleport", tce_model(), "pulse"))
+    assert str(info.value).startswith("teleport sweep, pulse engine, delay 0.6 s, process reconstruction: chi matrix: eigenvalue ")
+    corrupt((1, 3), lambda output: 1.5 * output)
+    with pytest.raises(NumericalInvariantError) as info:
+        run_sweep(SweepConfig(delays, "control", tce_model()))
+    assert str(info.value) == (
+        "control sweep, gate engine, delay 0.3 s, tomography input 3, process reconstruction: "
+        "trace deviates from 1 by 5.000e-01"
+    )
+
+
+def test_a_second_sweep_builds_no_density_matrix(monkeypatch):
+    config = SweepConfig((0.0, 0.3, 0.6, 0.9), "teleport", tce_model())
+    first = run_sweep(config)
+    built = []
+    real = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: built.append(real(self)))
+    second = run_sweep(config)
+    assert built == []
+    assert [r.fe for r in second] == [r.fe for r in first]
 
 
 def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatch):

@@ -174,8 +174,13 @@ def test_input_coordinate_matrix_is_stored_read_only():
     fresh = np.array([[pauli_expectation(s.matrix, p) for s in inputs.states] for p in "IXYZ"])
     assert np.array_equal(v, fresh)
     assert inputs.coordinate_matrix() is v
-    with pytest.raises(ValueError):
-        v[0, 0] = 2.0
+    # One set serves every tomography: it is immutable, and so are its arrays.
+    assert TomographyInputSet.canonical() is inputs
+    with pytest.raises(AttributeError):
+        inputs.states = ()
+    for array in [v] + [s.matrix for s in inputs.states]:
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
 
 
 def test_canonical_inputs_are_the_four_reference_states():
@@ -223,6 +228,7 @@ def test_vectorized_reconstruction_matches_per_output_oracle():
         transfer, chi = per_output_reconstruction([DensityMatrix(1, m) for m in member], inputs)
         assert np.max(np.abs(pm.transfer_matrix - transfer)) <= 1e-15
         assert np.max(np.abs(pm.chi_matrix - chi)) <= 1e-15
+        assert not pm.transfer_matrix.flags.writeable and not pm.chi_matrix.flags.writeable
 
 
 def test_batched_reconstruction_checks_every_member():
@@ -231,10 +237,24 @@ def test_batched_reconstruction_checks_every_member():
     for corrupt in (np.nan, 1.5):
         outputs = random_outputs(rng, (5,))
         outputs[-1, 3, 0, 0] *= corrupt
-        with pytest.raises(NumericalInvariantError):
+        with pytest.raises(NumericalInvariantError) as info:
             reconstruct_process(outputs, inputs)
+        assert info.value.index == (4, 3)
     with pytest.raises(ValueError):
         reconstruct_process(np.zeros((3, 2, 2)), inputs)
+
+
+def test_batched_reconstruction_locates_a_map_that_is_not_completely_positive():
+    # The transpose map takes every input to a valid state, but it is not
+    # completely positive: its chi has the eigenvalue -1/2.
+    rng = np.random.default_rng(81)
+    inputs = TomographyInputSet.canonical()
+    outputs = random_outputs(rng, (5,))
+    outputs[2] = [s.matrix.T for s in inputs.states]
+    with pytest.raises(NumericalInvariantError) as info:
+        reconstruct_process(outputs, inputs)
+    assert info.value.index == (2,)
+    assert str(info.value) == "chi matrix: eigenvalue -5.000e-01 < -1.0e-08"
 
 
 def test_nan_fails_process_map_and_fidelity_checks():
