@@ -13,11 +13,14 @@ from .cli import main  # noqa: E402
 
 
 def entry() -> None:
-    code = main()
-    # Shutdown would run full collections over every object numpy made, all about
-    # to die with the process; frozen, the collector skips them.  atexit handlers
-    # and the flush of stdio still run.
-    gc.freeze()
+    try:
+        code = main()
+    finally:
+        # Shutdown would run full collections over every object numpy made, all about
+        # to die with the process; frozen, the collector skips them.  ``finally`` also
+        # covers argparse's SystemExit (--help, a rejected option).  atexit handlers
+        # and the flush of stdio still run.
+        gc.freeze()
     sys.exit(code)
 
 

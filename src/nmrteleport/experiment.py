@@ -172,7 +172,8 @@ def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) ->
 
 def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     """Best (amplitude, offset) for a fixed tau, plus the sum of squares."""
-    design = np.column_stack([np.exp(-times / tau), np.ones_like(times)])
+    design = np.ones((times.size, 2))
+    design[:, 0] = np.exp(-times / tau)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = design @ coef - values
     return coef, float(residual @ residual)

@@ -55,6 +55,23 @@ def random_density(rng, num_qubits: int = 1, rank: int | None = None) -> Density
     return DensityMatrix(num_qubits, matrix)
 
 
+def hermitian_with_least_eigenvalue(rng, least: float, dim: int = 8) -> np.ndarray:
+    """A random Hermitian unit-trace matrix whose least eigenvalue is ``least``, up to
+    rounding; the other eigenvalues are positive and well apart from it."""
+    rest = rng.random(dim - 1) + 0.1
+    spectrum = np.concatenate([[least], rest * (1.0 - least) / rest.sum()])
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    matrix = (q * spectrum) @ q.conj().T
+    return (matrix + matrix.conj().T) / 2.0
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    """One entry per ``np.linalg.eigvalsh`` call from now on."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+    return calls
+
+
 def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:
     """Random single-qubit Kraus set: blocks of a random isometry C^2 -> C^(2m)."""
     g = rng.normal(size=(2 * num_elements, 2)) + 1j * rng.normal(size=(2 * num_elements, 2))

@@ -20,6 +20,7 @@ from nmrteleport import circuits, cli, experiment
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.experiment import DEFAULT_DELAYS, SweepConfig, run_sweep
 from nmrteleport.nmr import tce_model
+from tests.helpers import count_eigvalsh
 
 
 def read_csv(path):
@@ -254,6 +255,36 @@ script.entry()
 """
     result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (3, "0\nTrue\n", "")
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["teleport", "--engine", "bogus"], 2)])
+def test_entry_freezes_the_collector_when_argparse_exits(args, code, tmp_path, monkeypatch, capsys):
+    # --help and a rejected option leave main by SystemExit, before it returns.
+    probe = tmp_path / "frozen"
+    child = f"""
+import atexit, gc, sys
+import nmrteleport.__main__ as script
+atexit.register(lambda: open({str(probe)!r}, "w").write(str(gc.get_freeze_count() > 0)))
+sys.argv = ["nmrteleport", *{args!r}]
+script.entry()
+"""
+    env = {**child_env(), "COLUMNS": "80"}
+    result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+    assert probe.read_text() == "True"
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(args)
+    usage = capsys.readouterr()
+    assert (result.returncode, result.stdout, result.stderr) == (code, usage.out, usage.err)
+    assert info.value.code == code and "usage: nmrteleport" in usage.out + usage.err
+
+
+def test_a_clean_30_delay_pulse_compare_calls_no_eigvalsh(tmp_path, monkeypatch):
+    # Every state and chi check of the sweep is certified by Cholesky.
+    delays = ",".join(repr(float(d)) for d in np.linspace(0.0, 1.2, 30))
+    calls = count_eigvalsh(monkeypatch)
+    assert cli.main(["compare", "--engine", "pulse", "--delays", delays, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 0
 
 
 def test_library_main_leaves_the_collector_alone(tmp_path):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.qstate import (
@@ -9,6 +13,7 @@ from nmrteleport.qstate import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
+    PSD_SLACK,
     DensityMatrix,
     evolve,
     lift_operator,
@@ -17,10 +22,13 @@ from nmrteleport.qstate import (
     tensor_product,
     validate_density,
 )
+from nmrteleport.tomography import CHI_PSD_SLACK
 from tests.helpers import (
     BELL_STATES,
     basis_state,
     brute_reduced,
+    count_eigvalsh,
+    hermitian_with_least_eigenvalue,
     pauli_expectation,
     pauli_string,
     projector,
@@ -257,6 +265,69 @@ def test_validate_density_checks_every_member_of_a_stack():
     for bad in (off_trace, negative):
         with pytest.raises(NumericalInvariantError):
             validate_density(bad)
+
+
+def sweep_sized_stack(rng):
+    """A ``(30, 4, 8, 8)`` stack, the size of a 30-delay sweep, of valid states."""
+    return np.stack([[hermitian_with_least_eigenvalue(rng, 0.0) for _ in range(4)] for _ in range(30)])
+
+
+def test_certificate_decides_a_sweep_sized_stack_with_eigvalsh_only_on_failure(monkeypatch):
+    rng = np.random.default_rng(43)
+    stack = sweep_sized_stack(rng)
+    stack[11, 1] = hermitian_with_least_eigenvalue(rng, -5e-10)  # within the slack
+    calls = count_eigvalsh(monkeypatch)
+    assert np.array_equal(validate_density(stack), (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0)
+    assert len(calls) == 0
+    negative, nan = stack.copy(), stack.copy()
+    negative[17, 2] = hermitian_with_least_eigenvalue(rng, -2e-9)
+    nan[5, 1, 3, 3] = np.nan
+    with pytest.raises(NumericalInvariantError) as info:
+        validate_density(negative)
+    assert str(info.value) == "eigenvalue -2.000e-09 < -1.0e-09"
+    assert info.value.index == (17, 2) and len(calls) == 1
+    with pytest.raises(NumericalInvariantError) as info:
+        validate_density(nan)
+    assert info.value.index == (5, 1)
+
+
+def test_a_member_exactly_at_the_slack_fails_the_factorization_and_passes_the_rule(monkeypatch):
+    # H + slack*I has an exact zero pivot, so only eigvalsh can accept it.
+    stack = sweep_sized_stack(np.random.default_rng(47))
+    stack[3, 0] = np.diag([1.0 + PSD_SLACK, -PSD_SLACK, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    calls = count_eigvalsh(monkeypatch)
+    validate_density(stack)
+    assert len(calls) == 1
+
+
+def test_infinite_slack_skips_the_certificate_without_a_warning():
+    stack = sweep_sized_stack(np.random.default_rng(49))
+    stack[0, 0] = np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_density(stack, psd_slack=np.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([PSD_SLACK, CHI_PSD_SLACK]),
+    st.sampled_from([2, 4, 8]),
+    st.lists(st.floats(1e-12, 1e-8) | st.floats(-1e-8, -1e-12) | st.just(None), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_density_passes_exactly_when_the_least_eigenvalue_is_within_the_slack(slack, dim, offsets, seed):
+    # Each member's least eigenvalue is -slack + offset (a valid state for None),
+    # never within 1e-12 of the boundary, where rounding may decide either way.
+    rng = np.random.default_rng(seed)
+    least = [0.0 if offset is None else offset - slack for offset in offsets]
+    stack = np.stack([hermitian_with_least_eigenvalue(rng, value, dim) for value in least])
+    oracle = float(np.min(np.linalg.eigvalsh(stack)))
+    try:
+        validate_density(stack, psd_slack=slack)
+        passed = True
+    except NumericalInvariantError:
+        passed = False
+    assert passed == (oracle >= -slack)
 
 
 def test_evolve_matches_lifted_conjugation_on_stacks():

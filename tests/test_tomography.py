@@ -257,6 +257,25 @@ def test_batched_reconstruction_locates_a_map_that_is_not_completely_positive():
     assert str(info.value) == "chi matrix: eigenvalue -5.000e-01 < -1.0e-08"
 
 
+def test_chi_stack_check_holds_its_slack_and_names_the_map():
+    inputs = TomographyInputSet.canonical()
+
+    def outputs_with_least_chi_eigenvalue(least):
+        # (1-s) * (complete depolarization) + s * (transpose) sends every input to a valid
+        # state; its chi has the eigenvalues (1-s)/4 + s/2 (three times) and (1-s)/4 - s/2.
+        s = (1.0 - 4.0 * least) / 3.0
+        outputs = random_outputs(np.random.default_rng(82), (6,))
+        outputs[4] = [(1.0 - s) * IDENTITY_2 / 2.0 + s * state.matrix.T for state in inputs.states]
+        return outputs
+
+    maps = reconstruct_process(outputs_with_least_chi_eigenvalue(-5e-9), inputs)  # within the 1e-8 slack
+    assert np.min(np.linalg.eigvalsh(maps[4].chi_matrix)) == pytest.approx(-5e-9, abs=1e-15)
+    with pytest.raises(NumericalInvariantError) as info:
+        reconstruct_process(outputs_with_least_chi_eigenvalue(-2e-8), inputs)
+    assert str(info.value) == "chi matrix: eigenvalue -2.000e-08 < -1.0e-08"
+    assert info.value.index == (4,)
+
+
 def test_nan_fails_process_map_and_fidelity_checks():
     good = IDENTITY_MAP
     with pytest.raises(NumericalInvariantError):
