@@ -10,15 +10,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the names the package exports from it
     "channels": ("KrausChannel", "RelaxationParams", "dephasing_channel", "depolarizing_channel", "relaxation_channel"),
-    "circuits": ("Circuit", "CorrectionTable", "bell_to_computational", "control_circuit", "correction_table",
-                 "entangle_gate", "teleport_circuit"),
+    "circuits": ("Circuit", "bell_to_computational", "control_circuit", "correction_table", "entangle_gate",
+                 "teleport_circuit"),
     "errors": ("ConfigError", "FitConvergenceError", "NumericalInvariantError", "UnphysicalBlochError",
                "UnsupportedGateError"),
     "experiment": ("DEFAULT_DELAYS", "CurveComparison", "DecayFit", "SweepConfig", "SweepRecord", "compare_curves",
                    "fit_decay", "fit_exponential", "run_sweep", "tomograph"),
-    "nmr": ("FreeEvolution", "MoleculeModel", "PulseSchedule", "RfRotation", "SpinParams", "compile_gate", "tce_model"),
+    "nmr": ("FreeEvolution", "MoleculeModel", "RfRotation", "SpinParams", "compile_gate", "tce_model"),
     "qstate": ("DensityMatrix", "lift_operator", "tensor_product"),
-    "tomography": ("ProcessMap", "TomographyInputSet", "entanglement_fidelity", "state_tomography"),
+    "tomography": ("ProcessMap", "entanglement_fidelity", "state_tomography"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -31,10 +32,7 @@ from .errors import NumericalInvariantError
 from .qstate import (
     CNOT,
     HADAMARD,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     evolve,
     lift_operator,
     tensor_product,
@@ -45,7 +43,6 @@ if TYPE_CHECKING:
     from .nmr import MoleculeModel
 
 DATA, ANCILLA, TARGET = 0, 1, 2
-OUTCOMES = ("00", "01", "10", "11")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,39 +82,15 @@ def bell_to_computational(data: int = 0, ancilla: int = 1) -> tuple[KrausChannel
     return KrausChannel((data, ancilla), (CNOT,)), KrausChannel((data,), (HADAMARD,))
 
 
-_PAULI_LIKE = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionTable:
-    """Outcome (two bits on data, ancilla) -> single-qubit recovery unitary."""
-
-    corrections: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        if set(self.corrections) != set(OUTCOMES):
-            raise ValueError(f"correction table must cover outcomes {OUTCOMES}")
-        frozen = {}
-        for outcome, u in self.corrections.items():
-            u = np.asarray(u, dtype=complex)
-            overlaps = [abs(np.trace(p.conj().T @ u)) / 2.0 for p in _PAULI_LIKE.values()]
-            if max(overlaps) < 1.0 - 1e-9:
-                raise ValueError(
-                    f"correction for outcome {outcome} is not a Pauli up to global phase"
-                )
-            u = u.copy()
-            u.flags.writeable = False
-            frozen[outcome] = u
-        object.__setattr__(self, "corrections", frozen)
-
-
 @lru_cache(maxsize=1)
-def correction_table() -> CorrectionTable:
+def correction_table() -> Mapping[str, np.ndarray]:
     """Derive the recovery unitaries from the circuit's own conventions.
 
     Runs the pre-measurement unitary (entangle, then Bell rotation) on basis
     inputs and extracts, for each computational outcome of (data, ancilla),
-    the residual operator left on the target; the correction is its inverse.
+    the residual operator left on the target; the correction is its inverse,
+    checked to be a Pauli up to global phase.  Built once and shared, so the
+    table is read-only: outcome ("00" to "11") -> read-only 2x2 unitary.
     """
     pre = (
         lift_operator(HADAMARD, (DATA,), 3)
@@ -135,14 +108,18 @@ def correction_table() -> CorrectionTable:
                     # branch carries weight 1/2, so the block is half the
                     # residual unitary.
                     residual[t, s] = 2.0 * pre[(b0 << 2) | (b1 << 1) | t, s << 2]
-            table[f"{b0}{b1}"] = residual.conj().T
-    return CorrectionTable(table)
+            correction = residual.conj().T.copy()
+            if not max(abs(np.trace(p.conj().T @ correction)) / 2.0 for p in PAULIS.values()) >= 1.0 - 1e-9:
+                raise NumericalInvariantError(f"correction for outcome {b0}{b1} is not a Pauli up to global phase")
+            correction.flags.writeable = False
+            table[f"{b0}{b1}"] = correction
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=1)
 def _controlled_correction() -> KrausChannel:
     """All four corrections as one unitary controlled on (data, ancilla), built once."""
-    table = correction_table().corrections
+    table = correction_table()
     full = np.zeros((8, 8), dtype=complex)
     for b0 in (0, 1):
         for b1 in (0, 1):

@@ -28,6 +28,7 @@ from .circuits import run_events
 from .errors import ConfigError, NumericalInvariantError, RfAngleError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,
+    ENGINES,
     CurveComparison,
     DecayFit,
     SweepConfig,
@@ -153,8 +154,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid delay list: {exc}") from exc
     engine = args.engine or data["experiment"].get("engine", "gate")
-    if engine not in ("gate", "pulse"):
-        raise ConfigError(f"engine must be 'gate' or 'pulse', got {engine!r}")
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be {' or '.join(map(repr, ENGINES))}, got {engine!r}")
     out_dir = args.out or data["output"].get("dir", "results")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.dir must be a path string, got {out_dir!r}")
@@ -191,7 +192,10 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_curve_csv(path: Path, records: Sequence[SweepRecord]) -> None:
@@ -267,43 +271,44 @@ def _emit(out_dir: Path, summary: list[str]) -> None:
     print("\n".join(summary), flush=True)
 
 
-def cmd_teleport(cfg: RunConfig) -> None:
-    sweep = _sweep(cfg, "teleport")
+def _header(cfg: RunConfig, experiment: str) -> list[str]:
+    return [f"experiment: {experiment}", f"engine: {cfg.engine}", f"delays_s: {','.join(_fmt(d) for d in cfg.delays)}"]
+
+
+def _run_curve(cfg: RunConfig, experiment: str, verdicts: Callable[[list[SweepRecord]], list[str]]) -> None:
+    """One sweep: its curve, the process map of its first delay, and a summary of
+    the header, the ``verdicts`` lines on its records and the decay fit."""
+    sweep = _sweep(cfg, experiment)
     out_dir = _prepare_out_dir(cfg)
     records = run_sweep(sweep)
     _write_curve_csv(out_dir / "curve.csv", records)
     _write_process_map(out_dir, records[0].process_map)
-    nonzero = [r for r in records if r.delay > 0.0]
-    summary = [
-        "experiment: teleport",
-        f"engine: {cfg.engine}",
-        f"delays_s: {','.join(_fmt(d) for d in cfg.delays)}",
-    ]
-    if nonzero:
-        summary += [
-            f"fe at smallest nonzero delay ({_fmt(nonzero[0].delay)} s): {_fmt(nonzero[0].fe)}",
-            f"quantum transmission (fe > 0.5 at smallest nonzero delay): {_yes(nonzero[0].fe > 0.5)}",
+    _emit(out_dir, _header(cfg, experiment) + verdicts(records) + _fit_lines(_maybe_fit(records)))
+
+
+def cmd_teleport(cfg: RunConfig) -> None:
+    def verdicts(records: list[SweepRecord]) -> list[str]:
+        nonzero = [r for r in records if r.delay > 0.0]
+        if not nonzero:
+            return []
+        first = nonzero[0]
+        return [
+            f"fe at smallest nonzero delay ({_fmt(first.delay)} s): {_fmt(first.fe)}",
+            f"quantum transmission (fe > 0.5 at smallest nonzero delay): {_yes(first.fe > 0.5)}",
         ]
-    summary += _fit_lines(_maybe_fit(records))
-    _emit(out_dir, summary)
+
+    _run_curve(cfg, "teleport", verdicts)
 
 
 def cmd_control(cfg: RunConfig) -> None:
-    sweep = _sweep(cfg, "control")
-    out_dir = _prepare_out_dir(cfg)
-    records = run_sweep(sweep)
-    _write_curve_csv(out_dir / "curve.csv", records)
-    _write_process_map(out_dir, records[0].process_map)
-    last = records[-1]
-    summary = [
-        "experiment: control",
-        f"engine: {cfg.engine}",
-        f"delays_s: {','.join(_fmt(d) for d in cfg.delays)}",
-        f"fe at longest delay ({_fmt(last.delay)} s): {_fmt(last.fe)}",
-        f"distance from 0.5 dephasing floor: {_fmt(abs(last.fe - 0.5))}",
-    ]
-    summary += _fit_lines(_maybe_fit(records))
-    _emit(out_dir, summary)
+    def verdicts(records: list[SweepRecord]) -> list[str]:
+        last = records[-1]
+        return [
+            f"fe at longest delay ({_fmt(last.delay)} s): {_fmt(last.fe)}",
+            f"distance from 0.5 dephasing floor: {_fmt(abs(last.fe - 0.5))}",
+        ]
+
+    _run_curve(cfg, "control", verdicts)
 
 
 def cmd_compare(cfg: RunConfig) -> None:
@@ -313,11 +318,7 @@ def cmd_compare(cfg: RunConfig) -> None:
     out_dir = _prepare_out_dir(cfg)
     comparison = compare_curves(*(run_sweep(sweep) for sweep in sweeps))
     _write_compare_csv(out_dir / "compare.csv", comparison)
-    summary = [
-        "experiment: compare",
-        f"engine: {cfg.engine}",
-        f"delays_s: {','.join(_fmt(d) for d in cfg.delays)}",
-    ]
+    summary = _header(cfg, "compare")
     summary += ["teleport " + line.strip() for line in _fit_lines(comparison.teleport_fit)]
     summary += ["control " + line.strip() for line in _fit_lines(comparison.control_fit)]
     summary += [
@@ -417,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file; flags override its keys")
         if command != "tomo":  # a tomo process fixes its own delay
             p.add_argument("--delays", help="comma-separated delay list in seconds")
-        p.add_argument("--engine", choices=("gate", "pulse"), help="simulation engine")
+        p.add_argument("--engine", choices=ENGINES, help="simulation engine")
         p.add_argument("--no-noise", action="store_true", help="disable all relaxation")
         p.add_argument("--out", help="output directory (default: results)")
         if command == "tomo":

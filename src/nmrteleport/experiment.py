@@ -21,7 +21,7 @@ from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_event
 from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
-from .tomography import ProcessMap, TomographyInputSet, entanglement_fidelity, reconstruct_process
+from .tomography import ProcessMap, _canonical_inputs, entanglement_fidelity, reconstruct_process
 
 EXPERIMENT_KINDS = ("teleport", "control")
 ENGINES = ("gate", "pulse")
@@ -121,9 +121,8 @@ def tomograph(run: Callable[[np.ndarray], np.ndarray], num_qubits: int, readout:
     stack, and returns the final stack with any leading axes it adds in
     front.  The readout qubit's outputs give one process map per leading index.
     """
-    inputs = TomographyInputSet.canonical()
-    final = run(prepare(np.stack([s.matrix for s in inputs.states]), num_qubits))
-    return reconstruct_process(reduce_stack(final, [readout]), inputs)
+    final = run(prepare(_canonical_inputs()[0], num_qubits))
+    return reconstruct_process(reduce_stack(final, [readout]))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

@@ -2,12 +2,13 @@
 
 The built-in parameter set describes trichloroethylene (TCE): one hydrogen
 and two carbon-13 nuclei, with measured Larmor frequencies, J couplings and
-relaxation times.  Gates are compiled to rotating-frame schedules of x/y rf
-rotations plus free evolution under the weak-coupling (sigma_z.sigma_z)
-Hamiltonian; z rotations never appear explicitly because in the rotating
-frame they are realized by x/y conjugation.  Refocusing is modeled
-declaratively: a free-evolution interval lists the couplings that are
-active, and everything else contributes nothing.  The pulse engine,
+relaxation times.  Gates are compiled to rotating-frame schedules: tuples
+of x/y rf rotations (:class:`RfRotation`) and intervals of free evolution
+under the weak-coupling (sigma_z.sigma_z) Hamiltonian
+(:class:`FreeEvolution`).  z rotations never appear explicitly because in
+the rotating frame they are realized by x/y conjugation.  Refocusing is
+modeled declaratively: a free-evolution interval lists the couplings that
+are active, and everything else contributes nothing.  The pulse engine,
 :func:`realize_pulses`, does not replay a schedule pulse by pulse: it
 rewrites a circuit's steps, replacing each one- and two-spin gate by the
 one-element channel of the unitary the gate's schedule realizes.
@@ -167,19 +168,6 @@ class FreeEvolution:
         object.__setattr__(self, "couplings", couplings)
 
 
-@dataclass(frozen=True, eq=False)
-class PulseSchedule:
-    """Ordered rf rotations and free-evolution intervals."""
-
-    events: tuple[RfRotation | FreeEvolution, ...]
-
-    def __post_init__(self):
-        for ev in self.events:
-            if not isinstance(ev, (RfRotation, FreeEvolution)):
-                raise ValueError(f"unsupported schedule event {ev!r}")
-        object.__setattr__(self, "events", tuple(self.events))
-
-
 def _wrap_angle(angle: float) -> float:
     wrapped = math.remainder(angle, 2.0 * math.pi)
     return wrapped if abs(wrapped) > _ANGLE_EPS else 0.0
@@ -261,8 +249,9 @@ def _cnot_schedule(control: str, target: str, j: float) -> list[RfRotation | Fre
     return events
 
 
-def compile_gate(gate: KrausChannel, model: MoleculeModel) -> PulseSchedule:
-    """Translate one gate, a one-element circuit step, into an rf/J-coupling schedule.
+def compile_gate(gate: KrausChannel, model: MoleculeModel) -> tuple[RfRotation | FreeEvolution, ...]:
+    """Translate one gate, a one-element circuit step, into an rf/J-coupling schedule:
+    its rf rotations and free-evolution intervals, in order.
 
     Supported: any single-qubit unitary (ZYZ decomposition), and a CNOT,
     controlled by the first of its targets, between spins with an active J
@@ -274,16 +263,16 @@ def compile_gate(gate: KrausChannel, model: MoleculeModel) -> PulseSchedule:
     if len(gate.targets) == 1:
         spin = model.spins[gate.targets[0]].name
         if _matches(u, np.eye(2, dtype=complex)):
-            return PulseSchedule(())
-        return PulseSchedule(tuple(_single_spin_schedule(u, spin)))
+            return ()
+        return tuple(_single_spin_schedule(u, spin))
     if len(gate.targets) == 2:
         name_a = model.spins[gate.targets[0]].name
         name_b = model.spins[gate.targets[1]].name
         j = _coupling_for(model, name_a, name_b)
         if _matches(u, np.eye(4, dtype=complex)):
-            return PulseSchedule(())
+            return ()
         if _matches(u, CNOT):
-            return PulseSchedule(tuple(_cnot_schedule(name_a, name_b, j)))
+            return tuple(_cnot_schedule(name_a, name_b, j))
         raise UnsupportedGateError("two-spin gate is not a CNOT")
     raise UnsupportedGateError(f"gates on {len(gate.targets)} spins have no pulse realization")
 
@@ -319,7 +308,7 @@ def _realized(gate: KrausChannel, model: MoleculeModel, angle_error: float) -> K
     """
     local = {t: i for i, t in enumerate(gate.targets)}
     u = np.eye(2 ** len(local), dtype=complex)
-    for ev in compile_gate(gate, model).events:
+    for ev in compile_gate(gate, model):
         for step, targets in _unitaries(ev, model, angle_error):
             u = lift_operator(step, tuple(local[t] for t in targets), len(local)) @ u
     return KrausChannel(gate.targets, (u,))

@@ -1,19 +1,19 @@
 """Single-qubit quantum process tomography and entanglement fidelity.
 
-A process is characterized by its outputs for four linearly independent
-input states, given as one stack (the circuit executor runs the four inputs
-together): each output is reconstructed from its Pauli expectation values,
-then the exactly determined linear system is solved for the Pauli transfer
-matrix R[m][n] = tr(P_m E(P_n))/2 over the basis (I, X, Y, Z).
-The chi matrix (E(rho) = sum chi_mn P_m rho P_n) follows by a fixed linear
-basis change, and the entanglement fidelity with respect to the maximally
-mixed input is chi[0][0] = tr(R)/4.
+A process is characterized by its outputs for the four fixed input states
+|0>, |1>, |+> and |+i>, given as one stack (the circuit executor runs the
+four inputs together): each output is reconstructed from its Pauli
+expectation values, then the exactly determined linear system is solved for
+the Pauli transfer matrix R[m][n] = tr(P_m E(P_n))/2 over the basis
+(I, X, Y, Z).  The chi matrix (E(rho) = sum chi_mn P_m rho P_n) follows by a
+fixed linear basis change, and the entanglement fidelity with respect to the
+maximally mixed input is chi[0][0] = tr(R)/4.
 
-The canonical input set is built once per process and shared.  A
-reconstruction checks each rule once over its whole stack (the output
-states, then R[0][0] = 1 and the chi matrices) and builds its maps
-without checking them again; a :class:`ProcessMap` built anywhere else
-checks itself against the same rules.
+The inputs are built once per process, as one read-only stack with its
+read-only Pauli coordinates, and shared.  A reconstruction checks each rule
+once over its whole stack (the output states, then R[0][0] = 1 and the chi
+matrices) and builds its maps without checking them again; a
+:class:`ProcessMap` built anywhere else checks itself against the same rules.
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -73,42 +73,19 @@ def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
     return (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
 
 
-def canonical_input_states() -> tuple[DensityMatrix, ...]:
-    """|0>, |1>, |+>, |+i> as density matrices."""
-    return (
-        state_tomography(0.0, 0.0, 1.0),
-        state_tomography(0.0, 0.0, -1.0),
-        state_tomography(1.0, 0.0, 0.0),
-        state_tomography(0.0, 1.0, 0.0),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class TomographyInputSet:
-    """Four single-qubit preparations that span operator space."""
-
-    states: tuple[DensityMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.states) != 4 or any(s.num_qubits != 1 for s in self.states):
-            raise ValueError("need exactly four single-qubit input states")
-        coords = real_expectations(np.stack([s.matrix for s in self.states]), _PAULI_OPS).T
-        if np.linalg.cond(coords) > 1e9:
-            raise ValueError("input states are not linearly independent as operators")
-        coords.flags.writeable = False
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "_coordinate_matrix", coords)
-
-    @classmethod
-    @lru_cache(maxsize=1)
-    def canonical(cls) -> TomographyInputSet:
-        """The set of :func:`canonical_input_states`, built on the first call and
-        shared: it is immutable and its arrays are read-only."""
-        return cls(canonical_input_states())
-
-    def coordinate_matrix(self) -> np.ndarray:
-        """Read-only 4x4 matrix whose column n is the Pauli coordinates of input n."""
-        return self._coordinate_matrix
+@lru_cache(maxsize=1)
+def _canonical_inputs() -> tuple[np.ndarray, np.ndarray]:
+    """|0>, |1>, |+>, |+i> as one read-only ``(4, 2, 2)`` stack, and the read-only
+    4x4 matrix whose column n is the Pauli coordinates of input n; built on the
+    first call and shared."""
+    blochs = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    stack = np.stack([state_tomography(*bloch).matrix for bloch in blochs])
+    coords = real_expectations(stack, _PAULI_OPS).T.copy()
+    if np.linalg.cond(coords) > 1e9:
+        raise NumericalInvariantError("input states are not linearly independent as operators")
+    stack.flags.writeable = False
+    coords.flags.writeable = False
+    return stack, coords
 
 
 @lru_cache(maxsize=1)
@@ -162,9 +139,9 @@ def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
         raise error from exc
 
 
-def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list[ProcessMap]:
-    """Process maps from a ``(..., 4, 2, 2)`` stack of outputs of the four ``inputs``
-    (in their order), one per leading index in C order.
+def reconstruct_process(outputs: np.ndarray) -> list[ProcessMap]:
+    """Process maps from a ``(..., 4, 2, 2)`` stack of outputs of the four canonical
+    inputs (in their order), one per leading index in C order.
 
     Each output must be a density matrix, and is itself reconstructed by
     state tomography from its Bloch components before the transfer matrix
@@ -179,10 +156,7 @@ def reconstruct_process(outputs: np.ndarray, inputs: TomographyInputSet) -> list
     states = _bloch_matrices(real_expectations(outputs, _PAULI_OPS[1:]))
     validate_density(states)
     w = real_expectations(states, _PAULI_OPS)  # w[..., n, m]: coordinate m of output n
-    try:
-        transfer = np.swapaxes(np.linalg.solve(inputs.coordinate_matrix().T, w), -1, -2)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular tomography reconstruction system") from exc
+    transfer = np.swapaxes(np.linalg.solve(_canonical_inputs()[1].T, w), -1, -2)
     vec_r = transfer.astype(complex).reshape(transfer.shape[:-2] + (16, 1))
     chi = np.linalg.solve(_transfer_from_chi(), vec_r).reshape(transfer.shape)
     round_trip = (_transfer_from_chi() @ chi.reshape(vec_r.shape)).reshape(transfer.shape)

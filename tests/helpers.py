@@ -12,7 +12,7 @@ import numpy as np
 from nmrteleport.channels import KrausChannel
 from nmrteleport.circuits import Circuit, prepare, run_events
 from nmrteleport.experiment import tomograph
-from nmrteleport.nmr import MoleculeModel, PulseSchedule, RfRotation, realize_pulses
+from nmrteleport.nmr import FreeEvolution, MoleculeModel, RfRotation, realize_pulses
 from nmrteleport.qstate import PAULIS, DensityMatrix, lift_operator, real_expectations
 from nmrteleport.tomography import ProcessMap, state_tomography
 
@@ -167,22 +167,28 @@ SPANNING_1Q = (
 
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
+# Column n: the (I, X, Y, Z) coordinates of canonical input n, |0>, |1>, |+>, |+i>.
+CANONICAL_COORDINATES = np.array(
+    [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, -1.0, 0.0, 0.0]]
+)
 
 
-def per_output_reconstruction(outputs, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer and chi matrices of a process, one output at a time.
+def per_output_reconstruction(outputs) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer and chi matrices of a process, one output at a time, from its
+    outputs (DensityMatrix) for the four canonical inputs.
 
-    Each output (a DensityMatrix) goes through Pauli expectations, state
-    tomography of its Bloch vector and the coordinates of that state; one
-    linear solve then gives R, and a second one chi from the 16x16 map
-    vec(R) = M vec(chi), built here with M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2.
+    Each output goes through Pauli expectations, state tomography of its
+    Bloch vector and the coordinates of that state; one linear solve against
+    :data:`CANONICAL_COORDINATES` then gives R, and a second one chi from the
+    16x16 map vec(R) = M vec(chi), built here with
+    M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2.
     """
     coords = []
     for out in outputs:
         state = state_tomography(*(pauli_expectation(out.matrix, p) for p in PAULI_LABELS[1:]))
         coords.append([pauli_expectation(state.matrix, p) for p in PAULI_LABELS])
     w = np.array(coords).T
-    transfer = np.linalg.solve(inputs.coordinate_matrix().T, w.T).T
+    transfer = np.linalg.solve(CANONICAL_COORDINATES.T, w.T).T
     ops = [
         np.eye(2, dtype=complex),
         np.array([[0, 1], [1, 0]], dtype=complex),
@@ -276,15 +282,17 @@ def kraus_fe(elements) -> float:
     return float(sum(abs(np.trace(a)) ** 2 for a in mats)) / 4.0
 
 
-def schedule_product(schedule: PulseSchedule, model: MoleculeModel, angle_error: float = 0.0) -> np.ndarray:
-    """The full-register unitary of a pulse schedule, one event at a time with expm:
+def schedule_product(
+    events: tuple[RfRotation | FreeEvolution, ...], model: MoleculeModel, angle_error: float = 0.0
+) -> np.ndarray:
+    """The full-register unitary of a pulse schedule's events, one at a time with expm:
     each rf angle scaled by ``1 + angle_error``, each interval evolving under the
     active couplings it lists (pi*J/2 ZZ each)."""
     from scipy.linalg import expm  # a test-only dependency, needed by the pulse oracles only
 
     n = len(model.spins)
     u = np.eye(2**n, dtype=complex)
-    for ev in schedule.events:
+    for ev in events:
         if isinstance(ev, RfRotation):
             axis = PAULIS["X"] if ev.axis == "x" else PAULIS["Y"]
             local = expm(-0.5j * ev.angle * (1.0 + angle_error) * axis)

@@ -177,7 +177,7 @@ def test_criterion_7_engine_cross_validation():
     worst = max(abs(g.fe - p.fe) for g, p in zip(gate, pulse))
 
     schedule = compile_gate(KrausChannel((0, 1), (CNOT,)), model)
-    intervals = [ev.duration for ev in schedule.events if isinstance(ev, FreeEvolution)]
+    intervals = [ev.duration for ev in schedule if isinstance(ev, FreeEvolution)]
     interval_ok = len(intervals) == 1 and abs(intervals[0] - 1.0 / 206.0) < 1e-15
     elapsed = time.perf_counter() - start
     report(

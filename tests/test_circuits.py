@@ -8,7 +8,6 @@ from nmrteleport.circuits import (
     DATA,
     TARGET,
     Circuit,
-    CorrectionTable,
     bell_to_computational,
     control_circuit,
     correction_table,
@@ -121,7 +120,7 @@ def test_bell_rotation_composes_with_inverse_to_identity():
 
 
 def test_correction_table_entries_are_paulis_up_to_phase():
-    table = correction_table().corrections
+    table = correction_table()
     expected = {"00": IDENTITY_2, "10": PAULI_Z, "01": PAULI_X, "11": 1j * PAULI_Y}
     for outcome, unitary in table.items():
         assert phase_distance(unitary, expected[outcome]) < 1e-12
@@ -136,7 +135,7 @@ def test_corrections_restore_every_branch():
     )
     for outcome in ("00", "01", "10", "11"):
         b = int(outcome, 2)
-        correction = correction_table().corrections[outcome]
+        correction = correction_table()[outcome]
         for _ in range(20):
             psi = random_pure_state(rng, 1)
             full = np.kron(psi, basis_state("00"))
@@ -269,14 +268,18 @@ def test_gate_event_rejects_nan_unitary():
         KrausChannel((0,), (np.full((2, 2), np.nan, dtype=complex),))
 
 
-def test_correction_table_accepts_only_paulis():
-    table = dict(correction_table().corrections)
-    table["11"] = HADAMARD
-    with pytest.raises(ValueError):
-        CorrectionTable(table)
-    del table["11"]
-    with pytest.raises(ValueError):
-        CorrectionTable(table)
+def test_shared_correction_table_is_read_only():
+    table = correction_table()
+    assert correction_table() is table and sorted(table) == ["00", "01", "10", "11"]
+    with pytest.raises(TypeError):
+        table["00"] = PAULI_X
+    with pytest.raises(TypeError):
+        del table["11"]
+    for unitary in table.values():
+        assert unitary.base is None  # nothing writable behind it
+        with pytest.raises(ValueError):
+            unitary[0, 0] = 2.0
+    assert phase_distance(correction_table()["00"], IDENTITY_2) < 1e-12
 
 
 def test_constant_events_are_shared_by_every_delay():

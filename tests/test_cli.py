@@ -244,6 +244,18 @@ def test_module_run_with_a_nan_delay_exits_2_with_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, blocked", [("compare", "compare.csv"), ("teleport", "summary.txt")])
+def test_module_run_that_cannot_write_an_output_exits_2_with_one_error_line(command, blocked, tmp_path):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the output file goes
+    result = subprocess.run(
+        [sys.executable, "-m", "nmrteleport", command, "--delays", "0,0.3,0.6,0.9", "--out", str(out)],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot write {out / blocked}: ") and result.stderr.count("\n") == 1
+
+
 def test_entry_freezes_the_collector_after_main_and_exits_with_its_code():
     # The atexit handler runs after sys.exit, as at any exit of the script.
     code = """

@@ -20,7 +20,7 @@ from nmrteleport.experiment import (
 )
 from nmrteleport.nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
-from nmrteleport.tomography import TomographyInputSet, entanglement_fidelity, reconstruct_process
+from nmrteleport.tomography import _canonical_inputs, entanglement_fidelity, reconstruct_process
 from tests.helpers import kraus_fe, per_output_reconstruction, process_map, relaxation_fe, teleport_fe
 
 IDENTITY_MAP = process_map(lambda stack: stack)
@@ -36,8 +36,8 @@ def per_input_outputs(config: SweepConfig) -> list[list[DensityMatrix]]:
         if config.engine == "pulse":
             events = realize_pulses(events, config.model, config.rotation_error)
         outputs.append([])
-        for state in TomographyInputSet.canonical().states:
-            final = run_events(events, prepare(state.matrix, 3)[None])
+        for state in _canonical_inputs()[0]:
+            final = run_events(events, prepare(state, 3)[None])
             outputs[-1].append(DensityMatrix(1, reduce_stack(final, [readout])[0]))
     return outputs
 
@@ -313,13 +313,12 @@ def test_hoisted_sweep_matches_per_delay_tomography():
     # Oracle: tomograph each delay's full circuit input by input, with no
     # shared prefix and no stacking.
     model = tce_model()
-    inputs = TomographyInputSet.canonical()
     delays = (0.0, 0.15, 0.7, math.inf)
     for engine, rotation_error in (("gate", 0.0), ("pulse", 0.0), ("pulse", 0.05)):
         for kind in ("teleport", "control"):
             config = SweepConfig(delays, kind, model, engine, rotation_error)
             for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
-                (expected,) = reconstruct_process(np.stack([out.matrix for out in outputs]), inputs)
+                (expected,) = reconstruct_process(np.stack([out.matrix for out in outputs]))
                 got = record.process_map
                 if engine == "gate":
                     assert np.array_equal(got.transfer_matrix, expected.transfer_matrix)
@@ -361,13 +360,12 @@ def test_sweep_reconstruction_matches_per_output_oracle():
     # Oracle: each delay's outputs computed input by input through the full
     # circuit, then reconstructed one output at a time.
     model = tce_model()
-    inputs = TomographyInputSet.canonical()
     delays = (0.0, 0.15, 0.7, math.inf)
     for engine, rotation_error in (("gate", 0.0), ("pulse", 0.0), ("pulse", 0.05)):
         for kind in ("teleport", "control"):
             config = SweepConfig(delays, kind, model, engine, rotation_error)
             for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
-                transfer, chi = per_output_reconstruction(outputs, inputs)
+                transfer, chi = per_output_reconstruction(outputs)
                 got = record.process_map
                 if engine == "gate":
                     assert np.array_equal(got.transfer_matrix, transfer)

@@ -11,7 +11,6 @@ from nmrteleport.experiment import SweepConfig, run_sweep
 from nmrteleport.nmr import (
     FreeEvolution,
     MoleculeModel,
-    PulseSchedule,
     RfRotation,
     SpinParams,
     compile_gate,
@@ -33,9 +32,9 @@ from tests.helpers import (
 )
 
 
-def schedule_events(schedule: PulseSchedule, model: MoleculeModel, angle_error: float = 0.0):
-    """The schedule's rf rotations and zz evolutions, in order, as circuit steps."""
-    return [KrausChannel(targets, (u,)) for ev in schedule.events for u, targets in nmr._unitaries(ev, model, angle_error)]
+def schedule_events(schedule: tuple, model: MoleculeModel, angle_error: float = 0.0):
+    """The rf rotations and zz evolutions of a schedule's events, in order, as circuit steps."""
+    return [KrausChannel(targets, (u,)) for ev in schedule for u, targets in nmr._unitaries(ev, model, angle_error)]
 
 
 def spin(model: MoleculeModel, name: str) -> SpinParams:
@@ -105,18 +104,18 @@ def test_with_relaxation_toggles():
 def test_compiled_cnot_interval_is_half_inverse_j():
     model = tce_model()
     sched = compile_gate(KrausChannel((0, 1), (CNOT,)), model)  # C2 -> C1
-    frees = [ev for ev in sched.events if isinstance(ev, FreeEvolution)]
+    frees = [ev for ev in sched if isinstance(ev, FreeEvolution)]
     assert len(frees) == 1
     assert frees[0].duration == pytest.approx(1.0 / (2.0 * 103.0), abs=1e-15)
     sched_h = compile_gate(KrausChannel((1, 2), (CNOT,)), model)  # C1 -> H
-    frees_h = [ev for ev in sched_h.events if isinstance(ev, FreeEvolution)]
+    frees_h = [ev for ev in sched_h if isinstance(ev, FreeEvolution)]
     assert frees_h[0].duration == pytest.approx(1.0 / (2.0 * 201.0), abs=1e-15)
 
 
 def test_identity_gate_compiles_to_empty_schedule():
     model = tce_model()
-    assert compile_gate(KrausChannel((0,), (np.eye(2),)), model).events == ()
-    assert compile_gate(KrausChannel((0, 1), (np.eye(4),)), model).events == ()
+    assert compile_gate(KrausChannel((0,), (np.eye(2),)), model) == ()
+    assert compile_gate(KrausChannel((0, 1), (np.eye(4),)), model) == ()
 
 
 def test_compiled_cnot_matches_ideal_unitary():
@@ -163,7 +162,7 @@ def test_unsupported_two_spin_gate_rejected():
 
 def test_simulate_empty_schedule_is_identity():
     model = tce_model()
-    assert schedule_events(PulseSchedule(()), model) == []
+    assert schedule_events((), model) == []
     for gate in (KrausChannel((2,), (np.eye(2),)), KrausChannel((1, 2), (np.eye(4),))):
         (realized,) = realize_pulses((gate,), model)
         assert np.array_equal(realized.elements[0], gate.elements[0])
@@ -172,13 +171,11 @@ def test_simulate_empty_schedule_is_identity():
 def test_coupling_interval_plus_local_rotations_make_bell_state():
     # Maximally entangling 1/(2J) interval, checked against the expm oracle.
     model = two_spin_model()
-    sched = PulseSchedule(
-        (
-            RfRotation("A", "y", math.pi / 2.0),
-            RfRotation("B", "y", math.pi / 2.0),
-            FreeEvolution(1.0 / 206.0, frozenset({("A", "B")})),
-            RfRotation("B", "x", math.pi / 2.0),
-        )
+    sched = (
+        RfRotation("A", "y", math.pi / 2.0),
+        RfRotation("B", "y", math.pi / 2.0),
+        FreeEvolution(1.0 / 206.0, frozenset({("A", "B")})),
+        RfRotation("B", "x", math.pi / 2.0),
     )
     out = run_events(schedule_events(sched, model), prepare(projector(basis_state("0")), 2))
     bell = projector(BELL_STATES[0])
@@ -202,8 +199,8 @@ def test_free_evolution_semigroup():
     rng = np.random.default_rng(47)
     rho = random_density(rng, 2).matrix
     pair = frozenset({("A", "B")})
-    split = run_events(schedule_events(PulseSchedule((FreeEvolution(0.003, pair), FreeEvolution(0.011, pair))), model), rho)
-    joined = run_events(schedule_events(PulseSchedule((FreeEvolution(0.014, pair),)), model), rho)
+    split = run_events(schedule_events((FreeEvolution(0.003, pair), FreeEvolution(0.011, pair)), model), rho)
+    joined = run_events(schedule_events((FreeEvolution(0.014, pair),), model), rho)
     assert np.max(np.abs(split - joined)) < 1e-10
 
 
@@ -214,7 +211,7 @@ def test_refocused_coupling_matches_model_without_coupling():
     active = two_spin_model()
     rng = np.random.default_rng(50)
     rho = random_density(rng, 2).matrix
-    sched = PulseSchedule((FreeEvolution(0.004, frozenset({("A", "B")})),))
+    sched = (FreeEvolution(0.004, frozenset({("A", "B")})),)
     assert schedule_events(sched, coupled_inactive) == schedule_events(sched, uncoupled) == []
     out_active = run_events(schedule_events(sched, active), rho)
     assert not np.allclose(out_active, rho, atol=1e-6)
@@ -224,13 +221,11 @@ def test_schedule_preserves_purity_without_relaxation():
     model = tce_model()
     rng = np.random.default_rng(52)
     rho = projector(random_pure_state(rng, 3))
-    sched = PulseSchedule(
-        (
-            RfRotation("C2", "x", 0.7),
-            FreeEvolution(0.002, frozenset({("C1", "C2")})),
-            RfRotation("H", "y", -1.2),
-            FreeEvolution(0.001, frozenset({("C1", "H")})),
-        )
+    sched = (
+        RfRotation("C2", "x", 0.7),
+        FreeEvolution(0.002, frozenset({("C1", "C2")})),
+        RfRotation("H", "y", -1.2),
+        FreeEvolution(0.001, frozenset({("C1", "H")})),
     )
     out = run_events(schedule_events(sched, model), rho)
     purity = float(np.trace(out @ out).real)
@@ -258,8 +253,6 @@ def test_schedule_validation():
         FreeEvolution(-0.1)
     with pytest.raises(ValueError):
         FreeEvolution(math.inf, frozenset({("A", "B")}))
-    with pytest.raises(ValueError):
-        PulseSchedule(("not an event",))
 
 
 def test_nan_free_evolution_is_rejected():
@@ -269,7 +262,7 @@ def test_nan_free_evolution_is_rejected():
 
 def test_simulate_unknown_spin_rejected():
     with pytest.raises(ValueError):
-        schedule_events(PulseSchedule((RfRotation("Q", "x", 1.0),)), two_spin_model())
+        schedule_events((RfRotation("Q", "x", 1.0),), two_spin_model())
 
 
 def test_gate_and_pulse_actions_agree_per_gate():

@@ -8,13 +8,13 @@ from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
 from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from nmrteleport.tomography import (
     ProcessMap,
-    TomographyInputSet,
-    canonical_input_states,
+    _canonical_inputs,
     entanglement_fidelity,
     reconstruct_process,
     state_tomography,
 )
 from tests.helpers import (
+    CANONICAL_COORDINATES,
     apply_elements,
     channel_map,
     kraus_fe,
@@ -133,21 +133,6 @@ def test_unitary_followed_by_inverse_is_perfect():
     assert entanglement_fidelity(process_map(corrected)) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_alternate_input_set_reconstructs_same_transfer_matrix():
-    rng = np.random.default_rng(74)
-    elements = random_cptp_elements(rng, 3)
-    canonical = kraus_map(elements)
-    alternate_states = (
-        state_tomography(1.0, 0.0, 0.0),
-        state_tomography(-1.0, 0.0, 0.0),
-        state_tomography(0.0, 0.0, 1.0),
-        state_tomography(0.0, 1.0, 0.0),
-    )
-    outputs = apply_elements(np.stack([s.matrix for s in alternate_states]), elements)
-    (alternate,) = reconstruct_process(outputs, TomographyInputSet(alternate_states))
-    assert np.max(np.abs(canonical.transfer_matrix - alternate.transfer_matrix)) < 1e-8
-
-
 def test_trace_over_four_equals_chi00():
     rng = np.random.default_rng(75)
     for _ in range(10):
@@ -158,37 +143,27 @@ def test_trace_over_four_equals_chi00():
         )
 
 
-def test_input_set_requires_linear_independence():
-    zero = state_tomography(0.0, 0.0, 1.0)
-    plus = state_tomography(1.0, 0.0, 0.0)
-    plus_i = state_tomography(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        TomographyInputSet((zero, zero, plus, plus_i))
-    with pytest.raises(ValueError):
-        TomographyInputSet((zero, plus))
-
-
 def test_input_coordinate_matrix_is_stored_read_only():
-    inputs = TomographyInputSet.canonical()
-    v = inputs.coordinate_matrix()
-    fresh = np.array([[pauli_expectation(s.matrix, p) for s in inputs.states] for p in "IXYZ"])
+    stack, v = _canonical_inputs()
+    fresh = np.array([[pauli_expectation(state, p) for state in stack] for p in "IXYZ"])
     assert np.array_equal(v, fresh)
-    assert inputs.coordinate_matrix() is v
-    # One set serves every tomography: it is immutable, and so are its arrays.
-    assert TomographyInputSet.canonical() is inputs
-    with pytest.raises(AttributeError):
-        inputs.states = ()
-    for array in [v] + [s.matrix for s in inputs.states]:
+    assert np.array_equal(v, CANONICAL_COORDINATES)
+    # One stack serves every tomography: it is shared, and so are its read-only arrays.
+    assert _canonical_inputs() is _canonical_inputs()
+    assert _canonical_inputs()[0] is stack and _canonical_inputs()[1] is v
+    for array in (stack, v):
+        assert array.base is None  # nothing writable behind it
         with pytest.raises(ValueError):
             array[0, 0] = 2.0
 
 
 def test_canonical_inputs_are_the_four_reference_states():
-    states = canonical_input_states()
-    assert np.allclose(states[0].matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(states[1].matrix, np.diag([0.0, 1.0]), atol=1e-12)
-    assert np.allclose(states[2].matrix, np.full((2, 2), 0.5), atol=1e-12)
-    assert np.allclose(states[3].matrix, np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-12)
+    states, _ = _canonical_inputs()
+    assert states.shape == (4, 2, 2)
+    assert np.allclose(states[0], np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(states[1], np.diag([0.0, 1.0]), atol=1e-12)
+    assert np.allclose(states[2], np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(states[3], np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-12)
 
 
 def test_process_map_validation():
@@ -201,31 +176,28 @@ def test_process_map_validation():
 
 
 def test_evaluate_must_return_single_qubit_density_matrix():
-    inputs = TomographyInputSet.canonical()
     with pytest.raises(ValueError):
-        reconstruct_process(np.stack([np.kron(s.matrix, s.matrix) for s in inputs.states]), inputs)
+        reconstruct_process(np.stack([np.kron(s, s) for s in _canonical_inputs()[0]]))
     with pytest.raises(NumericalInvariantError):
         process_map(lambda stack: 2.0 * stack)
 
 
 def random_outputs(rng, shape):
     """Outputs of a random CPTP map per leading index, for the canonical inputs."""
-    inputs = TomographyInputSet.canonical()
     outputs = np.empty(shape + (4, 2, 2), dtype=complex)
     for index in np.ndindex(*shape):
         elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
-        outputs[index] = [apply_elements(s.matrix, elements) for s in inputs.states]
+        outputs[index] = [apply_elements(s, elements) for s in _canonical_inputs()[0]]
     return outputs
 
 
 def test_vectorized_reconstruction_matches_per_output_oracle():
     rng = np.random.default_rng(79)
-    inputs = TomographyInputSet.canonical()
     outputs = random_outputs(rng, (2, 3))
-    maps = reconstruct_process(outputs, inputs)
+    maps = reconstruct_process(outputs)
     assert len(maps) == 6
     for pm, member in zip(maps, outputs.reshape(-1, 4, 2, 2)):
-        transfer, chi = per_output_reconstruction([DensityMatrix(1, m) for m in member], inputs)
+        transfer, chi = per_output_reconstruction([DensityMatrix(1, m) for m in member])
         assert np.max(np.abs(pm.transfer_matrix - transfer)) <= 1e-15
         assert np.max(np.abs(pm.chi_matrix - chi)) <= 1e-15
         assert not pm.transfer_matrix.flags.writeable and not pm.chi_matrix.flags.writeable
@@ -233,45 +205,41 @@ def test_vectorized_reconstruction_matches_per_output_oracle():
 
 def test_batched_reconstruction_checks_every_member():
     rng = np.random.default_rng(80)
-    inputs = TomographyInputSet.canonical()
     for corrupt in (np.nan, 1.5):
         outputs = random_outputs(rng, (5,))
         outputs[-1, 3, 0, 0] *= corrupt
         with pytest.raises(NumericalInvariantError) as info:
-            reconstruct_process(outputs, inputs)
+            reconstruct_process(outputs)
         assert info.value.index == (4, 3)
     with pytest.raises(ValueError):
-        reconstruct_process(np.zeros((3, 2, 2)), inputs)
+        reconstruct_process(np.zeros((3, 2, 2)))
 
 
 def test_batched_reconstruction_locates_a_map_that_is_not_completely_positive():
     # The transpose map takes every input to a valid state, but it is not
     # completely positive: its chi has the eigenvalue -1/2.
     rng = np.random.default_rng(81)
-    inputs = TomographyInputSet.canonical()
     outputs = random_outputs(rng, (5,))
-    outputs[2] = [s.matrix.T for s in inputs.states]
+    outputs[2] = [s.T for s in _canonical_inputs()[0]]
     with pytest.raises(NumericalInvariantError) as info:
-        reconstruct_process(outputs, inputs)
+        reconstruct_process(outputs)
     assert info.value.index == (2,)
     assert str(info.value) == "chi matrix: eigenvalue -5.000e-01 < -1.0e-08"
 
 
 def test_chi_stack_check_holds_its_slack_and_names_the_map():
-    inputs = TomographyInputSet.canonical()
-
     def outputs_with_least_chi_eigenvalue(least):
         # (1-s) * (complete depolarization) + s * (transpose) sends every input to a valid
         # state; its chi has the eigenvalues (1-s)/4 + s/2 (three times) and (1-s)/4 - s/2.
         s = (1.0 - 4.0 * least) / 3.0
         outputs = random_outputs(np.random.default_rng(82), (6,))
-        outputs[4] = [(1.0 - s) * IDENTITY_2 / 2.0 + s * state.matrix.T for state in inputs.states]
+        outputs[4] = [(1.0 - s) * IDENTITY_2 / 2.0 + s * state.T for state in _canonical_inputs()[0]]
         return outputs
 
-    maps = reconstruct_process(outputs_with_least_chi_eigenvalue(-5e-9), inputs)  # within the 1e-8 slack
+    maps = reconstruct_process(outputs_with_least_chi_eigenvalue(-5e-9))  # within the 1e-8 slack
     assert np.min(np.linalg.eigvalsh(maps[4].chi_matrix)) == pytest.approx(-5e-9, abs=1e-15)
     with pytest.raises(NumericalInvariantError) as info:
-        reconstruct_process(outputs_with_least_chi_eigenvalue(-2e-8), inputs)
+        reconstruct_process(outputs_with_least_chi_eigenvalue(-2e-8))
     assert str(info.value) == "chi matrix: eigenvalue -2.000e-08 < -1.0e-08"
     assert info.value.index == (4,)
 
