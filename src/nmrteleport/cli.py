@@ -9,12 +9,15 @@ values, so a bare command reproduces the headline experiment.
 Exit codes are stable: 0 success, 2 user or configuration error, 3 internal
 numerical invariant violation.  Output files are plot-ready CSV plus a text
 summary, written with 12 significant digits; running a command twice with
-the same configuration produces byte-identical files.
+the same configuration produces byte-identical files.  A command computes its
+whole output set first, and one writer puts all of it in place or none of it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import math
 import os
 import re
@@ -29,7 +32,6 @@ from .errors import ConfigError, NumericalInvariantError, RfAngleError, Unsuppor
 from .experiment import (
     DEFAULT_DELAYS,
     ENGINES,
-    CurveComparison,
     DecayFit,
     SweepConfig,
     SweepRecord,
@@ -61,24 +63,6 @@ class RunConfig:
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
-
-
-def _default_config() -> dict:
-    return {
-        "molecule": {"carbon_t1": 25.0},
-        "experiment": {"delays": list(DEFAULT_DELAYS), "engine": "gate"},
-        "noise": {"t1": True, "t2": True, "rf_miscalibration": 0.0},
-        "output": {"dir": "results"},
-    }
-
-
-def _merge(base: dict, override: dict) -> dict:
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value)
-        else:
-            base[key] = value
-    return base
 
 
 def _load_config_file(path: str) -> dict:
@@ -113,10 +97,10 @@ def _build_model(molecule: dict) -> MoleculeModel:
                 SpinParams(s["name"], float(s["larmor_hz"]), float(s["t1"]), float(s["t2"]))
                 for s in molecule["spins"]
             )
-            couplings = {
-                (c["pair"][0], c["pair"][1]): float(c["j_hz"])
-                for c in molecule.get("couplings", [])
-            }
+            couplings = {tuple(c["pair"]): float(c["j_hz"]) for c in molecule.get("couplings", [])}
+            for pair in couplings:
+                if len(pair) != 2:
+                    raise ValueError(f"a coupling pair must name two spins, got {list(pair)}")
             active = molecule.get("active")
             active_pairs = (
                 frozenset((a, b) for a, b in active)
@@ -133,9 +117,7 @@ def _build_model(molecule: dict) -> MoleculeModel:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    data = _default_config()
-    if args.config:
-        _merge(data, _load_config_file(args.config))
+    data = _load_config_file(args.config) if args.config else {}
     for section in ("molecule", "experiment", "noise", "output"):
         if data.get(section) is None:
             data[section] = {}
@@ -183,43 +165,48 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _prepare_out_dir(cfg: RunConfig) -> Path:
-    try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
-    return cfg.out_dir
+def _csv(header: str, rows) -> list[str]:
+    return [header] + [",".join(_fmt(v) for v in row) for row in rows]
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _process_files(process_map: ProcessMap) -> dict[str, list[str]]:
+    return {
+        "process_R.csv": _csv(PAULI_HEADER, process_map.transfer_matrix),
+        "process_chi_re.csv": _csv(PAULI_HEADER, process_map.chi_matrix.real),
+        "process_chi_im.csv": _csv(PAULI_HEADER, process_map.chi_matrix.imag),
+    }
+
+
+def _write_outputs(out_dir: Path, outputs: dict[str, list[str]]) -> None:
+    """Put the output set ``{file name: lines}`` in ``out_dir``, all of it or none.
+
+    Each file is first written as ``<name>.<pid>.tmp`` beside its target.  Only
+    then are the old targets unlinked (a symlink is replaced, not followed) and
+    the new files renamed onto the freed names: on ext4, rewriting a file that
+    holds data, or renaming over it, made each rerun into the same directory
+    tens of milliseconds slower.  Nothing is fsynced.
+    """
     try:
-        path.write_text("\n".join(lines) + "\n")
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    temporaries: dict[Path, Path] = {}
+    try:
+        for name, lines in outputs.items():
+            path = out_dir / name
+            if path.is_dir() and not path.is_symlink():  # found before any old file goes
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            temporaries[path] = out_dir / f"{name}.{os.getpid()}.tmp"
+            temporaries[path].write_text("\n".join(lines) + "\n")
+        for path in temporaries:
+            path.unlink(missing_ok=True)
+        for path, temporary in temporaries.items():
+            temporary.rename(path)
+    except OSError as exc:
+        for temporary in temporaries.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink()
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_curve_csv(path: Path, records: Sequence[SweepRecord]) -> None:
-    lines = ["delay_s,entanglement_fidelity"]
-    lines += [f"{_fmt(r.delay)},{_fmt(r.fe)}" for r in records]
-    _write_lines(path, lines)
-
-
-def _write_compare_csv(path: Path, comparison: CurveComparison) -> None:
-    lines = ["delay_s,fe_teleport,fe_control"]
-    lines += [
-        f"{_fmt(d)},{_fmt(ft)},{_fmt(fc)}"
-        for d, ft, fc in zip(comparison.delays, comparison.fe_teleport, comparison.fe_control)
-    ]
-    _write_lines(path, lines)
-
-
-def _write_process_map(out_dir: Path, process_map: ProcessMap) -> None:
-    def rows(matrix) -> list[str]:
-        return [PAULI_HEADER] + [",".join(_fmt(v) for v in row) for row in matrix]
-
-    _write_lines(out_dir / "process_R.csv", rows(process_map.transfer_matrix))
-    _write_lines(out_dir / "process_chi_re.csv", rows(process_map.chi_matrix.real))
-    _write_lines(out_dir / "process_chi_im.csv", rows(process_map.chi_matrix.imag))
 
 
 def _fit_lines(fit: DecayFit | None) -> list[str]:
@@ -233,10 +220,6 @@ def _fit_lines(fit: DecayFit | None) -> list[str]:
         f"  rms_residual = {_fmt(fit.residual_norm)}",
         f"  tau_identifiable = {'yes' if fit.tau_identifiable else 'no'}",
     ]
-
-
-def _maybe_fit(records: Sequence[SweepRecord]) -> DecayFit | None:
-    return fit_decay(records) if len(records) >= 4 else None
 
 
 def _yes(flag: bool | None) -> str:
@@ -266,27 +249,23 @@ def _checked(sweep: SweepConfig) -> SweepConfig:
     return sweep
 
 
-def _emit(out_dir: Path, summary: list[str]) -> None:
-    _write_lines(out_dir / "summary.txt", summary)
-    print("\n".join(summary), flush=True)
-
-
 def _header(cfg: RunConfig, experiment: str) -> list[str]:
     return [f"experiment: {experiment}", f"engine: {cfg.engine}", f"delays_s: {','.join(_fmt(d) for d in cfg.delays)}"]
 
 
-def _run_curve(cfg: RunConfig, experiment: str, verdicts: Callable[[list[SweepRecord]], list[str]]) -> None:
-    """One sweep: its curve, the process map of its first delay, and a summary of
-    the header, the ``verdicts`` lines on its records and the decay fit."""
-    sweep = _sweep(cfg, experiment)
-    out_dir = _prepare_out_dir(cfg)
-    records = run_sweep(sweep)
-    _write_curve_csv(out_dir / "curve.csv", records)
-    _write_process_map(out_dir, records[0].process_map)
-    _emit(out_dir, _header(cfg, experiment) + verdicts(records) + _fit_lines(_maybe_fit(records)))
+def _run_curve(cfg: RunConfig, experiment: str, verdicts: Callable[[list[SweepRecord]], list[str]]) -> dict[str, list[str]]:
+    """One sweep's outputs: its curve, the process map of its first delay, and a
+    summary of the header, the ``verdicts`` lines on its records and the decay fit."""
+    records = run_sweep(_sweep(cfg, experiment))
+    fit = fit_decay(records) if len(records) >= 4 else None
+    return {
+        "curve.csv": _csv("delay_s,entanglement_fidelity", ((r.delay, r.fe) for r in records)),
+        **_process_files(records[0].process_map),
+        "summary.txt": _header(cfg, experiment) + verdicts(records) + _fit_lines(fit),
+    }
 
 
-def cmd_teleport(cfg: RunConfig) -> None:
+def cmd_teleport(cfg: RunConfig) -> dict[str, list[str]]:
     def verdicts(records: list[SweepRecord]) -> list[str]:
         nonzero = [r for r in records if r.delay > 0.0]
         if not nonzero:
@@ -297,10 +276,10 @@ def cmd_teleport(cfg: RunConfig) -> None:
             f"quantum transmission (fe > 0.5 at smallest nonzero delay): {_yes(first.fe > 0.5)}",
         ]
 
-    _run_curve(cfg, "teleport", verdicts)
+    return _run_curve(cfg, "teleport", verdicts)
 
 
-def cmd_control(cfg: RunConfig) -> None:
+def cmd_control(cfg: RunConfig) -> dict[str, list[str]]:
     def verdicts(records: list[SweepRecord]) -> list[str]:
         last = records[-1]
         return [
@@ -308,16 +287,14 @@ def cmd_control(cfg: RunConfig) -> None:
             f"distance from 0.5 dephasing floor: {_fmt(abs(last.fe - 0.5))}",
         ]
 
-    _run_curve(cfg, "control", verdicts)
+    return _run_curve(cfg, "control", verdicts)
 
 
-def cmd_compare(cfg: RunConfig) -> None:
+def cmd_compare(cfg: RunConfig) -> dict[str, list[str]]:
     if len(cfg.delays) < 4:
         raise ConfigError("compare needs at least 4 delays to fit both decay curves")
     sweeps = [_sweep(cfg, experiment) for experiment in ("teleport", "control")]
-    out_dir = _prepare_out_dir(cfg)
     comparison = compare_curves(*(run_sweep(sweep) for sweep in sweeps))
-    _write_compare_csv(out_dir / "compare.csv", comparison)
     summary = _header(cfg, "compare")
     summary += ["teleport " + line.strip() for line in _fit_lines(comparison.teleport_fit)]
     summary += ["control " + line.strip() for line in _fit_lines(comparison.control_fit)]
@@ -327,71 +304,61 @@ def cmd_compare(cfg: RunConfig) -> None:
         f"verdict control decays faster than teleport: {_yes(comparison.control_decays_faster)}",
         f"verdict teleport tau exceeds control tau by >3x: {_yes(comparison.teleport_outlasts_control)}",
     ]
-    _emit(out_dir, summary)
+    rows = zip(comparison.delays, comparison.fe_teleport, comparison.fe_control)
+    return {"compare.csv": _csv("delay_s,fe_teleport,fe_control", rows), "summary.txt": summary}
 
 
 _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
+# name -> (parameter names, the steps it builds on one qubit); a circuit has no
+# steps here: it runs as a sweep of one delay.
+_CHANNELS = {
+    "identity": ((), lambda: ()),
+    "dephasing": (("t", "t2"), lambda t, t2: (dephasing_channel(t, t2),)),
+    "depolarizing": (("p",), lambda p: (depolarizing_channel(p),)),
+    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: (relaxation_channel(t, RelaxationParams(t1, t2)),)),
+    "teleport": (("delay",), None),
+    "control": (("delay",), None),
+}
+_SIGNATURES = [name + (f"({','.join(params)})" if params else "") for name, (params, _) in _CHANNELS.items()]
 
-def _parse_channel(cfg: RunConfig) -> Callable[[], ProcessMap]:
-    """The named channel's process tomography, checked, to run once the output
-    directory exists: a circuit runs as a sweep of one delay, a built-in channel
-    as one step on a one-qubit register."""
+
+def _channel_process(cfg: RunConfig) -> ProcessMap:
+    """The named channel's process map: a circuit runs as a checked sweep of one
+    delay, a built-in channel as its steps on a one-qubit register."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
-    name = match.group(1)
-    raw_args = match.group(2)
+    name, raw_args = match.groups()
     try:
         args = [float(a) for a in raw_args.split(",")] if raw_args else []
     except ValueError as exc:
         raise ConfigError(f"channel arguments must be numbers: {raw_args!r}") from exc
-
-    def expect(n: int) -> None:
-        if len(args) != n:
-            raise ConfigError(f"channel {name!r} takes {n} argument(s), got {len(args)}")
-
-    if name not in ("identity", "dephasing", "depolarizing", "relaxation", "teleport", "control"):
-        raise ConfigError(
-            f"unknown channel {name!r}; expected identity, dephasing(t,t2), depolarizing(p), "
-            "relaxation(t,t1,t2), teleport(delay) or control(delay)"
-        )
+    if name not in _CHANNELS:
+        raise ConfigError(f"unknown channel {name!r}; expected {', '.join(_SIGNATURES[:-1])} or {_SIGNATURES[-1]}")
+    params, build = _CHANNELS[name]
+    if len(args) != len(params):
+        raise ConfigError(f"channel {name!r} takes {len(params)} argument(s), got {len(args)}")
     try:
-        if name == "identity":
-            expect(0)
-            channels = ()
-        elif name in ("teleport", "control"):
-            expect(1)
-            sweep = SweepConfig((args[0],), name, cfg.model, cfg.engine, cfg.rotation_error)
-        elif name == "dephasing":
-            expect(2)
-            channels = (dephasing_channel(args[0], args[1]),)
-        elif name == "depolarizing":
-            expect(1)
-            channels = (depolarizing_channel(args[0]),)
+        if build is None:
+            sweep = SweepConfig(tuple(args), name, cfg.model, cfg.engine, cfg.rotation_error)
         else:
-            expect(3)
-            channels = (relaxation_channel(args[0], RelaxationParams(args[1], args[2])),)
+            steps = build(*args)
     except ValueError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
-    if name in ("teleport", "control"):
-        _checked(sweep)
-        return lambda: run_sweep(sweep)[0].process_map
-    return lambda: tomograph(lambda stack: run_events(channels, stack), 1, 0)[0]
+    if build is None:
+        return run_sweep(_checked(sweep))[0].process_map
+    return tomograph(lambda stack: run_events(steps, stack), 1, 0)[0]
 
 
-def cmd_tomo(cfg: RunConfig) -> None:
-    tomograph = _parse_channel(cfg)
-    out_dir = _prepare_out_dir(cfg)
-    process_map = tomograph()
-    fe = entanglement_fidelity(process_map)
-    _write_process_map(out_dir, process_map)
+def cmd_tomo(cfg: RunConfig) -> dict[str, list[str]]:
+    process_map = _channel_process(cfg)
     summary = [
         f"process: {cfg.channel.strip()}",
-        f"entanglement_fidelity: {_fmt(fe)}",
+        f"entanglement_fidelity: {_fmt(entanglement_fidelity(process_map))}",
         f"transfer matrix trace / 4: {_fmt(float(process_map.transfer_matrix.trace()) / 4.0)}",
     ]
-    _emit(out_dir, summary)
+    return {**_process_files(process_map), "summary.txt": summary}
 
 
 _COMMANDS = {
@@ -425,8 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--channel",
                 required=True,
-                help="identity | dephasing(t,t2) | depolarizing(p) | relaxation(t,t1,t2) "
-                "| teleport(delay) | control(delay)",
+                help=" | ".join(_SIGNATURES),
             )
     return parser
 
@@ -435,7 +401,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _run_config(args)
-        _COMMANDS[args.command](cfg)
+        outputs = _COMMANDS[args.command](cfg)
+        _write_outputs(cfg.out_dir, outputs)
+        print("\n".join(outputs["summary.txt"]), flush=True)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

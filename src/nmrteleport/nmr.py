@@ -240,11 +240,14 @@ def _cnot_schedule(control: str, target: str, j: float) -> list[RfRotation | Fre
     Exact up to a global phase, so the compiled gate composes freely with
     the rest of a schedule.
     """
+    duration = 1.0 / (2.0 * j)
+    if math.isinf(duration):
+        raise UnsupportedGateError(f"the J coupling of {j} Hz between {control} and {target} is too weak: 1/(2J) overflows")
     events: list[RfRotation | FreeEvolution] = []
     events += _hadamard_pulses(target)
     events += _rz_pulses(control, -math.pi / 2.0)
     events += _rz_pulses(target, -math.pi / 2.0)
-    events.append(FreeEvolution(1.0 / (2.0 * j), frozenset({_pair(control, target)})))
+    events.append(FreeEvolution(duration, frozenset({_pair(control, target)})))
     events += _hadamard_pulses(target)
     return events
 

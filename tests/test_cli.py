@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmrteleport
@@ -254,6 +254,53 @@ def test_module_run_that_cannot_write_an_output_exits_2_with_one_error_line(comm
     )
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith(f"error: cannot write {out / blocked}: ") and result.stderr.count("\n") == 1
+    assert [path.name for path in out.iterdir()] == [blocked]  # no other file of the set, no temporary
+
+
+def snapshot(out):
+    """Name -> bytes of every file in ``out``."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.is_file()}
+
+
+def test_rerun_replaces_each_output_file_without_following_a_symlink(tmp_path):
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere.txt"
+    args = ["teleport", "--delays", "0,0.3,0.6,0.9", "--out", str(out)]
+    assert cli.main(args) == 0
+    first = snapshot(out)
+    elsewhere.write_text("not an output\n")
+    (out / "summary.txt").unlink()
+    (out / "summary.txt").symlink_to(elsewhere)
+    inodes = {name: (out / name).stat().st_ino for name in first if name != "summary.txt"}
+    assert cli.main(args) == 0
+    assert snapshot(out) == first and sorted(path.name for path in out.iterdir()) == sorted(first)
+    assert all((out / name).stat().st_ino != inode for name, inode in inodes.items())  # new files, not rewritten ones
+    assert not (out / "summary.txt").is_symlink() and elsewhere.read_text() == "not an output\n"
+
+
+@pytest.mark.parametrize("failure", ["second write", "directory at summary.txt"])
+def test_failed_rerun_leaves_the_previous_output_set_intact(failure, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["teleport", "--delays", "0,0.3,0.6,0.9", "--out", str(out)]) == 0
+    previous = snapshot(out)
+    if failure == "second write":
+        real, calls = Path.write_text, []
+
+        def write_text(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+    else:
+        (out / "summary.txt").unlink()
+        (out / "summary.txt").mkdir()
+        del previous["summary.txt"]
+    capsys.readouterr()
+    assert cli.main(["teleport", "--delays", "0,0.2,0.4", "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}/") and captured.err.count("\n") == 1
+    assert snapshot(out) == previous and not list(out.glob("*.tmp"))
 
 
 def test_entry_freezes_the_collector_after_main_and_exits_with_its_code():
@@ -420,6 +467,8 @@ def test_hostile_config_sections_exit_2(tmp_path):
         molecule_yaml(larmor_c1=".inf"),
         molecule_yaml(larmor_c1=".nan"),
         molecule_yaml().replace("j_hz: 201.0", "j_hz: .inf"),
+        molecule_yaml().replace("pair: [C1, H]", "pair: [C2]"),
+        molecule_yaml().replace("pair: [C1, H]", "pair: [C1, H, C2]"),
     ):
         cfg = tmp_path / "hostile.yaml"
         cfg.write_text(body)
@@ -454,6 +503,7 @@ def test_numerical_violations_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_sweep", explode)
     assert cli.main(["control", "--delays", "0,0.1", "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()  # the output directory is made only for a finished run
 
 
 def test_config_file_sets_delays_and_flags_override(tmp_path):
@@ -581,9 +631,18 @@ def test_pulse_engine_rejects_an_uncompilable_molecule(tmp_path):
     for args in (["compare", "--engine", "gate"], ["control", "--engine", "pulse"]):
         code, err = run_cli([*args, "--config", str(cfg), "--out", str(tmp_path / args[0])])
         assert code == cli.EXIT_OK, (args, err)
+    # A subnormal J passes the molecule's checks, but its 1/(2J) CNOT interval overflows.
+    cfg.write_text(molecule_yaml().replace("j_hz: 201.0", "j_hz: 1.0e-310"))
+    for command in (["compare"], ["teleport"], ["control"], ["tomo", "--channel", "teleport(0.1)"]):
+        out = tmp_path / f"subnormal-{command[0]}"
+        code, err = run_cli([*command, "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, (command, err)
+        assert err.startswith("error: the pulse engine cannot run ") and err.count("\n") == 1
+        assert "on this molecule: the J coupling of 1e-310 Hz between C1 and H" in err
+        assert not out.exists()
 
 
-HOSTILE_NUMBERS = (0.0, -1.0, math.nan, math.inf, 1e-300, 1e300)
+HOSTILE_NUMBERS = (0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, 5e-324)
 SPIN_NAMES = ("C2", "C1", "H", "F")
 
 
@@ -594,11 +653,12 @@ def sound_or(sound, hostile):
 
 @st.composite
 def spin_molecules(draw):
-    """2-4 TCE-like spins with any couplings among them and to an unknown spin,
-    and half the time one Larmor frequency or J coupling set to a hostile number."""
+    """2-4 TCE-like spins with any couplings among them, to an unknown spin or
+    naming one spin only, and half the time one Larmor frequency or J coupling
+    set to a hostile number."""
     names = SPIN_NAMES[: draw(st.sampled_from((3, 2, 4)))]
     spins = [{"name": n, "larmor_hz": 125_772_580.0, "t1": 25.0, "t2": 0.4} for n in names]
-    pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1 :]] + [["C1", "X"]]
+    pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1 :]] + [["C1", "X"], ["C1"]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=len(pairs)))
     couplings = [{"pair": pair, "j_hz": 103.0} for pair in chosen]
     if draw(st.booleans()):
@@ -634,8 +694,17 @@ def config_documents(draw):
     return document
 
 
+def tce_like(*couplings):
+    """A three-spin molecule section with the given ``(pair, j_hz)`` couplings."""
+    spins = [{"name": n, "larmor_hz": 125_772_580.0, "t1": 25.0, "t2": 0.4} for n in SPIN_NAMES[:3]]
+    return {"molecule": {"spins": spins, "couplings": [{"pair": pair, "j_hz": j} for pair, j in couplings]}}
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(config_documents())
+# A one-spin pair, and a subnormal J that only the pulse engine cannot use, each on its own.
+@example(tce_like((["C1"], 103.0), (["C1", "H"], 201.0)))
+@example(tce_like((["C2", "C1"], 103.0), (["C1", "H"], 5e-324)))
 def test_any_config_document_exits_0_with_valid_csv_or_2(document):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.yaml"
