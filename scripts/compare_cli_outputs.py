@@ -6,8 +6,10 @@ Usage::
 
 Each tree is a checkout whose ``src/`` holds the package.  Every case runs
 ``python -m nmrteleport`` in a fresh directory with ``PYTHONPATH=<tree>/src``
-and writes into the relative directory ``out``; exit code, stdout, stderr and
-every output file must match byte for byte.  Prints one line per differing
+and writes into the relative directory ``out``; a case with a config file
+first writes it as ``config.yaml`` in that directory and passes ``--config
+config.yaml``.  Exit code, stdout, stderr and every output file must match
+byte for byte.  Prints one line per differing
 case and exits 1 if there is any.  Outputs go to WORK_DIR if given (it must
 not hold earlier results), else to a temporary directory removed afterwards.
 """
@@ -35,7 +37,38 @@ CHANNELS = (
 )
 
 
-def cases() -> list[list[str]]:
+def molecule(extra_spin: str = "", c1_h: str = "201.0", c1_c2: bool = True) -> str:
+    """A TCE-like molecule section, with an extra spin line or without the C1-C2 coupling if asked."""
+    lines = [
+        "molecule:",
+        "  spins:",
+        "    - {name: C2, larmor_hz: 125771669.0, t1: 25.0, t2: 0.3}",
+        "    - {name: C1, larmor_hz: 125772580.0, t1: 25.0, t2: 0.4}",
+        "    - {name: H, larmor_hz: 500133491.0, t1: 5.0, t2: 3.0}",
+        *([f"    - {extra_spin}"] if extra_spin else []),
+        "  couplings:",
+        f"    - {{pair: [C1, H], j_hz: {c1_h}}}",
+        *(["    - {pair: [C1, C2], j_hz: 103.0}"] if c1_c2 else []),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# (arguments, config file): molecules the circuits or the pulse engine cannot
+# run, and files whose values, or whose bytes, cannot be read as a config.
+FOUR_SPINS = molecule(extra_spin="{name: F, larmor_hz: 470000000.0, t1: 2.0, t2: 1.0}")
+CONFIG_CASES = (
+    (["teleport", "--engine", "gate"], FOUR_SPINS),
+    (["teleport", "--engine", "pulse"], FOUR_SPINS),
+    (["compare", "--engine", "pulse"], molecule(c1_c2=False)),
+    (["control", "--engine", "pulse"], molecule(c1_c2=False)),
+    (["teleport", "--engine", "pulse"], molecule(c1_h="1.0e-310")),
+    (["teleport", "--engine", "pulse"], "noise:\n  rf_miscalibration: 1.0e308\n"),
+    (["teleport"], f"experiment:\n  delays: [0, 1{'0' * 399}]\n"),
+    (["teleport"], b"experiment:\n  engine: \xff\xfe\n"),
+)
+
+
+def cases() -> list[tuple[list[str], str | bytes | None]]:
     runs = []
     for engine in ("gate", "pulse"):
         for command in ("teleport", "control", "compare"):
@@ -51,11 +84,14 @@ def cases() -> list[list[str]]:
         ["compare", "--delays", "0,0.5"],
     ):
         runs.append(args)
-    return runs
+    return [(args, None) for args in runs] + list(CONFIG_CASES)
 
 
-def run(tree: Path, args: list[str], work: Path) -> dict[str, bytes]:
+def run(tree: Path, args: list[str], config: str | bytes | None, work: Path) -> dict[str, bytes]:
     work.mkdir(parents=True)
+    if config is not None:
+        (work / "config.yaml").write_bytes(config.encode() if isinstance(config, str) else config)
+        args = [*args, "--config", "config.yaml"]
     env = {"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin"}
     command = [sys.executable, "-m", "nmrteleport", *args, "--out", "out"]
     proc = subprocess.run(command, cwd=work, env=env, capture_output=True)
@@ -70,12 +106,13 @@ def main(argv: list[str]) -> int:
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(argv[3]) if len(argv) > 3 else Path(tmp)
-        for i, args in enumerate(cases()):
-            a, b = run(old, args, root / f"{i}-old"), run(new, args, root / f"{i}-new")
+        for i, (args, config) in enumerate(cases()):
+            a, b = run(old, args, config, root / f"{i}-old"), run(new, args, config, root / f"{i}-new")
             if a != b:
                 differing += 1
                 keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-                print(f"DIFF {' '.join(args)}: {', '.join(keys)}")
+                label = " ".join(args) + (f" --config <case {i}>" if config is not None else "")
+                print(f"DIFF {label}: {', '.join(keys)}")
     print(f"{len(cases())} cases, {differing} differing")
     return 1 if differing else 0
 

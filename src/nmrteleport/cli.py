@@ -41,7 +41,7 @@ from .experiment import (
     tomograph,
     validate_delays,
 )
-from .nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
+from .nmr import MoleculeModel, SpinParams, tce_model
 from .tomography import ProcessMap, entanglement_fidelity
 
 EXIT_OK = 0
@@ -65,12 +65,25 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+@contextlib.contextmanager
+def _section(what: str):
+    """The one rule for a malformed config value: its error inside the block
+    becomes ``ConfigError("invalid <what>: …")``.  A ``ConfigError`` raised in
+    the block already says what is wrong and passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def _load_config_file(path: str) -> dict:
     import yaml  # only a run with --config pays for the import
 
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)
@@ -91,29 +104,23 @@ def _parse_delays(text: str) -> list[float]:
 
 
 def _build_model(molecule: dict) -> MoleculeModel:
-    if "spins" in molecule:
-        try:
-            spins = tuple(
-                SpinParams(s["name"], float(s["larmor_hz"]), float(s["t1"]), float(s["t2"]))
-                for s in molecule["spins"]
-            )
-            couplings = {tuple(c["pair"]): float(c["j_hz"]) for c in molecule.get("couplings", [])}
-            for pair in couplings:
-                if len(pair) != 2:
-                    raise ValueError(f"a coupling pair must name two spins, got {list(pair)}")
-            active = molecule.get("active")
-            active_pairs = (
-                frozenset((a, b) for a, b in active)
-                if active is not None
-                else frozenset(couplings)
-            )
-            return MoleculeModel(spins, couplings, active_pairs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid molecule section: {exc}") from exc
-    try:
+    if "spins" not in molecule:
         return tce_model(float(molecule.get("carbon_t1", 25.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid molecule section: {exc}") from exc
+    spins = tuple(
+        SpinParams(s["name"], float(s["larmor_hz"]), float(s["t1"]), float(s["t2"]))
+        for s in molecule["spins"]
+    )
+    couplings = {tuple(c["pair"]): float(c["j_hz"]) for c in molecule.get("couplings", [])}
+    for pair in couplings:
+        if len(pair) != 2:
+            raise ValueError(f"a coupling pair must name two spins, got {list(pair)}")
+    active = molecule.get("active")
+    active_pairs = (
+        frozenset((a, b) for a, b in active)
+        if active is not None
+        else frozenset(couplings)
+    )
+    return MoleculeModel(spins, couplings, active_pairs)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -131,27 +138,24 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         delays = data["experiment"].get("delays", list(DEFAULT_DELAYS)) if args.delays is None else _parse_delays(args.delays)
         if not isinstance(delays, (list, tuple)):
             raise ConfigError("experiment.delays must be a list of seconds")
-        try:
+        with _section("delay list"):
             delays = validate_delays(delays)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid delay list: {exc}") from exc
     engine = args.engine or data["experiment"].get("engine", "gate")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be {' or '.join(map(repr, ENGINES))}, got {engine!r}")
     out_dir = args.out or data["output"].get("dir", "results")
-    if not isinstance(out_dir, str):
+    if not isinstance(out_dir, str) or "\0" in out_dir:
         raise ConfigError(f"output.dir must be a path string, got {out_dir!r}")
 
-    model = _build_model(data["molecule"])
+    with _section("molecule section"):
+        model = _build_model(data["molecule"])
     switches = {key: noise.get(key, True) for key in ("t1", "t2")}
     for key, value in switches.items():
         if not isinstance(value, bool):
             raise ConfigError(f"noise.{key} must be true or false, got {value!r}")
-    try:
+    with _section("noise section"):
         model = model.with_relaxation(switches["t1"], switches["t2"])
         rotation_error = float(noise.get("rf_miscalibration", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise section: {exc}") from exc
     if not math.isfinite(rotation_error):
         raise ConfigError(f"noise.rf_miscalibration must be finite, got {rotation_error}")
 
@@ -228,25 +232,16 @@ def _yes(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
-def _sweep(cfg: RunConfig, experiment: str) -> SweepConfig:
-    return _checked(SweepConfig(cfg.delays, experiment, cfg.model, cfg.engine, cfg.rotation_error))
-
-
-def _checked(sweep: SweepConfig) -> SweepConfig:
-    """``sweep``, checked before anything is written: its circuit is built (and kept
-    for the run), which needs a three-spin molecule, and on the pulse engine its
-    prefix is realized, which needs the couplings it uses and finite rf angles."""
-    try:
-        circuit, _ = sweep.circuit()
-    except ValueError as exc:
-        raise ConfigError(f"invalid molecule section: {exc}") from exc
-    if sweep.engine == "pulse":
+def _records(sweep: SweepConfig) -> list[SweepRecord]:
+    """``run_sweep(sweep)``, with the molecule's faults as config errors: building
+    the circuit needs a three-spin molecule, and the pulse engine needs the
+    couplings its gates use and finite rf angles."""
+    with _section("molecule section"):
         try:
-            realize_pulses(circuit.events[: circuit.delay_start], sweep.model, sweep.rotation_error)
+            return run_sweep(sweep)
         except UnsupportedGateError as exc:
             culprit = "with this noise.rf_miscalibration" if isinstance(exc, RfAngleError) else "on this molecule"
             raise ConfigError(f"the pulse engine cannot run {sweep.experiment} {culprit}: {exc}") from exc
-    return sweep
 
 
 def _header(cfg: RunConfig, experiment: str) -> list[str]:
@@ -256,7 +251,7 @@ def _header(cfg: RunConfig, experiment: str) -> list[str]:
 def _run_curve(cfg: RunConfig, experiment: str, verdicts: Callable[[list[SweepRecord]], list[str]]) -> dict[str, list[str]]:
     """One sweep's outputs: its curve, the process map of its first delay, and a
     summary of the header, the ``verdicts`` lines on its records and the decay fit."""
-    records = run_sweep(_sweep(cfg, experiment))
+    records = _records(SweepConfig(cfg.delays, experiment, cfg.model, cfg.engine, cfg.rotation_error))
     fit = fit_decay(records) if len(records) >= 4 else None
     return {
         "curve.csv": _csv("delay_s,entanglement_fidelity", ((r.delay, r.fe) for r in records)),
@@ -293,8 +288,8 @@ def cmd_control(cfg: RunConfig) -> dict[str, list[str]]:
 def cmd_compare(cfg: RunConfig) -> dict[str, list[str]]:
     if len(cfg.delays) < 4:
         raise ConfigError("compare needs at least 4 delays to fit both decay curves")
-    sweeps = [_sweep(cfg, experiment) for experiment in ("teleport", "control")]
-    comparison = compare_curves(*(run_sweep(sweep) for sweep in sweeps))
+    sweeps = (SweepConfig(cfg.delays, kind, cfg.model, cfg.engine, cfg.rotation_error) for kind in ("teleport", "control"))
+    comparison = compare_curves(*map(_records, sweeps))
     summary = _header(cfg, "compare")
     summary += ["teleport " + line.strip() for line in _fit_lines(comparison.teleport_fit)]
     summary += ["control " + line.strip() for line in _fit_lines(comparison.control_fit)]
@@ -324,7 +319,7 @@ _SIGNATURES = [name + (f"({','.join(params)})" if params else "") for name, (par
 
 
 def _channel_process(cfg: RunConfig) -> ProcessMap:
-    """The named channel's process map: a circuit runs as a checked sweep of one
+    """The named channel's process map: a circuit runs as a sweep of one
     delay, a built-in channel as its steps on a one-qubit register."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
@@ -339,15 +334,13 @@ def _channel_process(cfg: RunConfig) -> ProcessMap:
     params, build = _CHANNELS[name]
     if len(args) != len(params):
         raise ConfigError(f"channel {name!r} takes {len(params)} argument(s), got {len(args)}")
-    try:
+    with _section("channel parameters"):
         if build is None:
             sweep = SweepConfig(tuple(args), name, cfg.model, cfg.engine, cfg.rotation_error)
         else:
             steps = build(*args)
-    except ValueError as exc:
-        raise ConfigError(f"invalid channel parameters: {exc}") from exc
     if build is None:
-        return run_sweep(_checked(sweep))[0].process_map
+        return _records(sweep)[0].process_map
     return tomograph(lambda stack: run_events(steps, stack), 1, 0)[0]
 
 

@@ -72,12 +72,9 @@ class SweepConfig:
         object.__setattr__(self, "delays", delays)
 
     def circuit(self) -> tuple[Circuit, int]:
-        """The experiment's circuit for the whole delay grid, and its readout qubit;
-        built on the first call, which later calls share."""
-        if "_circuit" not in vars(self):
-            build, readout = (teleport_circuit, TARGET) if self.experiment == "teleport" else (control_circuit, DATA)
-            object.__setattr__(self, "_circuit", (build(self.delays, self.model), readout))
-        return self._circuit
+        """The experiment's circuit for the whole delay grid, and its readout qubit."""
+        build, readout = (teleport_circuit, TARGET) if self.experiment == "teleport" else (control_circuit, DATA)
+        return build(self.delays, self.model), readout
 
 
 @dataclass(frozen=True, eq=False)

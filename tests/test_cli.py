@@ -440,7 +440,7 @@ def test_missing_coupling_is_blamed_on_the_molecule(tmp_path):
 
 
 def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch):
-    # The checks before writing and the sweep share one circuit per experiment.
+    # Each sweep builds its circuit once: nothing builds it again to check it before writing.
     calls = Counter()
     targets = ((experiment, "teleport_circuit"), (experiment, "control_circuit"), (circuits, "relaxation_channels"))
     for module, name in targets:
@@ -455,7 +455,9 @@ def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch):
     assert calls == {"teleport_circuit": 1, "control_circuit": 1, "relaxation_channels": 6}
 
 
-def test_hostile_config_sections_exit_2(tmp_path):
+def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a run that got through would write ./results
+    huge = "1" + "0" * 399  # a YAML integer too large for a float
     for body in (
         "experiment: null\nnoise: 7\n",
         "experiment: fast\n",
@@ -469,11 +471,21 @@ def test_hostile_config_sections_exit_2(tmp_path):
         molecule_yaml().replace("j_hz: 201.0", "j_hz: .inf"),
         molecule_yaml().replace("pair: [C1, H]", "pair: [C2]"),
         molecule_yaml().replace("pair: [C1, H]", "pair: [C1, H, C2]"),
+        f"experiment:\n  delays: [0, {huge}]\n",
+        f"noise:\n  rf_miscalibration: {huge}\n",
+        f"molecule:\n  carbon_t1: {huge}\n",
+        molecule_yaml(larmor_c1=huge),
+        molecule_yaml().replace("j_hz: 201.0", f"j_hz: {huge}"),
+        'output: {dir: "a\\0b"}\n',
+        b"experiment:\n  engine: \xff\xfe\n",  # not UTF-8
     ):
         cfg = tmp_path / "hostile.yaml"
-        cfg.write_text(body)
-        code = cli.main(["control", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2, body
+        cfg.write_bytes(body if isinstance(body, bytes) else body.encode())
+        capsys.readouterr()
+        assert cli.main(["control", "--config", str(cfg)]) == 2, body
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (body, err)
+        assert not (tmp_path / "results").exists(), body
     nulls = tmp_path / "nulls.yaml"
     nulls.write_text("experiment: null\nnoise: null\nmolecule: null\noutput: null\n")
     assert cli.main(["control", "--config", str(nulls), "--delays", "0,0.1", "--out", str(tmp_path / "n")]) == 0
