@@ -65,6 +65,7 @@ CONFIG_CASES = (
     (["teleport", "--engine", "pulse"], "noise:\n  rf_miscalibration: 1.0e308\n"),
     (["teleport"], f"experiment:\n  delays: [0, 1{'0' * 399}]\n"),
     (["teleport"], b"experiment:\n  engine: \xff\xfe\n"),
+    (["teleport"], "experiment:\n  delays: " + "[" * 3000 + "]" * 3000 + "\n"),
 )
 
 
@@ -84,7 +85,13 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
         ["compare", "--delays", "0,0.5"],
     ):
         runs.append(args)
-    return [(args, None) for args in runs] + list(CONFIG_CASES)
+    # Fits over an infinite delay, listed last so that earlier cases keep their numbers.
+    to_inf = [
+        ([command, "--engine", engine, "--delays", "0,0.3,0.6,0.9,inf"], None)
+        for engine in ("gate", "pulse")
+        for command in ("teleport", "compare")
+    ]
+    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf
 
 
 def run(tree: Path, args: list[str], config: str | bytes | None, work: Path) -> dict[str, bytes]:

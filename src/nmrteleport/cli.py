@@ -87,7 +87,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # a document nested too deep to parse
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
         return {}
@@ -143,8 +143,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     engine = args.engine or data["experiment"].get("engine", "gate")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be {' or '.join(map(repr, ENGINES))}, got {engine!r}")
-    out_dir = args.out or data["output"].get("dir", "results")
-    if not isinstance(out_dir, str) or "\0" in out_dir:
+    out_dir = args.out if args.out is not None else data["output"].get("dir", "results")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
         raise ConfigError(f"output.dir must be a path string, got {out_dir!r}")
 
     with _section("molecule section"):

@@ -32,7 +32,6 @@ DEFAULT_DELAYS: tuple[float, ...] = tuple(np.linspace(0.0, 1.2, 12))
 
 _TAU_GRID = np.geomspace(0.05, 10.0, 40)
 _AMPLITUDE_FLOOR = 1e-8
-_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
@@ -166,128 +165,73 @@ def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) ->
     return f"{where}, circuit step {step} ({kind} on qubits {exc.event.targets})"
 
 
-def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
-    """Best (amplitude, offset) for a fixed tau, plus the sum of squares."""
+def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (amplitude, offset) for a fixed tau, the residual, and exp(-t/tau)."""
+    decay = np.exp(-times / tau)
     design = np.ones((times.size, 2))
-    design[:, 0] = np.exp(-times / tau)
+    design[:, 0] = decay
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    residual = design @ coef - values
-    return coef, float(residual @ residual)
+    return coef, design @ coef - values, decay
 
 
-def _bounded_brent(
-    func: Callable[[float], float], lower: float, upper: float, xatol: float, maxfun: int
-) -> tuple[float, bool]:
-    """Minimize ``func`` on [lower, upper] by Brent's bounded search.
+def _profile_slope(times: np.ndarray, values: np.ndarray, tau: float) -> float:
+    """dS/dtau, S the sum of squares at the best (A, C) for each tau: there dS/dA =
+    dS/dC = 0, so dS/dtau = 2A * sum(r t exp(-t/tau)) / tau**2 (variable projection;
+    Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  A delay of ``inf``
+    adds 0 to the slope, without forming ``inf * 0``."""
+    coef, residual, decay = _profile_fit(times, values, tau)
+    weighted = np.multiply(times, decay, out=np.zeros_like(decay), where=decay > 0.0)
+    return 2.0 * float(coef[0]) * float(residual @ weighted) / tau**2
 
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5:
-    golden-section steps, replaced by parabolic interpolation wherever the
-    parabola is acceptable.  A line-for-line port of
-    ``_minimize_scalar_bounded`` from SciPy's optimize package
-    (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. and 2003 onward
-    SciPy Developers), with the same floating-point operations in the same
-    order, so ``x`` is bit-identical to SciPy's
-    ``minimize_scalar(method="bounded")``.  Returns ``(x, converged)``;
-    ``converged`` is false when ``maxfun`` evaluations ran out or a NaN
-    appeared.
-    """
-    sqrt_eps = _SQRT_EPS
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lower, upper
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = math.inf
 
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    converged = True
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _unit_sign(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+def _slope_root(
+    slope: Callable[[float], float], lower: float, upper: float, xatol: float, maxfun: int
+) -> tuple[float, bool | None]:
+    """Where ``slope`` crosses from - to + in [lower, upper], by Illinois false position
+    (Dowell & Jarratt, *BIT* 11, 168 (1971)): regula falsi that halves the slope
+    kept at an end each time that end is kept again, so both ends close in.
+    Returns ``(x, True)`` once the bracket is at most ``xatol`` wide;
+    ``(end, False)`` when the slope is not negative at ``lower`` or not
+    positive at ``upper``, since the minimum lies at or beyond that end; and a
+    flag of ``None`` when a slope is NaN or ``maxfun`` evaluations ran out."""
+    a, fa, b, fb = lower, slope(lower), upper, slope(upper)
+    if math.isnan(fa) or math.isnan(fb):
+        return lower, None
+    if not fa < 0.0 or not fb > 0.0:
+        return (upper if fa < 0.0 else lower), False
+    kept = None
+    for _ in range(maxfun - 2):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = slope(x)
+        if math.isnan(fx):
+            return x, None
+        if fx < 0.0:
+            a, fa = x, fx
+            fb *= 0.5 if kept == "b" else 1.0
+            kept = "b"
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            converged = False
-            break
-
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        converged = False
-    return xf, converged
-
-
-def _unit_sign(value: float) -> float:
-    """numpy's ``sign(value) + (value == 0)``: -1.0 below zero, else 1.0."""
-    return -1.0 if value < 0.0 else 1.0
+            b, fb = x, fx
+            fa *= 0.5 if kept == "a" else 1.0
+            kept = "a"
+        if fx == 0.0 or b - a <= xatol:
+            return x, True
+    return b, None
 
 
 def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit:
     """Deterministic least-squares fit of A*exp(-t/tau) + C.
 
     tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds)
-    and the best seed is refined by Brent's bounded search over
-    [seed/1.5, seed*1.5] (:func:`_bounded_brent`; tolerance 1e-12 of the
-    seed, at most 500 evaluations); amplitude and offset come from an exact
-    linear solve at each tau.  No randomness anywhere, so refits are
-    reproducible bit for bit.
+    and refined to the root of the profile's slope dS/dtau in
+    [seed/1.5, seed*1.5] (:func:`_slope_root`; tolerance 1e-12 of the seed,
+    at most 500 evaluations); amplitude and offset come from an exact linear
+    solve at each tau.  No randomness anywhere, so refits are reproducible
+    bit for bit.
 
-    tau is not identifiable when the amplitude vanishes, or when the refined
-    tau lies within the search's final tolerance of an end of its bracket:
-    then the best tau lies at or beyond that end, and the value is the
-    bracket's, not the data's.
+    tau is not identifiable when the amplitude vanishes, or when the slope
+    does not go from negative at the bracket's lower end to positive at its
+    upper end: then the best tau lies at or beyond that end, and the value
+    reported is the end's, not the data's.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -295,20 +239,15 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
         raise ValueError("times and values must be matching 1-d sequences")
     if times.size < 4:
         raise ValueError("need at least four points to fit a three-parameter decay")
-    sses = [_profile_fit(times, values, tau)[1] for tau in _TAU_GRID]
-    seed = float(_TAU_GRID[int(np.argmin(sses))])
-    lower, upper, xatol = seed / 1.5, seed * 1.5, seed * 1e-12
-    tau, converged = _bounded_brent(lambda tau: _profile_fit(times, values, tau)[1], lower, upper, xatol, 500)
-    if not converged:
-        coef, sse = _profile_fit(times, values, seed)
-        best = DecayFit(float(coef[0]), seed, float(coef[1]), math.sqrt(sse / times.size))
-        raise FitConvergenceError("decay fit did not converge", best=best)
-    coef, sse = _profile_fit(times, values, tau)
-    amplitude, offset = float(coef[0]), float(coef[1])
-    resolution = 2.0 * (_SQRT_EPS * abs(tau) + xatol / 3.0)  # the search's final tolerance at tau
-    clipped = not min(tau - lower, upper - tau) > resolution
-    identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset)) and not clipped
-    return DecayFit(amplitude, tau, offset, math.sqrt(sse / times.size), identifiable)
+    residuals = [_profile_fit(times, values, tau)[1] for tau in _TAU_GRID]
+    seed = float(_TAU_GRID[int(np.argmin([r @ r for r in residuals]))])
+    tau, inside = _slope_root(lambda tau: _profile_slope(times, values, tau), seed / 1.5, seed * 1.5, seed * 1e-12, 500)
+    coef, residual, _ = _profile_fit(times, values, seed if inside is None else tau)
+    amplitude, offset, rms = float(coef[0]), float(coef[1]), math.sqrt(residual @ residual / times.size)
+    if inside is None:
+        raise FitConvergenceError("decay fit did not converge", best=DecayFit(amplitude, seed, offset, rms))
+    identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset)) and inside
+    return DecayFit(amplitude, tau, offset, rms, identifiable)
 
 
 def fit_decay(records: Iterable[SweepRecord]) -> DecayFit:

@@ -477,6 +477,8 @@ def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
         molecule_yaml(larmor_c1=huge),
         molecule_yaml().replace("j_hz: 201.0", f"j_hz: {huge}"),
         'output: {dir: "a\\0b"}\n',
+        "output: {dir: ''}\n",  # would write into the working directory
+        "experiment:\n  delays: " + "[" * 3000 + "]" * 3000 + "\n",  # too deep for the parser
         b"experiment:\n  engine: \xff\xfe\n",  # not UTF-8
     ):
         cfg = tmp_path / "hostile.yaml"
@@ -485,7 +487,11 @@ def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
         assert cli.main(["control", "--config", str(cfg)]) == 2, body
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (body, err)
-        assert not (tmp_path / "results").exists(), body
+        assert [p.name for p in tmp_path.iterdir()] == ["hostile.yaml"], body
+    cfg.write_text("output: {dir: from_config}\n")
+    assert cli.main(["control", "--config", str(cfg), "--out", ""]) == 2  # not the config's directory
+    assert capsys.readouterr().err == "error: output.dir must be a path string, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["hostile.yaml"]
     nulls = tmp_path / "nulls.yaml"
     nulls.write_text("experiment: null\nnoise: null\nmolecule: null\noutput: null\n")
     assert cli.main(["control", "--config", str(nulls), "--delays", "0,0.1", "--out", str(tmp_path / "n")]) == 0

@@ -1,8 +1,9 @@
+import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from nmrteleport import circuits, cli, experiment
 from nmrteleport.channels import relaxation_channels
@@ -136,38 +137,81 @@ def _seeded_curves(rng, count):
             yield times, 1.0 + rng.integers(-2, 3, size) * 2.0**-53
 
 
-def test_bounded_brent_matches_scipy_bit_for_bit():
-    # Oracle: SciPy's bounded minimize_scalar, which the search is a port of,
-    # on the fit's own objective and bracket; the small evaluation limits
-    # make both give up, and both must say so.
-    rng = np.random.default_rng(2024)
-    for times, values in _seeded_curves(rng, 300):
-        sses = [experiment._profile_fit(times, values, tau)[1] for tau in experiment._TAU_GRID]
-        seed = float(experiment._TAU_GRID[int(np.argmin(sses))])
+def _exact_slope(times, values, tau):
+    """dS/dtau of the profile at ``tau``, with (A, C) from the exact normal
+    equations, in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tau = decimal.Decimal(float(tau))
+        t = [decimal.Decimal(float(x)) for x in times]
+        y = [decimal.Decimal(float(v)) for v in values]
+        e = [(-x / tau).exp() for x in t]
+        see, se, sey, sy = sum(v * v for v in e), sum(e), sum(a * b for a, b in zip(e, y)), sum(y)
+        det = see * len(t) - se * se
+        amplitude = (sey * len(t) - se * sy) / det
+        offset = (see * sy - se * sey) / det
+        return 2 * amplitude * sum((amplitude * ei + offset - yi) * ti * ei for ti, ei, yi in zip(t, e, y)) / tau**2
 
-        def sse(tau):
-            return experiment._profile_fit(times, values, tau)[1]
 
-        for maxfun in (500, int(rng.integers(2, 12))):
-            expected = minimize_scalar(
-                sse,
-                bounds=(seed / 1.5, seed * 1.5),
-                method="bounded",
-                options={"xatol": seed * 1e-12, "maxiter": maxfun},
-            )
-            x, converged = experiment._bounded_brent(sse, seed / 1.5, seed * 1.5, seed * 1e-12, maxfun)
-            assert x == float(expected.x)
-            assert converged == bool(expected.success)
+def _assert_at_the_exact_root(times, values, fit):
+    tau = fit.time_constant
+    assert _exact_slope(times, values, tau * (1 - 1e-9)) < 0 < _exact_slope(times, values, tau * (1 + 1e-9)), tau
+
+
+def test_fit_tau_is_the_root_of_the_exact_profile_slope():
+    # Oracle: the profile's slope in 50 digits changes sign within 1e-9 of
+    # every identifiable tau, on seeded curves and on the default sweeps.
+    identifiable = 0
+    for times, values in _seeded_curves(np.random.default_rng(2024), 300):
+        fit = fit_exponential(times, values)
+        if fit.tau_identifiable:
+            identifiable += 1
+            _assert_at_the_exact_root(times, values, fit)
+    assert identifiable >= 150
+    for engine in ("gate", "pulse"):
+        for kind in ("teleport", "control"):
+            records = run_sweep(SweepConfig(DEFAULT_DELAYS, kind, tce_model(), engine))
+            fit = fit_decay(records)
+            assert fit.tau_identifiable
+            _assert_at_the_exact_root([r.delay for r in records], [r.fe for r in records], fit)
 
 
 def test_fit_reports_non_convergence_with_best_seed(monkeypatch):
+    # A cap of 3 slope evaluations leaves one step after the two ends: not
+    # enough to close the bracket to 1e-12 of the seed.
     times = np.linspace(0.0, 1.4, 8)
     values = 0.5 * np.exp(-times / 0.3) + 0.5
-    real = experiment._bounded_brent
-    monkeypatch.setattr(experiment, "_bounded_brent", lambda f, lo, hi, xatol, maxfun: real(f, lo, hi, xatol, 3))
+    real = experiment._slope_root
+    monkeypatch.setattr(experiment, "_slope_root", lambda f, lo, hi, xatol, maxfun: real(f, lo, hi, xatol, 3))
     with pytest.raises(FitConvergenceError) as info:
         fit_exponential(times, values)
     assert info.value.best.time_constant in experiment._TAU_GRID
+
+
+@pytest.mark.parametrize("first_nan", [0, 2], ids=["at the ends", "inside the bracket"])
+def test_fit_reports_a_nan_slope_as_non_convergence(monkeypatch, first_nan):
+    # The first two slopes are the bracket's ends; the next one is inside it.
+    times = np.linspace(0.0, 1.4, 8)
+    values = 0.5 * np.exp(-times / 0.3) + 0.5
+    real, calls = experiment._profile_slope, []
+
+    def nan_slope(times, values, tau):
+        calls.append(tau)
+        return math.nan if len(calls) > first_nan else real(times, values, tau)
+
+    monkeypatch.setattr(experiment, "_profile_slope", nan_slope)
+    with pytest.raises(FitConvergenceError) as info:
+        fit_exponential(times, values)
+    assert info.value.best.time_constant in experiment._TAU_GRID
+
+
+@pytest.mark.parametrize("engine", ["gate", "pulse"])
+def test_compare_with_an_infinite_delay_fits_without_warnings(tmp_path, engine):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["compare", "--engine", engine, "--delays", "0,0.3,0.6,0.9,inf", "--out", str(tmp_path)]) == 0
+    assert caught == []
+    assert (tmp_path / "summary.txt").read_text().count("tau_identifiable = ") == 2
 
 
 def test_fit_requires_four_points():
