@@ -175,13 +175,16 @@ def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
     return stack
 
 
-def run_events(events: Sequence[KrausChannel], stack: np.ndarray) -> np.ndarray:
+def run_events(events: Sequence[KrausChannel], stack: np.ndarray, delays: slice = slice(None)) -> np.ndarray:
     """The one circuit executor, on a ``(..., 2^n, 2^n)`` stack, validating
-    every step in one batched check.  A failed check raises with ``step`` and
-    ``event`` set to the failing step's position in ``events`` and its step."""
+    every step in one batched check.  A step whose elements carry a leading
+    delay axis applies its ``delays`` slice (a sweep runs its grid in blocks
+    this way).  A failed check raises with ``step`` and ``event`` set to the
+    failing step's position in ``events`` and its step."""
     for step, ev in enumerate(events):
         try:
-            stack = validate_density(evolve(stack, ev.elements, ev.targets))
+            elements = [a[delays] if a.ndim > 2 else a for a in ev.elements]
+            stack = validate_density(evolve(stack, elements, ev.targets))
         except NumericalInvariantError as exc:
             exc.step, exc.event = step, ev
             raise

@@ -3,10 +3,12 @@
 A sweep wraps the teleportation (readout on the target spin) or control
 (readout on the data spin) circuit as a single-qubit process for each
 decoherence delay, tomographs it, and records the entanglement fidelity.
-A sweep runs the delay-independent circuit prefix once, then every delay
-and all four tomography inputs as one ``(delays, 4, 8, 8)`` stack, and
-tomographs every delay in one vectorized reconstruction.  Sweeps are
-deterministic: the same configuration always produces bit-identical records.
+A sweep runs the delay-independent circuit prefix once, then the delays in
+blocks of at most 256: each block and all four tomography inputs as one
+``(block, 4, 8, 8)`` stack, tomographed in one vectorized reconstruction, so
+a sweep's working memory does not grow with its grid.  No step mixes delays,
+so the blocks change no result: sweeps are deterministic, and the same
+configuration always produces bit-identical records.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ DEFAULT_DELAYS: tuple[float, ...] = tuple(np.linspace(0.0, 1.2, 12))
 
 _TAU_GRID = np.geomspace(0.05, 10.0, 40)
 _AMPLITUDE_FLOOR = 1e-8
+_DELAY_BLOCK = 256
 
 
 def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
@@ -105,9 +108,6 @@ class DecayFit:
         if not self.residual_norm >= 0.0:
             raise ValueError(f"residual norm must be nonnegative, got {self.residual_norm}")
 
-    def value(self, t: float) -> float:
-        return self.amplitude * math.exp(-t / self.time_constant) + self.offset
-
 
 def tomograph(run: Callable[[np.ndarray], np.ndarray], num_qubits: int, readout: int) -> list[ProcessMap]:
     """Process tomography through the circuit executor.
@@ -117,7 +117,7 @@ def tomograph(run: Callable[[np.ndarray], np.ndarray], num_qubits: int, readout:
     stack, and returns the final stack with any leading axes it adds in
     front.  The readout qubit's outputs give one process map per leading index.
     """
-    final = run(prepare(_canonical_inputs()[0], num_qubits))
+    final = run(prepare(_canonical_inputs(), num_qubits))
     return reconstruct_process(reduce_stack(final, [readout]))
 
 
@@ -125,26 +125,27 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Tomograph the configured process at every delay, in delay order.
 
     One circuit covers the whole grid: its prefix runs once on the four
-    tomography inputs, then every delay and all four inputs run as one
-    ``(delays, 4, 8, 8)`` stack, one step at a time.  A violated invariant
-    is reported with the experiment, the engine, and the delay, tomography
-    input and circuit step (or reconstruction) where it happened.
+    tomography inputs, then the delays run in blocks of at most 256, each
+    block and all four inputs as one ``(block, 4, 8, 8)`` stack, one step at
+    a time, and each block is tomographed in one reconstruction.  A violated
+    invariant is reported with the experiment, the engine, and the delay,
+    tomography input and circuit step (or reconstruction) where it happened.
     """
     circuit, readout = config.circuit()
     events, start = circuit.events, circuit.delay_start
     if config.engine == "pulse":
         events = realize_pulses(events, config.model, config.rotation_error)
-
-    def run(stack: np.ndarray) -> np.ndarray:
-        prefix = run_events(events[:start], stack)
-        return run_events(events[start:], np.broadcast_to(prefix, (len(config.delays),) + prefix.shape))
-
+    delays, maps, lo = config.delays, [], 0
     try:
-        maps = tomograph(run, circuit.num_qubits, readout)
+        prefix = run_events(events[:start], prepare(_canonical_inputs(), circuit.num_qubits))
+        for lo in range(0, len(delays), _DELAY_BLOCK):
+            block = slice(lo, lo + _DELAY_BLOCK)
+            final = run_events(events[start:], np.broadcast_to(prefix, (len(delays[block]),) + prefix.shape), block)
+            maps += reconstruct_process(reduce_stack(final, [readout]))
     except NumericalInvariantError as exc:
-        where = _where(exc, config.delays, start)
+        where = _where(exc, delays[lo:], start)  # a block's indices count from its first delay
         raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {where}: {exc}") from exc
-    return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(config.delays, maps)]
+    return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(delays, maps)]
 
 
 def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:

@@ -187,7 +187,7 @@ def _rz_pulses(spin: str, angle: float) -> list[RfRotation]:
 
 def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
     """Euler angles (phi, theta, lam) with U ~ Rz(phi) Ry(theta) Rz(lam)."""
-    det = np.linalg.det(u)
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     v = u * np.exp(-0.5j * np.angle(det))
     a, b = v[0, 0], v[1, 0]
     theta = 2.0 * math.atan2(abs(b), abs(a))

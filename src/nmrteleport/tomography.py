@@ -3,17 +3,20 @@
 A process is characterized by its outputs for the four fixed input states
 |0>, |1>, |+> and |+i>, given as one stack (the circuit executor runs the
 four inputs together): each output is reconstructed from its Pauli
-expectation values, then the exactly determined linear system is solved for
-the Pauli transfer matrix R[m][n] = tr(P_m E(P_n))/2 over the basis
-(I, X, Y, Z).  The chi matrix (E(rho) = sum chi_mn P_m rho P_n) follows by a
-fixed linear basis change, and the entanglement fidelity with respect to the
-maximally mixed input is chi[0][0] = tr(R)/4.
+expectation values, then the Pauli transfer matrix R[m][n] = tr(P_m E(P_n))/2
+over the basis (I, X, Y, Z) follows from the exact dual of the inputs,
+E(I) = E(|0>) + E(|1>), E(Z) = E(|0>) - E(|1>), E(X) = 2E(|+>) - E(I) and
+E(Y) = 2E(|+i>) - E(I).  The chi matrix (E(rho) = sum chi_mn P_m rho P_n)
+follows by the fixed basis change vec(R) = M vec(chi), inverted as
+vec(chi) = M† vec(R)/4 because M M† = 4I for the Pauli basis, and the
+entanglement fidelity with respect to the maximally mixed input is
+chi[0][0] = tr(R)/4.  Neither step solves a linear system, and both identities
+are checked exactly, once, where they are built.
 
-The inputs are built once per process, as one read-only stack with its
-read-only Pauli coordinates, and shared.  A reconstruction checks each rule
-once over its whole stack (the output states, then R[0][0] = 1 and the chi
-matrices) and builds its maps without checking them again; a
-:class:`ProcessMap` built anywhere else checks itself against the same rules.
+The inputs are built once per process, as one read-only stack, and shared.
+A reconstruction checks each rule once over its whole stack (the output
+states, then R[0][0] = 1 and the chi matrices); :func:`reconstruct_process`
+is the one place a :class:`ProcessMap` is built.
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -47,7 +50,6 @@ TRANSFER_TRACE_TOL = 1e-9
 CHI_HERMITICITY_TOL = 1e-9
 CHI_TRACE_TOL = 1e-9
 CHI_PSD_SLACK = 1e-8
-ROUND_TRIP_TOL = 1e-10
 FIDELITY_CONSISTENCY_TOL = 1e-9
 
 
@@ -73,53 +75,46 @@ def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
     return (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
 
 
+def _transfer_matrices(w: np.ndarray) -> np.ndarray:
+    """R from ``w[..., n, m]``, Pauli coordinate m of the output of input n, by the exact
+    dual of the inputs: column P of R holds the coordinates of E(P)/2."""
+    w0, w1, w2, w3 = np.moveaxis(w, -2, 0)
+    e_i = (w0 + w1) / 2.0
+    return np.stack([e_i, w2 - e_i, w3 - e_i, (w0 - w1) / 2.0], axis=-1)
+
+
 @lru_cache(maxsize=1)
-def _canonical_inputs() -> tuple[np.ndarray, np.ndarray]:
-    """|0>, |1>, |+>, |+i> as one read-only ``(4, 2, 2)`` stack, and the read-only
-    4x4 matrix whose column n is the Pauli coordinates of input n; built on the
-    first call and shared."""
+def _canonical_inputs() -> np.ndarray:
+    """|0>, |1>, |+>, |+i> as one read-only ``(4, 2, 2)`` stack, built on the first call
+    and shared; :func:`_transfer_matrices` must take their own Pauli coordinates
+    exactly to the identity, so it is their exact dual."""
     blochs = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     stack = np.stack([state_tomography(*bloch).matrix for bloch in blochs])
-    coords = real_expectations(stack, _PAULI_OPS).T.copy()
-    if np.linalg.cond(coords) > 1e9:
-        raise NumericalInvariantError("input states are not linearly independent as operators")
+    if not np.array_equal(_transfer_matrices(real_expectations(stack, _PAULI_OPS)), np.eye(4)):
+        raise NumericalInvariantError("the transfer recipe is not the exact dual of the input states")
     stack.flags.writeable = False
-    coords.flags.writeable = False
-    return stack, coords
+    return stack
 
 
 @lru_cache(maxsize=1)
 def _transfer_from_chi() -> np.ndarray:
-    """16x16 map M with vec(R) = M vec(chi), fixed by the Pauli basis."""
+    """The read-only 16x16 map M with vec(R) = M vec(chi), fixed by the Pauli basis;
+    M M† = 4I must hold exactly, so vec(chi) = M† vec(R)/4."""
     p = _PAULI_OPS  # M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2
-    return (np.einsum("lij,ajm,kmn,bni->lkab", p, p, p, p) / 2.0).reshape(16, 16)
+    m = (np.einsum("lij,ajm,kmn,bni->lkab", p, p, p, p) / 2.0).reshape(16, 16)
+    if not np.array_equal(m @ m.conj().T, 4.0 * np.eye(16)):
+        raise NumericalInvariantError("the Pauli chi-to-transfer map is not twice a unitary")
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class ProcessMap:
-    """Reconstructed single-qubit process: Pauli transfer matrix and chi matrix."""
+    """Reconstructed single-qubit process: Pauli transfer matrix and chi matrix,
+    read-only 4x4 arrays that :func:`reconstruct_process` has checked."""
 
     transfer_matrix: np.ndarray
     chi_matrix: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.transfer_matrix, dtype=float)
-        chi = np.array(self.chi_matrix, dtype=complex)
-        if r.shape != (4, 4) or chi.shape != (4, 4):
-            raise ValueError("transfer and chi matrices must be 4x4")
-        _check_process(r, chi)
-        r.flags.writeable = False
-        chi.flags.writeable = False
-        object.__setattr__(self, "transfer_matrix", r)
-        object.__setattr__(self, "chi_matrix", chi)
-
-    @classmethod
-    def _from_checked(cls, transfer: np.ndarray, chi: np.ndarray) -> ProcessMap:
-        """The map of read-only 4x4 arrays that have passed :func:`_check_process`."""
-        process = object.__new__(cls)
-        object.__setattr__(process, "transfer_matrix", transfer)
-        object.__setattr__(process, "chi_matrix", chi)
-        return process
 
 
 def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
@@ -145,9 +140,10 @@ def reconstruct_process(outputs: np.ndarray) -> list[ProcessMap]:
 
     Each output must be a density matrix, and is itself reconstructed by
     state tomography from its Bloch components before the transfer matrix
-    is solved for, mirroring how the data would be taken.  Every check runs
+    is formed, mirroring how the data would be taken.  Every check runs
     once over the whole stack, and a violation raises with the ``index`` of the
-    worst member: (..., input) for an output state, (...) for a map.
+    worst member: (..., input) for an output state, (...) for a map.  No step
+    mixes members, so a map is the same bit for bit whatever stack it is in.
     """
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (4, 2, 2):
@@ -155,22 +151,14 @@ def reconstruct_process(outputs: np.ndarray) -> list[ProcessMap]:
     validate_density(outputs)
     states = _bloch_matrices(real_expectations(outputs, _PAULI_OPS[1:]))
     validate_density(states)
-    w = real_expectations(states, _PAULI_OPS)  # w[..., n, m]: coordinate m of output n
-    transfer = np.swapaxes(np.linalg.solve(_canonical_inputs()[1].T, w), -1, -2)
-    vec_r = transfer.astype(complex).reshape(transfer.shape[:-2] + (16, 1))
-    chi = np.linalg.solve(_transfer_from_chi(), vec_r).reshape(transfer.shape)
-    round_trip = (_transfer_from_chi() @ chi.reshape(vec_r.shape)).reshape(transfer.shape)
-    residue = float(np.max(np.abs(round_trip.imag)))
-    if not residue <= ROUND_TRIP_TOL:
-        raise NumericalInvariantError(f"transfer matrix reconstructed from chi is not real (by {residue:.3e})")
-    gap = float(np.max(np.abs(round_trip.real - transfer)))
-    if not gap <= ROUND_TRIP_TOL:
-        raise NumericalInvariantError(f"chi/transfer round trip failed by {gap:.3e}")
+    transfer = _transfer_matrices(real_expectations(states, _PAULI_OPS))
+    vec_r = transfer.reshape(transfer.shape[:-2] + (16,))
+    chi = (np.einsum("ji,...j->...i", _transfer_from_chi().conj(), vec_r) / 4.0).reshape(transfer.shape)
     _check_process(transfer, chi)
     transfer, chi = np.array(transfer.reshape(-1, 4, 4)), np.array(chi.reshape(-1, 4, 4))
     transfer.flags.writeable = False
     chi.flags.writeable = False
-    return [ProcessMap._from_checked(r, c) for r, c in zip(transfer, chi)]
+    return [ProcessMap(r, c) for r, c in zip(transfer, chi)]
 
 
 def entanglement_fidelity(process: ProcessMap) -> float:

@@ -6,9 +6,12 @@ checks stay meaningful.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import nmrteleport
 from nmrteleport.channels import KrausChannel
 from nmrteleport.circuits import Circuit, prepare, run_events
 from nmrteleport.experiment import tomograph
@@ -70,6 +73,26 @@ def count_eigvalsh(monkeypatch) -> list:
     calls, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
     return calls
+
+
+def record_linalg_calls(monkeypatch) -> list[str]:
+    """The name of every ``np.linalg`` function called from now on, one entry per call."""
+    calls = []
+
+    def recorded(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in dir(np.linalg):
+        real = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, recorded(name, real))
+    return calls
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this package."""
+    src = str(Path(nmrteleport.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:
@@ -178,17 +201,18 @@ def per_output_reconstruction(outputs) -> tuple[np.ndarray, np.ndarray]:
     outputs (DensityMatrix) for the four canonical inputs.
 
     Each output goes through Pauli expectations, state tomography of its
-    Bloch vector and the coordinates of that state; one linear solve against
-    :data:`CANONICAL_COORDINATES` then gives R, and a second one chi from the
-    16x16 map vec(R) = M vec(chi), built here with
-    M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2.
+    Bloch vector and the coordinates w_n of that state.  The exact inverse of
+    :data:`CANONICAL_COORDINATES` then gives R column by column, E(I) =
+    (w_0 + w_1)/2, E(X) = w_2 - E(I), E(Y) = w_3 - E(I), E(Z) = (w_0 - w_1)/2;
+    and chi = M† vec(R)/4, summed term by term, inverts the 16x16 map
+    vec(R) = M vec(chi), built here with M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2.
     """
-    coords = []
+    w = []
     for out in outputs:
         state = state_tomography(*(pauli_expectation(out.matrix, p) for p in PAULI_LABELS[1:]))
-        coords.append([pauli_expectation(state.matrix, p) for p in PAULI_LABELS])
-    w = np.array(coords).T
-    transfer = np.linalg.solve(CANONICAL_COORDINATES.T, w.T).T
+        w.append(np.array([pauli_expectation(state.matrix, p) for p in PAULI_LABELS]))
+    e_i = (w[0] + w[1]) / 2.0
+    transfer = np.stack([e_i, w[2] - e_i, w[3] - e_i, (w[0] - w[1]) / 2.0], axis=1)
     ops = [
         np.eye(2, dtype=complex),
         np.array([[0, 1], [1, 0]], dtype=complex),
@@ -198,8 +222,10 @@ def per_output_reconstruction(outputs) -> tuple[np.ndarray, np.ndarray]:
     m = np.zeros((16, 16), dtype=complex)
     for l, k, a, b in np.ndindex(4, 4, 4, 4):
         m[4 * l + k, 4 * a + b] = np.trace(ops[l] @ ops[a] @ ops[k] @ ops[b]) / 2.0
-    chi = np.linalg.solve(m, transfer.astype(complex).reshape(16)).reshape(4, 4)
-    return transfer, chi
+    vec_chi = np.zeros(16, dtype=complex)
+    for i, j in np.ndindex(16, 16):
+        vec_chi[i] += m[j, i].conjugate() * transfer.reshape(16)[j]
+    return transfer, (vec_chi / 4.0).reshape(4, 4)
 
 
 def teleport_fe(duration: float, t1_data: float, t1_ancilla: float, t1_target: float, t2_target: float) -> float:

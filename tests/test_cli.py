@@ -15,12 +15,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import nmrteleport
-from nmrteleport import circuits, cli, experiment
+from nmrteleport import circuits, cli, experiment, tomography
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.experiment import DEFAULT_DELAYS, SweepConfig, run_sweep
 from nmrteleport.nmr import tce_model
-from tests.helpers import count_eigvalsh
+from tests.helpers import child_env, count_eigvalsh, record_linalg_calls
 
 
 def read_csv(path):
@@ -221,12 +220,6 @@ def test_config_noise_switches_must_be_booleans(tmp_path, capsys):
     assert rows[-1][1] == pytest.approx(1.0, abs=1e-9)
 
 
-def child_env():
-    """The environment of a child Python that imports this package."""
-    src = str(Path(nmrteleport.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_import_loads_neither_scipy_nor_yaml():
     code = "import sys, nmrteleport.cli; print(sorted({'scipy', 'yaml'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
@@ -344,6 +337,17 @@ def test_a_clean_30_delay_pulse_compare_calls_no_eigvalsh(tmp_path, monkeypatch)
     calls = count_eigvalsh(monkeypatch)
     assert cli.main(["compare", "--engine", "pulse", "--delays", delays, "--out", str(tmp_path)]) == 0
     assert len(calls) == 0
+
+
+def test_a_clean_compare_calls_lapack_only_to_certify_and_fit(tmp_path, monkeypatch):
+    # The tomography inverses are exact and built on this call too; the pulse
+    # compiler takes its 2x2 determinants in closed form.
+    tomography._canonical_inputs.cache_clear()
+    tomography._transfer_from_chi.cache_clear()
+    calls = record_linalg_calls(monkeypatch)
+    for engine in ("gate", "pulse"):
+        assert cli.main(["compare", "--engine", engine, "--out", str(tmp_path / engine)]) == 0
+    assert set(calls) == {"cholesky", "lstsq"}
 
 
 def test_library_main_leaves_the_collector_alone(tmp_path):

@@ -1,5 +1,7 @@
 import decimal
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from nmrteleport.experiment import (
 from nmrteleport.nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
 from nmrteleport.tomography import _canonical_inputs, entanglement_fidelity, reconstruct_process
-from tests.helpers import kraus_fe, per_output_reconstruction, process_map, relaxation_fe, teleport_fe
+from tests.helpers import child_env, kraus_fe, per_output_reconstruction, process_map, relaxation_fe, teleport_fe
 
 IDENTITY_MAP = process_map(lambda stack: stack)
 
@@ -37,7 +39,7 @@ def per_input_outputs(config: SweepConfig) -> list[list[DensityMatrix]]:
         if config.engine == "pulse":
             events = realize_pulses(events, config.model, config.rotation_error)
         outputs.append([])
-        for state in _canonical_inputs()[0]:
+        for state in _canonical_inputs():
             final = run_events(events, prepare(state, 3)[None])
             outputs[-1].append(DensityMatrix(1, reduce_stack(final, [readout])[0]))
     return outputs
@@ -493,6 +495,62 @@ def test_reconstruction_violation_in_a_sweep_names_its_delay(monkeypatch):
         "control sweep, gate engine, delay 0.3 s, tomography input 3, process reconstruction: "
         "trace deviates from 1 by 5.000e-01"
     )
+
+
+def test_a_sweep_of_three_blocks_equals_its_one_delay_sweeps():
+    # 600 delays run as blocks of 256, 256 and 88.
+    model = tce_model()
+    delays = tuple(np.linspace(0.0, 1.2, 600))
+    for engine in ("gate", "pulse"):
+        records = run_sweep(SweepConfig(delays, "teleport", model, engine))
+        assert [r.delay for r in records] == list(delays)
+        for record in records:
+            (alone,) = run_sweep(SweepConfig((record.delay,), "teleport", model, engine))
+            assert record.fe == alone.fe
+            assert np.array_equal(record.process_map.transfer_matrix, alone.process_map.transfer_matrix)
+            assert np.array_equal(record.process_map.chi_matrix, alone.process_map.chi_matrix)
+
+
+def test_a_violation_in_the_second_block_names_its_delay(monkeypatch):
+    # Delay 299 of 300 is the 44th of the second block, in its circuit and in its reconstruction.
+    delays = tuple(map(float, np.linspace(0.0, 1.2, 300)))
+    for engine in ("gate", "pulse"):
+        _corrupt_last_delay(monkeypatch, delays, math.nan)
+        with pytest.raises(NumericalInvariantError) as info:
+            run_sweep(SweepConfig(delays, "teleport", tce_model(), engine))
+        assert str(info.value) == (
+            f"teleport sweep, {engine} engine, delay {delays[-1]!r} s, tomography input 0, circuit step 4 "
+            "(channel on qubits (0,)): matrix deviates from Hermitian by nan (tol 1.0e-10)"
+        )
+    monkeypatch.undo()
+
+    def reduced(stack, keep):
+        outputs = reduce_stack(stack, keep).copy()
+        if len(outputs) < 256:
+            outputs[43] = np.swapaxes(outputs[43], -1, -2)
+        return outputs
+
+    monkeypatch.setattr(experiment, "reduce_stack", reduced)
+    with pytest.raises(NumericalInvariantError) as info:
+        run_sweep(SweepConfig(delays, "control", tce_model()))
+    assert str(info.value).startswith(f"control sweep, gate engine, delay {delays[-1]!r} s, process reconstruction: chi matrix: ")
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # Each delay keeps its record (about 1.5 KB); everything else is bounded by the block.
+    child = """
+import resource, sys
+import numpy as np
+from nmrteleport.experiment import SweepConfig, run_sweep
+from nmrteleport.nmr import tce_model
+run_sweep(SweepConfig(tuple(np.linspace(0.0, 1.2, int(sys.argv[1]))), "teleport", tce_model()))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    peak_kb = {}
+    for size in (1_000, 5_000):
+        result = subprocess.run([sys.executable, "-c", child, str(size)], env=child_env(), capture_output=True, text=True, check=True)
+        peak_kb[size] = int(result.stdout)
+    assert (peak_kb[5_000] - peak_kb[1_000]) / 4_000 <= 6.0
 
 
 def test_a_second_sweep_builds_no_density_matrix(monkeypatch):

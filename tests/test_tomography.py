@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from nmrteleport import tomography
 from nmrteleport.channels import dephasing_channel, depolarizing_channel
 from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
 from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from nmrteleport.tomography import (
     ProcessMap,
     _canonical_inputs,
+    _check_process,
+    _transfer_from_chi,
+    _transfer_matrices,
     entanglement_fidelity,
     reconstruct_process,
     state_tomography,
@@ -144,21 +148,38 @@ def test_trace_over_four_equals_chi00():
 
 
 def test_input_coordinate_matrix_is_stored_read_only():
-    stack, v = _canonical_inputs()
+    stack = _canonical_inputs()
     fresh = np.array([[pauli_expectation(state, p) for state in stack] for p in "IXYZ"])
-    assert np.array_equal(v, fresh)
-    assert np.array_equal(v, CANONICAL_COORDINATES)
-    # One stack serves every tomography: it is shared, and so are its read-only arrays.
-    assert _canonical_inputs() is _canonical_inputs()
-    assert _canonical_inputs()[0] is stack and _canonical_inputs()[1] is v
-    for array in (stack, v):
-        assert array.base is None  # nothing writable behind it
-        with pytest.raises(ValueError):
-            array[0, 0] = 2.0
+    assert np.array_equal(fresh, CANONICAL_COORDINATES)
+    # One stack serves every tomography: it is shared and read-only.
+    assert _canonical_inputs() is stack
+    assert stack.base is None  # nothing writable behind it
+    with pytest.raises(ValueError):
+        stack[0, 0] = 2.0
+
+
+def test_reconstruction_inverses_are_exact(monkeypatch):
+    m = _transfer_from_chi()
+    assert np.array_equal(m @ m.conj().T, 4.0 * np.eye(16))
+    assert _transfer_from_chi() is m and not m.flags.writeable
+    # The dual of the inputs takes their own coordinates to the identity process,
+    # so the identity channel reconstructs exactly.
+    assert np.array_equal(_transfer_matrices(CANONICAL_COORDINATES.T), np.eye(4))
+    assert np.array_equal(IDENTITY_MAP.transfer_matrix, np.eye(4))
+    assert np.array_equal(IDENTITY_MAP.chi_matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    # Each identity is checked where it is built: a wrong basis breaks both.
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "_PAULI_OPS", 1.5 * tomography._PAULI_OPS)
+        for build in (_canonical_inputs, _transfer_from_chi):
+            build.cache_clear()
+            with pytest.raises(NumericalInvariantError):
+                build()
+    for build in (_canonical_inputs, _transfer_from_chi):
+        build.cache_clear()
 
 
 def test_canonical_inputs_are_the_four_reference_states():
-    states, _ = _canonical_inputs()
+    states = _canonical_inputs()
     assert states.shape == (4, 2, 2)
     assert np.allclose(states[0], np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(states[1], np.diag([0.0, 1.0]), atol=1e-12)
@@ -169,15 +190,15 @@ def test_canonical_inputs_are_the_four_reference_states():
 def test_process_map_validation():
     good = IDENTITY_MAP
     with pytest.raises(NumericalInvariantError):
-        ProcessMap(np.diag([0.9, 1.0, 1.0, 1.0]), good.chi_matrix)
+        _check_process(np.diag([0.9, 1.0, 1.0, 1.0]), good.chi_matrix)
     bad_chi = np.diag([0.7, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(NumericalInvariantError):
-        ProcessMap(np.eye(4), bad_chi)
+        _check_process(np.eye(4), bad_chi)
 
 
 def test_evaluate_must_return_single_qubit_density_matrix():
     with pytest.raises(ValueError):
-        reconstruct_process(np.stack([np.kron(s, s) for s in _canonical_inputs()[0]]))
+        reconstruct_process(np.stack([np.kron(s, s) for s in _canonical_inputs()]))
     with pytest.raises(NumericalInvariantError):
         process_map(lambda stack: 2.0 * stack)
 
@@ -187,7 +208,7 @@ def random_outputs(rng, shape):
     outputs = np.empty(shape + (4, 2, 2), dtype=complex)
     for index in np.ndindex(*shape):
         elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
-        outputs[index] = [apply_elements(s, elements) for s in _canonical_inputs()[0]]
+        outputs[index] = [apply_elements(s, elements) for s in _canonical_inputs()]
     return outputs
 
 
@@ -220,7 +241,7 @@ def test_batched_reconstruction_locates_a_map_that_is_not_completely_positive():
     # completely positive: its chi has the eigenvalue -1/2.
     rng = np.random.default_rng(81)
     outputs = random_outputs(rng, (5,))
-    outputs[2] = [s.T for s in _canonical_inputs()[0]]
+    outputs[2] = [s.T for s in _canonical_inputs()]
     with pytest.raises(NumericalInvariantError) as info:
         reconstruct_process(outputs)
     assert info.value.index == (2,)
@@ -233,7 +254,7 @@ def test_chi_stack_check_holds_its_slack_and_names_the_map():
         # state; its chi has the eigenvalues (1-s)/4 + s/2 (three times) and (1-s)/4 - s/2.
         s = (1.0 - 4.0 * least) / 3.0
         outputs = random_outputs(np.random.default_rng(82), (6,))
-        outputs[4] = [(1.0 - s) * IDENTITY_2 / 2.0 + s * state.T for state in _canonical_inputs()[0]]
+        outputs[4] = [(1.0 - s) * IDENTITY_2 / 2.0 + s * state.T for state in _canonical_inputs()]
         return outputs
 
     maps = reconstruct_process(outputs_with_least_chi_eigenvalue(-5e-9))  # within the 1e-8 slack
@@ -247,7 +268,7 @@ def test_chi_stack_check_holds_its_slack_and_names_the_map():
 def test_nan_fails_process_map_and_fidelity_checks():
     good = IDENTITY_MAP
     with pytest.raises(NumericalInvariantError):
-        ProcessMap(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
+        _check_process(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
     with pytest.raises(NumericalInvariantError):
         entanglement_fidelity(ProcessMap(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix))
     with pytest.raises(UnphysicalBlochError):
