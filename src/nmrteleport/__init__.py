@@ -9,7 +9,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the names the package exports from it
-    "channels": ("KrausChannel", "RelaxationParams", "dephasing_channel", "depolarizing_channel", "relaxation_channel"),
+    "channels": ("KrausChannel", "RelaxationParams", "depolarizing_channel"),
     "circuits": ("Circuit", "bell_to_computational", "control_circuit", "correction_table", "entangle_gate",
                  "teleport_circuit"),
     "errors": ("ConfigError", "FitConvergenceError", "NumericalInvariantError", "UnphysicalBlochError",
@@ -17,7 +17,7 @@ _EXPORTS = {  # module -> the names the package exports from it
     "experiment": ("DEFAULT_DELAYS", "CurveComparison", "DecayFit", "SweepConfig", "SweepRecord", "compare_curves",
                    "fit_decay", "fit_exponential", "run_sweep", "tomograph"),
     "nmr": ("FreeEvolution", "MoleculeModel", "RfRotation", "SpinParams", "compile_gate", "tce_model"),
-    "qstate": ("DensityMatrix", "lift_operator", "tensor_product"),
+    "qstate": ("DensityMatrix", "lift_operator"),
     "tomography": ("ProcessMap", "entanglement_fidelity", "state_tomography"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

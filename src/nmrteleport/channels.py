@@ -1,7 +1,7 @@
 """Completely positive trace-preserving noise maps as Kraus operation elements.
 
-Provides phase damping (T2), amplitude damping combined with phase damping
-(T1/T2 relaxation), for one duration or a whole delay grid at once, and
+Provides T1/T2 relaxation (amplitude damping combined with phase damping)
+over a whole delay grid at once, pure dephasing being the case T1 = inf, and
 depolarizing noise.
 
 Durations may be ``math.inf``: an infinite dephasing interval is exactly the
@@ -23,9 +23,8 @@ CPTP_TOL = 1e-10
 
 
 def _decay(duration: float, timescale: float) -> float:
-    """exp(-duration/timescale) with the 0 and inf corner cases pinned."""
-    if not timescale > 0.0:
-        raise ValueError(f"timescale must be positive, got {timescale}")
+    """exp(-duration/timescale) with the 0 and inf corner cases pinned; the
+    timescale is a checked :class:`RelaxationParams` time."""
     if math.isinf(timescale):
         return 1.0
     if math.isinf(duration):
@@ -86,54 +85,20 @@ class KrausChannel:
         object.__setattr__(self, "elements", tuple(elements))
 
 
-def dephasing_channel(duration: float, t2: float, target: int = 0) -> KrausChannel:
-    """Pure phase damping: off-diagonals scale by exp(-duration/t2).
-
-    ``duration=math.inf`` gives complete dephasing, i.e. projection onto the
-    computational basis.
-    """
-    if not duration >= 0.0:
-        raise ValueError(f"duration must be nonnegative, got {duration}")
-    factor = _decay(duration, t2)
-    return KrausChannel((target,), _dephasing_elements(factor))
-
-
-def _dephasing_elements(factor: float) -> tuple[np.ndarray, ...]:
-    """Kraus pair scaling off-diagonals by ``factor`` in [0, 1]."""
-    k0 = math.sqrt((1.0 + factor) / 2.0)
-    k1 = math.sqrt((1.0 - factor) / 2.0)
-    if k1 == 0.0:
-        return (IDENTITY_2.copy(),)
-    return (k0 * IDENTITY_2, k1 * PAULI_Z)
-
-
-def relaxation_channel(
-    duration: float, params: RelaxationParams, target: int = 0
-) -> KrausChannel:
-    """Combined T1/T2 relaxation over ``duration`` seconds.
-
-    Amplitude damping toward |0> with gamma = 1 - exp(-duration/t1),
-    composed with just enough extra dephasing that the total off-diagonal
-    decay factor is exp(-duration/t2).  The channel is specified by this
-    action, not by a canonical factorization; its zero elements are dropped.
-    """
-    products = _relaxation_elements((duration,), params)[:, 0]
-    return KrausChannel((target,), products[np.abs(products).max(axis=(1, 2)) > 0.0])
-
-
 def relaxation_channels(
     durations: Sequence[float], params: RelaxationParams, target: int = 0
 ) -> KrausChannel:
-    """:func:`relaxation_channel` of every duration of a grid, as one channel of
-    four ``(D, 2, 2)`` elements: ``elements[i][d]`` is element i of the channel
-    for ``durations[d]``, a zero matrix where that channel drops it (a zero
-    element adds exact zeros).  One trace-preservation check covers the grid."""
-    return KrausChannel((target,), _relaxation_elements(durations, params))
+    """Combined T1/T2 relaxation over every duration of a grid (seconds), as one
+    channel of four ``(D, 2, 2)`` elements: ``elements[i][d]`` is element i of
+    the channel for ``durations[d]``.  One trace-preservation check covers the grid.
 
-
-def _relaxation_elements(durations: Sequence[float], params: RelaxationParams) -> np.ndarray:
-    """``(4, D, 2, 2)``: dephasing element i // 2 times damping element i % 2 at
-    every duration, zero elements kept in place."""
+    Amplitude damping toward |0> with gamma = 1 - exp(-duration/t1), composed
+    with just enough extra dephasing that the total off-diagonal decay factor
+    is exp(-duration/t2).  The channel is specified by this action, not by a
+    canonical factorization: element i is dephasing element i // 2 times
+    damping element i % 2, and a zero element stays in place (it adds exact
+    zeros).  ``t1=inf`` leaves pure dephasing.
+    """
     factors = []
     for duration in durations:
         if not duration >= 0.0:
@@ -151,7 +116,7 @@ def _relaxation_elements(durations: Sequence[float], params: RelaxationParams) -
     k1 = np.sqrt((1.0 - extra) / 2.0)[:, None, None]
     dephasing = np.stack((k0 * IDENTITY_2, k1 * PAULI_Z), axis=1)  # scales off-diagonals by extra
     products = dephasing[:, :, None] @ damping[:, None]
-    return np.swapaxes(products.reshape(-1, 4, 2, 2), 0, 1)
+    return KrausChannel((target,), np.swapaxes(products.reshape(-1, 4, 2, 2), 0, 1))
 
 
 def depolarizing_channel(p: float, target: int = 0) -> KrausChannel:

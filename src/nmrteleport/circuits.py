@@ -35,7 +35,6 @@ from .qstate import (
     PAULIS,
     evolve,
     lift_operator,
-    tensor_product,
     validate_density,
 )
 
@@ -82,22 +81,26 @@ def bell_to_computational(data: int = 0, ancilla: int = 1) -> tuple[KrausChannel
     return KrausChannel((data, ancilla), (CNOT,)), KrausChannel((data,), (HADAMARD,))
 
 
+def _teleport_prefix() -> tuple[KrausChannel, ...]:
+    """The teleport circuit's gates before the delay: entangle (ancilla, target),
+    then rotate (data, ancilla) out of the Bell basis."""
+    return (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
+
+
 @lru_cache(maxsize=1)
 def correction_table() -> Mapping[str, np.ndarray]:
     """Derive the recovery unitaries from the circuit's own conventions.
 
-    Runs the pre-measurement unitary (entangle, then Bell rotation) on basis
-    inputs and extracts, for each computational outcome of (data, ancilla),
-    the residual operator left on the target; the correction is its inverse,
-    checked to be a Pauli up to global phase.  Built once and shared, so the
-    table is read-only: outcome ("00" to "11") -> read-only 2x2 unitary.
+    Composes the pre-measurement unitary from the teleport circuit's own
+    prefix steps (entangle, then Bell rotation), runs it on basis inputs and
+    extracts, for each computational outcome of (data, ancilla), the residual
+    operator left on the target; the correction is its inverse, checked to be
+    a Pauli up to global phase.  Built once and shared, so the table is
+    read-only: outcome ("00" to "11") -> read-only 2x2 unitary.
     """
-    pre = (
-        lift_operator(HADAMARD, (DATA,), 3)
-        @ lift_operator(CNOT, (DATA, ANCILLA), 3)
-        @ lift_operator(CNOT, (ANCILLA, TARGET), 3)
-        @ lift_operator(HADAMARD, (ANCILLA,), 3)
-    )
+    pre = np.eye(8, dtype=complex)
+    for step in _teleport_prefix():
+        pre = lift_operator(step.elements[0], step.targets, 3) @ pre
     table = {}
     for b0 in (0, 1):
         for b1 in (0, 1):
@@ -125,7 +128,7 @@ def _controlled_correction() -> KrausChannel:
         for b1 in (0, 1):
             proj = np.zeros((4, 4), dtype=complex)
             proj[2 * b0 + b1, 2 * b0 + b1] = 1.0
-            full += tensor_product(proj, table[f"{b0}{b1}"])
+            full += np.kron(proj, table[f"{b0}{b1}"])
     return KrausChannel((DATA, ANCILLA, TARGET), (full,))
 
 
@@ -151,7 +154,7 @@ def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     covers every delay of the grid at once, for a stack whose leading axis
     runs over the grid.
     """
-    prefix = (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
+    prefix = _teleport_prefix()
     return Circuit(3, (*prefix, *_delay_noise(delays, model), _controlled_correction()), len(prefix))
 
 
@@ -170,7 +173,7 @@ def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
     """Data-qubit inputs (a 2x2 matrix or a stack) with every other qubit in |0>, validated."""
     padding = np.zeros((2 ** (num_qubits - 1),) * 2, dtype=complex)
     padding[0, 0] = 1.0
-    stack = tensor_product(inputs, padding)
+    stack = np.kron(inputs, padding)
     validate_density(stack)
     return stack
 

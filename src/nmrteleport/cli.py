@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .channels import RelaxationParams, dephasing_channel, depolarizing_channel, relaxation_channel
+from .channels import RelaxationParams, depolarizing_channel, relaxation_channels
 from .circuits import run_events
 from .errors import ConfigError, NumericalInvariantError, RfAngleError, UnsupportedGateError
 from .experiment import (
@@ -309,9 +309,9 @@ _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 # steps here: it runs as a sweep of one delay.
 _CHANNELS = {
     "identity": ((), lambda: ()),
-    "dephasing": (("t", "t2"), lambda t, t2: (dephasing_channel(t, t2),)),
+    "dephasing": (("t", "t2"), lambda t, t2: (relaxation_channels((t,), RelaxationParams(math.inf, t2)),)),
     "depolarizing": (("p",), lambda p: (depolarizing_channel(p),)),
-    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: (relaxation_channel(t, RelaxationParams(t1, t2)),)),
+    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: (relaxation_channels((t,), RelaxationParams(t1, t2)),)),
     "teleport": (("delay",), None),
     "control": (("delay",), None),
 }

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small qubit registers.
 
 Everything in the simulator lives on at most three qubits, so states and
-operators are plain dense numpy arrays: Kronecker products, density
-matrices with physicality checks, and batched partial traces and Pauli
-expectation values on stacks of them.
+operators are plain dense numpy arrays: operators lifted to the register,
+density matrices with physicality checks, and batched partial traces and
+Pauli expectation values on stacks of them.
 
 Conventions used package-wide:
 
@@ -58,11 +58,6 @@ def rotation_y(angle: float) -> np.ndarray:
     """exp(-i*angle*Y/2)."""
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor becomes the leading qubits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def validate_density(

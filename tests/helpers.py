@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import nmrteleport
-from nmrteleport.channels import KrausChannel
+from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_channels
 from nmrteleport.circuits import Circuit, prepare, run_events
 from nmrteleport.experiment import tomograph
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, RfRotation, realize_pulses
@@ -95,6 +95,11 @@ def child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def dephasing(duration: float, t2: float, target: int = 0) -> KrausChannel:
+    """Pure phase damping over one duration: the relaxation channel with T1 = inf."""
+    return relaxation_channels((duration,), RelaxationParams(math.inf, t2), target)
+
+
 def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:
     """Random single-qubit Kraus set: blocks of a random isometry C^2 -> C^(2m)."""
     g = rng.normal(size=(2 * num_elements, 2)) + 1j * rng.normal(size=(2 * num_elements, 2))
@@ -164,21 +169,22 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=complex)
 
 
+def closed_form_decay(duration: float, timescale: float) -> float:
+    """exp(-duration/timescale): 1 for an infinite timescale, else 0 for an infinite duration."""
+    if math.isinf(timescale):
+        return 1.0
+    if math.isinf(duration):
+        return 0.0
+    return math.exp(-duration / timescale)
+
+
 def relaxation_fe(duration: float, t1: float, t2: float) -> float:
     """Closed-form entanglement fidelity of T1/T2 relaxation.
 
     From Fe = sum_i |tr A_i|^2 / 4 for amplitude damping composed with pure
     dephasing: Fe(t) = (1 + e^{-t/T1} + 2 e^{-t/T2}) / 4.
     """
-
-    def decay(tau: float) -> float:
-        if math.isinf(tau):
-            return 1.0
-        if math.isinf(duration):
-            return 0.0
-        return math.exp(-duration / tau)
-
-    return (1.0 + decay(t1) + 2.0 * decay(t2)) / 4.0
+    return (1.0 + closed_form_decay(duration, t1) + 2.0 * closed_form_decay(duration, t2)) / 4.0
 
 
 SPANNING_1Q = (
@@ -243,11 +249,7 @@ def teleport_fe(duration: float, t1_data: float, t1_ancilla: float, t1_target: f
     """
 
     def decay(tau: float) -> float:
-        if math.isinf(tau):
-            return 1.0
-        if math.isinf(duration):
-            return 0.0
-        return math.exp(-duration / tau)
+        return closed_form_decay(duration, tau)
 
     g_data, g_ancilla = (1.0 - decay(t1_data)) / 2.0, (1.0 - decay(t1_ancilla)) / 2.0
     chi_ii = (1.0 + decay(t1_target) + 2.0 * decay(t2_target)) / 4.0

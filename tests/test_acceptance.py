@@ -17,9 +17,8 @@ import numpy as np
 from nmrteleport.channels import (
     KrausChannel,
     RelaxationParams,
-    dephasing_channel,
     depolarizing_channel,
-    relaxation_channel,
+    relaxation_channels,
 )
 from nmrteleport.circuits import TARGET, run_events, teleport_circuit
 from nmrteleport.experiment import (
@@ -36,6 +35,7 @@ from tests.helpers import (
     BELL_STATES,
     apply_elements,
     channel_map,
+    dephasing,
     kraus_fe,
     process_map,
     projector,
@@ -97,7 +97,7 @@ def test_criterion_2_decoherence_immunity():
 
 def test_criterion_3_fidelity_calibration_triple():
     fe_identity = entanglement_fidelity(process_map(lambda stack: stack))
-    fe_classical = entanglement_fidelity(channel_map(dephasing_channel(math.inf, 0.3)))
+    fe_classical = entanglement_fidelity(channel_map(dephasing(math.inf, 0.3)))
     fe_random = entanglement_fidelity(channel_map(depolarizing_channel(1.0)))
     ok = (
         abs(fe_identity - 1.0) <= 1e-9
@@ -205,16 +205,16 @@ def test_criterion_8_randomized_invariant_suite():
                 split = float(rng.random()) * t_total
                 rho = random_density(rng, 1)
                 if case % 10 == 4:
-                    first = dephasing_channel(split, 0.4)
-                    second = dephasing_channel(t_total - split, 0.4)
-                    joined = dephasing_channel(t_total, 0.4)
+                    first = dephasing(split, 0.4)
+                    second = dephasing(t_total - split, 0.4)
+                    joined = dephasing(t_total, 0.4)
                 else:
                     params = RelaxationParams(2.0, 0.5)
-                    first = relaxation_channel(split, params)
-                    second = relaxation_channel(t_total - split, params)
-                    joined = relaxation_channel(t_total, params)
-                stepped = run_events((first, second), rho.matrix)
-                direct = run_events((joined,), rho.matrix)
+                    first = relaxation_channels((split,), params)
+                    second = relaxation_channels((t_total - split,), params)
+                    joined = relaxation_channels((t_total,), params)
+                stepped = run_events((first, second), rho.matrix[None])
+                direct = run_events((joined,), rho.matrix[None])
                 if np.max(np.abs(stepped - direct)) > 1e-10:
                     violations += 1
             else:

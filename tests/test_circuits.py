@@ -16,7 +16,7 @@ from nmrteleport.circuits import (
     run_events,
     teleport_circuit,
 )
-from nmrteleport.channels import KrausChannel, dephasing_channel
+from nmrteleport.channels import KrausChannel
 from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import (
     CNOT,
@@ -27,11 +27,11 @@ from nmrteleport.qstate import (
     PAULI_Z,
     lift_operator,
     reduce_stack,
-    tensor_product,
 )
 from tests.helpers import (
     BELL_STATES,
     basis_state,
+    dephasing,
     phase_distance,
     projector,
     random_pure_state,
@@ -89,7 +89,7 @@ def test_entangle_gate_inverse_returns_input():
 def test_entangle_gate_on_excited_ancilla():
     # Direct matrix product: CNOT . (H ⊗ I) applied to |10> gives the
     # orthogonal Bell state (|00> - |11>)/sqrt(2).
-    u = CNOT @ tensor_product(HADAMARD, IDENTITY_2)
+    u = CNOT @ np.kron(HADAMARD, IDENTITY_2)
     ket = np.zeros(4, dtype=complex)
     ket[2] = 1.0
     expected = u @ ket
@@ -210,7 +210,7 @@ def test_run_circuit_empty_pads_with_ground_states():
     rng = np.random.default_rng(19)
     psi = random_pure_state(rng, 1)
     out = run_inputs(Circuit(3, ()), [psi])[0]
-    expected = tensor_product(projector(psi), projector(basis_state("00")))
+    expected = np.kron(projector(psi), projector(basis_state("00")))
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -236,7 +236,7 @@ def test_run_circuit_teleports_plus_state_matches_hand_simulation():
         proj = np.zeros((4, 4), dtype=complex)
         proj[b, b] = 1.0
         correction += np.kron(proj, residual.conj().T)
-    rho0 = tensor_product(projector(PLUS), projector(basis_state("00")))
+    rho0 = np.kron(projector(PLUS), projector(basis_state("00")))
     expected = correction @ pre @ rho0 @ pre.conj().T @ correction.conj().T
     assert np.max(np.abs(out - expected)) < 1e-12
     assert np.max(np.abs(reduce_stack(out, [TARGET]) - projector(PLUS))) < 1e-10
@@ -253,7 +253,7 @@ def test_gate_event_validation():
     with pytest.raises(ValueError):
         Circuit(2, (KrausChannel((5,), (PAULI_X,)),))
     with pytest.raises(ValueError):
-        Circuit(1, (dephasing_channel(0.1, 0.3, target=4),))
+        Circuit(1, (dephasing(0.1, 0.3, target=4),))
 
 
 def test_teleport_output_satisfies_state_invariants():

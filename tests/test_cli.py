@@ -202,9 +202,15 @@ def test_nan_relaxation_times_and_rf_errors_exit_2(tmp_path, capsys):
         args = ["teleport", "--engine", "pulse", "--delays", "0,0.3", "--config", str(cfg)]
         assert cli.main(args + ["--out", str(tmp_path / "rf")]) == 2, value
         assert capsys.readouterr().err.startswith("error:")
-    for channel in ("dephasing(0.3,nan)", "relaxation(0.3,nan,0.2)", "relaxation(0.3,2,nan)"):
+    # Dephasing is relaxation with T1 = inf, so a bad T2 is blamed on t2 by RelaxationParams' own rule.
+    for channel, blamed in (
+        ("dephasing(0.3,nan)", "t2"),
+        ("dephasing(0.3,0)", "t2"),
+        ("relaxation(0.3,nan,0.2)", "t1"),
+        ("relaxation(0.3,2,nan)", "t2"),
+    ):
         assert cli.main(["tomo", "--channel", channel, "--out", str(tmp_path / "t")]) == 2, channel
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(f"error: invalid channel parameters: {blamed} must be positive")
 
 
 def test_config_noise_switches_must_be_booleans(tmp_path, capsys):

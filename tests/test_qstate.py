@@ -19,7 +19,6 @@ from nmrteleport.qstate import (
     lift_operator,
     real_expectations,
     reduce_stack,
-    tensor_product,
     validate_density,
 )
 from nmrteleport.tomography import CHI_PSD_SLACK
@@ -39,11 +38,11 @@ from tests.helpers import (
 
 
 def test_tensor_identity():
-    assert np.allclose(tensor_product(IDENTITY_2, IDENTITY_2), np.eye(4))
+    assert np.allclose(np.kron(IDENTITY_2, IDENTITY_2), np.eye(4))
 
 
 def test_tensor_zz_sign_on_11():
-    zz = tensor_product(PAULI_Z, PAULI_Z)
+    zz = np.kron(PAULI_Z, PAULI_Z)
     ket = np.array([0, 0, 0, 1.0])
     assert np.allclose(zz @ ket, ket)
 
@@ -53,13 +52,13 @@ def test_tensor_projector():
     p1 = np.array([[0, 0], [0, 1]], dtype=complex)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0  # |01>
-    assert np.allclose(tensor_product(p0, p1), expected)
+    assert np.allclose(np.kron(p0, p1), expected)
 
 
 def test_lift_operator_positions():
     assert np.allclose(
         lift_operator(PAULI_X, (1,), 3),
-        tensor_product(tensor_product(IDENTITY_2, PAULI_X), IDENTITY_2),
+        np.kron(np.kron(IDENTITY_2, PAULI_X), IDENTITY_2),
     )
     assert np.allclose(lift_operator(CNOT, (0, 1), 2), CNOT)
     # Reversed targets put the control on the second register qubit.
@@ -86,7 +85,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(11)
     rho_a = random_density(rng, 1)
     rho_b = random_density(rng, 2)
-    joint = tensor_product(rho_a.matrix, rho_b.matrix)
+    joint = np.kron(rho_a.matrix, rho_b.matrix)
     assert np.allclose(reduce_stack(joint, [0]), rho_a.matrix, atol=1e-10)
     assert np.allclose(reduce_stack(joint, [1, 2]), rho_b.matrix, atol=1e-10)
 
@@ -235,7 +234,7 @@ def test_enforce_hermitian_raises_beyond_tolerance():
 def test_partial_trace_of_product_matches_factor_randomized():
     rng = np.random.default_rng(31)
     pairs = [(random_density(rng, 1).matrix, random_density(rng, 1).matrix) for _ in range(20)]
-    joint = np.stack([tensor_product(a, b) for a, b in pairs])
+    joint = np.stack([np.kron(a, b) for a, b in pairs])
     for keep, factor in (([0], 0), ([1], 1)):
         expected = np.stack([pair[factor] for pair in pairs])
         assert np.max(np.abs(reduce_stack(joint, keep) - expected)) < 1e-10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmrteleport import tomography
-from nmrteleport.channels import dephasing_channel, depolarizing_channel
+from nmrteleport.channels import depolarizing_channel
 from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
 from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from nmrteleport.tomography import (
@@ -21,6 +21,7 @@ from tests.helpers import (
     CANONICAL_COORDINATES,
     apply_elements,
     channel_map,
+    dephasing,
     kraus_fe,
     pauli_expectation,
     per_output_reconstruction,
@@ -63,7 +64,7 @@ def test_identity_process_map():
 
 
 def test_complete_dephasing_process_map():
-    pm = channel_map(dephasing_channel(math.inf, 1.0))
+    pm = channel_map(dephasing(math.inf, 1.0))
     assert np.allclose(pm.transfer_matrix, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-10)
     assert np.allclose(pm.chi_matrix, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-10)
     assert entanglement_fidelity(pm) == pytest.approx(0.5, abs=1e-9)
