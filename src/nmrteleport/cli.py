@@ -320,7 +320,8 @@ _SIGNATURES = [name + (f"({','.join(params)})" if params else "") for name, (par
 
 def _channel_process(cfg: RunConfig) -> ProcessMap:
     """The named channel's process map: a circuit runs as a sweep of one
-    delay, a built-in channel as its steps on a one-qubit register."""
+    delay, a built-in channel as its steps on a one-qubit register with a
+    delay axis of length one."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
@@ -341,7 +342,7 @@ def _channel_process(cfg: RunConfig) -> ProcessMap:
             steps = build(*args)
     if build is None:
         return _records(sweep)[0].process_map
-    return tomograph(lambda stack: run_events(steps, stack), 1, 0)[0]
+    return tomograph(lambda stack: run_events(steps, stack[None]), 1, 0)[0]
 
 
 def cmd_tomo(cfg: RunConfig) -> dict[str, list[str]]:

@@ -34,6 +34,7 @@ DEFAULT_DELAYS: tuple[float, ...] = tuple(np.linspace(0.0, 1.2, 12))
 
 _TAU_GRID = np.geomspace(0.05, 10.0, 40)
 _AMPLITUDE_FLOOR = 1e-8
+_EPS = float(np.finfo(float).eps)
 _DELAY_BLOCK = 256
 
 
@@ -167,12 +168,28 @@ def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) ->
 
 
 def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best (amplitude, offset) for a fixed tau, the residual, and exp(-t/tau)."""
+    """Best (amplitude, offset) for a fixed tau, the residual, and exp(-t/tau).
+
+    With e = exp(-t/tau) centered to d and the values centered to v, the
+    least-squares amplitude is A = (d.v)/(d.d), the offset C = mean(values) -
+    A*mean(e), and the residual A*d - v.  The fit is flat (A = 0) when the
+    design [e, 1] is rank-deficient by the rule of a least-squares solver's
+    default cutoff, sigma_min <= max(N, 2)*eps*sigma_max: then d is zero or
+    only rounding noise, e.g. when every decay underflows or rounds to 1.
+    sigma_max^2 is the larger eigenvalue of the design's Gram matrix
+    [[e.e, N*mean(e)], [N*mean(e), N]], and sigma_min*sigma_max the square
+    root of its determinant N*(d.d)."""
+    n = times.size
     decay = np.exp(-times / tau)
-    design = np.ones((times.size, 2))
-    design[:, 0] = decay
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return coef, design @ coef - values, decay
+    mean_decay, mean_value = decay.sum() / n, values.sum() / n
+    centered, centered_values = decay - mean_decay, values - mean_value
+    spread = centered @ centered
+    decay_sq = spread + n * mean_decay * mean_decay  # e.e
+    sigma_max_sq = (decay_sq + n) / 2.0 + math.hypot((decay_sq - n) / 2.0, n * mean_decay)
+    amplitude = 0.0
+    if math.sqrt(n * spread) > max(n, 2) * _EPS * sigma_max_sq:
+        amplitude = (centered @ centered_values) / spread
+    return np.array((amplitude, mean_value - amplitude * mean_decay)), amplitude * centered - centered_values, decay
 
 
 def _profile_slope(times: np.ndarray, values: np.ndarray, tau: float) -> float:
@@ -225,9 +242,9 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds)
     and refined to the root of the profile's slope dS/dtau in
     [seed/1.5, seed*1.5] (:func:`_slope_root`; tolerance 1e-12 of the seed,
-    at most 500 evaluations); amplitude and offset come from an exact linear
-    solve at each tau.  No randomness anywhere, so refits are reproducible
-    bit for bit.
+    at most 500 evaluations); amplitude and offset come in closed form at
+    each tau, flat when the design is rank-deficient (:func:`_profile_fit`).
+    No randomness anywhere, so refits are reproducible bit for bit.
 
     tau is not identifiable when the amplitude vanishes, or when the slope
     does not go from negative at the bracket's lower end to positive at its

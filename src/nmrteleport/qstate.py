@@ -148,9 +148,11 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     """sum_i A_i rho A_i† on ``targets`` for every rho of a ``(..., 2^n, 2^n)`` stack,
     unvalidated.  A unitary is a one-element set; terms add up in element order.
 
-    An element may carry leading batch axes, which index the stack's leading
-    axes (a sweep's relaxation gives each delay its own channel this way); a
-    zero element adds exact zeros, so zeros in a set leave its result unchanged."""
+    An element may carry leading batch axes, which must equal the stack's
+    leading axes and index them (a sweep's relaxation gives each delay its own
+    channel this way); a zero element adds exact zeros, so zeros in a set
+    leave its result unchanged.  Raises ``ValueError`` on bad targets or
+    batch axes."""
     stack = np.asarray(stack, dtype=complex)
     n, k = stack.shape[-1].bit_length() - 1, len(targets)
     if len(set(targets)) != k or not all(0 <= t < n for t in targets):
@@ -164,6 +166,8 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     out = np.zeros_like(tens)
     for a in elements:
         a = np.asarray(a, dtype=complex)
+        if a.shape[:-2] != stack.shape[:-2][: a.ndim - 2]:
+            raise ValueError(f"element batch axes {a.shape[:-2]} are not the leading axes of a {stack.shape} stack")
         batch = a.shape[:-2] + (1,) * (stack.ndim - a.ndim) if a.ndim > 2 else ()
         a = a.reshape(batch + (2,) * (2 * k))
         left = np.einsum(a, [..., *row_subs], tens, [..., *rows, *cols], [..., *new_rows, *cols])

@@ -123,8 +123,19 @@ def process_map(run) -> ProcessMap:
 
 
 def channel_map(channel: KrausChannel) -> ProcessMap:
-    """The process map of one channel step run by the executor."""
-    return process_map(lambda stack: run_events((channel,), stack))
+    """The process map of one channel step run by the executor, on a stack
+    with a delay axis of length one."""
+    return process_map(lambda stack: run_events((channel,), stack[None]))
+
+
+def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarray:
+    """Fitted values A*exp(-t/tau) + C of the least-squares (A, C) at a fixed
+    tau, from LAPACK's SVD solver at its default cutoff: the minimum-norm
+    solution when the design is rank-deficient."""
+    design = np.ones((times.size, 2))
+    design[:, 0] = np.exp(-times / tau)
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    return design @ coef
 
 
 def apply_elements(matrix: np.ndarray, elements) -> np.ndarray:

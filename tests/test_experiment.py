@@ -24,7 +24,15 @@ from nmrteleport.experiment import (
 from nmrteleport.nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
 from nmrteleport.tomography import _canonical_inputs, entanglement_fidelity, reconstruct_process
-from tests.helpers import child_env, kraus_fe, per_output_reconstruction, process_map, relaxation_fe, teleport_fe
+from tests.helpers import (
+    child_env,
+    kraus_fe,
+    lstsq_profile,
+    per_output_reconstruction,
+    process_map,
+    relaxation_fe,
+    teleport_fe,
+)
 
 IDENTITY_MAP = process_map(lambda stack: stack)
 
@@ -176,6 +184,37 @@ def test_fit_tau_is_the_root_of_the_exact_profile_slope():
             fit = fit_decay(records)
             assert fit.tau_identifiable
             _assert_at_the_exact_root([r.delay for r in records], [r.fe for r in records], fit)
+
+
+# Grids whose design [exp(-t/tau), 1] is rank-deficient at every seed tau.
+DEGENERATE_GRIDS = {
+    "decays all exactly 1": (0.0, 1e-300, 2e-300, 3e-300),
+    "decays within ulps of 1": (0.0, 1e-17, 2e-17, 3e-17),
+    "decays that underflow": (800.0, 900.0, 1000.0, 1100.0),
+}
+
+
+def test_profile_fit_matches_the_least_squares_solver_at_every_grid_tau():
+    # Oracle: LAPACK's SVD solve, minimum-norm on a rank-deficient design.
+    rng = np.random.default_rng(19)
+    curves = [(np.array(grid), rng.uniform(0.25, 1.0, len(grid))) for grid in DEGENERATE_GRIDS.values()]
+    curves += _seeded_curves(np.random.default_rng(2025), 90)
+    for times, values in curves:
+        for tau in experiment._TAU_GRID:
+            _, residual, _ = experiment._profile_fit(times, values, tau)
+            assert np.max(np.abs(residual + values - lstsq_profile(times, values, tau))) <= 1e-12, (times, tau)
+
+
+@pytest.mark.parametrize("delays", DEGENERATE_GRIDS.values(), ids=DEGENERATE_GRIDS.keys())
+def test_a_rank_deficient_design_fits_flat_without_warnings(tmp_path, delays):
+    values = np.array([0.9, 0.4, 0.7, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_exponential(delays, values)
+        assert cli.main(["compare", "--delays", ",".join(map(repr, delays)), "--out", str(tmp_path)]) == 0
+    assert (fit.amplitude, fit.offset, fit.tau_identifiable) == (0.0, pytest.approx(0.65, abs=1e-15), False)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary.count("tau_identifiable = no") == 2 and summary.count(" A = 0\n") == 2
 
 
 def test_fit_reports_non_convergence_with_best_seed(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmrteleport.channels import RelaxationParams, relaxation_channels
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.qstate import (
     CNOT,
@@ -24,6 +25,7 @@ from nmrteleport.qstate import (
 from nmrteleport.tomography import CHI_PSD_SLACK
 from tests.helpers import (
     BELL_STATES,
+    apply_elements,
     basis_state,
     brute_reduced,
     count_eigvalsh,
@@ -346,6 +348,24 @@ def test_evolve_matches_lifted_conjugation_on_stacks():
         evolve(stack, (PAULI_X,), (3,))
 
 
+def test_evolve_rejects_a_delay_axis_on_a_bare_state():
+    channel = relaxation_channels((0.3,), RelaxationParams(25.0, 0.3))
+    with pytest.raises(ValueError, match=r"batch axes \(1,\) are not the leading axes of a \(2, 2\) stack"):
+        evolve(np.diag([1.0, 0.0]), channel.elements, (0,))
+
+
+def test_evolve_rejects_a_delay_axis_the_stack_does_not_have():
+    # Four inputs with no delay axis, as the tomography inputs come: a
+    # one-delay channel would broadcast over them, a two-delay one would not fit.
+    stack = np.stack([random_density(np.random.default_rng(i)).matrix for i in range(4)])
+    for delays in ((0.3, 0.6), (0.3,)):
+        channel = relaxation_channels(delays, RelaxationParams(25.0, 0.3))
+        with pytest.raises(ValueError, match=rf"batch axes \({len(delays)},\) .* \(4, 2, 2\) stack"):
+            evolve(stack, channel.elements, (0,))
+    expected = apply_elements(stack, [a[0] for a in channel.elements])
+    assert np.max(np.abs(evolve(stack[None], channel.elements, (0,))[0] - expected)) < 1e-15
+
+
 def test_evolve_takes_batched_elements_padded_with_zeros():
     # Oracle: evolve each member of the stack with its own, unpadded set.
     rng = np.random.default_rng(43)
@@ -355,9 +375,9 @@ def test_evolve_takes_batched_elements_padded_with_zeros():
         g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
         q, _ = np.linalg.qr(g)
         sets.append([q[2 * i : 2 * i + 2] for i in range(count)])
-    batched = np.zeros((3, 3, 1, 2, 2), dtype=complex)
+    batched = np.zeros((3, 3, 2, 2), dtype=complex)
     for i, elements in enumerate(sets):
-        batched[: len(elements), i, 0] = elements
+        batched[: len(elements), i] = elements
     got = evolve(stack, batched, (1,))
     for member, elements in zip(range(3), sets):
         assert np.array_equal(got[member], evolve(stack[member], elements, (1,)))
