@@ -96,6 +96,14 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _number(value) -> float:
+    """A config number: what ``float`` takes, except a boolean, which YAML reads
+    from ``true`` and ``float`` would take as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_delays(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
@@ -105,12 +113,12 @@ def _parse_delays(text: str) -> list[float]:
 
 def _build_model(molecule: dict) -> MoleculeModel:
     if "spins" not in molecule:
-        return tce_model(float(molecule.get("carbon_t1", 25.0)))
+        return tce_model(_number(molecule.get("carbon_t1", 25.0)))
     spins = tuple(
-        SpinParams(s["name"], float(s["larmor_hz"]), float(s["t1"]), float(s["t2"]))
+        SpinParams(s["name"], _number(s["larmor_hz"]), _number(s["t1"]), _number(s["t2"]))
         for s in molecule["spins"]
     )
-    couplings = {tuple(c["pair"]): float(c["j_hz"]) for c in molecule.get("couplings", [])}
+    couplings = {tuple(c["pair"]): _number(c["j_hz"]) for c in molecule.get("couplings", [])}
     for pair in couplings:
         if len(pair) != 2:
             raise ValueError(f"a coupling pair must name two spins, got {list(pair)}")
@@ -139,7 +147,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(delays, (list, tuple)):
             raise ConfigError("experiment.delays must be a list of seconds")
         with _section("delay list"):
-            delays = validate_delays(delays)
+            delays = validate_delays(map(_number, delays))
     engine = args.engine or data["experiment"].get("engine", "gate")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be {' or '.join(map(repr, ENGINES))}, got {engine!r}")
@@ -155,7 +163,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"noise.{key} must be true or false, got {value!r}")
     with _section("noise section"):
         model = model.with_relaxation(switches["t1"], switches["t2"])
-        rotation_error = float(noise.get("rf_miscalibration", 0.0))
+        rotation_error = _number(noise.get("rf_miscalibration", 0.0))
     if not math.isfinite(rotation_error):
         raise ConfigError(f"noise.rf_miscalibration must be finite, got {rotation_error}")
 

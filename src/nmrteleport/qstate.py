@@ -79,30 +79,40 @@ def validate_density(
 
     Returns the Hermitian part H = (M + M†)/2, which damps floating-point drift;
     the checks run first so genuine violations are not silently absorbed.
+
+    A stack that passes pays one reduction per rule: each guard takes one global
+    max, and the per-matrix maxima that name the failing ``index`` are formed
+    only on failure.
     """
     m = np.asarray(matrices, dtype=complex)
-    batch = m.shape[:-2]
-    dagger = np.conj(np.swapaxes(m, -1, -2))
-    asymmetry = np.max(np.abs(m - dagger), axis=(-2, -1))
-    deviation = float(np.max(asymmetry))
+    batch, dim = m.shape[:-2], m.shape[-1]
+    dagger = m.conj().swapaxes(-1, -2)
+    asymmetry = np.abs(m - dagger)
+    deviation = float(asymmetry.max())
     if not deviation <= hermiticity_tol:
         message = f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})"
-        raise _violation(message, np.argmax(asymmetry), batch)
-    trace_devs = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    trace_dev = float(np.max(trace_devs))
+        raise _violation(message, np.argmax(asymmetry.max(axis=(-2, -1))), batch)
+    trace_devs = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    trace_dev = float(trace_devs.max())
     if not trace_dev <= trace_tol:
         raise _violation(f"trace deviates from 1 by {trace_dev:.3e}", np.argmax(trace_devs), batch)
-    hermitian = (m + dagger) / 2.0
+    # A fresh C-ordered sum, halved in place by complex division, not by x * 0.5:
+    # (-0.0 + 1j) / 2 is 0.5j, but (-0.0 + 1j) * 0.5 is -0.0 + 0.5j.
+    hermitian = np.add(m, dagger, order="C")
+    hermitian /= 2.0
+    del dagger, asymmetry  # not alive beside the certificate's copy and factor
     # The guards above have failed any NaN or inf entry: Cholesky factors NaN without raising.
     if math.isfinite(psd_slack):
+        shifted = hermitian.copy()
+        shifted.reshape(batch + (dim * dim,))[..., :: dim + 1] += psd_slack
         try:
-            np.linalg.cholesky(hermitian + psd_slack * np.eye(m.shape[-1]))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             pass  # some member is not certified; eigvalsh decides and names the worst
         else:
             return hermitian
-    eigmins = np.min(np.linalg.eigvalsh(hermitian), axis=-1)
-    eigmin = float(np.min(eigmins))
+    eigmins = np.linalg.eigvalsh(hermitian).min(axis=-1)
+    eigmin = float(eigmins.min())
     if not eigmin >= -psd_slack:
         raise _violation(f"eigenvalue {eigmin:.3e} < -{psd_slack:.1e}", np.argmin(eigmins), batch)
     return hermitian

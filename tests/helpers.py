@@ -7,6 +7,7 @@ checks stay meaningful.
 
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,16 @@ from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_chan
 from nmrteleport.circuits import Circuit, prepare, run_events
 from nmrteleport.experiment import tomograph
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, RfRotation, realize_pulses
-from nmrteleport.qstate import PAULIS, DensityMatrix, lift_operator, real_expectations
+from nmrteleport.errors import NumericalInvariantError
+from nmrteleport.qstate import (
+    HERMITICITY_TOL,
+    PAULIS,
+    PSD_SLACK,
+    TRACE_TOL,
+    DensityMatrix,
+    lift_operator,
+    real_expectations,
+)
 from nmrteleport.tomography import ProcessMap, state_tomography
 
 
@@ -73,6 +83,63 @@ def count_eigvalsh(monkeypatch) -> list:
     calls, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
     return calls
+
+
+def reference_validate_density(
+    matrices: np.ndarray,
+    hermiticity_tol: float = HERMITICITY_TOL,
+    trace_tol: float = TRACE_TOL,
+    psd_slack: float = PSD_SLACK,
+) -> np.ndarray:
+    """The density-matrix rule as first written, kept verbatim as the oracle of
+    ``qstate.validate_density``: per-matrix maxima before every global one, the
+    Hermitian part divided out of place, and a Cholesky factorization of
+    H + psd_slack * eye(d)."""
+    m = np.asarray(matrices, dtype=complex)
+    batch = m.shape[:-2]
+    dagger = np.conj(np.swapaxes(m, -1, -2))
+    asymmetry = np.max(np.abs(m - dagger), axis=(-2, -1))
+    deviation = float(np.max(asymmetry))
+    if not deviation <= hermiticity_tol:
+        message = f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})"
+        raise _violation(message, np.argmax(asymmetry), batch)
+    trace_devs = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    trace_dev = float(np.max(trace_devs))
+    if not trace_dev <= trace_tol:
+        raise _violation(f"trace deviates from 1 by {trace_dev:.3e}", np.argmax(trace_devs), batch)
+    hermitian = (m + dagger) / 2.0
+    # The guards above have failed any NaN or inf entry: Cholesky factors NaN without raising.
+    if math.isfinite(psd_slack):
+        try:
+            np.linalg.cholesky(hermitian + psd_slack * np.eye(m.shape[-1]))
+        except np.linalg.LinAlgError:
+            pass  # some member is not certified; eigvalsh decides and names the worst
+        else:
+            return hermitian
+    eigmins = np.min(np.linalg.eigvalsh(hermitian), axis=-1)
+    eigmin = float(np.min(eigmins))
+    if not eigmin >= -psd_slack:
+        raise _violation(f"eigenvalue {eigmin:.3e} < -{psd_slack:.1e}", np.argmin(eigmins), batch)
+    return hermitian
+
+
+def _violation(message: str, worst: np.intp, batch: tuple[int, ...]) -> NumericalInvariantError:
+    error = NumericalInvariantError(message)
+    error.index = tuple(int(i) for i in np.unravel_index(worst, batch))
+    return error
+
+
+def validation_outcome(validate, matrices, *tolerances):
+    """What ``validate`` makes of ``matrices``: the returned bytes, or the class,
+    message and ``index`` of the error it raised; and the message of every
+    warning on the way (an inf entry makes M - M† warn of an invalid value)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            verdict = validate(matrices, *tolerances).tobytes()
+        except NumericalInvariantError as exc:
+            verdict = type(exc), str(exc), exc.index
+    return verdict, [str(w.message) for w in caught]
 
 
 def record_linalg_calls(monkeypatch) -> list[str]:

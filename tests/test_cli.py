@@ -466,6 +466,19 @@ def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch):
     assert calls == {"teleport_circuit": 1, "control_circuit": 1, "relaxation_channels": 6}
 
 
+# A YAML boolean where a config number belongs (float() would take true as 1),
+# and the section its error names.
+BOOLEAN_NUMBERS = {
+    "noise: {rf_miscalibration: true}\n": "noise section",
+    "experiment: {delays: [0, true, 2, 3]}\n": "delay list",
+    "molecule: {carbon_t1: true}\n": "molecule section",
+    molecule_yaml(larmor_c1="true"): "molecule section",
+    molecule_yaml().replace("t1: 5.0", "t1: yes"): "molecule section",
+    molecule_yaml().replace("t2: 0.4", "t2: off"): "molecule section",
+    molecule_yaml().replace("j_hz: 201.0", "j_hz: false"): "molecule section",
+}
+
+
 def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a run that got through would write ./results
     huge = "1" + "0" * 399  # a YAML integer too large for a float
@@ -492,6 +505,7 @@ def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
         "experiment:\n  delays: " + "[" * 3000 + "]" * 3000 + "\n",  # too deep for the parser
         "experiment:\n  delays: " + "[" * 100_000 + "]" * 100_000 + "\n",  # libyaml's C parser crashes on this
         b"experiment:\n  engine: \xff\xfe\n",  # not UTF-8
+        *BOOLEAN_NUMBERS,
     ):
         cfg = tmp_path / "hostile.yaml"
         cfg.write_bytes(body if isinstance(body, bytes) else body.encode())
@@ -504,9 +518,16 @@ def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["control", "--config", str(cfg), "--out", ""]) == 2  # not the config's directory
     assert capsys.readouterr().err == "error: output.dir must be a path string, got ''\n"
     assert [p.name for p in tmp_path.iterdir()] == ["hostile.yaml"]
+    for body, section in BOOLEAN_NUMBERS.items():
+        cfg.write_text(body)
+        assert cli.main(["control", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {section}: expected a number, got "), body
     nulls = tmp_path / "nulls.yaml"
     nulls.write_text("experiment: null\nnoise: null\nmolecule: null\noutput: null\n")
     assert cli.main(["control", "--config", str(nulls), "--delays", "0,0.1", "--out", str(tmp_path / "n")]) == 0
+    quoted = tmp_path / "quoted.yaml"  # a quoted number is still read as one
+    quoted.write_text('experiment: {delays: ["0", "0.1"]}\nnoise: {rf_miscalibration: "0"}\nmolecule: {carbon_t1: "25"}\n')
+    assert cli.main(["control", "--config", str(quoted), "--out", str(tmp_path / "q")]) == 0
 
 
 def test_rf_miscalibration_knob_flows_into_pulse_engine(tmp_path):

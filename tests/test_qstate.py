@@ -15,6 +15,7 @@ from nmrteleport.qstate import (
     PAULI_X,
     PAULI_Z,
     PSD_SLACK,
+    TRACE_TOL,
     DensityMatrix,
     evolve,
     lift_operator,
@@ -22,7 +23,7 @@ from nmrteleport.qstate import (
     reduce_stack,
     validate_density,
 )
-from nmrteleport.tomography import CHI_PSD_SLACK
+from nmrteleport.tomography import CHI_HERMITICITY_TOL, CHI_PSD_SLACK, CHI_TRACE_TOL
 from tests.helpers import (
     BELL_STATES,
     apply_elements,
@@ -35,7 +36,9 @@ from tests.helpers import (
     projector,
     random_density,
     random_pure_state,
+    reference_validate_density,
     state_fidelity,
+    validation_outcome,
 )
 
 
@@ -329,6 +332,73 @@ def test_validate_density_passes_exactly_when_the_least_eigenvalue_is_within_the
     except NumericalInvariantError:
         passed = False
     assert passed == (oracle >= -slack)
+
+
+# (Hermiticity, trace, slack): the states' rule, chi's, and one without a slack.
+TOLERANCE_SETS = ((HERMITICITY_TOL, TRACE_TOL, PSD_SLACK), (CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK), (HERMITICITY_TOL, TRACE_TOL, np.inf))
+FAULTS = ("asymmetric", "trace", "negative", "nan", "inf", "signed_zeros")
+
+
+def faulty_stack(rng, shape, kind, faults, tolerances):
+    """Valid states of ``shape``, then a fault of ``kind`` on each ``(member, scale)``
+    in turn: ``member`` is a flat index into the leading axes, and ``scale`` times
+    the tolerance the fault probes is its size."""
+    dim = shape[-1]
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack = a @ np.conj(np.swapaxes(a, -1, -2))
+    stack /= np.trace(stack, axis1=-2, axis2=-1)[..., None, None]
+    members = stack.reshape(-1, dim, dim)
+    hermiticity_tol, trace_tol, slack = tolerances
+    for member, scale in faults:
+        m = members[member % len(members)]
+        i, j = rng.choice(dim, 2, replace=False)
+        if kind == "asymmetric":
+            m[i, j] += scale * hermiticity_tol * (1j if rng.random() < 0.5 else 1.0)
+        elif kind == "trace":
+            m[i, i] += scale * trace_tol
+        elif kind == "negative":
+            m[...] = hermitian_with_least_eigenvalue(rng, -scale * min(slack, PSD_SLACK), dim)
+        elif kind in ("nan", "inf"):
+            m[i, j if rng.random() < 0.5 else i] = complex(np.nan if kind == "nan" else np.inf, 0.0)
+        else:  # an exact zero pair, each part a zero of either sign
+            m[i, j], m[j, i] = (complex(*rng.choice([0.0, -0.0], 2)) for _ in range(2))
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (4, 4), (4, 8, 8)]),
+    st.integers(1, 4),
+    st.sampled_from(TOLERANCE_SETS),
+    st.sampled_from(FAULTS),
+    st.lists(st.tuples(st.integers(0, 15), st.floats(0.25, 4.0)), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_density_matches_the_reference_verdict_and_bits(tail, k, tolerances, kind, faults, seed):
+    # The same returned bytes, or the same error class, message and index, and the same warnings.
+    stack = faulty_stack(np.random.default_rng(seed), (k, *tail), kind, faults, tolerances)
+    expected = validation_outcome(reference_validate_density, stack, *tolerances)
+    assert validation_outcome(validate_density, stack, *tolerances) == expected
+    if k == 1:
+        assert validation_outcome(validate_density, stack[0], *tolerances) == validation_outcome(
+            reference_validate_density, stack[0], *tolerances
+        )
+
+
+def test_validate_density_returns_a_fresh_c_ordered_array_and_leaves_its_input_alone():
+    rng = np.random.default_rng(53)
+    stack = np.stack([0.1 * random_density(rng, 3).matrix + 0.9 * np.eye(8) / 8 for _ in range(4)])
+    stack[:, 0, 1], stack[:, 1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)  # x / 2 and x * 0.5 differ here
+    read_only = stack.copy()
+    read_only.flags.writeable = False
+    broadcast = np.broadcast_to(stack[1], (6, *stack[1].shape))  # a sweep's shared prefix, read-only
+    for matrices in (stack, read_only, broadcast, stack[::2], stack[2], np.asfortranarray(stack)):
+        before = matrices.tobytes()
+        for slack in (PSD_SLACK, np.inf):
+            hermitian = validate_density(matrices, psd_slack=slack)
+            assert hermitian.flags.c_contiguous and not np.shares_memory(hermitian, matrices)
+            assert hermitian.tobytes() == reference_validate_density(matrices, psd_slack=slack).tobytes()
+        assert matrices.tobytes() == before
 
 
 def test_evolve_matches_lifted_conjugation_on_stacks():
