@@ -98,19 +98,22 @@ def relaxation_channels(
     canonical factorization: element i is dephasing element i // 2 times
     damping element i % 2, and a zero element stays in place (it adds exact
     zeros).  ``t1=inf`` leaves pure dephasing.
+
+    The factors are formed over the whole grid at once; each exponential is
+    ``math.exp`` of its own duration, since ``np.exp`` may differ from it in
+    the last bit.
     """
-    factors = []
     for duration in durations:
         if not duration >= 0.0:
             raise ValueError(f"duration must be nonnegative, got {duration}")
-        survival = _decay(duration, params.t1)  # population of |1> retained
-        amp = math.sqrt(survival)  # off-diagonal factor from T1 alone
-        extra = 1.0 if amp == 0.0 else min(1.0, _decay(duration, params.t2) / amp)
-        factors.append((amp, math.sqrt(1.0 - survival), extra))
-    if not factors:
+    if not len(durations):
         raise ValueError("need at least one duration")
-    amp, sqrt_gamma, extra = np.array(factors).T
-    damping = np.zeros((len(factors), 2, 2, 2), dtype=complex)
+    # Per duration: the population of |1> retained, and the total off-diagonal decay.
+    survival, coherence = np.array([(_decay(d, params.t1), _decay(d, params.t2)) for d in durations]).T
+    amp = np.sqrt(survival)  # off-diagonal factor from T1 alone
+    extra = np.minimum(1.0, np.divide(coherence, amp, out=np.ones_like(amp), where=amp > 0.0))
+    sqrt_gamma = np.sqrt(1.0 - survival)
+    damping = np.zeros((len(amp), 2, 2, 2), dtype=complex)
     damping[:, 0, 0, 0], damping[:, 0, 1, 1], damping[:, 1, 0, 1] = 1.0, amp, sqrt_gamma
     k0 = np.sqrt((1.0 + extra) / 2.0)[:, None, None]
     k1 = np.sqrt((1.0 - extra) / 2.0)[:, None, None]

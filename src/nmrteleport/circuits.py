@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, relaxation_channels
+from .channels import KrausChannel, RelaxationParams, relaxation_channels
 from .errors import NumericalInvariantError
 from .qstate import (
     CNOT,
@@ -132,16 +132,26 @@ def _controlled_correction() -> KrausChannel:
     return KrausChannel((DATA, ANCILLA, TARGET), (full,))
 
 
-def _delay_noise(delays: Sequence[float], model: MoleculeModel) -> list[KrausChannel]:
+def _delay_noise(delays: Sequence[float], model: MoleculeModel) -> tuple[KrausChannel, ...]:
     """Relaxation of every spin over each delay of the grid, one batched channel per spin.
 
     Couplings are refocused during the delay, so each spin decoheres
     independently with its own T1/T2.  The register is exactly the model's
     spins, in the roles (data, ancilla, target), so the model needs three.
+    The channels are cached by value (see :func:`_spin_relaxation`).
     """
     if len(model.spins) != 3:
         raise ValueError("teleportation needs a three-spin model")
-    return [relaxation_channels(delays, spin.relaxation(), target=q) for q, spin in enumerate(model.spins)]
+    return _spin_relaxation(tuple(delays), tuple(spin.relaxation() for spin in model.spins))
+
+
+@lru_cache(maxsize=1)
+def _spin_relaxation(delays: tuple[float, ...], relaxations: tuple[RelaxationParams, ...]) -> tuple[KrausChannel, ...]:
+    """One :func:`relaxation_channels` channel per spin, spin q on qubit q.  The key is
+    the delay grid and every spin's T1/T2, which fix the channels' bits, so the
+    control sweep of a ``compare`` reuses what its teleport sweep built; the
+    channels' elements are read-only."""
+    return tuple(relaxation_channels(delays, params, target=q) for q, params in enumerate(relaxations))
 
 
 def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:

@@ -5,16 +5,23 @@ A sweep wraps the teleportation (readout on the target spin) or control
 decoherence delay, tomographs it, and records the entanglement fidelity.
 A sweep runs the delay-independent circuit prefix once, then the delays in
 blocks of at most 256: each block and all four tomography inputs as one
-``(block, 4, 8, 8)`` stack, tomographed in one vectorized reconstruction, so
-a sweep's working memory does not grow with its grid.  No step mixes delays,
-so the blocks change no result: sweeps are deterministic, and the same
-configuration always produces bit-identical records.
+``(block, 4, 8, 8)`` stack, tomographed in one vectorized reconstruction,
+whose fidelities are checked in one pass, so a sweep's working memory does
+not grow with its grid.  No step mixes delays, so the blocks change no
+result: sweeps are deterministic, and the same configuration always produces
+bit-identical records.
+
+What a sweep does not vary is built once and shared read-only: the four
+tomography inputs on the register, per register size, and the relaxation
+channels of the last delay grid and spin relaxation times asked for, so the
+control sweep of a ``compare`` reuses those of its teleport sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,7 +30,7 @@ from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_event
 from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
-from .tomography import ProcessMap, _canonical_inputs, entanglement_fidelity, reconstruct_process
+from .tomography import ProcessMap, _canonical_inputs, _fidelities, _reconstruct, reconstruct_process
 
 EXPERIMENT_KINDS = ("teleport", "control")
 ENGINES = ("gate", "pulse")
@@ -118,8 +125,18 @@ def tomograph(run: Callable[[np.ndarray], np.ndarray], num_qubits: int, readout:
     stack, and returns the final stack with any leading axes it adds in
     front.  The readout qubit's outputs give one process map per leading index.
     """
-    final = run(prepare(_canonical_inputs(), num_qubits))
+    final = run(_register_inputs(num_qubits))
     return reconstruct_process(reduce_stack(final, [readout]))
+
+
+@lru_cache(maxsize=None)
+def _register_inputs(num_qubits: int) -> np.ndarray:
+    """The four canonical tomography inputs on qubit 0 of a ``num_qubits``-qubit
+    register, every other qubit in |0>: one read-only ``(4, d, d)`` stack, built
+    and validated once per register size."""
+    stack = prepare(_canonical_inputs(), num_qubits)
+    stack.flags.writeable = False
+    return stack
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -128,7 +145,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     One circuit covers the whole grid: its prefix runs once on the four
     tomography inputs, then the delays run in blocks of at most 256, each
     block and all four inputs as one ``(block, 4, 8, 8)`` stack, one step at
-    a time, and each block is tomographed in one reconstruction.  A violated
+    a time, and each block is tomographed in one reconstruction, whose
+    fidelities chi[0][0] are checked against tr(R)/4 in one pass.  A violated
     invariant is reported with the experiment, the engine, and the delay,
     tomography input and circuit step (or reconstruction) where it happened.
     """
@@ -136,17 +154,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     events, start = circuit.events, circuit.delay_start
     if config.engine == "pulse":
         events = realize_pulses(events, config.model, config.rotation_error)
-    delays, maps, lo = config.delays, [], 0
+    delays, records, lo = config.delays, [], 0
     try:
-        prefix = run_events(events[:start], prepare(_canonical_inputs(), circuit.num_qubits))
+        prefix = run_events(events[:start], _register_inputs(circuit.num_qubits))
         for lo in range(0, len(delays), _DELAY_BLOCK):
             block = slice(lo, lo + _DELAY_BLOCK)
             final = run_events(events[start:], np.broadcast_to(prefix, (len(delays[block]),) + prefix.shape), block)
-            maps += reconstruct_process(reduce_stack(final, [readout]))
+            transfer, chi = _reconstruct(reduce_stack(final, [readout]))
+            fidelities = _fidelities(transfer, chi).tolist()
+            records += map(SweepRecord, delays[block], fidelities, map(ProcessMap, transfer, chi))
     except NumericalInvariantError as exc:
         where = _where(exc, delays[lo:], start)  # a block's indices count from its first delay
         raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {where}: {exc}") from exc
-    return [SweepRecord(d, entanglement_fidelity(m), m) for d, m in zip(delays, maps)]
+    return records
 
 
 def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:
@@ -196,9 +216,13 @@ def _profile_slope(times: np.ndarray, values: np.ndarray, tau: float) -> float:
     """dS/dtau, S the sum of squares at the best (A, C) for each tau: there dS/dA =
     dS/dC = 0, so dS/dtau = 2A * sum(r t exp(-t/tau)) / tau**2 (variable projection;
     Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  A delay of ``inf``
-    adds 0 to the slope, without forming ``inf * 0``."""
+    adds 0 to the slope, without forming ``inf * 0``: only a grid that holds one
+    pays for the mask."""
     coef, residual, decay = _profile_fit(times, values, tau)
-    weighted = np.multiply(times, decay, out=np.zeros_like(decay), where=decay > 0.0)
+    if times.max() < math.inf:
+        weighted = times * decay
+    else:
+        weighted = np.multiply(times, decay, out=np.zeros_like(decay), where=decay > 0.0)
     return 2.0 * float(coef[0]) * float(residual @ weighted) / tau**2
 
 

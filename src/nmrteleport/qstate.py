@@ -87,7 +87,8 @@ def validate_density(
     m = np.asarray(matrices, dtype=complex)
     batch, dim = m.shape[:-2], m.shape[-1]
     dagger = m.conj().swapaxes(-1, -2)
-    asymmetry = np.abs(m - dagger)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the guard below
+        asymmetry = np.abs(m - dagger)
     deviation = float(asymmetry.max())
     if not deviation <= hermiticity_tol:
         message = f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})"

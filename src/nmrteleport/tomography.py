@@ -15,8 +15,10 @@ are checked exactly, once, where they are built.
 
 The inputs are built once per process, as one read-only stack, and shared.
 A reconstruction checks each rule once over its whole stack (the output
-states, then R[0][0] = 1 and the chi matrices); :func:`reconstruct_process`
-is the one place a :class:`ProcessMap` is built.
+states, then R[0][0] = 1 and the chi matrices).  The states rebuilt from
+their Bloch vectors are not checked again: (I + r.sigma)/2 with |r| <= 1 is
+a density matrix by construction.  The fidelities chi[0][0] of a stack of
+maps are checked against tr(R)/4 in one reduction as well.
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -111,7 +113,7 @@ def _transfer_from_chi() -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ProcessMap:
     """Reconstructed single-qubit process: Pauli transfer matrix and chi matrix,
-    read-only 4x4 arrays that :func:`reconstruct_process` has checked."""
+    read-only 4x4 arrays that a reconstruction (:func:`reconstruct_process`) has checked."""
 
     transfer_matrix: np.ndarray
     chi_matrix: np.ndarray
@@ -134,6 +136,25 @@ def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
         raise error from exc
 
 
+def _reconstruct(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked transfer and chi matrices of :func:`reconstruct_process`, as two
+    read-only ``(N, 4, 4)`` stacks in C order of the outputs' leading axes."""
+    outputs = np.asarray(outputs, dtype=complex)
+    if outputs.shape[-3:] != (4, 2, 2):
+        raise ValueError(f"outputs of shape {outputs.shape} are not four single-qubit states")
+    validate_density(outputs)
+    # (I + r.sigma)/2 with |r| <= 1 is a density matrix by construction: not checked again.
+    states = _bloch_matrices(real_expectations(outputs, _PAULI_OPS[1:]))
+    transfer = _transfer_matrices(real_expectations(states, _PAULI_OPS))
+    vec_r = transfer.reshape(transfer.shape[:-2] + (16,))
+    chi = (np.einsum("ji,...j->...i", _transfer_from_chi().conj(), vec_r) / 4.0).reshape(transfer.shape)
+    _check_process(transfer, chi)
+    transfer, chi = np.array(transfer.reshape(-1, 4, 4)), np.array(chi.reshape(-1, 4, 4))
+    transfer.flags.writeable = False
+    chi.flags.writeable = False
+    return transfer, chi
+
+
 def reconstruct_process(outputs: np.ndarray) -> list[ProcessMap]:
     """Process maps from a ``(..., 4, 2, 2)`` stack of outputs of the four canonical
     inputs (in their order), one per leading index in C order.
@@ -145,20 +166,22 @@ def reconstruct_process(outputs: np.ndarray) -> list[ProcessMap]:
     worst member: (..., input) for an output state, (...) for a map.  No step
     mixes members, so a map is the same bit for bit whatever stack it is in.
     """
-    outputs = np.asarray(outputs, dtype=complex)
-    if outputs.shape[-3:] != (4, 2, 2):
-        raise ValueError(f"outputs of shape {outputs.shape} are not four single-qubit states")
-    validate_density(outputs)
-    states = _bloch_matrices(real_expectations(outputs, _PAULI_OPS[1:]))
-    validate_density(states)
-    transfer = _transfer_matrices(real_expectations(states, _PAULI_OPS))
-    vec_r = transfer.reshape(transfer.shape[:-2] + (16,))
-    chi = (np.einsum("ji,...j->...i", _transfer_from_chi().conj(), vec_r) / 4.0).reshape(transfer.shape)
-    _check_process(transfer, chi)
-    transfer, chi = np.array(transfer.reshape(-1, 4, 4)), np.array(chi.reshape(-1, 4, 4))
-    transfer.flags.writeable = False
-    chi.flags.writeable = False
-    return [ProcessMap(r, c) for r, c in zip(transfer, chi)]
+    return [ProcessMap(r, c) for r, c in zip(*_reconstruct(outputs))]
+
+
+def _fidelities(transfer: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """chi[0][0] of every map of ``(..., 4, 4)`` stacks, checked against tr(R)/4 in
+    one reduction and clipped into [0, 1].  NaN fails the check; a mismatch raises
+    with the ``index`` of the worst map."""
+    fe_chi = chi[..., 0, 0].real
+    fe_transfer = transfer.trace(axis1=-2, axis2=-1) / 4.0
+    mismatch = np.abs(fe_chi - fe_transfer)
+    if not float(mismatch.max()) <= FIDELITY_CONSISTENCY_TOL:
+        worst = np.argmax(mismatch)
+        message = f"fidelity mismatch: chi00={float(fe_chi.flat[worst])} vs tr(R)/4={float(fe_transfer.flat[worst])}"
+        raise _violation(message, worst, fe_chi.shape)
+    # min(max(x, 0), 1) as Python takes it, so a -0.0 stays -0.0.
+    return np.where(fe_chi < 0.0, 0.0, np.where(fe_chi > 1.0, 1.0, fe_chi))
 
 
 def entanglement_fidelity(process: ProcessMap) -> float:
@@ -167,10 +190,4 @@ def entanglement_fidelity(process: ProcessMap) -> float:
     1 means the process preserves quantum information perfectly, 0.5 is the
     best any classical transmission can do, and 0.25 is total randomization.
     """
-    fe_chi = float(process.chi_matrix[0, 0].real)
-    fe_transfer = float(np.trace(process.transfer_matrix)) / 4.0
-    if not abs(fe_chi - fe_transfer) <= FIDELITY_CONSISTENCY_TOL:
-        raise NumericalInvariantError(
-            f"fidelity mismatch: chi00={fe_chi} vs tr(R)/4={fe_transfer}"
-        )
-    return min(max(fe_chi, 0.0), 1.0)
+    return float(_fidelities(process.transfer_matrix, process.chi_matrix))

@@ -131,15 +131,19 @@ def _violation(message: str, worst: np.intp, batch: tuple[int, ...]) -> Numerica
 
 def validation_outcome(validate, matrices, *tolerances):
     """What ``validate`` makes of ``matrices``: the returned bytes, or the class,
-    message and ``index`` of the error it raised; and the message of every
-    warning on the way (an inf entry makes M - M† warn of an invalid value)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            verdict = validate(matrices, *tolerances).tobytes()
-        except NumericalInvariantError as exc:
-            verdict = type(exc), str(exc), exc.index
-    return verdict, [str(w.message) for w in caught]
+    message and ``index`` of the error it raised.  A warning is not caught here."""
+    try:
+        return validate(matrices, *tolerances).tobytes()
+    except NumericalInvariantError as exc:
+        return type(exc), str(exc), exc.index
+
+
+def reference_outcome(matrices, *tolerances):
+    """:func:`validation_outcome` of :func:`reference_validate_density`, which warns of an
+    invalid value on an inf entry (from M - M†) before its guard fails it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return validation_outcome(reference_validate_density, matrices, *tolerances)
 
 
 def record_linalg_calls(monkeypatch) -> list[str]:

@@ -450,8 +450,9 @@ def test_missing_coupling_is_blamed_on_the_molecule(tmp_path):
         assert not out.exists()
 
 
-def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch):
-    # Each sweep builds its circuit once: nothing builds it again to check it before writing.
+def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch, fresh_delay_noise):
+    # Each sweep builds its circuit once: nothing builds it again to check it before
+    # writing.  The control sweep reuses the teleport sweep's relaxation channels.
     calls = Counter()
     targets = ((experiment, "teleport_circuit"), (experiment, "control_circuit"), (circuits, "relaxation_channels"))
     for module, name in targets:
@@ -463,7 +464,7 @@ def test_pulse_compare_builds_each_sweep_circuit_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert cli.main(["compare", "--engine", "pulse", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert calls == {"teleport_circuit": 1, "control_circuit": 1, "relaxation_channels": 6}
+    assert calls == {"teleport_circuit": 1, "control_circuit": 1, "relaxation_channels": 3}
 
 
 # A YAML boolean where a config number belongs (float() would take true as 1),

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nmrteleport import circuits, cli, experiment
+from nmrteleport import circuits, cli, experiment, tomography
 from nmrteleport.channels import relaxation_channels
 from nmrteleport.circuits import ANCILLA, DATA, prepare, run_events
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
@@ -415,7 +416,7 @@ def test_hoisted_sweep_matches_per_delay_tomography():
                     assert abs(record.fe - entanglement_fidelity(expected)) < 1e-12
 
 
-def test_sweep_validates_every_intermediate_state(monkeypatch):
+def test_sweep_validates_every_intermediate_state(monkeypatch, uncached_delay_noise):
     # Corrupt the sweep's batched delay channels after construction: the data
     # spin's one gains trace by 1.21, the ancilla's loses it again, so the
     # final states are physical and only the check after each step can see
@@ -473,7 +474,7 @@ def _corrupt_last_delay(monkeypatch, delays, factor):
     monkeypatch.setattr(circuits, "relaxation_channels", corrupted)
 
 
-def test_sweep_catches_a_corrupted_channel_on_the_last_delay_only(monkeypatch):
+def test_sweep_catches_a_corrupted_channel_on_the_last_delay_only(monkeypatch, uncached_delay_noise):
     delays = (0.0, 0.3, 0.6, 0.9)
     for corrupt in (1.1, math.nan):
         _corrupt_last_delay(monkeypatch, delays, corrupt)
@@ -484,7 +485,7 @@ def test_sweep_catches_a_corrupted_channel_on_the_last_delay_only(monkeypatch):
                 run_sweep(SweepConfig(delays[:-1], kind, tce_model(), engine))
 
 
-def test_sweep_violation_names_its_delay_input_and_step(monkeypatch, tmp_path, capsys):
+def test_sweep_violation_names_its_delay_input_and_step(monkeypatch, uncached_delay_noise, tmp_path, capsys):
     delays = (0.0, 0.3, 0.6, 0.9)
     # The data spin's relaxation is step 4 of the teleport circuit (after
     # entangle and Bell rotation) and step 2 of the control circuit.
@@ -550,7 +551,7 @@ def test_a_sweep_of_three_blocks_equals_its_one_delay_sweeps():
             assert np.array_equal(record.process_map.chi_matrix, alone.process_map.chi_matrix)
 
 
-def test_a_violation_in_the_second_block_names_its_delay(monkeypatch):
+def test_a_violation_in_the_second_block_names_its_delay(monkeypatch, uncached_delay_noise):
     # Delay 299 of 300 is the 44th of the second block, in its circuit and in its reconstruction.
     delays = tuple(map(float, np.linspace(0.0, 1.2, 300)))
     for engine in ("gate", "pulse"):
@@ -622,8 +623,59 @@ def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatc
     for engine in ("gate", "pulse"):
         for kind in ("teleport", "control"):
             counts.update(dict.fromkeys(counts, 0))
+            circuits._spin_relaxation.cache_clear()  # the delay noise is cached by value
             run_sweep(SweepConfig(delays, kind, tce_model(), engine))
             assert counts == {circuits.Circuit: 1, circuits.KrausChannel: 3 + realized[engine, kind]}
+
+
+def test_a_fidelity_mismatch_in_a_sweep_names_its_delay(monkeypatch):
+    # tr(R)/4 of the third map moves by 2.5e-7, past the 1e-9 tolerance; chi[0][0] does not.
+    delays = (0.0, 0.3, 0.6, 0.9)
+    clean = run_sweep(SweepConfig(delays, "teleport", tce_model()))
+
+    def reconstruct(outputs):
+        transfer, chi = tomography._reconstruct(outputs)
+        transfer = transfer.copy()
+        transfer[2, 3, 3] += 1e-6
+        return transfer, chi
+
+    monkeypatch.setattr(experiment, "_reconstruct", reconstruct)
+    for engine in ("gate", "pulse"):
+        with pytest.raises(NumericalInvariantError) as info:
+            run_sweep(SweepConfig(delays, "teleport", tce_model(), engine))
+        prefix = f"teleport sweep, {engine} engine, delay 0.6 s, process reconstruction: fidelity mismatch: "
+        found = re.fullmatch(re.escape(prefix) + r"chi00=(\S+) vs tr\(R\)/4=(\S+)", str(info.value))
+        assert found, str(info.value)
+        fe_chi, fe_transfer = map(float, found.groups())
+        assert abs(fe_chi - clean[2].fe) < 1e-12
+        assert abs(fe_transfer - fe_chi - 2.5e-7) < 1e-12
+
+
+def test_a_sweep_with_the_same_delays_and_another_t2_gets_fresh_noise(fresh_delay_noise):
+    # The control curve reads the data spin's T2; each sweep must match one on a cold cache.
+    delays = (0.0, 0.3, 0.6)
+    base = tce_model()
+    c2, c1, h = base.spins
+    other = MoleculeModel((SpinParams(c2.name, c2.larmor_hz, c2.t1, 0.5 * c2.t2), c1, h), base.j_couplings, base.active_couplings)
+    fe = {}
+    for model in (base, other, base):
+        warm = [r.fe for r in run_sweep(SweepConfig(delays, "control", model))]
+        circuits._spin_relaxation.cache_clear()
+        assert warm == [r.fe for r in run_sweep(SweepConfig(delays, "control", model))]
+        fe.setdefault(model, warm)
+    assert fe[base][1:] != fe[other][1:]
+
+
+def test_the_cached_register_inputs_and_delay_noise_are_read_only(fresh_delay_noise):
+    inputs = experiment._register_inputs(3)
+    assert experiment._register_inputs(3) is inputs
+    assert np.array_equal(inputs, prepare(_canonical_inputs(), 3))
+    noise = circuits._delay_noise((0.0, 0.3), tce_model())
+    assert circuits._delay_noise((0.0, 0.3), tce_model()) is noise
+    for array in (inputs, *(a for channel in noise for a in channel.elements)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
 
 
 def test_rotation_error_must_be_finite():

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nmrteleport import tomography
 from nmrteleport.channels import depolarizing_channel
 from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
-from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
+from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, validate_density
 from nmrteleport.tomography import (
+    BLOCH_EXCESS_TOL,
     ProcessMap,
+    _bloch_matrices,
     _canonical_inputs,
     _check_process,
     _transfer_from_chi,
@@ -274,3 +278,26 @@ def test_nan_fails_process_map_and_fidelity_checks():
         entanglement_fidelity(ProcessMap(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix))
     with pytest.raises(UnphysicalBlochError):
         state_tomography(np.nan, 0.0, 0.0)
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(UNIT, UNIT, UNIT, st.floats(0.0, 1.0 + BLOCH_EXCESS_TOL) | st.sampled_from([1.0, 1.0 + BLOCH_EXCESS_TOL])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_bloch_matrices_within_the_bloch_rule_are_density_matrices(vectors):
+    # Why a reconstruction does not validate the states it rebuilds from Bloch vectors.
+    blochs = []
+    for x, y, z, length in vectors:
+        norm = math.sqrt(x * x + y * y + z * z)
+        blochs.append([length * c / norm for c in (x, y, z)] if norm > 0.0 else [0.0, 0.0, 0.0])
+    blochs = np.array(blochs)
+    x, y, z = blochs.T
+    assume(np.max(np.sqrt(x * x + y * y + z * z)) <= 1.0 + BLOCH_EXCESS_TOL)  # not rounded past the rule
+    validate_density(_bloch_matrices(blochs))
