@@ -7,7 +7,10 @@ that should end up holding the input.
 Every step of a circuit is a :class:`~nmrteleport.channels.KrausChannel`: a
 gate is the one-element channel of its unitary, ``KrausChannel(targets,
 (U,))``, so one trace-preservation rule checks gates and noise alike, and
-one executor, :func:`run_events`, runs them.
+one executor, :func:`run_events`, runs them.  A circuit also names its
+readout qubit: the target for teleportation, the data qubit for the control.
+Its delay-independent prefix is not stored: it is the steps before the first
+whose elements carry a leading delay axis.
 
 The measurement of the data/ancilla pair is never sampled.  Dephasing during
 the decoherence delay diagonalizes those qubits in the computational basis,
@@ -46,23 +49,24 @@ DATA, ANCILLA, TARGET = 0, 1, 2
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered steps on a fixed-size register; the first ``delay_start`` steps
-    do not depend on the delay (sweeps run them once)."""
+    """Ordered steps on a fixed-size register, read out on qubit ``readout``."""
 
     num_qubits: int
     events: tuple[KrausChannel, ...]
-    delay_start: int = 0
+    readout: int = DATA
 
     def __post_init__(self):
         for ev in self.events:
             bad = [t for t in ev.targets if t >= self.num_qubits]
             if bad:
                 raise ValueError(f"event targets {bad} exceed register size {self.num_qubits}")
+        if not 0 <= self.readout < self.num_qubits:
+            raise ValueError(f"readout qubit {self.readout} outside register size {self.num_qubits}")
         object.__setattr__(self, "events", tuple(self.events))
 
 
 @lru_cache(maxsize=None)
-def entangle_gate(ancilla: int = 0, target: int = 1) -> tuple[KrausChannel, KrausChannel]:
+def entangle_gate(ancilla: int, target: int) -> tuple[KrausChannel, KrausChannel]:
     """Hadamard on the ancilla, then CNOT onto the target; built once per qubit pair.
 
     Maps |0>|0> on (ancilla, target) to the Bell pair (|00>+|11>)/sqrt(2).
@@ -71,7 +75,7 @@ def entangle_gate(ancilla: int = 0, target: int = 1) -> tuple[KrausChannel, Krau
 
 
 @lru_cache(maxsize=None)
-def bell_to_computational(data: int = 0, ancilla: int = 1) -> tuple[KrausChannel, KrausChannel]:
+def bell_to_computational(data: int, ancilla: int) -> tuple[KrausChannel, KrausChannel]:
     """Rotate the Bell basis of (data, ancilla) into the computational basis;
     built once per qubit pair.
 
@@ -164,8 +168,7 @@ def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     covers every delay of the grid at once, for a stack whose leading axis
     runs over the grid.
     """
-    prefix = _teleport_prefix()
-    return Circuit(3, (*prefix, *_delay_noise(delays, model), _controlled_correction()), len(prefix))
+    return Circuit(3, (*_teleport_prefix(), *_delay_noise(delays, model), _controlled_correction()), TARGET)
 
 
 def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
@@ -175,8 +178,7 @@ def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     rides out the delay on the data spin, which is where readout happens.
     The delay grid is handled as in :func:`teleport_circuit`.
     """
-    prefix = entangle_gate(ANCILLA, TARGET)
-    return Circuit(3, (*prefix, *_delay_noise(delays, model)), len(prefix))
+    return Circuit(3, (*entangle_gate(ANCILLA, TARGET), *_delay_noise(delays, model)), DATA)
 
 
 def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:

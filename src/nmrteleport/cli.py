@@ -27,11 +27,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .channels import RelaxationParams, depolarizing_channel, relaxation_channels
-from .circuits import run_events
+from .circuits import Circuit
 from .errors import ConfigError, NumericalInvariantError, RfAngleError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,
     ENGINES,
+    MIN_TAU_RATIO,
     DecayFit,
     SweepConfig,
     SweepRecord,
@@ -305,7 +306,7 @@ def cmd_compare(cfg: RunConfig) -> dict[str, list[str]]:
         f"tau_ratio (teleport/control): {_fmt(comparison.tau_ratio)}",
         f"verdict fe > 0.5 at smallest nonzero delay: {_yes(comparison.teleport_beats_classical)}",
         f"verdict control decays faster than teleport: {_yes(comparison.control_decays_faster)}",
-        f"verdict teleport tau exceeds control tau by >3x: {_yes(comparison.teleport_outlasts_control)}",
+        f"verdict teleport tau exceeds control tau by >{MIN_TAU_RATIO:g}x: {_yes(comparison.teleport_outlasts_control)}",
     ]
     rows = zip(comparison.delays, comparison.fe_teleport, comparison.fe_control)
     return {"compare.csv": _csv("delay_s,fe_teleport,fe_control", rows), "summary.txt": summary}
@@ -313,13 +314,13 @@ def cmd_compare(cfg: RunConfig) -> dict[str, list[str]]:
 
 _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
-# name -> (parameter names, the steps it builds on one qubit); a circuit has no
-# steps here: it runs as a sweep of one delay.
+# name -> (parameter names, the one-delay grid and the steps it builds on one
+# qubit); a circuit has neither here: it runs as a sweep of one delay.
 _CHANNELS = {
-    "identity": ((), lambda: ()),
-    "dephasing": (("t", "t2"), lambda t, t2: (relaxation_channels((t,), RelaxationParams(math.inf, t2)),)),
-    "depolarizing": (("p",), lambda p: (depolarizing_channel(p),)),
-    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: (relaxation_channels((t,), RelaxationParams(t1, t2)),)),
+    "identity": ((), lambda: ((0.0,), ())),
+    "dephasing": (("t", "t2"), lambda t, t2: ((t,), (relaxation_channels((t,), RelaxationParams(math.inf, t2)),))),
+    "depolarizing": (("p",), lambda p: ((0.0,), (depolarizing_channel(p),))),
+    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: ((t,), (relaxation_channels((t,), RelaxationParams(t1, t2)),))),
     "teleport": (("delay",), None),
     "control": (("delay",), None),
 }
@@ -327,15 +328,15 @@ _SIGNATURES = [name + (f"({','.join(params)})" if params else "") for name, (par
 
 
 def _channel_process(cfg: RunConfig) -> ProcessMap:
-    """The named channel's process map: a circuit runs as a sweep of one
-    delay, a built-in channel as its steps on a one-qubit register with a
-    delay axis of length one."""
+    """The named channel's process map, tomographed on a grid of one delay: a
+    circuit runs as a sweep, a built-in channel as a one-qubit circuit of its
+    steps."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
     name, raw_args = match.groups()
     try:
-        args = [float(a) for a in raw_args.split(",")] if raw_args else []
+        args = [float(a) for a in raw_args.split(",")] if raw_args and not raw_args.isspace() else []
     except ValueError as exc:
         raise ConfigError(f"channel arguments must be numbers: {raw_args!r}") from exc
     if name not in _CHANNELS:
@@ -347,10 +348,10 @@ def _channel_process(cfg: RunConfig) -> ProcessMap:
         if build is None:
             sweep = SweepConfig(tuple(args), name, cfg.model, cfg.engine, cfg.rotation_error)
         else:
-            steps = build(*args)
+            delays, steps = build(*args)
     if build is None:
         return _records(sweep)[0].process_map
-    return tomograph(lambda stack: run_events(steps, stack[None]), 1, 0)[0]
+    return tomograph(Circuit(1, steps), delays)[0].process_map
 
 
 def cmd_tomo(cfg: RunConfig) -> dict[str, list[str]]:

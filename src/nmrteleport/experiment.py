@@ -1,15 +1,14 @@
-"""Fidelity-vs-delay sweeps, exponential decay fits, and curve comparison.
+"""Process tomography over a delay grid, sweeps, decay fits, and curve comparison.
 
-A sweep wraps the teleportation (readout on the target spin) or control
-(readout on the data spin) circuit as a single-qubit process for each
-decoherence delay, tomographs it, and records the entanglement fidelity.
-A sweep runs the delay-independent circuit prefix once, then the delays in
-blocks of at most 256: each block and all four tomography inputs as one
-``(block, 4, 8, 8)`` stack, tomographed in one vectorized reconstruction,
-whose fidelities are checked in one pass, so a sweep's working memory does
-not grow with its grid.  No step mixes delays, so the blocks change no
-result: sweeps are deterministic, and the same configuration always produces
-bit-identical records.
+:func:`tomograph`, the one tomography driver, records the single-qubit process
+from the data qubit to a circuit's readout qubit, and its entanglement
+fidelity, at each delay.  It runs the delay-independent circuit prefix once,
+then the delays in blocks of at most 256, each block and all four tomography
+inputs as one stack, tomographed in one vectorized reconstruction whose
+fidelities are checked in one pass, so working memory does not grow with the
+grid.  No step mixes delays, so the blocks change no result: the same circuit
+always produces bit-identical records.  A sweep tomographs the teleportation
+(readout on the target spin) or control (readout on the data spin) circuit.
 
 What a sweep does not vary is built once and shared read-only: the four
 tomography inputs on the register, per register size, and the relaxation
@@ -20,17 +19,17 @@ control sweep of a ``compare`` reuses those of its teleport sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuits import DATA, TARGET, Circuit, control_circuit, prepare, run_events, teleport_circuit
+from .circuits import Circuit, control_circuit, prepare, run_events, teleport_circuit
 from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
-from .tomography import ProcessMap, _canonical_inputs, _fidelities, _reconstruct, reconstruct_process
+from .tomography import ProcessMap, _canonical_inputs, _fidelities, reconstruct_process
 
 EXPERIMENT_KINDS = ("teleport", "control")
 ENGINES = ("gate", "pulse")
@@ -41,6 +40,7 @@ DEFAULT_DELAYS: tuple[float, ...] = tuple(np.linspace(0.0, 1.2, 12))
 
 _TAU_GRID = np.geomspace(0.05, 10.0, 40)
 _AMPLITUDE_FLOOR = 1e-8
+MIN_TAU_RATIO = 3.0  # teleport outlasts control when its tau is more than this many times longer
 _EPS = float(np.finfo(float).eps)
 _DELAY_BLOCK = 256
 
@@ -81,10 +81,13 @@ class SweepConfig:
             raise ValueError(f"rotation error must be finite, got {self.rotation_error}")
         object.__setattr__(self, "delays", delays)
 
-    def circuit(self) -> tuple[Circuit, int]:
-        """The experiment's circuit for the whole delay grid, and its readout qubit."""
-        build, readout = (teleport_circuit, TARGET) if self.experiment == "teleport" else (control_circuit, DATA)
-        return build(self.delays, self.model), readout
+    def circuit(self) -> Circuit:
+        """The circuit the engine runs for the whole delay grid: on the pulse
+        engine, each gate is the step its compiled pulses realize."""
+        circuit = (teleport_circuit if self.experiment == "teleport" else control_circuit)(self.delays, self.model)
+        if self.engine == "pulse":
+            circuit = replace(circuit, events=realize_pulses(circuit.events, self.model, self.rotation_error))
+        return circuit
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +120,28 @@ class DecayFit:
             raise ValueError(f"residual norm must be nonnegative, got {self.residual_norm}")
 
 
-def tomograph(run: Callable[[np.ndarray], np.ndarray], num_qubits: int, readout: int) -> list[ProcessMap]:
-    """Process tomography through the circuit executor.
-
-    ``run`` takes the four canonical tomography inputs on qubit 0 of a
-    ``num_qubits``-qubit register, every other qubit in |0>, as one ``(4, d, d)``
-    stack, and returns the final stack with any leading axes it adds in
-    front.  The readout qubit's outputs give one process map per leading index.
-    """
-    final = run(_register_inputs(num_qubits))
-    return reconstruct_process(reduce_stack(final, [readout]))
+def tomograph(circuit: Circuit, delays: Sequence[float]) -> list[SweepRecord]:
+    """The process from qubit 0 (the four canonical inputs, every other qubit in |0>)
+    to ``circuit.readout`` at every delay of the circuit's grid, labelled by ``delays``:
+    the prefix once, then blocks of at most 256 delays, each one ``(block, 4, d, d)``
+    stack with one reconstruction and one check of chi[0][0] against tr(R)/4.  A
+    violated invariant is reported with the delay, tomography input and circuit step
+    (or reconstruction) where it happened."""
+    events = circuit.events
+    start = next((i for i, ev in enumerate(events) if ev.elements[0].ndim > 2), len(events))
+    records, lo = [], 0
+    try:
+        prefix = run_events(events[:start], _register_inputs(circuit.num_qubits))
+        for lo in range(0, len(delays), _DELAY_BLOCK):
+            block = slice(lo, lo + _DELAY_BLOCK)
+            final = run_events(events[start:], np.broadcast_to(prefix, (len(delays[block]),) + prefix.shape), block)
+            transfer, chi = reconstruct_process(reduce_stack(final, [circuit.readout]))
+            fidelities = _fidelities(transfer, chi).tolist()
+            records += map(SweepRecord, delays[block], fidelities, map(ProcessMap, transfer, chi))
+    except NumericalInvariantError as exc:
+        where = _where(exc, delays[lo:], start)  # a block's indices count from its first delay
+        raise NumericalInvariantError(f"{where}: {exc}") from exc
+    return records
 
 
 @lru_cache(maxsize=None)
@@ -140,37 +155,17 @@ def _register_inputs(num_qubits: int) -> np.ndarray:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Tomograph the configured process at every delay, in delay order.
-
-    One circuit covers the whole grid: its prefix runs once on the four
-    tomography inputs, then the delays run in blocks of at most 256, each
-    block and all four inputs as one ``(block, 4, 8, 8)`` stack, one step at
-    a time, and each block is tomographed in one reconstruction, whose
-    fidelities chi[0][0] are checked against tr(R)/4 in one pass.  A violated
-    invariant is reported with the experiment, the engine, and the delay,
-    tomography input and circuit step (or reconstruction) where it happened.
-    """
-    circuit, readout = config.circuit()
-    events, start = circuit.events, circuit.delay_start
-    if config.engine == "pulse":
-        events = realize_pulses(events, config.model, config.rotation_error)
-    delays, records, lo = config.delays, [], 0
+    """:func:`tomograph` of the configured circuit over its delay grid; a violated
+    invariant is reported with the experiment and the engine in front."""
+    circuit = config.circuit()
     try:
-        prefix = run_events(events[:start], _register_inputs(circuit.num_qubits))
-        for lo in range(0, len(delays), _DELAY_BLOCK):
-            block = slice(lo, lo + _DELAY_BLOCK)
-            final = run_events(events[start:], np.broadcast_to(prefix, (len(delays[block]),) + prefix.shape), block)
-            transfer, chi = _reconstruct(reduce_stack(final, [readout]))
-            fidelities = _fidelities(transfer, chi).tolist()
-            records += map(SweepRecord, delays[block], fidelities, map(ProcessMap, transfer, chi))
+        return tomograph(circuit, config.delays)
     except NumericalInvariantError as exc:
-        where = _where(exc, delays[lo:], start)  # a block's indices count from its first delay
-        raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {where}: {exc}") from exc
-    return records
+        raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {exc}") from exc
 
 
 def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:
-    """Where in a sweep ``exc`` happened.  In the circuit (``exc.event`` set) the
+    """Where in :func:`tomograph` ``exc`` happened.  In the circuit (``exc.event`` set) the
     prefix stack is indexed by input, the stack after it by (delay, input), with
     steps counted from ``start``; a one-element step is a gate, any other a noise
     channel.  In the reconstruction an output state is indexed by (delay, input),
@@ -320,11 +315,7 @@ class CurveComparison:
     teleport_outlasts_control: bool | None
 
 
-def compare_curves(
-    teleport: Sequence[SweepRecord],
-    control: Sequence[SweepRecord],
-    min_tau_ratio: float = 3.0,
-) -> CurveComparison:
+def compare_curves(teleport: Sequence[SweepRecord], control: Sequence[SweepRecord]) -> CurveComparison:
     """Compare the two experiment families on a shared delay grid."""
     tel = list(teleport)
     ctl = list(control)
@@ -345,5 +336,5 @@ def compare_curves(
         tau_ratio=ratio,
         teleport_beats_classical=beats_classical,
         control_decays_faster=control_fit.time_constant < teleport_fit.time_constant if determined else None,
-        teleport_outlasts_control=ratio > min_tau_ratio if determined else None,
+        teleport_outlasts_control=ratio > MIN_TAU_RATIO if determined else None,
     )

@@ -14,11 +14,12 @@ chi[0][0] = tr(R)/4.  Neither step solves a linear system, and both identities
 are checked exactly, once, where they are built.
 
 The inputs are built once per process, as one read-only stack, and shared.
-A reconstruction checks each rule once over its whole stack (the output
-states, then R[0][0] = 1 and the chi matrices).  The states rebuilt from
-their Bloch vectors are not checked again: (I + r.sigma)/2 with |r| <= 1 is
-a density matrix by construction.  The fidelities chi[0][0] of a stack of
-maps are checked against tr(R)/4 in one reduction as well.
+A reconstruction (:func:`reconstruct_process`) returns the transfer and chi
+matrices as two read-only stacks, and checks each rule once over its whole
+stack (the output states, then R[0][0] = 1 and the chi matrices).  The
+states rebuilt from their Bloch vectors are not checked again: (I + r.sigma)/2
+with |r| <= 1 is a density matrix by construction.  The fidelities chi[0][0]
+of a stack of maps are checked against tr(R)/4 in one reduction as well.
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -136,9 +137,18 @@ def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
         raise error from exc
 
 
-def _reconstruct(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The checked transfer and chi matrices of :func:`reconstruct_process`, as two
-    read-only ``(N, 4, 4)`` stacks in C order of the outputs' leading axes."""
+def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer and chi matrices from a ``(..., 4, 2, 2)`` stack of outputs of
+    the four canonical inputs (in their order): two checked, read-only ``(N, 4, 4)``
+    stacks, one map per leading index in C order.
+
+    Each output must be a density matrix, and is itself reconstructed by
+    state tomography from its Bloch components before the transfer matrix
+    is formed, mirroring how the data would be taken.  Every check runs
+    once over the whole stack, and a violation raises with the ``index`` of the
+    worst member: (..., input) for an output state, (...) for a map.  No step
+    mixes members, so a map is the same bit for bit whatever stack it is in.
+    """
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (4, 2, 2):
         raise ValueError(f"outputs of shape {outputs.shape} are not four single-qubit states")
@@ -153,20 +163,6 @@ def _reconstruct(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     transfer.flags.writeable = False
     chi.flags.writeable = False
     return transfer, chi
-
-
-def reconstruct_process(outputs: np.ndarray) -> list[ProcessMap]:
-    """Process maps from a ``(..., 4, 2, 2)`` stack of outputs of the four canonical
-    inputs (in their order), one per leading index in C order.
-
-    Each output must be a density matrix, and is itself reconstructed by
-    state tomography from its Bloch components before the transfer matrix
-    is formed, mirroring how the data would be taken.  Every check runs
-    once over the whole stack, and a violation raises with the ``index`` of the
-    worst member: (..., input) for an output state, (...) for a map.  No step
-    mixes members, so a map is the same bit for bit whatever stack it is in.
-    """
-    return [ProcessMap(r, c) for r, c in zip(*_reconstruct(outputs))]
 
 
 def _fidelities(transfer: np.ndarray, chi: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from nmrteleport.qstate import (
     lift_operator,
     real_expectations,
 )
-from nmrteleport.tomography import ProcessMap, state_tomography
+from nmrteleport.tomography import ProcessMap, _canonical_inputs, reconstruct_process, state_tomography
 
 
 def random_pure_state(rng, num_qubits: int = 1) -> np.ndarray:
@@ -188,15 +188,16 @@ def run_inputs(circuit: Circuit, inputs, pulse_model: MoleculeModel | None = Non
 
 
 def process_map(run) -> ProcessMap:
-    """The process map of ``run`` on the one-qubit stack of the four canonical inputs."""
-    (pm,) = tomograph(run, 1, 0)
+    """The process map of ``run`` on the ``(4, 2, 2)`` stack of the four canonical
+    inputs; ``run`` may add one leading axis of length one."""
+    (pm,) = map(ProcessMap, *reconstruct_process(run(_canonical_inputs())))
     return pm
 
 
 def channel_map(channel: KrausChannel) -> ProcessMap:
-    """The process map of one channel step run by the executor, on a stack
-    with a delay axis of length one."""
-    return process_map(lambda stack: run_events((channel,), stack[None]))
+    """The process map of one channel step, tomographed as a one-qubit circuit
+    on a grid of one delay."""
+    return tomograph(Circuit(1, (channel,)), (0.0,))[0].process_map
 
 
 def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarray:

@@ -256,6 +256,16 @@ def test_gate_event_validation():
         Circuit(1, (dephasing(0.1, 0.3, target=4),))
 
 
+def test_a_circuit_reads_out_a_qubit_of_its_register():
+    model = tce_model()
+    assert teleport_circuit((0.1,), model).readout == TARGET
+    assert control_circuit((0.1,), model).readout == DATA
+    assert Circuit(1, ()).readout == DATA
+    for readout in (-1, 3):
+        with pytest.raises(ValueError, match="readout qubit"):
+            Circuit(3, (), readout)
+
+
 def test_teleport_output_satisfies_state_invariants():
     out = run_inputs(teleport_circuit((0.4,), tce_model()), [PLUS])[0]
     # The executor validates every step; spot-check trace and positivity.
@@ -285,6 +295,6 @@ def test_shared_correction_table_is_read_only():
 def test_constant_events_are_shared_by_every_delay():
     model = tce_model()
     short, long = teleport_circuit((0.1,), model), teleport_circuit((0.3, 0.9), model)
-    for i in (*range(short.delay_start), -1):
+    for i in (*range(4), -1):  # the four prefix gates and the correction
         assert short.events[i] is long.events[i]
     assert control_circuit((0.1,), model).events[0] is short.events[0]

@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -772,3 +773,86 @@ def test_any_config_document_exits_0_with_valid_csv_or_2(document):
             header, rows = read_csv(out / "compare.csv")
             assert header == ["delay_s", "fe_teleport", "fe_control"] and rows
             assert all(0.0 <= fe <= 1.0 for row in rows for fe in row[1:]), (document, engine, rows)
+
+
+def test_tomo_takes_a_blank_argument_list_as_no_arguments(tmp_path):
+    plain, blank = tmp_path / "plain", tmp_path / "blank"
+    assert run_cli(["tomo", "--channel", "identity", "--out", str(plain)]) == (cli.EXIT_OK, "")
+    assert run_cli(["tomo", "--channel", "identity( )", "--out", str(blank)]) == (cli.EXIT_OK, "")
+    files, blank_files = snapshot(plain), snapshot(blank)
+    # The summary's first line names the channel as it was given.
+    first, rest = blank_files.pop("summary.txt").split(b"\n", 1)
+    assert first == b"process: identity( )" and rest == files.pop("summary.txt").split(b"\n", 1)[1]
+    assert blank_files == files and len(files) == 3
+    for channel, message in (
+        ("teleport( )", "error: channel 'teleport' takes 1 argument(s), got 0\n"),
+        ("identity(,)", "error: channel arguments must be numbers: ','\n"),
+        ("TELEPORT(1)", "error: cannot parse channel 'TELEPORT(1)'\n"),
+    ):
+        out = tmp_path / "refused"
+        assert run_cli(["tomo", "--channel", channel, "--out", str(out)]) == (cli.EXIT_CONFIG, message)
+        assert not out.exists()
+
+
+def _scaled(channel, factor):
+    """``channel`` with every element scaled by ``factor``, past its construction check."""
+    object.__setattr__(channel, "elements", tuple(factor * a for a in channel.elements))
+    return channel
+
+
+def test_a_violation_in_a_builtin_tomo_channel_names_its_input_and_step(tmp_path, monkeypatch):
+    # A step without a delay axis runs once for every delay; a relaxation step is built for its delay t.
+    real_depolarizing, real_relaxation = cli.depolarizing_channel, cli.relaxation_channels
+    monkeypatch.setattr(cli, "depolarizing_channel", lambda p: _scaled(real_depolarizing(p), 1.1))
+    monkeypatch.setattr(cli, "relaxation_channels", lambda *args: _scaled(real_relaxation(*args), 1.1))
+    violation = ", circuit step 0 (channel on qubits (0,)): trace deviates from 1 by 2.100e-01\n"
+    for channel, delay in (
+        ("depolarizing(0.3)", "every delay"),
+        ("dephasing(0.2,0.3)", "delay 0.2 s"),
+        ("relaxation(0.5,5,3)", "delay 0.5 s"),
+    ):
+        out = tmp_path / "violated"
+        code, err = run_cli(["tomo", "--channel", channel, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        # Every input's trace is 1.21, up to rounding, which picks the worst input.
+        location = re.escape(f"numerical invariant violated: {delay}, tomography input ") + "[0-3]"
+        assert re.fullmatch(location + re.escape(violation), err), err
+        assert not out.exists()
+
+
+def test_config_active_couplings_reach_the_pulse_engine(tmp_path):
+    cfg = tmp_path / "active.yaml"
+    default = tmp_path / "default"
+    assert run_cli(["compare", "--engine", "pulse", "--out", str(default)]) == (cli.EXIT_OK, "")
+    # Both TCE couplings active, named in either order, is the default molecule.
+    cfg.write_text(molecule_yaml() + "  active: [[H, C1], [C2, C1]]\n")
+    out = tmp_path / "both"
+    assert run_cli(["compare", "--engine", "pulse", "--config", str(cfg), "--out", str(out)]) == (cli.EXIT_OK, "")
+    assert snapshot(out) == snapshot(default)
+    cfg.write_text(molecule_yaml() + "  active: [[C1, H]]\n")
+    out = tmp_path / "one"
+    code, err = run_cli(["teleport", "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG and err.startswith("error: ") and err.count("\n") == 1
+    assert "no active J coupling between C2 and C1" in err
+    assert not out.exists()
+    cfg.write_text(molecule_yaml() + "  active: [[C1, H, C2]]\n")
+    code, err = run_cli(["teleport", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG and err.startswith("error: invalid molecule section: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_an_empty_config_file_runs_with_the_defaults(tmp_path):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text("")
+    assert run_cli(["teleport", "--out", str(tmp_path / "default")]) == (cli.EXIT_OK, "")
+    assert run_cli(["teleport", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == (cli.EXIT_OK, "")
+    assert snapshot(tmp_path / "empty") == snapshot(tmp_path / "default")
+
+
+def test_an_output_directory_below_a_regular_file_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code, err = run_cli(["teleport", "--delays", "0,0.3", "--out", str(blocker / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"error: cannot create output directory {blocker / 'out'}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "not a directory\n"

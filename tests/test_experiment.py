@@ -22,9 +22,9 @@ from nmrteleport.experiment import (
     fit_exponential,
     run_sweep,
 )
-from nmrteleport.nmr import MoleculeModel, SpinParams, realize_pulses, tce_model
+from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
-from nmrteleport.tomography import _canonical_inputs, entanglement_fidelity, reconstruct_process
+from nmrteleport.tomography import ProcessMap, _canonical_inputs, entanglement_fidelity, reconstruct_process
 from tests.helpers import (
     child_env,
     kraus_fe,
@@ -43,14 +43,11 @@ def per_input_outputs(config: SweepConfig) -> list[list[DensityMatrix]]:
     through the whole circuit of its one delay: no shared prefix, no stacking."""
     outputs = []
     for delay in config.delays:
-        circuit, readout = SweepConfig((delay,), config.experiment, config.model).circuit()
-        events = circuit.events
-        if config.engine == "pulse":
-            events = realize_pulses(events, config.model, config.rotation_error)
+        circuit = SweepConfig((delay,), config.experiment, config.model, config.engine, config.rotation_error).circuit()
         outputs.append([])
         for state in _canonical_inputs():
-            final = run_events(events, prepare(state, 3)[None])
-            outputs[-1].append(DensityMatrix(1, reduce_stack(final, [readout])[0]))
+            final = run_events(circuit.events, prepare(state, 3)[None])
+            outputs[-1].append(DensityMatrix(1, reduce_stack(final, [circuit.readout])[0]))
     return outputs
 
 
@@ -404,7 +401,7 @@ def test_hoisted_sweep_matches_per_delay_tomography():
         for kind in ("teleport", "control"):
             config = SweepConfig(delays, kind, model, engine, rotation_error)
             for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
-                (expected,) = reconstruct_process(np.stack([out.matrix for out in outputs]))
+                (expected,) = map(ProcessMap, *reconstruct_process(np.stack([out.matrix for out in outputs])))
                 got = record.process_map
                 if engine == "gate":
                     assert np.array_equal(got.transfer_matrix, expected.transfer_matrix)
@@ -551,6 +548,30 @@ def test_a_sweep_of_three_blocks_equals_its_one_delay_sweeps():
             assert np.array_equal(record.process_map.chi_matrix, alone.process_map.chi_matrix)
 
 
+def test_a_violation_in_the_prefix_names_every_delay(monkeypatch):
+    # The entangling CNOT is step 1 of both circuits; the prefix runs once for every delay.
+    circuits._controlled_correction()  # built from the clean gates before the patch
+    real = circuits.entangle_gate
+
+    def corrupted(ancilla, target):
+        hadamard, cnot = real(ancilla, target)
+        bad = circuits.KrausChannel(cnot.targets, cnot.elements)
+        object.__setattr__(bad, "elements", tuple(1.1 * a for a in bad.elements))
+        return hadamard, bad
+
+    monkeypatch.setattr(circuits, "entangle_gate", corrupted)
+    for kind in ("teleport", "control"):
+        with pytest.raises(NumericalInvariantError) as info:
+            run_sweep(SweepConfig((0.0, 0.3, 0.6), kind, tce_model()))
+        found = re.fullmatch(
+            re.escape(f"{kind} sweep, gate engine, every delay, tomography input ")
+            + "[0-3]"
+            + re.escape(", circuit step 1 (unitary on qubits (1, 2)): trace deviates from 1 by 2.100e-01"),
+            str(info.value),
+        )
+        assert found, str(info.value)
+
+
 def test_a_violation_in_the_second_block_names_its_delay(monkeypatch, uncached_delay_noise):
     # Delay 299 of 300 is the 44th of the second block, in its circuit and in its reconstruction.
     delays = tuple(map(float, np.linspace(0.0, 1.2, 300)))
@@ -606,7 +627,8 @@ def test_a_second_sweep_builds_no_density_matrix(monkeypatch):
 
 def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatch):
     # The gate steps are built once per process; on the pulse engine a fresh model
-    # adds one realized step per distinct prefix gate (H, CNOT, CNOT, H; H, CNOT).
+    # adds one realized step per distinct prefix gate (H, CNOT, CNOT, H; H, CNOT),
+    # and the circuit of realized steps.
     delays = tuple(np.linspace(0.0, 1.2, 30))
     for kind in ("teleport", "control"):
         SweepConfig(delays, kind, tce_model()).circuit()
@@ -625,7 +647,7 @@ def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatc
             counts.update(dict.fromkeys(counts, 0))
             circuits._spin_relaxation.cache_clear()  # the delay noise is cached by value
             run_sweep(SweepConfig(delays, kind, tce_model(), engine))
-            assert counts == {circuits.Circuit: 1, circuits.KrausChannel: 3 + realized[engine, kind]}
+            assert counts == {circuits.Circuit: 1 + (engine == "pulse"), circuits.KrausChannel: 3 + realized[engine, kind]}
 
 
 def test_a_fidelity_mismatch_in_a_sweep_names_its_delay(monkeypatch):
@@ -634,12 +656,12 @@ def test_a_fidelity_mismatch_in_a_sweep_names_its_delay(monkeypatch):
     clean = run_sweep(SweepConfig(delays, "teleport", tce_model()))
 
     def reconstruct(outputs):
-        transfer, chi = tomography._reconstruct(outputs)
+        transfer, chi = tomography.reconstruct_process(outputs)
         transfer = transfer.copy()
         transfer[2, 3, 3] += 1e-6
         return transfer, chi
 
-    monkeypatch.setattr(experiment, "_reconstruct", reconstruct)
+    monkeypatch.setattr(experiment, "reconstruct_process", reconstruct)
     for engine in ("gate", "pulse"):
         with pytest.raises(NumericalInvariantError) as info:
             run_sweep(SweepConfig(delays, "teleport", tce_model(), engine))

@@ -326,7 +326,7 @@ def test_pulse_gates_are_realized_once_per_gate_model_and_error(monkeypatch):
 def test_pulse_engine_rewrites_only_one_and_two_spin_gates():
     model = tce_model()
     circuit = teleport_circuit((0.0, 0.3), model)
-    start = circuit.delay_start
+    start = 4  # entangle, then the Bell rotation
     steps = realize_pulses(circuit.events, model)
     assert len(steps) == len(circuit.events)
     assert all(new is not old and new.targets == old.targets for new, old in zip(steps[:start], circuit.events[:start]))

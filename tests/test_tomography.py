@@ -220,7 +220,7 @@ def random_outputs(rng, shape):
 def test_vectorized_reconstruction_matches_per_output_oracle():
     rng = np.random.default_rng(79)
     outputs = random_outputs(rng, (2, 3))
-    maps = reconstruct_process(outputs)
+    maps = list(map(ProcessMap, *reconstruct_process(outputs)))
     assert len(maps) == 6
     for pm, member in zip(maps, outputs.reshape(-1, 4, 2, 2)):
         transfer, chi = per_output_reconstruction([DensityMatrix(1, m) for m in member])
@@ -262,8 +262,8 @@ def test_chi_stack_check_holds_its_slack_and_names_the_map():
         outputs[4] = [(1.0 - s) * IDENTITY_2 / 2.0 + s * state.T for state in _canonical_inputs()]
         return outputs
 
-    maps = reconstruct_process(outputs_with_least_chi_eigenvalue(-5e-9))  # within the 1e-8 slack
-    assert np.min(np.linalg.eigvalsh(maps[4].chi_matrix)) == pytest.approx(-5e-9, abs=1e-15)
+    _, chi = reconstruct_process(outputs_with_least_chi_eigenvalue(-5e-9))  # within the 1e-8 slack
+    assert np.min(np.linalg.eigvalsh(chi[4])) == pytest.approx(-5e-9, abs=1e-15)
     with pytest.raises(NumericalInvariantError) as info:
         reconstruct_process(outputs_with_least_chi_eigenvalue(-2e-8))
     assert str(info.value) == "chi matrix: eigenvalue -2.000e-08 < -1.0e-08"
