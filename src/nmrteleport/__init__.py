@@ -18,7 +18,7 @@ _EXPORTS = {  # module -> the names the package exports from it
                    "fit_decay", "fit_exponential", "run_sweep", "tomograph"),
     "nmr": ("FreeEvolution", "MoleculeModel", "RfRotation", "SpinParams", "compile_gate", "tce_model"),
     "qstate": ("DensityMatrix", "lift_operator"),
-    "tomography": ("ProcessMap", "entanglement_fidelity", "state_tomography"),
+    "tomography": ("state_tomography",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

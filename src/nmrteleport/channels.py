@@ -67,6 +67,8 @@ class KrausChannel:
         targets = tuple(int(t) for t in self.targets)
         if len(set(targets)) != len(targets):
             raise ValueError(f"duplicate channel targets {targets}")
+        if any(t < 0 for t in targets):
+            raise ValueError(f"negative channel targets in {targets}")
         if len(self.elements) == 0:
             raise ValueError("channel needs at least one operation element")
         dim = 2 ** len(targets)

@@ -43,7 +43,6 @@ from .experiment import (
     validate_delays,
 )
 from .nmr import MoleculeModel, SpinParams, tce_model
-from .tomography import ProcessMap, entanglement_fidelity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,11 +181,11 @@ def _csv(header: str, rows) -> list[str]:
     return [header] + [",".join(_fmt(v) for v in row) for row in rows]
 
 
-def _process_files(process_map: ProcessMap) -> dict[str, list[str]]:
+def _process_files(record: SweepRecord) -> dict[str, list[str]]:
     return {
-        "process_R.csv": _csv(PAULI_HEADER, process_map.transfer_matrix),
-        "process_chi_re.csv": _csv(PAULI_HEADER, process_map.chi_matrix.real),
-        "process_chi_im.csv": _csv(PAULI_HEADER, process_map.chi_matrix.imag),
+        "process_R.csv": _csv(PAULI_HEADER, record.transfer_matrix),
+        "process_chi_re.csv": _csv(PAULI_HEADER, record.chi_matrix.real),
+        "process_chi_im.csv": _csv(PAULI_HEADER, record.chi_matrix.imag),
     }
 
 
@@ -258,13 +257,13 @@ def _header(cfg: RunConfig, experiment: str) -> list[str]:
 
 
 def _run_curve(cfg: RunConfig, experiment: str, verdicts: Callable[[list[SweepRecord]], list[str]]) -> dict[str, list[str]]:
-    """One sweep's outputs: its curve, the process map of its first delay, and a
+    """One sweep's outputs: its curve, the process of its first delay, and a
     summary of the header, the ``verdicts`` lines on its records and the decay fit."""
     records = _records(SweepConfig(cfg.delays, experiment, cfg.model, cfg.engine, cfg.rotation_error))
     fit = fit_decay(records) if len(records) >= 4 else None
     return {
         "curve.csv": _csv("delay_s,entanglement_fidelity", ((r.delay, r.fe) for r in records)),
-        **_process_files(records[0].process_map),
+        **_process_files(records[0]),
         "summary.txt": _header(cfg, experiment) + verdicts(records) + _fit_lines(fit),
     }
 
@@ -327,10 +326,9 @@ _CHANNELS = {
 _SIGNATURES = [name + (f"({','.join(params)})" if params else "") for name, (params, _) in _CHANNELS.items()]
 
 
-def _channel_process(cfg: RunConfig) -> ProcessMap:
-    """The named channel's process map, tomographed on a grid of one delay: a
-    circuit runs as a sweep, a built-in channel as a one-qubit circuit of its
-    steps."""
+def _channel_process(cfg: RunConfig) -> SweepRecord:
+    """The named channel's process, tomographed on a grid of one delay: a circuit
+    runs as a sweep, a built-in channel as a one-qubit circuit of its steps."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
@@ -350,18 +348,18 @@ def _channel_process(cfg: RunConfig) -> ProcessMap:
         else:
             delays, steps = build(*args)
     if build is None:
-        return _records(sweep)[0].process_map
-    return tomograph(Circuit(1, steps), delays)[0].process_map
+        return _records(sweep)[0]
+    return tomograph(Circuit(1, steps), delays)[0]
 
 
 def cmd_tomo(cfg: RunConfig) -> dict[str, list[str]]:
-    process_map = _channel_process(cfg)
+    record = _channel_process(cfg)
     summary = [
         f"process: {cfg.channel.strip()}",
-        f"entanglement_fidelity: {_fmt(entanglement_fidelity(process_map))}",
-        f"transfer matrix trace / 4: {_fmt(float(process_map.transfer_matrix.trace()) / 4.0)}",
+        f"entanglement_fidelity: {_fmt(record.fe)}",
+        f"transfer matrix trace / 4: {_fmt(float(record.transfer_matrix.trace()) / 4.0)}",
     ]
-    return {**_process_files(process_map), "summary.txt": summary}
+    return {**_process_files(record), "summary.txt": summary}
 
 
 _COMMANDS = {

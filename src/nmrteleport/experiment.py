@@ -29,7 +29,7 @@ from .circuits import Circuit, control_circuit, prepare, run_events, teleport_ci
 from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
-from .tomography import ProcessMap, _canonical_inputs, _fidelities, reconstruct_process
+from .tomography import _canonical_inputs, _fidelities, reconstruct_process
 
 EXPERIMENT_KINDS = ("teleport", "control")
 ENGINES = ("gate", "pulse")
@@ -92,11 +92,13 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class SweepRecord:
-    """One sweep point: delay, entanglement fidelity, and the full process map."""
+    """One sweep point: the delay, the entanglement fidelity chi[0][0], and the process's
+    Pauli transfer and chi matrices, read-only 4x4 arrays that a reconstruction has checked."""
 
     delay: float
     fe: float
-    process_map: ProcessMap
+    transfer_matrix: np.ndarray
+    chi_matrix: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.fe <= 1.0:
@@ -122,11 +124,12 @@ class DecayFit:
 
 def tomograph(circuit: Circuit, delays: Sequence[float]) -> list[SweepRecord]:
     """The process from qubit 0 (the four canonical inputs, every other qubit in |0>)
-    to ``circuit.readout`` at every delay of the circuit's grid, labelled by ``delays``:
-    the prefix once, then blocks of at most 256 delays, each one ``(block, 4, d, d)``
-    stack with one reconstruction and one check of chi[0][0] against tr(R)/4.  A
-    violated invariant is reported with the delay, tomography input and circuit step
-    (or reconstruction) where it happened."""
+    to ``circuit.readout`` at every delay of the circuit's grid, labelled by ``delays``,
+    one :class:`SweepRecord` per delay: the prefix once, then blocks of at most 256
+    delays, each one ``(block, 4, d, d)`` stack with one reconstruction and one check
+    of chi[0][0] against tr(R)/4.  A violated invariant is reported with the delay,
+    tomography input and circuit step (or reconstruction) where it happened; a
+    circuit with no delay step names no delay."""
     events = circuit.events
     start = next((i for i, ev in enumerate(events) if ev.elements[0].ndim > 2), len(events))
     records, lo = [], 0
@@ -136,10 +139,9 @@ def tomograph(circuit: Circuit, delays: Sequence[float]) -> list[SweepRecord]:
             block = slice(lo, lo + _DELAY_BLOCK)
             final = run_events(events[start:], np.broadcast_to(prefix, (len(delays[block]),) + prefix.shape), block)
             transfer, chi = reconstruct_process(reduce_stack(final, [circuit.readout]))
-            fidelities = _fidelities(transfer, chi).tolist()
-            records += map(SweepRecord, delays[block], fidelities, map(ProcessMap, transfer, chi))
+            records += map(SweepRecord, delays[block], _fidelities(transfer, chi).tolist(), transfer, chi)
     except NumericalInvariantError as exc:
-        where = _where(exc, delays[lo:], start)  # a block's indices count from its first delay
+        where = _where(exc, delays[lo:] if start < len(events) else None, start)  # indices count from the block
         raise NumericalInvariantError(f"{where}: {exc}") from exc
     return records
 
@@ -164,18 +166,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {exc}") from exc
 
 
-def _where(exc: NumericalInvariantError, delays: Sequence[float], start: int) -> str:
+def _where(exc: NumericalInvariantError, delays: Sequence[float] | None, start: int) -> str:
     """Where in :func:`tomograph` ``exc`` happened.  In the circuit (``exc.event`` set) the
     prefix stack is indexed by input, the stack after it by (delay, input), with
     steps counted from ``start``; a one-element step is a gate, any other a noise
     channel.  In the reconstruction an output state is indexed by (delay, input),
-    a process map by delay."""
+    a process map by delay.  ``delays`` is None when the circuit has no delay step:
+    then the whole circuit is the prefix, and no location names a delay."""
     if exc.event is None:
-        where = [f"delay {delays[exc.index[0]]!r} s"] if exc.index else []
+        where = [f"delay {delays[exc.index[0]]!r} s"] if exc.index and delays is not None else []
         where += [f"tomography input {i}" for i in exc.index[1:]]
         return ", ".join(where + ["process reconstruction"])
     if len(exc.index) == 1:
-        where, step = f"every delay, tomography input {exc.index[0]}", exc.step
+        where, step = f"tomography input {exc.index[0]}", exc.step
+        where = where if delays is None else f"every delay, {where}"
     else:
         where, step = f"delay {delays[exc.index[0]]!r} s, tomography input {exc.index[1]}", start + exc.step
     kind = "unitary" if len(exc.event.elements) == 1 else "channel"

@@ -258,10 +258,14 @@ def compile_gate(gate: KrausChannel, model: MoleculeModel) -> tuple[RfRotation |
 
     Supported: any single-qubit unitary (ZYZ decomposition), and a CNOT,
     controlled by the first of its targets, between spins with an active J
-    coupling.  Everything else raises :class:`UnsupportedGateError`.
+    coupling.  Everything else raises :class:`UnsupportedGateError`, as does a
+    target that is not a spin of the molecule.
     """
     if len(gate.elements) != 1:
         raise UnsupportedGateError(f"cannot compile a channel of {len(gate.elements)} elements")
+    bad = [t for t in gate.targets if t >= len(model.spins)]
+    if bad:
+        raise UnsupportedGateError(f"gate targets {bad} are not spins of the {len(model.spins)}-spin molecule")
     u = gate.elements[0]
     if len(gate.targets) == 1:
         spin = model.spins[gate.targets[0]].name

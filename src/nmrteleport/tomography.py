@@ -18,8 +18,9 @@ A reconstruction (:func:`reconstruct_process`) returns the transfer and chi
 matrices as two read-only stacks, and checks each rule once over its whole
 stack (the output states, then R[0][0] = 1 and the chi matrices).  The
 states rebuilt from their Bloch vectors are not checked again: (I + r.sigma)/2
-with |r| <= 1 is a density matrix by construction.  The fidelities chi[0][0]
-of a stack of maps are checked against tr(R)/4 in one reduction as well.
+with |r| <= 1 is a density matrix by construction.  The fidelity rule is
+stated once, in :func:`_fidelities`: chi[0][0] of every map of a stack,
+checked against tr(R)/4 in one reduction and clipped into [0, 1].
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -27,7 +28,6 @@ nowhere else; all tests reference this single definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -111,15 +111,6 @@ def _transfer_from_chi() -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessMap:
-    """Reconstructed single-qubit process: Pauli transfer matrix and chi matrix,
-    read-only 4x4 arrays that a reconstruction (:func:`reconstruct_process`) has checked."""
-
-    transfer_matrix: np.ndarray
-    chi_matrix: np.ndarray
-
-
 def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
     """The process rule on one map or on ``(..., 4, 4)`` stacks of them: R[0][0] = 1
     (trace preservation) and a density-matrix-like chi (complete positivity).  NaN
@@ -166,9 +157,13 @@ def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fidelities(transfer: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """chi[0][0] of every map of ``(..., 4, 4)`` stacks, checked against tr(R)/4 in
-    one reduction and clipped into [0, 1].  NaN fails the check; a mismatch raises
-    with the ``index`` of the worst map."""
+    """The entanglement fidelity chi[0][0] of every map of ``(..., 4, 4)`` stacks,
+    checked against tr(R)/4 in one reduction and clipped into [0, 1].  NaN fails
+    the check; a mismatch raises with the ``index`` of the worst map.
+
+    1 means the process preserves quantum information perfectly, 0.5 is the
+    best any classical transmission can do, and 0.25 is total randomization.
+    """
     fe_chi = chi[..., 0, 0].real
     fe_transfer = transfer.trace(axis1=-2, axis2=-1) / 4.0
     mismatch = np.abs(fe_chi - fe_transfer)
@@ -178,12 +173,3 @@ def _fidelities(transfer: np.ndarray, chi: np.ndarray) -> np.ndarray:
         raise _violation(message, worst, fe_chi.shape)
     # min(max(x, 0), 1) as Python takes it, so a -0.0 stays -0.0.
     return np.where(fe_chi < 0.0, 0.0, np.where(fe_chi > 1.0, 1.0, fe_chi))
-
-
-def entanglement_fidelity(process: ProcessMap) -> float:
-    """chi[0][0], cross-checked against tr(R)/4.
-
-    1 means the process preserves quantum information perfectly, 0.5 is the
-    best any classical transmission can do, and 0.25 is total randomization.
-    """
-    return float(_fidelities(process.transfer_matrix, process.chi_matrix))

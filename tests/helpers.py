@@ -11,11 +11,12 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import nmrteleport
 from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_channels
 from nmrteleport.circuits import Circuit, prepare, run_events
-from nmrteleport.experiment import tomograph
+from nmrteleport.experiment import SweepRecord, tomograph
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, RfRotation, realize_pulses
 from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.qstate import (
@@ -27,7 +28,7 @@ from nmrteleport.qstate import (
     lift_operator,
     real_expectations,
 )
-from nmrteleport.tomography import ProcessMap, _canonical_inputs, reconstruct_process, state_tomography
+from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_process, state_tomography
 
 
 def random_pure_state(rng, num_qubits: int = 1) -> np.ndarray:
@@ -171,6 +172,19 @@ def dephasing(duration: float, t2: float, target: int = 0) -> KrausChannel:
     return relaxation_channels((duration,), RelaxationParams(math.inf, t2), target)
 
 
+@st.composite
+def relaxation_params(draw):
+    """Valid (T1, T2): either may be inf, and T2 <= 2 T1."""
+    t1 = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)))
+    t2 = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)) if math.isinf(t1) else st.floats(1e-3, 2.0 * t1))
+    return RelaxationParams(t1, t2)
+
+
+delay_grids = st.lists(
+    st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e3, allow_subnormal=False)), min_size=1, max_size=8
+)
+
+
 def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:
     """Random single-qubit Kraus set: blocks of a random isometry C^2 -> C^(2m)."""
     g = rng.normal(size=(2 * num_elements, 2)) + 1j * rng.normal(size=(2 * num_elements, 2))
@@ -187,17 +201,18 @@ def run_inputs(circuit: Circuit, inputs, pulse_model: MoleculeModel | None = Non
     return run_events(events, stack[None])[0]
 
 
-def process_map(run) -> ProcessMap:
-    """The process map of ``run`` on the ``(4, 2, 2)`` stack of the four canonical
-    inputs; ``run`` may add one leading axis of length one."""
-    (pm,) = map(ProcessMap, *reconstruct_process(run(_canonical_inputs())))
-    return pm
+def process_map(run) -> SweepRecord:
+    """The process of ``run`` on the ``(4, 2, 2)`` stack of the four canonical
+    inputs, as a record at delay 0 with its checked fidelity; ``run`` may add one
+    leading axis of length one."""
+    (transfer,), (chi,) = reconstruct_process(run(_canonical_inputs()))
+    return SweepRecord(0.0, float(_fidelities(transfer, chi)), transfer, chi)
 
 
-def channel_map(channel: KrausChannel) -> ProcessMap:
-    """The process map of one channel step, tomographed as a one-qubit circuit
-    on a grid of one delay."""
-    return tomograph(Circuit(1, (channel,)), (0.0,))[0].process_map
+def channel_map(channel: KrausChannel) -> SweepRecord:
+    """The process of one channel step, tomographed as a one-qubit circuit on a
+    grid of one delay."""
+    return tomograph(Circuit(1, (channel,)), (0.0,))[0]
 
 
 def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarray:

@@ -30,7 +30,6 @@ from nmrteleport.experiment import (
 )
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, SpinParams, compile_gate, tce_model
 from nmrteleport.qstate import CNOT, reduce_stack
-from nmrteleport.tomography import entanglement_fidelity
 from tests.helpers import (
     BELL_STATES,
     apply_elements,
@@ -96,9 +95,9 @@ def test_criterion_2_decoherence_immunity():
 
 
 def test_criterion_3_fidelity_calibration_triple():
-    fe_identity = entanglement_fidelity(process_map(lambda stack: stack))
-    fe_classical = entanglement_fidelity(channel_map(dephasing(math.inf, 0.3)))
-    fe_random = entanglement_fidelity(channel_map(depolarizing_channel(1.0)))
+    fe_identity = process_map(lambda stack: stack).fe
+    fe_classical = channel_map(dephasing(math.inf, 0.3)).fe
+    fe_random = channel_map(depolarizing_channel(1.0)).fe
     ok = (
         abs(fe_identity - 1.0) <= 1e-9
         and abs(fe_classical - 0.5) <= 1e-9
@@ -120,7 +119,7 @@ def test_criterion_4_tomography_matches_kraus_formula():
         elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
         direct = kraus_fe(elements)
         pm = process_map(lambda stack, elements=elements: apply_elements(stack, elements))
-        worst = max(worst, abs(entanglement_fidelity(pm) - direct))
+        worst = max(worst, abs(pm.fe - direct))
     elapsed = time.perf_counter() - start
     report(
         4,

@@ -18,9 +18,11 @@ from tests.helpers import (
     SPANNING_1Q,
     apply_elements,
     closed_form_decay,
+    delay_grids,
     dephasing,
     random_cptp_elements,
     random_density,
+    relaxation_params,
 )
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -175,19 +177,6 @@ def test_nan_fails_trace_preservation_and_timescale_checks():
         dephasing(0.3, math.nan)
     with pytest.raises(ValueError, match="t1 must be positive"):
         relaxation_channels((0.3,), RelaxationParams(math.nan, 0.3))
-
-
-@st.composite
-def relaxation_params(draw):
-    """Valid (T1, T2): either may be inf, and T2 <= 2 T1."""
-    t1 = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)))
-    t2 = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)) if math.isinf(t1) else st.floats(1e-3, 2.0 * t1))
-    return RelaxationParams(t1, t2)
-
-
-delay_grids = st.lists(
-    st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e3, allow_subnormal=False)), min_size=1, max_size=8
-)
 
 
 @settings(max_examples=40, deadline=None)

@@ -254,6 +254,10 @@ def test_gate_event_validation():
         Circuit(2, (KrausChannel((5,), (PAULI_X,)),))
     with pytest.raises(ValueError):
         Circuit(1, (dephasing(0.1, 0.3, target=4),))
+    with pytest.raises(ValueError, match="negative channel targets"):
+        Circuit(3, (KrausChannel((-1,), (HADAMARD,)),))  # not the last qubit
+    with pytest.raises(ValueError, match="negative channel targets"):
+        dephasing(0.1, 0.3, target=-2)
 
 
 def test_a_circuit_reads_out_a_qubit_of_its_register():

@@ -801,23 +801,53 @@ def _scaled(channel, factor):
 
 
 def test_a_violation_in_a_builtin_tomo_channel_names_its_input_and_step(tmp_path, monkeypatch):
-    # A step without a delay axis runs once for every delay; a relaxation step is built for its delay t.
+    # A process without a delay step names no delay; a relaxation step is built for its delay t.
     real_depolarizing, real_relaxation = cli.depolarizing_channel, cli.relaxation_channels
     monkeypatch.setattr(cli, "depolarizing_channel", lambda p: _scaled(real_depolarizing(p), 1.1))
     monkeypatch.setattr(cli, "relaxation_channels", lambda *args: _scaled(real_relaxation(*args), 1.1))
     violation = ", circuit step 0 (channel on qubits (0,)): trace deviates from 1 by 2.100e-01\n"
     for channel, delay in (
-        ("depolarizing(0.3)", "every delay"),
-        ("dephasing(0.2,0.3)", "delay 0.2 s"),
-        ("relaxation(0.5,5,3)", "delay 0.5 s"),
+        ("depolarizing(0.3)", ""),
+        ("dephasing(0.2,0.3)", "delay 0.2 s, "),
+        ("relaxation(0.5,5,3)", "delay 0.5 s, "),
     ):
         out = tmp_path / "violated"
         code, err = run_cli(["tomo", "--channel", channel, "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
         # Every input's trace is 1.21, up to rounding, which picks the worst input.
-        location = re.escape(f"numerical invariant violated: {delay}, tomography input ") + "[0-3]"
+        location = re.escape(f"numerical invariant violated: {delay}tomography input ") + "[0-3]"
         assert re.fullmatch(location + re.escape(violation), err), err
         assert not out.exists()
+
+
+def test_a_reconstruction_failure_in_a_tomo_channel_names_a_delay_only_if_it_has_one(tmp_path, monkeypatch):
+    # tr(R)/4 moves by 2.5e-7 past chi[0][0]; then the output of input 3 is no state.
+    def reconstruct(outputs):
+        transfer, chi = tomography.reconstruct_process(outputs)
+        transfer = transfer.copy()
+        transfer[0, 3, 3] += 1e-6
+        return transfer, chi
+
+    def reduced(stack, keep, real=experiment.reduce_stack):
+        outputs = real(stack, keep).copy()
+        outputs[0, 3] *= 1.5
+        return outputs
+
+    mismatch = r": fidelity mismatch: chi00=\S+ vs tr\(R\)/4=\S+\n"
+    not_a_state = re.escape(", process reconstruction: trace deviates from 1 by 5.000e-01\n")
+    for patched, where, violation in (
+        (("reconstruct_process", reconstruct), "process reconstruction", mismatch),
+        (("reduce_stack", reduced), "tomography input 3", not_a_state),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, *patched)
+            for channel, delay in (("identity", ""), ("depolarizing(0.3)", ""), ("dephasing(0.2,0.3)", "delay 0.2 s, ")):
+                out = tmp_path / "violated"
+                code, err = run_cli(["tomo", "--channel", channel, "--out", str(out)])
+                assert code == cli.EXIT_NUMERICAL
+                prefix = re.escape(f"numerical invariant violated: {delay}{where}")
+                assert re.fullmatch(prefix + violation, err), err
+                assert not out.exists()
 
 
 def test_config_active_couplings_reach_the_pulse_engine(tmp_path):

@@ -7,9 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmrteleport import circuits, cli, experiment, tomography
-from nmrteleport.channels import relaxation_channels
+from nmrteleport.channels import RelaxationParams, relaxation_channels
 from nmrteleport.circuits import ANCILLA, DATA, prepare, run_events
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
@@ -24,14 +26,16 @@ from nmrteleport.experiment import (
 )
 from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
-from nmrteleport.tomography import ProcessMap, _canonical_inputs, entanglement_fidelity, reconstruct_process
+from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_process
 from tests.helpers import (
     child_env,
+    delay_grids,
     kraus_fe,
     lstsq_profile,
     per_output_reconstruction,
     process_map,
     relaxation_fe,
+    relaxation_params,
     teleport_fe,
 )
 
@@ -52,7 +56,7 @@ def per_input_outputs(config: SweepConfig) -> list[list[DensityMatrix]]:
 
 
 def records_from_curve(times, values):
-    return [SweepRecord(t, v, IDENTITY_MAP) for t, v in zip(times, values)]
+    return [SweepRecord(t, v, IDENTITY_MAP.transfer_matrix, IDENTITY_MAP.chi_matrix) for t, v in zip(times, values)]
 
 
 def test_noiseless_teleport_sweep_is_flat_at_one():
@@ -68,14 +72,32 @@ def test_control_sweep_at_zero_delay_is_perfect():
     assert record.fe == pytest.approx(1.0, abs=1e-9)
 
 
-def test_control_sweep_matches_closed_form_oracle():
-    model = tce_model()
-    delays = tuple(np.linspace(0.1, 1.2, 12))
-    records = run_sweep(SweepConfig(delays, "control", model))
-    c2 = model.spins[model.index("C2")]
-    for record in records:
-        oracle = relaxation_fe(record.delay, c2.t1, c2.t2)
-        assert record.fe == pytest.approx(oracle, abs=1e-8)
+def relaxed_tce(relaxations) -> MoleculeModel:
+    """TCE with each spin's (C2, C1, H) T1 and T2 taken from ``relaxations``."""
+    base = tce_model()
+    spins = tuple(SpinParams(s.name, s.larmor_hz, r.t1, r.t2) for s, r in zip(base.spins, relaxations))
+    return MoleculeModel(spins, base.j_couplings, base.active_couplings)
+
+
+def tce_relaxations(c2=(25.0, 0.3), c1=(25.0, 0.4), h=(5.0, 3.0)) -> tuple[RelaxationParams, ...]:
+    """Per-spin (T1, T2) of TCE, with the ones given replaced."""
+    return tuple(RelaxationParams(*times) for times in (c2, c1, h))
+
+
+spin_relaxations = st.tuples(relaxation_params(), relaxation_params(), relaxation_params())
+sweep_grids = delay_grids.map(lambda delays: tuple(sorted(set(delays))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spin_relaxations, sweep_grids)
+@example(tce_relaxations(), tuple(np.linspace(0.1, 1.2, 12)))
+def test_control_sweep_matches_closed_form_oracle(relaxations, delays):
+    # The data spin rides out the delay alone: its process is its own T1/T2 relaxation.
+    model = relaxed_tce(relaxations)
+    expected = [relaxation_fe(d, relaxations[DATA].t1, relaxations[DATA].t2) for d in delays]
+    for engine in ("gate", "pulse"):
+        fe = [r.fe for r in run_sweep(SweepConfig(delays, "control", model, engine))]
+        assert np.max(np.abs(np.array(fe) - expected)) <= 1e-12
 
 
 def test_control_fit_recovers_carbon_t2():
@@ -304,8 +326,8 @@ def test_sweeps_are_deterministic():
     second = run_sweep(config)
     for a, b in zip(first, second):
         assert a.fe == b.fe
-        assert np.array_equal(a.process_map.transfer_matrix, b.process_map.transfer_matrix)
-        assert np.array_equal(a.process_map.chi_matrix, b.process_map.chi_matrix)
+        assert np.array_equal(a.transfer_matrix, b.transfer_matrix)
+        assert np.array_equal(a.chi_matrix, b.chi_matrix)
 
 
 def test_fidelity_never_increases_with_delay():
@@ -348,31 +370,23 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig((0.0, 0.1), "teleport", model, engine="analog")
     with pytest.raises(ValueError):
-        SweepRecord(0.1, 1.5, IDENTITY_MAP)
+        SweepRecord(0.1, 1.5, IDENTITY_MAP.transfer_matrix, IDENTITY_MAP.chi_matrix)
 
 
-def _carbon_model(t1_data: float, t2_data: float, t1_ancilla: float, t2_ancilla: float) -> MoleculeModel:
-    base = tce_model()
-    c2, c1, h = base.spins
-    spins = (SpinParams(c2.name, c2.larmor_hz, t1_data, t2_data), SpinParams(c1.name, c1.larmor_hz, t1_ancilla, t2_ancilla), h)
-    return MoleculeModel(spins, base.j_couplings, base.active_couplings)
-
-
-def test_teleport_sweep_matches_closed_form_curve():
-    # Carbon T2 must not matter (0.01 s against 40 s), carbon T1 does, per spin.
-    models = (
-        tce_model(),
-        _carbon_model(4.0, 0.3, 40.0, 0.4),
-        _carbon_model(25.0, 0.01, 25.0, 0.01),
-        _carbon_model(25.0, 40.0, 25.0, 40.0),
-    )
-    delays = DEFAULT_DELAYS + (math.inf,)
-    for model in models:
-        c2, c1, h = model.spins
-        expected = [teleport_fe(d, c2.t1, c1.t1, h.t1, h.t2) for d in delays]
-        for engine in ("gate", "pulse"):
-            fe = [r.fe for r in run_sweep(SweepConfig(delays, "teleport", model, engine))]
-            assert np.max(np.abs(np.array(fe) - expected)) <= 1e-12
+@settings(max_examples=100, deadline=None)
+@given(spin_relaxations, sweep_grids)
+# Carbon T2 must not matter (0.01 s against 40 s), carbon T1 does, per spin.
+@example(tce_relaxations(), DEFAULT_DELAYS + (math.inf,))
+@example(tce_relaxations(c2=(4.0, 0.3), c1=(40.0, 0.4)), DEFAULT_DELAYS + (math.inf,))
+@example(tce_relaxations(c2=(25.0, 0.01), c1=(25.0, 0.01)), DEFAULT_DELAYS + (math.inf,))
+@example(tce_relaxations(c2=(25.0, 40.0), c1=(25.0, 40.0)), DEFAULT_DELAYS + (math.inf,))
+def test_teleport_sweep_matches_closed_form_curve(relaxations, delays):
+    model = relaxed_tce(relaxations)
+    c2, c1, h = relaxations
+    expected = [teleport_fe(d, c2.t1, c1.t1, h.t1, h.t2) for d in delays]
+    for engine in ("gate", "pulse"):
+        fe = [r.fe for r in run_sweep(SweepConfig(delays, "teleport", model, engine))]
+        assert np.max(np.abs(np.array(fe) - expected)) <= 1e-12
 
 
 def test_decay_fit_validation():
@@ -401,16 +415,16 @@ def test_hoisted_sweep_matches_per_delay_tomography():
         for kind in ("teleport", "control"):
             config = SweepConfig(delays, kind, model, engine, rotation_error)
             for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
-                (expected,) = map(ProcessMap, *reconstruct_process(np.stack([out.matrix for out in outputs])))
-                got = record.process_map
+                (transfer,), (chi,) = reconstruct_process(np.stack([out.matrix for out in outputs]))
+                fe = float(_fidelities(transfer, chi))
                 if engine == "gate":
-                    assert np.array_equal(got.transfer_matrix, expected.transfer_matrix)
-                    assert np.array_equal(got.chi_matrix, expected.chi_matrix)
-                    assert record.fe == entanglement_fidelity(expected)
+                    assert np.array_equal(record.transfer_matrix, transfer)
+                    assert np.array_equal(record.chi_matrix, chi)
+                    assert record.fe == fe
                 else:
-                    assert np.max(np.abs(got.transfer_matrix - expected.transfer_matrix)) < 1e-12
-                    assert np.max(np.abs(got.chi_matrix - expected.chi_matrix)) < 1e-12
-                    assert abs(record.fe - entanglement_fidelity(expected)) < 1e-12
+                    assert np.max(np.abs(record.transfer_matrix - transfer)) < 1e-12
+                    assert np.max(np.abs(record.chi_matrix - chi)) < 1e-12
+                    assert abs(record.fe - fe) < 1e-12
 
 
 def test_sweep_validates_every_intermediate_state(monkeypatch, uncached_delay_noise):
@@ -449,13 +463,12 @@ def test_sweep_reconstruction_matches_per_output_oracle():
             config = SweepConfig(delays, kind, model, engine, rotation_error)
             for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
                 transfer, chi = per_output_reconstruction(outputs)
-                got = record.process_map
                 if engine == "gate":
-                    assert np.array_equal(got.transfer_matrix, transfer)
-                    assert np.array_equal(got.chi_matrix, chi)
+                    assert np.array_equal(record.transfer_matrix, transfer)
+                    assert np.array_equal(record.chi_matrix, chi)
                 else:
-                    assert np.max(np.abs(got.transfer_matrix - transfer)) <= 1e-15
-                    assert np.max(np.abs(got.chi_matrix - chi)) <= 1e-15
+                    assert np.max(np.abs(record.transfer_matrix - transfer)) <= 1e-15
+                    assert np.max(np.abs(record.chi_matrix - chi)) <= 1e-15
 
 
 def _corrupt_last_delay(monkeypatch, delays, factor):
@@ -544,8 +557,8 @@ def test_a_sweep_of_three_blocks_equals_its_one_delay_sweeps():
         for record in records:
             (alone,) = run_sweep(SweepConfig((record.delay,), "teleport", model, engine))
             assert record.fe == alone.fe
-            assert np.array_equal(record.process_map.transfer_matrix, alone.process_map.transfer_matrix)
-            assert np.array_equal(record.process_map.chi_matrix, alone.process_map.chi_matrix)
+            assert np.array_equal(record.transfer_matrix, alone.transfer_matrix)
+            assert np.array_equal(record.chi_matrix, alone.chi_matrix)
 
 
 def test_a_violation_in_the_prefix_names_every_delay(monkeypatch):

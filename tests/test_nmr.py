@@ -158,6 +158,10 @@ def test_unsupported_two_spin_gate_rejected():
             compile_gate(KrausChannel((0, 1), (gate,)), model)
     with pytest.raises(UnsupportedGateError):
         compile_gate(KrausChannel((0, 1, 2), (np.eye(8),)), model)
+    # A target beyond the molecule's three spins is named, not indexed.
+    for gate in (KrausChannel((5,), (HADAMARD,)), KrausChannel((1, 3), (CNOT,))):
+        with pytest.raises(UnsupportedGateError, match=r"gate targets \[\d\] are not spins of the 3-spin molecule"):
+            compile_gate(gate, model)
 
 
 def test_simulate_empty_schedule_is_identity():

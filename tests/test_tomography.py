@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from nmrteleport import tomography
 from nmrteleport.channels import depolarizing_channel
 from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
+from nmrteleport.experiment import SweepRecord
 from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, validate_density
 from nmrteleport.tomography import (
     BLOCH_EXCESS_TOL,
-    ProcessMap,
     _bloch_matrices,
     _canonical_inputs,
     _check_process,
+    _fidelities,
     _transfer_from_chi,
     _transfer_matrices,
-    entanglement_fidelity,
     reconstruct_process,
     state_tomography,
 )
@@ -34,7 +34,7 @@ from tests.helpers import (
 )
 
 
-def kraus_map(elements) -> ProcessMap:
+def kraus_map(elements) -> SweepRecord:
     return process_map(lambda stack: apply_elements(stack, elements))
 
 
@@ -64,20 +64,20 @@ def test_identity_process_map():
     pm = IDENTITY_MAP
     assert np.allclose(pm.transfer_matrix, np.eye(4), atol=1e-10)
     assert np.allclose(pm.chi_matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-10)
-    assert entanglement_fidelity(pm) == pytest.approx(1.0, abs=1e-9)
+    assert pm.fe == pytest.approx(1.0, abs=1e-9)
 
 
 def test_complete_dephasing_process_map():
     pm = channel_map(dephasing(math.inf, 1.0))
     assert np.allclose(pm.transfer_matrix, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-10)
     assert np.allclose(pm.chi_matrix, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-10)
-    assert entanglement_fidelity(pm) == pytest.approx(0.5, abs=1e-9)
+    assert pm.fe == pytest.approx(0.5, abs=1e-9)
 
 
 def test_total_depolarizing_process_map():
     pm = channel_map(depolarizing_channel(1.0))
     assert np.allclose(pm.transfer_matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-10)
-    assert entanglement_fidelity(pm) == pytest.approx(0.25, abs=1e-9)
+    assert pm.fe == pytest.approx(0.25, abs=1e-9)
 
 
 def test_fe_from_kraus_anchors():
@@ -118,14 +118,14 @@ def test_tomography_agrees_with_kraus_formula_randomized():
     for _ in range(25):
         elements = random_cptp_elements(rng, int(rng.integers(1, 5)))
         direct = kraus_fe(elements)
-        via_tomography = entanglement_fidelity(kraus_map(elements))
+        via_tomography = kraus_map(elements).fe
         assert via_tomography == pytest.approx(direct, abs=1e-8)
 
 
 def test_bare_pauli_processes_have_zero_fidelity():
     for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
         pm = kraus_map([pauli])
-        assert entanglement_fidelity(pm) == pytest.approx(0.0, abs=1e-9)
+        assert pm.fe == pytest.approx(0.0, abs=1e-9)
     pm_x = kraus_map([PAULI_X])
     assert np.allclose(pm_x.transfer_matrix, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-10)
 
@@ -139,7 +139,7 @@ def test_unitary_followed_by_inverse_is_perfect():
         out = q @ stack @ q.conj().T
         return q.conj().T @ out @ q
 
-    assert entanglement_fidelity(process_map(corrected)) == pytest.approx(1.0, abs=1e-9)
+    assert process_map(corrected).fe == pytest.approx(1.0, abs=1e-9)
 
 
 def test_trace_over_four_equals_chi00():
@@ -220,13 +220,13 @@ def random_outputs(rng, shape):
 def test_vectorized_reconstruction_matches_per_output_oracle():
     rng = np.random.default_rng(79)
     outputs = random_outputs(rng, (2, 3))
-    maps = list(map(ProcessMap, *reconstruct_process(outputs)))
-    assert len(maps) == 6
-    for pm, member in zip(maps, outputs.reshape(-1, 4, 2, 2)):
+    transfers, chis = reconstruct_process(outputs)
+    assert len(transfers) == len(chis) == 6
+    for got_transfer, got_chi, member in zip(transfers, chis, outputs.reshape(-1, 4, 2, 2)):
         transfer, chi = per_output_reconstruction([DensityMatrix(1, m) for m in member])
-        assert np.max(np.abs(pm.transfer_matrix - transfer)) <= 1e-15
-        assert np.max(np.abs(pm.chi_matrix - chi)) <= 1e-15
-        assert not pm.transfer_matrix.flags.writeable and not pm.chi_matrix.flags.writeable
+        assert np.max(np.abs(got_transfer - transfer)) <= 1e-15
+        assert np.max(np.abs(got_chi - chi)) <= 1e-15
+        assert not got_transfer.flags.writeable and not got_chi.flags.writeable
 
 
 def test_batched_reconstruction_checks_every_member():
@@ -275,7 +275,7 @@ def test_nan_fails_process_map_and_fidelity_checks():
     with pytest.raises(NumericalInvariantError):
         _check_process(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
     with pytest.raises(NumericalInvariantError):
-        entanglement_fidelity(ProcessMap(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix))
+        _fidelities(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix)
     with pytest.raises(UnphysicalBlochError):
         state_tomography(np.nan, 0.0, 0.0)
 
