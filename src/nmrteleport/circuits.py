@@ -8,9 +8,10 @@ Every step of a circuit is a :class:`~nmrteleport.channels.KrausChannel`: a
 gate is the one-element channel of its unitary, ``KrausChannel(targets,
 (U,))``, so one trace-preservation rule checks gates and noise alike, and
 one executor, :func:`run_events`, runs them.  A circuit also names its
-readout qubit: the target for teleportation, the data qubit for the control.
-Its delay-independent prefix is not stored: it is the steps before the first
-whose elements carry a leading delay axis.
+readout qubit: the target for teleportation, the data qubit for the control,
+and the delay grid its delay steps cover.  Its delay-independent prefix is
+not stored: it is the steps before the first whose elements carry a leading
+delay axis.
 
 The measurement of the data/ancilla pair is never sampled.  Dephasing during
 the decoherence delay diagonalizes those qubits in the computational basis,
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,22 +48,48 @@ if TYPE_CHECKING:
 DATA, ANCILLA, TARGET = 0, 1, 2
 
 
+def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
+    """The delay grid as a tuple of floats, checked: nonempty, strictly increasing and
+    nonnegative (``inf`` is allowed, NaN is not).  Raises ``ValueError``."""
+    delays = tuple(float(d) for d in delays)
+    if not delays:
+        raise ValueError("need at least one delay")
+    if any(not d >= 0.0 for d in delays):
+        raise ValueError(f"delays must be nonnegative seconds or inf, got {delays}")
+    if any(not b > a for a, b in zip(delays, delays[1:])):
+        raise ValueError(f"delays must be strictly increasing, got {delays}")
+    return delays
+
+
+def _has_delay_axis(step: KrausChannel) -> bool:
+    """Whether the step's elements carry a leading axis over the delay grid."""
+    return step.elements[0].ndim > 2
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered steps on a fixed-size register, read out on qubit ``readout``."""
+    """Ordered steps on a fixed-size register, read out on qubit ``readout``, covering
+    every delay of the grid ``delays`` at once, for a stack whose leading axis runs over
+    the grid: a step whose elements carry leading axes has exactly one, the grid's length."""
 
     num_qubits: int
     events: tuple[KrausChannel, ...]
     readout: int = DATA
+    delays: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
+        delays = validate_delays(self.delays)
         for ev in self.events:
             bad = [t for t in ev.targets if t >= self.num_qubits]
             if bad:
                 raise ValueError(f"event targets {bad} exceed register size {self.num_qubits}")
+            axes = ev.elements[0].shape[:-2]
+            if _has_delay_axis(ev) and axes != (len(delays),):
+                raise ValueError(f"event elements have batch axes {axes}, not one axis of the grid's {len(delays)} delays")
         if not 0 <= self.readout < self.num_qubits:
             raise ValueError(f"readout qubit {self.readout} outside register size {self.num_qubits}")
         object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "delays", delays)
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +191,9 @@ def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     The delay doubles as the measurement: carbon dephasing diagonalizes the
     data/ancilla pair in the computational basis, after which the controlled
     correction restores the input on the target.  At a delay of ``inf`` the
-    dephasing equals the exact computational-basis projection.  The circuit
-    covers every delay of the grid at once, for a stack whose leading axis
-    runs over the grid.
+    dephasing equals the exact computational-basis projection.
     """
-    return Circuit(3, (*_teleport_prefix(), *_delay_noise(delays, model), _controlled_correction()), TARGET)
+    return Circuit(3, (*_teleport_prefix(), *_delay_noise(delays, model), _controlled_correction()), TARGET, delays)
 
 
 def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
@@ -176,9 +201,8 @@ def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
 
     No Bell rotation and no conditional correction; the input state simply
     rides out the delay on the data spin, which is where readout happens.
-    The delay grid is handled as in :func:`teleport_circuit`.
     """
-    return Circuit(3, (*entangle_gate(ANCILLA, TARGET), *_delay_noise(delays, model)), DATA)
+    return Circuit(3, (*entangle_gate(ANCILLA, TARGET), *_delay_noise(delays, model)), DATA, delays)
 
 
 def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -198,7 +222,7 @@ def run_events(events: Sequence[KrausChannel], stack: np.ndarray, delays: slice 
     failing step's position in ``events`` and its step."""
     for step, ev in enumerate(events):
         try:
-            elements = [a[delays] if a.ndim > 2 else a for a in ev.elements]
+            elements = [a[delays] for a in ev.elements] if _has_delay_axis(ev) else ev.elements
             stack = validate_density(evolve(stack, elements, ev.targets))
         except NumericalInvariantError as exc:
             exc.step, exc.event = step, ev

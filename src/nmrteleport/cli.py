@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .channels import RelaxationParams, depolarizing_channel, relaxation_channels
-from .circuits import Circuit
+from .circuits import Circuit, validate_delays
 from .errors import ConfigError, NumericalInvariantError, RfAngleError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,
@@ -40,7 +40,6 @@ from .experiment import (
     fit_decay,
     run_sweep,
     tomograph,
-    validate_delays,
 )
 from .nmr import MoleculeModel, SpinParams, tce_model
 
@@ -313,13 +312,13 @@ def cmd_compare(cfg: RunConfig) -> dict[str, list[str]]:
 
 _CHANNEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
-# name -> (parameter names, the one-delay grid and the steps it builds on one
-# qubit); a circuit has neither here: it runs as a sweep of one delay.
+# name -> (parameter names, the one-qubit circuit it builds on a grid of one
+# delay); a circuit has none here: it runs as a sweep of one delay.
 _CHANNELS = {
-    "identity": ((), lambda: ((0.0,), ())),
-    "dephasing": (("t", "t2"), lambda t, t2: ((t,), (relaxation_channels((t,), RelaxationParams(math.inf, t2)),))),
-    "depolarizing": (("p",), lambda p: ((0.0,), (depolarizing_channel(p),))),
-    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: ((t,), (relaxation_channels((t,), RelaxationParams(t1, t2)),))),
+    "identity": ((), lambda: Circuit(1, ())),
+    "dephasing": (("t", "t2"), lambda t, t2: Circuit(1, (relaxation_channels((t,), RelaxationParams(math.inf, t2)),), delays=(t,))),
+    "depolarizing": (("p",), lambda p: Circuit(1, (depolarizing_channel(p),))),
+    "relaxation": (("t", "t1", "t2"), lambda t, t1, t2: Circuit(1, (relaxation_channels((t,), RelaxationParams(t1, t2)),), delays=(t,))),
     "teleport": (("delay",), None),
     "control": (("delay",), None),
 }
@@ -328,7 +327,7 @@ _SIGNATURES = [name + (f"({','.join(params)})" if params else "") for name, (par
 
 def _channel_process(cfg: RunConfig) -> SweepRecord:
     """The named channel's process, tomographed on a grid of one delay: a circuit
-    runs as a sweep, a built-in channel as a one-qubit circuit of its steps."""
+    runs as a sweep, a built-in channel as its one-qubit circuit."""
     match = _CHANNEL_RE.match(cfg.channel or "")
     if not match:
         raise ConfigError(f"cannot parse channel {cfg.channel!r}")
@@ -346,10 +345,10 @@ def _channel_process(cfg: RunConfig) -> SweepRecord:
         if build is None:
             sweep = SweepConfig(tuple(args), name, cfg.model, cfg.engine, cfg.rotation_error)
         else:
-            delays, steps = build(*args)
+            circuit = build(*args)
     if build is None:
         return _records(sweep)[0]
-    return tomograph(Circuit(1, steps), delays)[0]
+    return tomograph(circuit)[0]
 
 
 def cmd_tomo(cfg: RunConfig) -> dict[str, list[str]]:

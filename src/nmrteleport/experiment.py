@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, control_circuit, prepare, run_events, teleport_circuit
+from .circuits import Circuit, _has_delay_axis, control_circuit, prepare, run_events, teleport_circuit, validate_delays
 from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
@@ -43,22 +43,6 @@ _AMPLITUDE_FLOOR = 1e-8
 MIN_TAU_RATIO = 3.0  # teleport outlasts control when its tau is more than this many times longer
 _EPS = float(np.finfo(float).eps)
 _DELAY_BLOCK = 256
-
-
-def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
-    """The delay grid as a tuple of floats, checked.
-
-    The grid must be nonempty and strictly increasing, and every delay
-    nonnegative: ``inf`` is allowed, NaN is not.  Raises ``ValueError``.
-    """
-    delays = tuple(float(d) for d in delays)
-    if not delays:
-        raise ValueError("need at least one delay")
-    if any(not d >= 0.0 for d in delays):
-        raise ValueError(f"delays must be nonnegative seconds or inf, got {delays}")
-    if any(not b > a for a, b in zip(delays, delays[1:])):
-        raise ValueError(f"delays must be strictly increasing, got {delays}")
-    return delays
 
 
 @dataclass(frozen=True)
@@ -122,16 +106,16 @@ class DecayFit:
             raise ValueError(f"residual norm must be nonnegative, got {self.residual_norm}")
 
 
-def tomograph(circuit: Circuit, delays: Sequence[float]) -> list[SweepRecord]:
+def tomograph(circuit: Circuit) -> list[SweepRecord]:
     """The process from qubit 0 (the four canonical inputs, every other qubit in |0>)
-    to ``circuit.readout`` at every delay of the circuit's grid, labelled by ``delays``,
-    one :class:`SweepRecord` per delay: the prefix once, then blocks of at most 256
+    to ``circuit.readout`` at every delay of ``circuit.delays``, one
+    :class:`SweepRecord` per delay: the prefix once, then blocks of at most 256
     delays, each one ``(block, 4, d, d)`` stack with one reconstruction and one check
     of chi[0][0] against tr(R)/4.  A violated invariant is reported with the delay,
     tomography input and circuit step (or reconstruction) where it happened; a
     circuit with no delay step names no delay."""
-    events = circuit.events
-    start = next((i for i, ev in enumerate(events) if ev.elements[0].ndim > 2), len(events))
+    events, delays = circuit.events, circuit.delays
+    start = next((i for i, ev in enumerate(events) if _has_delay_axis(ev)), len(events))
     records, lo = [], 0
     try:
         prefix = run_events(events[:start], _register_inputs(circuit.num_qubits))
@@ -159,9 +143,8 @@ def _register_inputs(num_qubits: int) -> np.ndarray:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """:func:`tomograph` of the configured circuit over its delay grid; a violated
     invariant is reported with the experiment and the engine in front."""
-    circuit = config.circuit()
     try:
-        return tomograph(circuit, config.delays)
+        return tomograph(config.circuit())
     except NumericalInvariantError as exc:
         raise NumericalInvariantError(f"{config.experiment} sweep, {config.engine} engine, {exc}") from exc
 
@@ -199,7 +182,8 @@ def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.
     [[e.e, N*mean(e)], [N*mean(e), N]], and sigma_min*sigma_max the square
     root of its determinant N*(d.d)."""
     n = times.size
-    decay = np.exp(-times / tau)
+    with np.errstate(over="ignore"):  # a huge delay's -t/tau overflows to -inf: the decay of an inf delay, 0
+        decay = np.exp(-times / tau)
     mean_decay, mean_value = decay.sum() / n, values.sum() / n
     centered, centered_values = decay - mean_decay, values - mean_value
     spread = centered @ centered
@@ -260,7 +244,8 @@ def _slope_root(
 
 
 def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit:
-    """Deterministic least-squares fit of A*exp(-t/tau) + C.
+    """Deterministic least-squares fit of A*exp(-t/tau) + C to finite values at
+    four or more times, each nonnegative or ``inf``; raises ``ValueError`` otherwise.
 
     tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds)
     and refined to the root of the profile's slope dS/dtau in
@@ -278,6 +263,9 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape:
         raise ValueError("times and values must be matching 1-d sequences")
+    if not ((times >= 0.0).all() and np.isfinite(values).all()):
+        bad = [(t, v) for t, v in zip(times.tolist(), values.tolist()) if not (t >= 0.0 and math.isfinite(v))]
+        raise ValueError(f"times must be nonnegative or inf and values finite, got (time, value) pairs {bad}")
     if times.size < 4:
         raise ValueError("need at least four points to fit a three-parameter decay")
     residuals = [_profile_fit(times, values, tau)[1] for tau in _TAU_GRID]

@@ -212,7 +212,7 @@ def process_map(run) -> SweepRecord:
 def channel_map(channel: KrausChannel) -> SweepRecord:
     """The process of one channel step, tomographed as a one-qubit circuit on a
     grid of one delay."""
-    return tomograph(Circuit(1, (channel,)), (0.0,))[0]
+    return tomograph(Circuit(1, (channel,)))[0]
 
 
 def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarray:

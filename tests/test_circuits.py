@@ -16,7 +16,7 @@ from nmrteleport.circuits import (
     run_events,
     teleport_circuit,
 )
-from nmrteleport.channels import KrausChannel
+from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_channels
 from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import (
     CNOT,
@@ -268,6 +268,39 @@ def test_a_circuit_reads_out_a_qubit_of_its_register():
     for readout in (-1, 3):
         with pytest.raises(ValueError, match="readout qubit"):
             Circuit(3, (), readout)
+
+
+def test_a_circuit_covers_the_grid_its_delay_steps_cover():
+    two = relaxation_channels((0.1, 0.2), RelaxationParams(25.0, 0.3))
+    three = relaxation_channels((0.1, 0.2, 0.3), RelaxationParams(25.0, 0.3))
+    assert Circuit(1, (two,), delays=(0.1, 0.2)).delays == (0.1, 0.2)
+    for delays in ((0.1,), (0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match=rf"batch axes \(2,\), not one axis of the grid's {len(delays)} delays"):
+            Circuit(1, (two,), delays=delays)
+    for delays in ((0.1, 0.2), (0.1, 0.2, 0.3)):  # a mix of grids fits neither
+        with pytest.raises(ValueError, match="batch axes"):
+            Circuit(1, (two, three), delays=delays)
+    nested = KrausChannel((0,), tuple(a[:, None] for a in two.elements))  # two leading axes, (2, 1)
+    with pytest.raises(ValueError, match=r"batch axes \(2, 1\), not one axis of the grid's 2 delays"):
+        Circuit(1, (nested,), delays=(0.1, 0.2))
+
+
+@pytest.mark.parametrize(
+    "delays, message",
+    [((), "need at least one delay"), ((math.nan,), "nonnegative seconds or inf"), ((0.2, 0.1), "strictly increasing")],
+    ids=["empty", "nan", "decreasing"],
+)
+def test_a_circuit_checks_its_grid(delays, message):
+    with pytest.raises(ValueError, match=message):
+        Circuit(1, (), delays=delays)
+
+
+def test_a_built_circuit_carries_the_grid_it_was_built_for():
+    model = tce_model()
+    assert Circuit(1, ()).delays == (0.0,)
+    for delays in ((0.1,), (0.0, 0.4, math.inf)):
+        assert teleport_circuit(delays, model).delays == delays
+        assert control_circuit(delays, model).delays == delays
 
 
 def test_teleport_output_satisfies_state_invariants():

@@ -23,6 +23,7 @@ from nmrteleport.experiment import (
     fit_decay,
     fit_exponential,
     run_sweep,
+    tomograph,
 )
 from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_density
@@ -268,16 +269,36 @@ def test_fit_reports_a_nan_slope_as_non_convergence(monkeypatch, first_nan):
 
 @pytest.mark.parametrize("engine", ["gate", "pulse"])
 def test_compare_with_an_infinite_delay_fits_without_warnings(tmp_path, engine):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(["compare", "--engine", engine, "--delays", "0,0.3,0.6,0.9,inf", "--out", str(tmp_path)]) == 0
-    assert caught == []
-    assert (tmp_path / "summary.txt").read_text().count("tau_identifiable = ") == 2
+    # 1e308 / tau overflows to the decay of an inf delay.
+    for delays in ("0,0.3,0.6,0.9,inf", "0,0.3,0.6,0.9,1e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["compare", "--engine", engine, "--delays", delays, "--out", str(tmp_path)]) == 0
+        assert caught == []
+        assert (tmp_path / "summary.txt").read_text().count("tau_identifiable = ") == 2
 
 
 def test_fit_requires_four_points():
     with pytest.raises(ValueError):
         fit_exponential([0.0, 0.1, 0.2], [1.0, 0.9, 0.8])
+
+
+@pytest.mark.parametrize(
+    "times, values, bad",
+    [
+        ((0.0, 0.3, 0.6, 0.9), (1.0, math.nan, 0.5, 0.4), (0.3, math.nan)),
+        ((0.0, 0.3, 0.6, 0.9), (1.0, 0.8, math.inf, 0.4), (0.6, math.inf)),
+        ((0.0, 0.3, 0.6, 0.9), (1.0, 0.8, 0.5, -math.inf), (0.9, -math.inf)),
+        ((0.0, math.nan, 0.6, 0.9), (1.0, 0.8, 0.5, 0.4), (math.nan, 0.8)),
+        ((-math.inf, 0.3, 0.6, 0.9), (1.0, 0.8, 0.5, 0.4), (-math.inf, 1.0)),
+        ((-1000.0, 0.3, 0.6, 0.9), (1.0, 0.8, 0.5, 0.4), (-1000.0, 1.0)),
+    ],
+    ids=["nan value", "inf value", "-inf value", "nan time", "-inf time", "negative time"],
+)
+def test_fit_rejects_a_non_finite_value_or_a_time_that_is_not_a_delay(times, values, bad):
+    # At the parent these ended in DecayFit's "residual norm must be nonnegative, got nan".
+    with pytest.raises(ValueError, match=re.escape(f"got (time, value) pairs [{bad}]")):
+        fit_exponential(times, values)
 
 
 def test_compare_curves_tce_parameters():
@@ -425,6 +446,21 @@ def test_hoisted_sweep_matches_per_delay_tomography():
                     assert np.max(np.abs(record.transfer_matrix - transfer)) < 1e-12
                     assert np.max(np.abs(record.chi_matrix - chi)) < 1e-12
                     assert abs(record.fe - fe) < 1e-12
+
+
+def test_tomograph_labels_its_records_with_the_circuit_grid():
+    model = tce_model()
+    delays = (0.0, 0.15, 0.7, math.inf)
+    for build in (circuits.teleport_circuit, circuits.control_circuit):
+        records = tomograph(build(delays, model))
+        assert [r.delay for r in records] == list(delays)
+        for record, delay in zip(records, delays):
+            (alone,) = tomograph(build((delay,), model))
+            assert (alone.delay, alone.fe) == (delay, record.fe)
+            assert np.array_equal(alone.chi_matrix, record.chi_matrix)
+    # With no delay step, the circuit is the same process at every delay of its grid.
+    records = tomograph(circuits.Circuit(1, (), delays=(0.1, 0.2)))
+    assert [(r.delay, r.fe) for r in records] == [(0.1, 1.0), (0.2, 1.0)]
 
 
 def test_sweep_validates_every_intermediate_state(monkeypatch, uncached_delay_noise):
