@@ -3,19 +3,30 @@
 Usage::
 
     python3 scripts/compare_cli_outputs.py OLD_TREE NEW_TREE [WORK_DIR]
+        [--old-env KEY=VALUE ...] [--new-env KEY=VALUE ...]
 
 Each tree is a checkout whose ``src/`` holds the package.  Every case runs
 ``python -m nmrteleport`` in a fresh directory with ``PYTHONPATH=<tree>/src``
-and writes into the relative directory ``out``; a case with a config file
-first writes it as ``config.yaml`` in that directory and passes ``--config
-config.yaml``.  Exit code, stdout, stderr and every output file must match
-byte for byte.  Prints one line per differing
-case and exits 1 if there is any.  Outputs go to WORK_DIR if given (it must
-not hold earlier results), else to a temporary directory removed afterwards.
+and ``PATH=/usr/bin:/bin`` as its whole environment, and writes into the
+relative directory ``out``; a case with a config file first writes it as
+``config.yaml`` in that directory and passes ``--config config.yaml``.  Exit
+code, stdout, stderr and every output file must match byte for byte.  Prints
+one line per differing case, naming what differs, and exits 1 if there is
+any.  Outputs go to WORK_DIR if given (it must not hold earlier results),
+else to a temporary directory removed afterwards.
+
+``--old-env`` and ``--new-env`` (each repeatable) add a variable to the
+environment of the old or the new tree's runs only.  Given the same tree
+twice, they compare the program with itself under two settings, e.g. two
+OpenBLAS kernels::
+
+    python3 scripts/compare_cli_outputs.py . . \
+        --old-env OPENBLAS_CORETYPE=Sandybridge --new-env OPENBLAS_CORETYPE=Haswell
 """
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 import tempfile
@@ -94,12 +105,14 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
     return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf
 
 
-def run(tree: Path, args: list[str], config: str | bytes | None, work: Path) -> dict[str, bytes]:
+def run(
+    tree: Path, args: list[str], config: str | bytes | None, work: Path, extra_env: dict[str, str]
+) -> dict[str, bytes]:
     work.mkdir(parents=True)
     if config is not None:
         (work / "config.yaml").write_bytes(config.encode() if isinstance(config, str) else config)
         args = [*args, "--config", "config.yaml"]
-    env = {"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin"}
+    env = {"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin", **extra_env}
     command = [sys.executable, "-m", "nmrteleport", *args, "--out", "out"]
     proc = subprocess.run(command, cwd=work, env=env, capture_output=True)
     produced = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
@@ -108,13 +121,30 @@ def run(tree: Path, args: list[str], config: str | bytes | None, work: Path) -> 
     return produced
 
 
+def assignment(text: str) -> tuple[str, str]:
+    """``KEY=VALUE`` as a pair; the key must not be empty."""
+    key, equals, value = text.partition("=")
+    if not key or not equals:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
 def main(argv: list[str]) -> int:
-    old, new = Path(argv[1]).resolve(), Path(argv[2]).resolve()
+    parser = argparse.ArgumentParser(description="Diff the CLI outputs of two source trees.")
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("work", type=Path, nargs="?")
+    parser.add_argument("--old-env", type=assignment, action="append", default=[], metavar="KEY=VALUE")
+    parser.add_argument("--new-env", type=assignment, action="append", default=[], metavar="KEY=VALUE")
+    opts = parser.parse_args(argv[1:])
+    old, new = opts.old.resolve(), opts.new.resolve()
+    old_env, new_env = dict(opts.old_env), dict(opts.new_env)
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(argv[3]) if len(argv) > 3 else Path(tmp)
+        root = opts.work or Path(tmp)
         for i, (args, config) in enumerate(cases()):
-            a, b = run(old, args, config, root / f"{i}-old"), run(new, args, config, root / f"{i}-new")
+            a = run(old, args, config, root / f"{i}-old", old_env)
+            b = run(new, args, config, root / f"{i}-new", new_env)
             if a != b:
                 differing += 1
                 keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))

@@ -120,7 +120,7 @@ def relaxation_channels(
     k0 = np.sqrt((1.0 + extra) / 2.0)[:, None, None]
     k1 = np.sqrt((1.0 - extra) / 2.0)[:, None, None]
     dephasing = np.stack((k0 * IDENTITY_2, k1 * PAULI_Z), axis=1)  # scales off-diagonals by extra
-    products = dephasing[:, :, None] @ damping[:, None]
+    products = np.einsum("dzij,dajk->dzaik", dephasing, damping)
     return KrausChannel((target,), np.swapaxes(products.reshape(-1, 4, 2, 2), 0, 1))
 
 

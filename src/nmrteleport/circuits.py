@@ -131,7 +131,7 @@ def correction_table() -> Mapping[str, np.ndarray]:
     """
     pre = np.eye(8, dtype=complex)
     for step in _teleport_prefix():
-        pre = lift_operator(step.elements[0], step.targets, 3) @ pre
+        pre = np.einsum("ij,jk->ik", lift_operator(step.elements[0], step.targets, 3), pre)
     table = {}
     for b0 in (0, 1):
         for b1 in (0, 1):
@@ -143,7 +143,7 @@ def correction_table() -> Mapping[str, np.ndarray]:
                     # residual unitary.
                     residual[t, s] = 2.0 * pre[(b0 << 2) | (b1 << 1) | t, s << 2]
             correction = residual.conj().T.copy()
-            if not max(abs(np.trace(p.conj().T @ correction)) / 2.0 for p in PAULIS.values()) >= 1.0 - 1e-9:
+            if not max(abs(np.einsum("ij,ij->", p.conj(), correction)) / 2.0 for p in PAULIS.values()) >= 1.0 - 1e-9:
                 raise NumericalInvariantError(f"correction for outcome {b0}{b1} is not a Pauli up to global phase")
             correction.flags.writeable = False
             table[f"{b0}{b1}"] = correction

@@ -245,7 +245,8 @@ def _slope_root(
 
 def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit:
     """Deterministic least-squares fit of A*exp(-t/tau) + C to finite values at
-    four or more times, each nonnegative or ``inf``; raises ``ValueError`` otherwise.
+    four or more times, each nonnegative or ``inf``; raises ``ValueError`` otherwise,
+    and when a fitted amplitude, offset or RMS residual overflows a float.
 
     tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds)
     and refined to the root of the profile's slope dS/dtau in
@@ -268,11 +269,20 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
         raise ValueError(f"times must be nonnegative or inf and values finite, got (time, value) pairs {bad}")
     if times.size < 4:
         raise ValueError("need at least four points to fit a three-parameter decay")
-    residuals = [_profile_fit(times, values, tau)[1] for tau in _TAU_GRID]
+    # The fit runs on the values scaled by 2^-exponent, largest magnitude in [0.5, 1), so no
+    # sum of squares overflows; scaling and unscaling A, C and the RMS are exact (barring
+    # subnormals), so the fitted bits are those of the unscaled fit wherever it does not overflow.
+    exponent = math.frexp(float(np.abs(values).max()))[1]
+    scaled = np.ldexp(values, -exponent)
+    residuals = [_profile_fit(times, scaled, tau)[1] for tau in _TAU_GRID]
     seed = float(_TAU_GRID[int(np.argmin([r @ r for r in residuals]))])
-    tau, inside = _slope_root(lambda tau: _profile_slope(times, values, tau), seed / 1.5, seed * 1.5, seed * 1e-12, 500)
-    coef, residual, _ = _profile_fit(times, values, seed if inside is None else tau)
-    amplitude, offset, rms = float(coef[0]), float(coef[1]), math.sqrt(residual @ residual / times.size)
+    tau, inside = _slope_root(lambda tau: _profile_slope(times, scaled, tau), seed / 1.5, seed * 1.5, seed * 1e-12, 500)
+    coef, residual, _ = _profile_fit(times, scaled, seed if inside is None else tau)
+    try:
+        amplitude, offset = math.ldexp(float(coef[0]), exponent), math.ldexp(float(coef[1]), exponent)
+        rms = math.ldexp(math.sqrt(residual @ residual / times.size), exponent)
+    except OverflowError:
+        raise ValueError(f"values {values.tolist()} are too large: their fitted decay overflows a float") from None
     if inside is None:
         raise FitConvergenceError("decay fit did not converge", best=DecayFit(amplitude, seed, offset, rms))
     identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset)) and inside

@@ -317,7 +317,7 @@ def _realized(gate: KrausChannel, model: MoleculeModel, angle_error: float) -> K
     u = np.eye(2 ** len(local), dtype=complex)
     for ev in compile_gate(gate, model):
         for step, targets in _unitaries(ev, model, angle_error):
-            u = lift_operator(step, tuple(local[t] for t in targets), len(local)) @ u
+            u = np.einsum("ij,jk->ik", lift_operator(step, tuple(local[t] for t in targets), len(local)), u)
     return KrausChannel(gate.targets, (u,))
 
 

@@ -17,7 +17,11 @@ Conventions used package-wide:
   certifies positivity by one Cholesky factorization, falling back on
   ``eigvalsh`` only to decide and report a failure;
 * states evolve only through :func:`evolve`, an ``einsum`` kernel on raw
-  ``(..., 2^n, 2^n)`` stacks that lifts no operator to the full register.
+  ``(..., 2^n, 2^n)`` stacks that lifts no operator to the full register;
+* every complex product is an ``einsum`` contraction without ``optimize``,
+  so none reaches BLAS and no state or process bit depends on the BLAS
+  kernel: the package calls LAPACK only for the positivity certificate (a
+  pass/fail), and BLAS only for the decay fit's real dot products.
 """
 
 from __future__ import annotations
@@ -228,7 +232,7 @@ def real_expectations(stack: np.ndarray, operators: np.ndarray) -> np.ndarray:
     The imaginary residue must stay below 1e-9 (it is discarded after the
     check; NaN fails it); larger residues indicate a corrupted state.
     """
-    values = np.trace(np.asarray(stack)[..., None, :, :] @ operators, axis1=-2, axis2=-1)
+    values = np.einsum("...ij,mji->...m", stack, operators)
     residue = float(np.max(np.abs(values.imag)))
     if not residue <= EXPECTATION_IMAG_TOL:
         raise NumericalInvariantError(f"expectation value has imaginary part {residue:.3e}")

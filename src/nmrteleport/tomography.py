@@ -105,7 +105,7 @@ def _transfer_from_chi() -> np.ndarray:
     M M† = 4I must hold exactly, so vec(chi) = M† vec(R)/4."""
     p = _PAULI_OPS  # M[4l+k, 4a+b] = tr(P_l P_a P_k P_b)/2
     m = (np.einsum("lij,ajm,kmn,bni->lkab", p, p, p, p) / 2.0).reshape(16, 16)
-    if not np.array_equal(m @ m.conj().T, 4.0 * np.eye(16)):
+    if not np.array_equal(np.einsum("ij,kj->ik", m, m.conj()), 4.0 * np.eye(16)):
         raise NumericalInvariantError("the Pauli chi-to-transfer map is not twice a unitary")
     m.flags.writeable = False
     return m

@@ -89,3 +89,31 @@ def test_command_line_runs_blas_on_one_thread_unless_the_user_says_otherwise():
 
 def test_library_import_leaves_blas_threads_alone():
     assert _child(SPY % "import nmrteleport.cli") == "[None] None"
+
+
+# The decay fit's real dot products are the one place the package may call BLAS itself.
+FIT_FUNCTIONS = {"_profile_fit", "_profile_slope", "fit_exponential"}
+BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "multi_dot"}
+
+
+def _blas_products(path: Path) -> list[str]:
+    """Where a module outside the fit forms a product that numpy may hand to BLAS:
+    ``@``, a call of a BLAS-backed product, or an ``einsum`` told to ``optimize``."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.FunctionDef) and top.name in FIT_FUNCTIONS:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in BLAS_PRODUCTS or (name == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_complex_products_are_einsum_contractions_that_never_reach_blas():
+    fit_module = ast.parse((PACKAGE / "experiment.py").read_text())
+    assert FIT_FUNCTIONS <= {node.name for node in fit_module.body if isinstance(node, ast.FunctionDef)}
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _blas_products(path)] == []

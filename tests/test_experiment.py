@@ -767,3 +767,31 @@ def test_fit_flags_tau_clipped_at_bracket_edge():
     comparison = compare_curves(slow, fast)
     assert comparison.control_decays_faster is None
     assert comparison.teleport_outlasts_control is None
+
+
+def test_fit_of_values_near_the_float_maximum_overflows_nothing():
+    # Their sums of squares overflowed: a RuntimeWarning, then residual_norm = inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for values in ((1e308, -1e308, 1e308, 0.0), (1e300, -1e300, 1e300, 0.0)):
+            fit = fit_exponential((0.0, 0.3, 0.6, 0.9), values)
+            assert all(map(math.isfinite, (fit.amplitude, fit.time_constant, fit.offset, fit.residual_norm)))
+            assert 0.0 < fit.residual_norm < max(values)
+
+
+def test_fit_rejects_values_whose_fitted_decay_overflows_a_float():
+    values = (1.7e308, -1.7e308, 1.7e308, -1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(f"values {list(values)} are too large")):
+            fit_exponential((0.0, 0.3, 0.6, 0.9), values)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -3, 5, 1000])
+def test_fit_of_values_scaled_by_a_power_of_two_scales_exactly(exponent):
+    times = np.linspace(0.0, 1.4, 8)
+    values = 0.5 * np.exp(-times / 0.3) + 0.5 + np.random.default_rng(25).normal(0.0, 0.01, times.size)
+    base, scaled = fit_exponential(times, values), fit_exponential(times, np.ldexp(values, exponent))
+    assert scaled.time_constant == base.time_constant
+    expected = tuple(math.ldexp(x, exponent) for x in (base.amplitude, base.offset, base.residual_norm))
+    assert (scaled.amplitude, scaled.offset, scaled.residual_norm) == expected

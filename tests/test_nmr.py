@@ -339,3 +339,19 @@ def test_pulse_engine_rewrites_only_one_and_two_spin_gates():
     assert all(new is old for new, old in zip(realize_pulses(circuit.events, model), steps))
     with pytest.raises(UnsupportedGateError, match="4 elements"):
         compile_gate(circuit.events[start], model)
+
+
+@pytest.mark.parametrize("angle_error", [0.0, 0.05])
+def test_realized_unitary_matches_the_lifted_matrix_product(angle_error):
+    # Oracle: the schedule's steps lifted to the gate's targets and multiplied by
+    # matmul, the form the contraction replaced.
+    model = tce_model()
+    gates = [ev for ev in teleport_circuit((0.3,), model).events if len(ev.elements) == 1 and len(ev.targets) <= 2]
+    assert len(gates) == 4
+    for gate in gates:
+        local = {t: i for i, t in enumerate(gate.targets)}
+        u = np.eye(2 ** len(local), dtype=complex)
+        for ev in compile_gate(gate, model):
+            for step, targets in nmr._unitaries(ev, model, angle_error):
+                u = lift_operator(step, tuple(local[t] for t in targets), len(local)) @ u
+        assert np.max(np.abs(nmr._realized(gate, model, angle_error).elements[0] - u)) <= 1e-15

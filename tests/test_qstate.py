@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -451,3 +452,18 @@ def test_evolve_takes_batched_elements_padded_with_zeros():
     got = evolve(stack, batched, (1,))
     for member, elements in zip(range(3), sets):
         assert np.array_equal(got[member], evolve(stack[member], elements, (1,)))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_real_expectations_equal_the_trace_of_the_matrix_product_on_pauli_operators(num_qubits):
+    # Oracle: tr(rho @ P) by a stacked matrix product, the form the contraction replaced.
+    # Exact on one qubit, the package's use: each sum has two terms, so its order cannot
+    # matter.  On more qubits the contraction adds the terms in another order.
+    rng = np.random.default_rng(25 + num_qubits)
+    labels = ["".join(label) for label in itertools.product("IXYZ", repeat=num_qubits)]
+    ops = np.stack([pauli_string(label) for label in labels])
+    dim = 2**num_qubits
+    stack = np.stack([random_density(rng, num_qubits).matrix for _ in range(6)]).reshape(2, 3, dim, dim)
+    oracle = np.trace(stack[..., None, :, :] @ ops, axis1=-2, axis2=-1).real
+    tolerance = 0.0 if num_qubits == 1 else 1e-15
+    assert np.max(np.abs(real_expectations(stack, ops) - oracle)) <= tolerance
