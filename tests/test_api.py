@@ -1,5 +1,5 @@
-"""The package exports no symbol that only its tests use, loads lazily, and only
-its command line sets a BLAS thread default."""
+"""The package exports no symbol that only its tests use, loads lazily, only
+its command line sets a BLAS thread default, and only its fit calls BLAS."""
 
 import ast
 import os
