@@ -102,7 +102,16 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
         for engine in ("gate", "pulse")
         for command in ("teleport", "compare")
     ]
-    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf
+    # The pulse engine with a finite, nonzero rf miscalibration, listed last for the same reason.
+    rf_error = [
+        (args, "noise:\n  rf_miscalibration: 0.02\n")
+        for args in (
+            ["teleport", "--engine", "pulse"],
+            ["compare", "--engine", "pulse"],
+            ["tomo", "--engine", "pulse", "--channel", "teleport(0.5)"],
+        )
+    ]
+    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error
 
 
 def run(

@@ -17,7 +17,7 @@ _EXPORTS = {  # module -> the names the package exports from it
     "experiment": ("DEFAULT_DELAYS", "CurveComparison", "DecayFit", "SweepConfig", "SweepRecord", "compare_curves",
                    "fit_decay", "fit_exponential", "run_sweep", "tomograph"),
     "nmr": ("FreeEvolution", "MoleculeModel", "RfRotation", "SpinParams", "compile_gate", "tce_model"),
-    "qstate": ("DensityMatrix", "lift_operator"),
+    "qstate": ("DensityMatrix",),
     "tomography": ("state_tomography",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,14 +33,7 @@ import numpy as np
 
 from .channels import KrausChannel, RelaxationParams, relaxation_channels
 from .errors import NumericalInvariantError
-from .qstate import (
-    CNOT,
-    HADAMARD,
-    PAULIS,
-    evolve,
-    lift_operator,
-    validate_density,
-)
+from .qstate import CNOT, HADAMARD, PAULIS, _apply_on, evolve, validate_density
 
 if TYPE_CHECKING:
     from .nmr import MoleculeModel
@@ -129,20 +122,15 @@ def correction_table() -> Mapping[str, np.ndarray]:
     a Pauli up to global phase.  Built once and shared, so the table is
     read-only: outcome ("00" to "11") -> read-only 2x2 unitary.
     """
-    pre = np.eye(8, dtype=complex)
+    pre = np.eye(8, dtype=complex).reshape((2,) * 6)
     for step in _teleport_prefix():
-        pre = np.einsum("ij,jk->ik", lift_operator(step.elements[0], step.targets, 3), pre)
+        pre = _apply_on(step.elements[0], pre, step.targets, 6)
     table = {}
     for b0 in (0, 1):
         for b1 in (0, 1):
-            residual = np.empty((2, 2), dtype=complex)
-            for t in (0, 1):
-                for s in (0, 1):
-                    # Branch amplitude of |b0 b1 t> for input |s 0 0>; each
-                    # branch carries weight 1/2, so the block is half the
-                    # residual unitary.
-                    residual[t, s] = 2.0 * pre[(b0 << 2) | (b1 << 1) | t, s << 2]
-            correction = residual.conj().T.copy()
+            # Branch amplitudes of |b0 b1 t> for inputs |s 0 0>; each branch
+            # carries weight 1/2, so the block is half the residual unitary.
+            correction = (2.0 * pre[b0, b1, :, :, 0, 0]).conj().T.copy()
             if not max(abs(np.einsum("ij,ij->", p.conj(), correction)) / 2.0 for p in PAULIS.values()) >= 1.0 - 1e-9:
                 raise NumericalInvariantError(f"correction for outcome {b0}{b1} is not a Pauli up to global phase")
             correction.flags.writeable = False
@@ -154,13 +142,11 @@ def correction_table() -> Mapping[str, np.ndarray]:
 def _controlled_correction() -> KrausChannel:
     """All four corrections as one unitary controlled on (data, ancilla), built once."""
     table = correction_table()
-    full = np.zeros((8, 8), dtype=complex)
+    full = np.zeros((2,) * 6, dtype=complex)
     for b0 in (0, 1):
         for b1 in (0, 1):
-            proj = np.zeros((4, 4), dtype=complex)
-            proj[2 * b0 + b1, 2 * b0 + b1] = 1.0
-            full += np.kron(proj, table[f"{b0}{b1}"])
-    return KrausChannel((DATA, ANCILLA, TARGET), (full,))
+            full[b0, b1, :, b0, b1, :] = table[f"{b0}{b1}"]
+    return KrausChannel((DATA, ANCILLA, TARGET), (full.reshape(8, 8),))
 
 
 def _delay_noise(delays: Sequence[float], model: MoleculeModel) -> tuple[KrausChannel, ...]:

@@ -103,13 +103,6 @@ def _number(value) -> float:
     return float(value)
 
 
-def _parse_delays(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse delay list {text!r}") from exc
-
-
 def _build_model(molecule: dict) -> MoleculeModel:
     if "spins" not in molecule:
         return tce_model(_number(molecule.get("carbon_t1", 25.0)))
@@ -142,7 +135,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         noise = {"t1": False, "t2": False, "rf_miscalibration": 0.0}
     delays = ()
     if args.command != "tomo":  # a tomo process names its own delay
-        delays = data["experiment"].get("delays", list(DEFAULT_DELAYS)) if args.delays is None else _parse_delays(args.delays)
+        if args.delays is None:
+            delays = data["experiment"].get("delays", list(DEFAULT_DELAYS))
+        else:  # the flag's comma-separated entries, each read by _number below
+            delays = [part for part in args.delays.split(",") if part.strip()]
         if not isinstance(delays, (list, tuple)):
             raise ConfigError("experiment.delays must be a list of seconds")
         with _section("delay list"):

@@ -255,7 +255,9 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     each tau, flat when the design is rank-deficient (:func:`_profile_fit`).
     No randomness anywhere, so refits are reproducible bit for bit.
 
-    tau is not identifiable when the amplitude vanishes, or when the slope
+    tau is not identifiable when the amplitude vanishes against the values
+    (|A| at most 1e-8 of the larger of |C| and the values' scale, the least
+    power of two above the largest |value|, so no unit matters), or when the slope
     does not go from negative at the bracket's lower end to positive at its
     upper end: then the best tau lies at or beyond that end, and the value
     reported is the end's, not the data's.
@@ -285,7 +287,7 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
         raise ValueError(f"values {values.tolist()} are too large: their fitted decay overflows a float") from None
     if inside is None:
         raise FitConvergenceError("decay fit did not converge", best=DecayFit(amplitude, seed, offset, rms))
-    identifiable = abs(amplitude) > _AMPLITUDE_FLOOR * max(1.0, abs(offset)) and inside
+    identifiable = abs(float(coef[0])) > _AMPLITUDE_FLOOR * max(1.0, abs(float(coef[1]))) and inside
     return DecayFit(amplitude, tau, offset, rms, identifiable)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import KrausChannel, RelaxationParams
 from .errors import RfAngleError, UnsupportedGateError
-from .qstate import CNOT, lift_operator, rotation_x, rotation_y
+from .qstate import CNOT, _apply_on, rotation_x, rotation_y
 
 _ANGLE_EPS = 1e-12
 _MATCH_TOL = 1e-9
@@ -126,8 +126,6 @@ def tce_model(carbon_t1: float = 25.0) -> MoleculeModel:
     magnitude shorter.  The H-C2 and chlorine couplings are suppressed by
     refocusing and are not part of the model.
     """
-    if not carbon_t1 > 0.0:
-        raise ValueError(f"carbon T1 must be positive, got {carbon_t1}")
     spins = (
         SpinParams("C2", 125_772_580.0 - 911.0, carbon_t1, 0.3),
         SpinParams("C1", 125_772_580.0, carbon_t1, 0.4),
@@ -313,12 +311,13 @@ def _realized(gate: KrausChannel, model: MoleculeModel, angle_error: float) -> K
     Computed once per (gate, model, angle error) while it stays among the 32
     most recent (steps and models compare by identity).
     """
+    k = len(gate.targets)
     local = {t: i for i, t in enumerate(gate.targets)}
-    u = np.eye(2 ** len(local), dtype=complex)
+    u = np.eye(2**k, dtype=complex).reshape((2,) * (2 * k))
     for ev in compile_gate(gate, model):
         for step, targets in _unitaries(ev, model, angle_error):
-            u = np.einsum("ij,jk->ik", lift_operator(step, tuple(local[t] for t in targets), len(local)), u)
-    return KrausChannel(gate.targets, (u,))
+            u = _apply_on(step, u, tuple(local[t] for t in targets), 2 * k)
+    return KrausChannel(gate.targets, (u.reshape(2**k, 2**k),))
 
 
 def realize_pulses(steps: Sequence[KrausChannel], model: MoleculeModel, angle_error: float = 0.0) -> tuple[KrausChannel, ...]:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small qubit registers.
 
 Everything in the simulator lives on at most three qubits, so states and
-operators are plain dense numpy arrays: operators lifted to the register,
-density matrices with physicality checks, and batched partial traces and
-Pauli expectation values on stacks of them.
+operators are plain dense numpy arrays: density matrices with physicality
+checks, and batched evolution, partial traces and Pauli expectation values
+on stacks of them.
 
 Conventions used package-wide:
 
@@ -16,8 +16,11 @@ Conventions used package-wide:
   :func:`validate_density`, which also checks whole stacks of states and
   certifies positivity by one Cholesky factorization, falling back on
   ``eigvalsh`` only to decide and report a failure;
-* states evolve only through :func:`evolve`, an ``einsum`` kernel on raw
-  ``(..., 2^n, 2^n)`` stacks that lifts no operator to the full register;
+* an operator acts only on its own qubit axes, through one ``einsum``
+  contraction (``_apply_on``), and is never lifted to the full register:
+  states evolve only through :func:`evolve`, which applies it to raw
+  ``(..., 2^n, 2^n)`` stacks, and the pulse compiler and the correction
+  table compose their unitaries with it;
 * every complex product is an ``einsum`` contraction without ``optimize``,
   so none reaches BLAS and no state or process bit depends on the BLAS
   kernel: the package calls LAPACK only for the positivity certificate (a
@@ -131,32 +134,14 @@ def _violation(message: str, worst: np.intp, batch: tuple[int, ...]) -> Numerica
     return error
 
 
-def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Embed a k-qubit operator into an n-qubit register.
-
-    ``targets`` gives the register indices the operator acts on, in the
-    operator's own qubit order (``targets[0]`` is the operator's leftmost
-    factor); all other qubits get identity.
-    """
-    op = np.asarray(op, dtype=complex)
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate targets {targets}")
-    if any(t < 0 or t >= num_qubits for t in targets):
-        raise ValueError(f"targets {targets} out of range for {num_qubits} qubits")
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} targets")
-    if k == num_qubits and targets == tuple(range(num_qubits)):
-        return op.copy()
-    rest = [q for q in range(num_qubits) if q not in targets]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # Tensor axes currently follow [targets..., rest...]; permute back to
-    # ascending register order for both row and column indices.
-    order = list(targets) + rest
-    perm = [order.index(q) for q in range(num_qubits)]
-    tens = full.reshape([2] * (2 * num_qubits))
-    tens = tens.transpose(perm + [num_qubits + p for p in perm])
-    return tens.reshape(2**num_qubits, 2**num_qubits)
+def _apply_on(op: np.ndarray, tensor: np.ndarray, axes: tuple[int, ...], m: int) -> np.ndarray:
+    """A ``(..., 2^k, 2^k)`` operator applied to k of the last ``m`` axes of a
+    ``(..., 2, ..., 2)`` tensor, ``axes[0]`` taking the operator's leftmost factor,
+    by one ``einsum``; the other axes stay in place and leading axes broadcast."""
+    new = {a: m + i for i, a in enumerate(axes)}
+    op = op.reshape(op.shape[:-2] + (2,) * (2 * len(axes)))
+    subs = list(range(m))
+    return np.einsum(op, [..., *new.values(), *axes], tensor, [..., *subs], [..., *(new.get(q, q) for q in subs)])
 
 
 def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
@@ -172,21 +157,17 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     n, k = stack.shape[-1].bit_length() - 1, len(targets)
     if len(set(targets)) != k or not all(0 <= t < n for t in targets):
         raise ValueError(f"targets {targets} invalid for a {n}-qubit register")
-    rows, cols = list(range(n)), list(range(n, 2 * n))
-    new_rows = [2 * n + targets.index(q) if q in targets else q for q in rows]
-    new_cols = [3 * n + targets.index(q) if q in targets else n + q for q in rows]
-    row_subs = [new_rows[t] for t in targets] + list(targets)
-    col_subs = [new_cols[t] for t in targets] + [n + t for t in targets]
     tens = stack.reshape(stack.shape[:-2] + (2,) * (2 * n))
+    cols = tuple(n + t for t in targets)
     out = np.zeros_like(tens)
     for a in elements:
         a = np.asarray(a, dtype=complex)
         if a.shape[:-2] != stack.shape[:-2][: a.ndim - 2]:
             raise ValueError(f"element batch axes {a.shape[:-2]} are not the leading axes of a {stack.shape} stack")
-        batch = a.shape[:-2] + (1,) * (stack.ndim - a.ndim) if a.ndim > 2 else ()
-        a = a.reshape(batch + (2,) * (2 * k))
-        left = np.einsum(a, [..., *row_subs], tens, [..., *rows, *cols], [..., *new_rows, *cols])
-        out += np.einsum(left, [..., *new_rows, *cols], a.conj(), [..., *col_subs], [..., *new_rows, *new_cols])
+        if a.ndim > 2:
+            a = a.reshape(a.shape[:-2] + (1,) * (stack.ndim - a.ndim) + a.shape[-2:])
+        # A rho A†: A on the row axes of the targets, then conj(A) on their column axes.
+        out += _apply_on(a.conj(), _apply_on(a, tens, targets, 2 * n), cols, 2 * n)
     return out.reshape(stack.shape)
 
 

@@ -25,7 +25,6 @@ from nmrteleport.qstate import (
     PSD_SLACK,
     TRACE_TOL,
     DensityMatrix,
-    lift_operator,
     real_expectations,
 )
 from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_process, state_tomography
@@ -223,6 +222,34 @@ def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarr
     design[:, 0] = np.exp(-times / tau)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     return design @ coef
+
+
+def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Embed a k-qubit operator into an n-qubit register.
+
+    ``targets`` gives the register indices the operator acts on, in the
+    operator's own qubit order (``targets[0]`` is the operator's leftmost
+    factor); all other qubits get identity.
+    """
+    op = np.asarray(op, dtype=complex)
+    k = len(targets)
+    if len(set(targets)) != k:
+        raise ValueError(f"duplicate targets {targets}")
+    if any(t < 0 or t >= num_qubits for t in targets):
+        raise ValueError(f"targets {targets} out of range for {num_qubits} qubits")
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} targets")
+    if k == num_qubits and targets == tuple(range(num_qubits)):
+        return op.copy()
+    rest = [q for q in range(num_qubits) if q not in targets]
+    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
+    # Tensor axes currently follow [targets..., rest...]; permute back to
+    # ascending register order for both row and column indices.
+    order = list(targets) + rest
+    perm = [order.index(q) for q in range(num_qubits)]
+    tens = full.reshape([2] * (2 * num_qubits))
+    tens = tens.transpose(perm + [num_qubits + p for p in perm])
+    return tens.reshape(2**num_qubits, 2**num_qubits)
 
 
 def apply_elements(matrix: np.ndarray, elements) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ def test_relaxation_rejects_unphysical_times():
     for duration in (-1.0, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             relaxation_channels((duration,), RelaxationParams(25.0, 0.3))
+
+
+def test_channel_constructors_reject_what_they_cannot_build():
+    with pytest.raises(ValueError, match="^need at least one duration$"):
+        relaxation_channels((), RelaxationParams(25.0, 0.3))
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"probability must be in [0, 1], got {p}")):
+            depolarizing_channel(p)
+    with pytest.raises(ValueError, match="^channel needs at least one operation element$"):
+        KrausChannel((0,), ())
+    for elements, shapes in (
+        ((IDENTITY_2, np.eye(4)), "[(2, 2), (4, 4)]"),
+        ((IDENTITY_2, np.stack([IDENTITY_2] * 3)), "[(2, 2), (3, 2, 2)]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"element shapes {shapes} do not fit targets (0,)")):
+            KrausChannel((0,), elements)
 
 
 def test_depolarizing_limits():

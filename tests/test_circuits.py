@@ -25,13 +25,13 @@ from nmrteleport.qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    lift_operator,
     reduce_stack,
 )
 from tests.helpers import (
     BELL_STATES,
     basis_state,
     dephasing,
+    lift_operator,
     phase_distance,
     projector,
     random_pure_state,

@@ -532,6 +532,43 @@ def test_hostile_config_sections_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["control", "--config", str(quoted), "--out", str(tmp_path / "q")]) == 0
 
 
+def test_a_bad_delay_flag_and_a_bad_carbon_t1_are_reported_by_the_rules_that_reject_them(tmp_path):
+    # The delay list rule reads each flag entry, and RelaxationParams checks the carbon T1:
+    # neither has a check of its own in front of it.
+    cfg = tmp_path / "carbon.yaml"
+    cfg.write_text("molecule:\n  carbon_t1: -3\n")
+    for args, expected in (
+        (["--delays", "0,zebra"], "error: invalid delay list: could not convert string to float: 'zebra'\n"),
+        (["--config", str(cfg)], "error: invalid molecule section: t1 must be positive, got -3.0\n"),
+    ):
+        assert run_cli(["teleport", *args, "--out", str(tmp_path / "out")]) == (cli.EXIT_CONFIG, expected)
+        assert not (tmp_path / "out").exists()
+
+
+# A config, or none, and the one error line of the rule it trips.
+RULE_MESSAGES = (
+    (["tomo", "--channel", "depolarizing(1.5)"], None, "invalid channel parameters: probability must be in [0, 1], got 1.5"),
+    (["tomo", "--channel", "depolarizing(-0.1)"], None, "invalid channel parameters: probability must be in [0, 1], got -0.1"),
+    (["teleport"], molecule_yaml().replace("name: C2", 'name: ""'), "invalid molecule section: spin needs a name"),
+    (
+        ["teleport"],
+        molecule_yaml().replace("pair: [C1, H]", "pair: [C1, H, C2]"),
+        "invalid molecule section: a coupling pair must name two spins, got ['C1', 'H', 'C2']",
+    ),
+    # A string of digits is not read as the grid 0, 1, 2, 3.
+    (["teleport"], 'experiment:\n  delays: "0123"\n', "experiment.delays must be a list of seconds"),
+)
+
+
+@pytest.mark.parametrize("args, config, message", RULE_MESSAGES)
+def test_each_input_rule_reached_from_the_command_line_exits_2_with_its_message(args, config, message, tmp_path):
+    if config is not None:
+        (tmp_path / "config.yaml").write_text(config)
+        args = [*args, "--config", str(tmp_path / "config.yaml")]
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == (cli.EXIT_CONFIG, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_rf_miscalibration_knob_flows_into_pulse_engine(tmp_path):
     cfg = tmp_path / "rf.yaml"
     cfg.write_text("noise:\n  rf_miscalibration: 0.1\n")

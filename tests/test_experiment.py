@@ -795,3 +795,18 @@ def test_fit_of_values_scaled_by_a_power_of_two_scales_exactly(exponent):
     assert scaled.time_constant == base.time_constant
     expected = tuple(math.ldexp(x, exponent) for x in (base.amplitude, base.offset, base.residual_norm))
     assert (scaled.amplitude, scaled.offset, scaled.residual_norm) == expected
+
+
+def test_a_clean_decay_is_identifiable_in_any_units():
+    # The amplitude floor is relative to the values' scale: an absolute one left a clean
+    # decay in small units unidentifiable, with the same fitted tau.
+    times = (0.0, 0.3, 0.6, 0.9)
+    for values in ((1.0, 0.5, 0.2, 0.1), (1e-9, 5e-10, 2e-10, 1e-10), (1e-310, 5e-311, 2e-311, 1e-311)):
+        fit = fit_exponential(times, values)
+        assert fit.tau_identifiable, values
+        assert fit.time_constant == pytest.approx(0.4438, abs=1e-4), values
+
+
+def test_fit_rejects_times_and_values_of_different_lengths():
+    with pytest.raises(ValueError, match="^times and values must be matching 1-d sequences$"):
+        fit_exponential((0.0, 0.3, 0.6, 0.9), (1.0, 0.5, 0.2))

@@ -17,10 +17,11 @@ from nmrteleport.nmr import (
     realize_pulses,
     tce_model,
 )
-from nmrteleport.qstate import CNOT, HADAMARD, PAULI_X, PAULI_Z, evolve, lift_operator, reduce_stack, rotation_x
+from nmrteleport.qstate import CNOT, HADAMARD, PAULI_X, PAULI_Z, evolve, reduce_stack, rotation_x
 from tests.helpers import (
     BELL_STATES,
     basis_state,
+    lift_operator,
     phase_distance,
     projector,
     random_density,
@@ -60,6 +61,18 @@ def test_tce_parameters():
     assert spin(model, "H").larmor_hz == pytest.approx(500_133_491.0)
     assert spin(model, "C1").larmor_hz == pytest.approx(125_772_580.0)
     assert spin(model, "C1").larmor_hz - spin(model, "C2").larmor_hz == pytest.approx(911.0)
+
+
+def test_spin_and_gate_rules_name_what_is_wrong():
+    with pytest.raises(ValueError, match="^spin needs a name$"):
+        SpinParams("", 125_772_580.0, 25.0, 0.4)
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    with pytest.raises(UnsupportedGateError, match="^two-spin gate is not a CNOT$"):
+        compile_gate(KrausChannel((0, 1), (swap,)), tce_model())
+    # The carbon T1 is checked by the relaxation rule of the spins it builds.
+    for carbon_t1 in (0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match=f"^t1 must be positive, got {carbon_t1}$"):
+            tce_model(carbon_t1)
 
 
 def test_tce_carbon_t1_configurable():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from nmrteleport.channels import RelaxationParams, relaxation_channels
 from nmrteleport.errors import NumericalInvariantError
@@ -18,8 +19,8 @@ from nmrteleport.qstate import (
     PSD_SLACK,
     TRACE_TOL,
     DensityMatrix,
+    _apply_on,
     evolve,
-    lift_operator,
     real_expectations,
     reduce_stack,
     validate_density,
@@ -32,6 +33,7 @@ from tests.helpers import (
     brute_reduced,
     count_eigvalsh,
     hermitian_with_least_eigenvalue,
+    lift_operator,
     pauli_expectation,
     pauli_string,
     projector,
@@ -60,26 +62,6 @@ def test_tensor_projector():
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0  # |01>
     assert np.allclose(np.kron(p0, p1), expected)
-
-
-def test_lift_operator_positions():
-    assert np.allclose(
-        lift_operator(PAULI_X, (1,), 3),
-        np.kron(np.kron(IDENTITY_2, PAULI_X), IDENTITY_2),
-    )
-    assert np.allclose(lift_operator(CNOT, (0, 1), 2), CNOT)
-    # Reversed targets put the control on the second register qubit.
-    reversed_cnot = np.array(
-        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-    )
-    assert np.allclose(lift_operator(CNOT, (1, 0), 2), reversed_cnot)
-
-
-def test_lift_operator_rejects_bad_targets():
-    with pytest.raises(ValueError):
-        lift_operator(PAULI_X, (3,), 2)
-    with pytest.raises(ValueError):
-        lift_operator(CNOT, (0, 0), 2)
 
 
 def test_partial_trace_bell_is_maximally_mixed():
@@ -417,6 +399,29 @@ def test_evolve_matches_lifted_conjugation_on_stacks():
         assert np.max(np.abs(evolve(stack, elements, targets) - expected)) < 1e-13
     with pytest.raises(ValueError):
         evolve(stack, (PAULI_X,), (3,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)), st.integers(1, n))),
+    mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_on_matches_the_lifted_product(register, batches, on_columns, seed):
+    # Oracle: lift each operator of a batch of non-Hermitian ones to the register and
+    # multiply: on the row axes of its targets it acts as L M, on their column axes as M L^T.
+    (n, order, k), ((op_batch, matrix_batch), batch) = register, batches
+    targets, dim, d = tuple(order[:k]), 2**n, 2**k
+    rng = np.random.default_rng(seed)
+    op = rng.normal(size=(*op_batch, d, d)) + 1j * rng.normal(size=(*op_batch, d, d))
+    matrix = rng.normal(size=(*matrix_batch, dim, dim)) + 1j * rng.normal(size=(*matrix_batch, dim, dim))
+    lifted = np.array([lift_operator(o, targets, n) for o in op.reshape(-1, d, d)]).reshape(*op_batch, dim, dim)
+    expected = matrix @ lifted.swapaxes(-1, -2) if on_columns else lifted @ matrix
+    axes = tuple(n + t for t in targets) if on_columns else targets
+    got = _apply_on(op, matrix.reshape(*matrix_batch, *(2,) * (2 * n)), axes, 2 * n)
+    assert got.shape == (*batch, *(2,) * (2 * n))
+    assert np.max(np.abs(got.reshape(expected.shape) - expected)) < 1e-12
 
 
 def test_evolve_rejects_a_delay_axis_on_a_bare_state():
