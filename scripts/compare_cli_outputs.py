@@ -111,7 +111,14 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
             ["tomo", "--engine", "pulse", "--channel", "teleport(0.5)"],
         )
     ]
-    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error
+    # A misspelled key, the retired molecule.active key, and a C1-C2 coupling so strong
+    # that 2J overflows, listed last for the same reason.
+    schema = [
+        (["teleport"], "experiment:\n  delay: [0, 0.5, 1.0, 1.5]\n"),
+        (["teleport", "--engine", "pulse"], molecule() + "  active: [[C1, H]]\n"),
+        (["compare", "--engine", "pulse"], molecule().replace("j_hz: 103.0", "j_hz: 1.0e308")),
+    ]
+    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema
 
 
 def run(

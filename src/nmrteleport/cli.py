@@ -1,15 +1,15 @@
 """Command-line driver for the simulator.
 
 Subcommands: ``teleport`` and ``control`` run one fidelity-vs-delay sweep,
-``compare`` runs both on a shared grid, ``tomo`` tomographs a built-in
-channel or a circuit-derived process.  Every flag overrides the matching
-key of the optional YAML config file; all defaults are the measured TCE
-values, so a bare command reproduces the headline experiment.
+``compare`` runs both on a shared grid, ``tomo`` tomographs a built-in channel
+or a circuit-derived process.  A flag overrides the value of its key in the
+optional YAML config file, whose keys are exactly those ``_KEYS`` lists (every
+coupling a molecule lists acts in the pulse engine); all defaults are the
+measured TCE values, so a bare command reproduces the headline experiment.
 
-Exit codes are stable: 0 success, 2 user or configuration error, 3 internal
-numerical invariant violation.  Output files are plot-ready CSV plus a text
-summary, written with 12 significant digits; running a command twice with
-the same configuration produces byte-identical files.  A command computes its
+Exit codes are stable: 0 success, 2 user or configuration error (an unexpected config
+key too), 3 internal numerical invariant violation.  Output files are CSV plus a text
+summary with 12 significant digits, byte-identical on a rerun; a command computes its
 whole output set first, and one writer puts all of it in place or none of it.
 """
 
@@ -95,6 +95,34 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+# The whole config schema: the keys that each mapping of a config file takes.  Any other key exits 2.
+_KEYS = {
+    "a config file": ("molecule", "experiment", "noise", "output"),
+    "the built-in molecule": ("carbon_t1",),
+    "a molecule with spins": ("spins", "couplings"),
+    "a spin": ("name", "larmor_hz", "t1", "t2"),
+    "a coupling": ("pair", "j_hz"),
+    "experiment": ("delays", "engine"),
+    "noise": ("t1", "t2", "rf_miscalibration"),
+    "output": ("dir",),
+}
+
+
+def _check_keys(data: dict) -> None:
+    """Refuse a key that its mapping does not take, naming its path; each section of ``data`` is a mapping."""
+    molecule = data["molecule"]
+    shape = "a molecule with spins" if "spins" in molecule else "the built-in molecule"
+    scopes = [("a config file", "", data), (shape, "molecule.", molecule)]
+    scopes += [(section, f"{section}.", data[section]) for section in ("experiment", "noise", "output")]
+    for name, scope in (("spins", "a spin"), ("couplings", "a coupling")):
+        entries = molecule[name] if isinstance(molecule.get(name), list) else []
+        scopes += [(scope, f"molecule.{name}[{i}].", entry) for i, entry in enumerate(entries) if isinstance(entry, dict)]
+    for scope, path, mapping in scopes:
+        for key in mapping:
+            if key not in _KEYS[scope]:
+                raise ConfigError(f"unexpected config key {path}{key}: {scope} takes {', '.join(_KEYS[scope])}")
+
+
 def _number(value) -> float:
     """A config number: what ``float`` takes, except a boolean, which YAML reads
     from ``true`` and ``float`` would take as 1."""
@@ -105,7 +133,7 @@ def _number(value) -> float:
 
 def _build_model(molecule: dict) -> MoleculeModel:
     if "spins" not in molecule:
-        return tce_model(_number(molecule.get("carbon_t1", 25.0)))
+        return tce_model(_number(molecule["carbon_t1"])) if "carbon_t1" in molecule else tce_model()
     spins = tuple(
         SpinParams(s["name"], _number(s["larmor_hz"]), _number(s["t1"]), _number(s["t2"]))
         for s in molecule["spins"]
@@ -114,22 +142,17 @@ def _build_model(molecule: dict) -> MoleculeModel:
     for pair in couplings:
         if len(pair) != 2:
             raise ValueError(f"a coupling pair must name two spins, got {list(pair)}")
-    active = molecule.get("active")
-    active_pairs = (
-        frozenset((a, b) for a, b in active)
-        if active is not None
-        else frozenset(couplings)
-    )
-    return MoleculeModel(spins, couplings, active_pairs)
+    return MoleculeModel(spins, couplings, frozenset(couplings))
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     data = _load_config_file(args.config) if args.config else {}
-    for section in ("molecule", "experiment", "noise", "output"):
+    for section in _KEYS["a config file"]:
         if data.get(section) is None:
             data[section] = {}
         if not isinstance(data[section], dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
+    _check_keys(data)
     noise = data["noise"]
     if args.no_noise:
         noise = {"t1": False, "t2": False, "rf_miscalibration": 0.0}

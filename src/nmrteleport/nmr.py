@@ -223,33 +223,6 @@ def _matches(u: np.ndarray, ref: np.ndarray) -> bool:
     return bool(np.max(np.abs(u - phase * ref)) < _MATCH_TOL)
 
 
-def _coupling_for(model: MoleculeModel, a: str, b: str) -> float:
-    j = model.coupling(a, b)
-    if j is None or not model.is_active(a, b):
-        raise UnsupportedGateError(
-            f"no active J coupling between {a} and {b}; two-spin gates need one"
-        )
-    return j
-
-
-def _cnot_schedule(control: str, target: str, j: float) -> list[RfRotation | FreeEvolution]:
-    """CNOT = H_t CZ H_t with CZ from one 1/(2J) coupling interval.
-
-    Exact up to a global phase, so the compiled gate composes freely with
-    the rest of a schedule.
-    """
-    duration = 1.0 / (2.0 * j)
-    if math.isinf(duration):
-        raise UnsupportedGateError(f"the J coupling of {j} Hz between {control} and {target} is too weak: 1/(2J) overflows")
-    events: list[RfRotation | FreeEvolution] = []
-    events += _hadamard_pulses(target)
-    events += _rz_pulses(control, -math.pi / 2.0)
-    events += _rz_pulses(target, -math.pi / 2.0)
-    events.append(FreeEvolution(duration, frozenset({_pair(control, target)})))
-    events += _hadamard_pulses(target)
-    return events
-
-
 def compile_gate(gate: KrausChannel, model: MoleculeModel) -> tuple[RfRotation | FreeEvolution, ...]:
     """Translate one gate, a one-element circuit step, into an rf/J-coupling schedule:
     its rf rotations and free-evolution intervals, in order.
@@ -271,14 +244,19 @@ def compile_gate(gate: KrausChannel, model: MoleculeModel) -> tuple[RfRotation |
             return ()
         return tuple(_single_spin_schedule(u, spin))
     if len(gate.targets) == 2:
-        name_a = model.spins[gate.targets[0]].name
-        name_b = model.spins[gate.targets[1]].name
-        j = _coupling_for(model, name_a, name_b)
+        control, target = (model.spins[t].name for t in gate.targets)
+        if not model.is_active(control, target):
+            raise UnsupportedGateError(f"no active J coupling between {control} and {target}; two-spin gates need one")
         if _matches(u, np.eye(4, dtype=complex)):
             return ()
-        if _matches(u, CNOT):
-            return tuple(_cnot_schedule(name_a, name_b, j))
-        raise UnsupportedGateError("two-spin gate is not a CNOT")
+        if not _matches(u, CNOT):
+            raise UnsupportedGateError("two-spin gate is not a CNOT")
+        # CNOT = H_t CZ H_t, CZ from one 1/(2J) interval: exact up to a global phase, so it composes freely.
+        j = model.coupling(control, target)
+        if math.isinf(0.5 / j):
+            raise UnsupportedGateError(f"the J coupling of {j} Hz between {control} and {target} is too weak: 1/(2J) overflows")
+        cz = (*_rz_pulses(control, -math.pi / 2.0), *_rz_pulses(target, -math.pi / 2.0))
+        return (*_hadamard_pulses(target), *cz, FreeEvolution(0.5 / j, frozenset({_pair(control, target)})), *_hadamard_pulses(target))
     raise UnsupportedGateError(f"gates on {len(gate.targets)} spins have no pulse realization")
 
 
@@ -290,12 +268,11 @@ def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error
         if not math.isfinite(angle):
             raise RfAngleError(f"rf angle {ev.angle} scaled by 1 + {angle_error} is not finite")
         return [(rotation_x(angle) if ev.axis == "x" else rotation_y(angle), (model.index(ev.spin),))]
-    if not ev.duration > 0.0:
-        return []
     steps = []
     for a, b in sorted(ev.couplings):
         if model.is_active(a, b):
-            phase = np.exp(-0.5j * math.pi * model.coupling(a, b) * ev.duration)
+            # pi/2 * J * t from pi/4 * J, which no finite J overflows (same bits for J > 3e-308)
+            phase = np.exp(-2j * (0.25 * math.pi * model.coupling(a, b) * ev.duration))
             zz = np.diag([phase, phase.conjugate(), phase.conjugate(), phase])
             steps.append((zz, (model.index(a), model.index(b))))
     return steps

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nmrteleport import circuits
 from nmrteleport.circuits import (
     ANCILLA,
     DATA,
@@ -17,6 +18,7 @@ from nmrteleport.circuits import (
     teleport_circuit,
 )
 from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_channels
+from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.nmr import MoleculeModel, SpinParams, tce_model
 from nmrteleport.qstate import (
     CNOT,
@@ -26,6 +28,7 @@ from nmrteleport.qstate import (
     PAULI_Y,
     PAULI_Z,
     reduce_stack,
+    rotation_x,
 )
 from tests.helpers import (
     BELL_STATES,
@@ -124,6 +127,21 @@ def test_correction_table_entries_are_paulis_up_to_phase():
     expected = {"00": IDENTITY_2, "10": PAULI_Z, "01": PAULI_X, "11": 1j * PAULI_Y}
     for outcome, unitary in table.items():
         assert phase_distance(unitary, expected[outcome]) < 1e-12
+
+
+def test_a_prefix_that_leaves_a_non_pauli_residual_trips_the_correction_check(monkeypatch):
+    # The teleport prefix is Clifford, so only an injected rotation can trip the check.
+    prefix = circuits._teleport_prefix
+    monkeypatch.setattr(circuits, "_teleport_prefix", lambda: (*prefix(), KrausChannel((TARGET,), (rotation_x(0.3),))))
+    caches = (correction_table, circuits._controlled_correction)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(NumericalInvariantError, match="^correction for outcome 00 is not a Pauli up to global phase$"):
+            teleport_circuit((0.1,), tce_model())
+    finally:  # the next caller builds the table from the real prefix
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_corrections_restore_every_branch():

@@ -587,6 +587,63 @@ def test_rf_miscalibration_knob_flows_into_pulse_engine(tmp_path):
     assert gate_rows[0][1] == pytest.approx(1.0, abs=1e-9)
 
 
+# A config with a key that its mapping does not take, and the rest of its one error
+# line after "unexpected config key ".  A bad value beside it is never read.
+UNEXPECTED_KEYS = (
+    pytest.param("bogus: 1\n", "bogus: a config file takes molecule, experiment, noise, output", id="file"),
+    pytest.param(
+        "experiment: {delay: [0, 0.5, 1.0, 1.5], engin: pulse}\n",
+        "experiment.delay: experiment takes delays, engine",
+        id="experiment",
+    ),
+    pytest.param(
+        "noise: {rf_miscalibration: .nan, rf_miscalibraton: 0.3}\n",
+        "noise.rf_miscalibraton: noise takes t1, t2, rf_miscalibration",
+        id="noise",
+    ),
+    pytest.param("output: {dir: 5, directory: o}\n", "output.directory: output takes dir", id="output"),
+    pytest.param("molecule: {carbon_T1: 20}\n", "molecule.carbon_T1: the built-in molecule takes carbon_t1", id="molecule"),
+    pytest.param(
+        molecule_yaml(larmor_c1=".inf").replace("t2: 0.4}", "t2: 0.4, t2_star: 0.1}"),
+        "molecule.spins[1].t2_star: a spin takes name, larmor_hz, t1, t2",
+        id="spin",
+    ),
+    pytest.param(
+        molecule_yaml().replace("{pair: [C1, C2], j_hz: 103.0}", "{pair: [C1, C2], j: 103.0}"),
+        "molecule.couplings[1].j: a coupling takes pair, j_hz",
+        id="coupling",
+    ),
+    # Every coupling a molecule lists is active; "active" named a subset of them.
+    pytest.param(
+        molecule_yaml() + "  active: [[H, C1], [C2, C1]]\n",
+        "molecule.active: a molecule with spins takes spins, couplings",
+        id="active",
+    ),
+    pytest.param(
+        molecule_yaml() + "  carbon_t1: 20.0\n",
+        "molecule.carbon_t1: a molecule with spins takes spins, couplings",
+        id="carbon_t1-beside-spins",
+    ),
+    pytest.param(
+        "molecule:\n  couplings:\n    - {pair: [C1, H], j_hz: 201.0}\n",
+        "molecule.couplings: the built-in molecule takes carbon_t1",
+        id="couplings-without-spins",
+    ),
+)
+
+
+@pytest.mark.parametrize("config, message", UNEXPECTED_KEYS)
+def test_a_key_the_schema_does_not_list_exits_2_naming_its_path(config, message, tmp_path):
+    (tmp_path / "config.yaml").write_text(config)
+    out = tmp_path / "out"
+    # A flag overrides a key's value; it does not excuse a misspelled key.
+    flags = ["--delays", "0,0.3,0.6,0.9", "--no-noise", "--out", str(out)]
+    for engine in ("gate", "pulse"):
+        code, err = run_cli(["compare", "--engine", engine, "--config", str(tmp_path / "config.yaml"), *flags])
+        assert (code, err) == (cli.EXIT_CONFIG, f"error: unexpected config key {message}\n")
+        assert not out.exists()
+
+
 def test_numerical_violations_exit_3(tmp_path, monkeypatch):
     def explode(config):
         raise NumericalInvariantError("synthetic violation")
@@ -774,13 +831,29 @@ SECTIONS = {
 }
 
 
+# Keys that no mapping of a config file takes.
+MISSPELLED = ("delay", "rf_miscalibraton", "directory", "carbon_T1", "larmor", "active")
+
+
+def mappings_in(node):
+    """Every mapping of a config document: the document itself, its sections and their entries."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    for child in node if isinstance(node, list) else ():
+        yield from mappings_in(child)
+
+
 @st.composite
 def config_documents(draw):
-    """Config documents with any sections missing, and at most one of the
-    present ones null or of a wrong type."""
+    """Config documents with any sections missing, at most one of the present
+    ones null or of a wrong type, and a third of the time one mapping given a
+    misspelled key."""
     document = draw(st.fixed_dictionaries({}, optional=SECTIONS))
     if document and draw(st.booleans()):
         document[draw(st.sampled_from(sorted(document)))] = draw(st.sampled_from((None, 7, "fast", [1, 2])))
+    if draw(st.integers(0, 2)) == 0:
+        draw(st.sampled_from(list(mappings_in(document))))[draw(st.sampled_from(MISSPELLED))] = 1.0
     return document
 
 
@@ -802,6 +875,8 @@ def test_any_config_document_exits_0_with_valid_csv_or_2(document):
         for engine in ("gate", "pulse"):
             out = Path(tmp) / engine
             code, err = run_cli(["compare", "--config", str(cfg), "--engine", engine, "--out", str(out)])
+            if any(key in MISSPELLED for mapping in mappings_in(document) for key in mapping):
+                assert code == cli.EXIT_CONFIG, (document, engine, err)
             if code == cli.EXIT_CONFIG:
                 assert err.startswith("error:") and err.count("\n") == 1, (document, engine, err)
                 assert not out.exists()
@@ -885,27 +960,6 @@ def test_a_reconstruction_failure_in_a_tomo_channel_names_a_delay_only_if_it_has
                 prefix = re.escape(f"numerical invariant violated: {delay}{where}")
                 assert re.fullmatch(prefix + violation, err), err
                 assert not out.exists()
-
-
-def test_config_active_couplings_reach_the_pulse_engine(tmp_path):
-    cfg = tmp_path / "active.yaml"
-    default = tmp_path / "default"
-    assert run_cli(["compare", "--engine", "pulse", "--out", str(default)]) == (cli.EXIT_OK, "")
-    # Both TCE couplings active, named in either order, is the default molecule.
-    cfg.write_text(molecule_yaml() + "  active: [[H, C1], [C2, C1]]\n")
-    out = tmp_path / "both"
-    assert run_cli(["compare", "--engine", "pulse", "--config", str(cfg), "--out", str(out)]) == (cli.EXIT_OK, "")
-    assert snapshot(out) == snapshot(default)
-    cfg.write_text(molecule_yaml() + "  active: [[C1, H]]\n")
-    out = tmp_path / "one"
-    code, err = run_cli(["teleport", "--engine", "pulse", "--config", str(cfg), "--out", str(out)])
-    assert code == cli.EXIT_CONFIG and err.startswith("error: ") and err.count("\n") == 1
-    assert "no active J coupling between C2 and C1" in err
-    assert not out.exists()
-    cfg.write_text(molecule_yaml() + "  active: [[C1, H, C2]]\n")
-    code, err = run_cli(["teleport", "--config", str(cfg), "--out", str(out)])
-    assert code == cli.EXIT_CONFIG and err.startswith("error: invalid molecule section: ") and err.count("\n") == 1
-    assert not out.exists()
 
 
 def test_an_empty_config_file_runs_with_the_defaults(tmp_path):

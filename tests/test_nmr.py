@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ def test_compiled_cnot_interval_is_half_inverse_j():
     sched_h = compile_gate(KrausChannel((1, 2), (CNOT,)), model)  # C1 -> H
     frees_h = [ev for ev in sched_h if isinstance(ev, FreeEvolution)]
     assert frees_h[0].duration == pytest.approx(1.0 / (2.0 * 201.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("j", [2.0**1023, 1e308, 1.7e308, sys.float_info.max], ids=["2^1023", "1e308", "1.7e308", "max"])
+def test_a_coupling_near_the_float_maximum_compiles_a_working_cnot(j):
+    # 2 * J overflows for each of these, and pi/2 * J above 1.14e308: neither may
+    # leave the CNOT without its coupling interval or give its zz phase a NaN.
+    base = tce_model()
+    model = MoleculeModel(base.spins, {("C1", "H"): j, ("C1", "C2"): j}, frozenset({("C1", "H"), ("C1", "C2")}))
+    for targets in ((0, 1), (1, 2)):
+        (realized,) = realize_pulses((KrausChannel(targets, (CNOT,)),), model)
+        assert nmr._matches(realized.elements[0], CNOT), targets
+    gate, pulse = (run_sweep(SweepConfig((0.0, 0.3, 0.9), "teleport", model, engine)) for engine in ("gate", "pulse"))
+    assert max(abs(g.fe - p.fe) for g, p in zip(gate, pulse)) <= 1e-6
 
 
 def test_identity_gate_compiles_to_empty_schedule():

@@ -175,6 +175,13 @@ def test_density_matrix_rejects_unphysical_input():
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
 
 
+def test_density_matrix_rejects_a_register_its_matrix_does_not_fit():
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        DensityMatrix(0, np.eye(1))
+    with pytest.raises(ValueError, match=r"^matrix shape \(2, 2\) does not fit 2 qubits$"):
+        DensityMatrix(2, np.eye(2) / 2.0)
+
+
 def test_pure_state_requires_normalization():
     with pytest.raises(NumericalInvariantError):
         DensityMatrix(1, projector([1.0, 1.0]))
