@@ -118,7 +118,18 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
         (["teleport", "--engine", "pulse"], molecule() + "  active: [[C1, H]]\n"),
         (["compare", "--engine", "pulse"], molecule().replace("j_hz: 103.0", "j_hz: 1.0e308")),
     ]
-    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema
+    # A coupling pair given as a string (spins C, D and H, pairs "DH" and "CD"), and spins
+    # or couplings that are not a list of mappings, listed last for the same reason.
+    shapes = [
+        (
+            ["teleport", "--engine", "pulse"],
+            molecule().replace("name: C2,", "name: C,").replace("name: C1,", "name: D,").replace("[C1, H]", "DH").replace("[C1, C2]", "CD"),
+        ),
+        (["teleport"], "molecule: {spins: [C2, C1, H]}\n"),
+        (["teleport"], "molecule: {spins: {name: C2}}\n"),
+        (["teleport"], molecule().split("  couplings:")[0] + "  couplings: 5\n"),
+    ]
+    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema + shapes
 
 
 def run(

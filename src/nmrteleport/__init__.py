@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the names the package exports from it
     "channels": ("KrausChannel", "RelaxationParams", "depolarizing_channel"),
-    "circuits": ("Circuit", "bell_to_computational", "control_circuit", "correction_table", "entangle_gate",
-                 "teleport_circuit"),
-    "errors": ("ConfigError", "FitConvergenceError", "NumericalInvariantError", "UnphysicalBlochError",
-               "UnsupportedGateError"),
+    "circuits": ("Circuit", "control_circuit", "correction_table", "teleport_circuit"),
+    "errors": ("ConfigError", "FitConvergenceError", "NumericalInvariantError", "UnsupportedGateError"),
     "experiment": ("DEFAULT_DELAYS", "CurveComparison", "DecayFit", "SweepConfig", "SweepRecord", "compare_curves",
-                   "fit_decay", "fit_exponential", "run_sweep", "tomograph"),
+                   "fit_exponential", "run_sweep", "tomograph"),
     "nmr": ("FreeEvolution", "MoleculeModel", "RfRotation", "SpinParams", "compile_gate", "tce_model"),
     "qstate": ("DensityMatrix",),
     "tomography": ("state_tomography",),

@@ -124,8 +124,8 @@ def relaxation_channels(
     return KrausChannel((target,), np.swapaxes(products.reshape(-1, 4, 2, 2), 0, 1))
 
 
-def depolarizing_channel(p: float, target: int = 0) -> KrausChannel:
-    """rho -> (1-p) rho + p I/2."""
+def depolarizing_channel(p: float) -> KrausChannel:
+    """rho -> (1-p) rho + p I/2 on qubit 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
     k_id = math.sqrt(1.0 - 3.0 * p / 4.0)
@@ -133,4 +133,4 @@ def depolarizing_channel(p: float, target: int = 0) -> KrausChannel:
     elements = [k_id * IDENTITY_2]
     if k_pauli > 0.0:
         elements += [k_pauli * PAULI_X, k_pauli * PAULI_Y, k_pauli * PAULI_Z]
-    return KrausChannel((target,), tuple(elements))
+    return KrausChannel((0,), tuple(elements))

@@ -2,7 +2,8 @@
 
 The register order is fixed: qubit 0 carries the unknown input state (the
 data spin, C2), qubit 1 is the ancilla (C1), and qubit 2 is the target (H)
-that should end up holding the input.
+that should end up holding the input.  The gates on them are fixed steps,
+built once at import, which both circuits and the correction table read.
 
 Every step of a circuit is a :class:`~nmrteleport.channels.KrausChannel`: a
 gate is the one-element channel of its unitary, ``KrausChannel(targets,
@@ -85,30 +86,12 @@ class Circuit:
         object.__setattr__(self, "delays", delays)
 
 
-@lru_cache(maxsize=None)
-def entangle_gate(ancilla: int, target: int) -> tuple[KrausChannel, KrausChannel]:
-    """Hadamard on the ancilla, then CNOT onto the target; built once per qubit pair.
-
-    Maps |0>|0> on (ancilla, target) to the Bell pair (|00>+|11>)/sqrt(2).
-    """
-    return KrausChannel((ancilla,), (HADAMARD,)), KrausChannel((ancilla, target), (CNOT,))
-
-
-@lru_cache(maxsize=None)
-def bell_to_computational(data: int, ancilla: int) -> tuple[KrausChannel, KrausChannel]:
-    """Rotate the Bell basis of (data, ancilla) into the computational basis;
-    built once per qubit pair.
-
-    CNOT from data to ancilla followed by a Hadamard on data; sends the four
-    Bell states (|00>±|11>, |01>±|10>)/sqrt(2) to |00>, |10>, |01>, |11>.
-    """
-    return KrausChannel((data, ancilla), (CNOT,)), KrausChannel((data,), (HADAMARD,))
-
-
-def _teleport_prefix() -> tuple[KrausChannel, ...]:
-    """The teleport circuit's gates before the delay: entangle (ancilla, target),
-    then rotate (data, ancilla) out of the Bell basis."""
-    return (*entangle_gate(ANCILLA, TARGET), *bell_to_computational(DATA, ANCILLA))
+# Hadamard on the ancilla, then CNOT onto the target: maps |0>|0> on (ancilla,
+# target) to the Bell pair (|00>+|11>)/sqrt(2).
+_ENTANGLE = (KrausChannel((ANCILLA,), (HADAMARD,)), KrausChannel((ANCILLA, TARGET), (CNOT,)))
+# CNOT from data to ancilla, then a Hadamard on data: rotates the Bell basis of
+# (data, ancilla), (|00>±|11>, |01>±|10>)/sqrt(2), to |00>, |10>, |01>, |11>.
+_BELL_ROTATION = (KrausChannel((DATA, ANCILLA), (CNOT,)), KrausChannel((DATA,), (HADAMARD,)))
 
 
 @lru_cache(maxsize=1)
@@ -123,7 +106,7 @@ def correction_table() -> Mapping[str, np.ndarray]:
     read-only: outcome ("00" to "11") -> read-only 2x2 unitary.
     """
     pre = np.eye(8, dtype=complex).reshape((2,) * 6)
-    for step in _teleport_prefix():
+    for step in (*_ENTANGLE, *_BELL_ROTATION):
         pre = _apply_on(step.elements[0], pre, step.targets, 6)
     table = {}
     for b0 in (0, 1):
@@ -179,7 +162,7 @@ def teleport_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     correction restores the input on the target.  At a delay of ``inf`` the
     dephasing equals the exact computational-basis projection.
     """
-    return Circuit(3, (*_teleport_prefix(), *_delay_noise(delays, model), _controlled_correction()), TARGET, delays)
+    return Circuit(3, (*_ENTANGLE, *_BELL_ROTATION, *_delay_noise(delays, model), _controlled_correction()), TARGET, delays)
 
 
 def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
@@ -188,7 +171,7 @@ def control_circuit(delays: Sequence[float], model: MoleculeModel) -> Circuit:
     No Bell rotation and no conditional correction; the input state simply
     rides out the delay on the data spin, which is where readout happens.
     """
-    return Circuit(3, (*entangle_gate(ANCILLA, TARGET), *_delay_noise(delays, model)), DATA, delays)
+    return Circuit(3, (*_ENTANGLE, *_delay_noise(delays, model)), DATA, delays)
 
 
 def prepare(inputs: np.ndarray, num_qubits: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from .experiment import (
     SweepConfig,
     SweepRecord,
     compare_curves,
-    fit_decay,
+    fit_exponential,
     run_sweep,
     tomograph,
 )
@@ -109,14 +109,20 @@ _KEYS = {
 
 
 def _check_keys(data: dict) -> None:
-    """Refuse a key that its mapping does not take, naming its path; each section of ``data`` is a mapping."""
+    """Refuse a key that its mapping does not take, and a molecule's spins or couplings
+    that are not a list of mappings, naming the path; each section of ``data`` is a mapping."""
     molecule = data["molecule"]
     shape = "a molecule with spins" if "spins" in molecule else "the built-in molecule"
     scopes = [("a config file", "", data), (shape, "molecule.", molecule)]
     scopes += [(section, f"{section}.", data[section]) for section in ("experiment", "noise", "output")]
     for name, scope in (("spins", "a spin"), ("couplings", "a coupling")):
-        entries = molecule[name] if isinstance(molecule.get(name), list) else []
-        scopes += [(scope, f"molecule.{name}[{i}].", entry) for i, entry in enumerate(entries) if isinstance(entry, dict)]
+        entries = molecule.get(name, []) if "spins" in molecule else []
+        if not isinstance(entries, list):
+            raise ConfigError(f"molecule.{name} must be a list of mappings, got {entries!r}")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"molecule.{name}[{i}] must be a mapping, got {entry!r}")
+            scopes.append((scope, f"molecule.{name}[{i}].", entry))
     for scope, path, mapping in scopes:
         for key in mapping:
             if key not in _KEYS[scope]:
@@ -138,10 +144,11 @@ def _build_model(molecule: dict) -> MoleculeModel:
         SpinParams(s["name"], _number(s["larmor_hz"]), _number(s["t1"]), _number(s["t2"]))
         for s in molecule["spins"]
     )
-    couplings = {tuple(c["pair"]): _number(c["j_hz"]) for c in molecule.get("couplings", [])}
-    for pair in couplings:
-        if len(pair) != 2:
-            raise ValueError(f"a coupling pair must name two spins, got {list(pair)}")
+    couplings = {}
+    for c in molecule.get("couplings", []):
+        if not (isinstance(c["pair"], list) and len(c["pair"]) == 2):
+            raise ValueError(f"a coupling pair must name two spins, got {c['pair']!r}")
+        couplings[tuple(c["pair"])] = _number(c["j_hz"])
     return MoleculeModel(spins, couplings, frozenset(couplings))
 
 
@@ -278,9 +285,10 @@ def _run_curve(cfg: RunConfig, experiment: str, verdicts: Callable[[list[SweepRe
     """One sweep's outputs: its curve, the process of its first delay, and a
     summary of the header, the ``verdicts`` lines on its records and the decay fit."""
     records = _records(SweepConfig(cfg.delays, experiment, cfg.model, cfg.engine, cfg.rotation_error))
-    fit = fit_decay(records) if len(records) >= 4 else None
+    delays, fes = tuple(r.delay for r in records), tuple(r.fe for r in records)
+    fit = fit_exponential(delays, fes) if len(records) >= 4 else None
     return {
-        "curve.csv": _csv("delay_s,entanglement_fidelity", ((r.delay, r.fe) for r in records)),
+        "curve.csv": _csv("delay_s,entanglement_fidelity", zip(delays, fes)),
         **_process_files(records[0]),
         "summary.txt": _header(cfg, experiment) + verdicts(records) + _fit_lines(fit),
     }

@@ -16,10 +16,6 @@ class NumericalInvariantError(Exception):
     event = None
 
 
-class UnphysicalBlochError(NumericalInvariantError):
-    """A measured Bloch vector lies outside the unit ball beyond tolerance."""
-
-
 class UnsupportedGateError(ValueError):
     """The gate cannot be realized as an rf-pulse / J-coupling schedule."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -291,12 +291,6 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     return DecayFit(amplitude, tau, offset, rms, identifiable)
 
 
-def fit_decay(records: Iterable[SweepRecord]) -> DecayFit:
-    """Fit the fidelity decay of a sweep; see :func:`fit_exponential`."""
-    records = list(records)
-    return fit_exponential([r.delay for r in records], [r.fe for r in records])
-
-
 @dataclass(frozen=True)
 class CurveComparison:
     """Teleport and control sweeps side by side, with fits and verdicts.
@@ -321,20 +315,19 @@ class CurveComparison:
 
 def compare_curves(teleport: Sequence[SweepRecord], control: Sequence[SweepRecord]) -> CurveComparison:
     """Compare the two experiment families on a shared delay grid."""
-    tel = list(teleport)
-    ctl = list(control)
-    if [r.delay for r in tel] != [r.delay for r in ctl]:
+    delays = tuple(r.delay for r in teleport)
+    if delays != tuple(r.delay for r in control):
         raise ValueError("teleport and control sweeps use different delay grids")
-    teleport_fit = fit_decay(tel)
-    control_fit = fit_decay(ctl)
+    fe_teleport, fe_control = tuple(r.fe for r in teleport), tuple(r.fe for r in control)
+    teleport_fit = fit_exponential(delays, fe_teleport)
+    control_fit = fit_exponential(delays, fe_control)
     ratio = teleport_fit.time_constant / control_fit.time_constant
-    nonzero = [r for r in tel if r.delay > 0.0]
-    beats_classical = bool(nonzero and nonzero[0].fe > 0.5)
+    beats_classical = next((fe > 0.5 for delay, fe in zip(delays, fe_teleport) if delay > 0.0), False)
     determined = teleport_fit.tau_identifiable and control_fit.tau_identifiable
     return CurveComparison(
-        delays=tuple(r.delay for r in tel),
-        fe_teleport=tuple(r.fe for r in tel),
-        fe_control=tuple(r.fe for r in ctl),
+        delays=delays,
+        fe_teleport=fe_teleport,
+        fe_control=fe_control,
         teleport_fit=teleport_fit,
         control_fit=control_fit,
         tau_ratio=ratio,

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalInvariantError, UnphysicalBlochError
+from .errors import NumericalInvariantError
 from .qstate import (
     DensityMatrix,
     IDENTITY_2,
@@ -72,7 +72,7 @@ def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
     length = np.sqrt(x * x + y * y + z * z)
     worst = float(np.max(length))
     if not worst <= 1.0 + BLOCH_EXCESS_TOL:
-        raise UnphysicalBlochError(f"Bloch vector length {worst} exceeds 1")
+        raise NumericalInvariantError(f"Bloch vector length {worst} exceeds 1")
     scale = np.where(length > 1.0, length, 1.0)
     x, y, z = (c[..., None, None] / scale[..., None, None] for c in (x, y, z))
     return (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0

@@ -25,7 +25,7 @@ from nmrteleport.experiment import (
     DEFAULT_DELAYS,
     SweepConfig,
     compare_curves,
-    fit_decay,
+    fit_exponential,
     run_sweep,
 )
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, SpinParams, compile_gate, tce_model
@@ -136,7 +136,7 @@ def test_criterion_5_control_curve_matches_closed_form():
     worst = max(
         abs(r.fe - relaxation_fe(r.delay, c2.t1, c2.t2)) for r in records
     )
-    fit = fit_decay(records)
+    fit = fit_exponential([r.delay for r in records], [r.fe for r in records])
     tau_error = abs(fit.time_constant - c2.t2) / c2.t2
     report(
         5,

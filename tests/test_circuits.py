@@ -9,10 +9,10 @@ from nmrteleport.circuits import (
     DATA,
     TARGET,
     Circuit,
-    bell_to_computational,
+    _BELL_ROTATION,
+    _ENTANGLE,
     control_circuit,
     correction_table,
-    entangle_gate,
     prepare,
     run_events,
     teleport_circuit,
@@ -78,15 +78,15 @@ def noiseless_tce():
 
 
 def test_entangle_gate_creates_bell_pair():
-    out = run_events(entangle_gate(0, 1), prepare(projector(basis_state("0")), 2))
-    assert np.allclose(out, projector(BELL_STATES[0]), atol=1e-12)
+    out = run_events(_ENTANGLE, prepare(projector(basis_state("0")), 3))
+    assert np.allclose(out, projector(np.kron(basis_state("0"), BELL_STATES[0])), atol=1e-12)
 
 
 def test_entangle_gate_inverse_returns_input():
-    events = entangle_gate(0, 1)
+    events = _ENTANGLE
     # H and CNOT are self-inverse, so the inverse sequence is just reversed.
-    u = events_unitary(list(events) + list(reversed(events)), 2)
-    assert np.max(np.abs(u - np.eye(4))) < 1e-12
+    u = events_unitary(list(events) + list(reversed(events)), 3)
+    assert np.max(np.abs(u - np.eye(8))) < 1e-12
 
 
 def test_entangle_gate_on_excited_ancilla():
@@ -97,29 +97,31 @@ def test_entangle_gate_on_excited_ancilla():
     ket[2] = 1.0
     expected = u @ ket
     assert np.allclose(expected, BELL_STATES[1], atol=1e-12)
-    via_events = events_unitary(entangle_gate(0, 1), 2) @ ket
-    assert np.allclose(via_events, expected, atol=1e-12)
+    # The data qubit 0 stays in |0>; the gate acts on (ancilla, target).
+    via_events = events_unitary(_ENTANGLE, 3) @ np.kron(basis_state("0"), ket)
+    assert np.allclose(via_events, np.kron(basis_state("0"), expected), atol=1e-12)
 
 
 def test_bell_rotation_maps_bell_basis_to_computational():
-    u = events_unitary(bell_to_computational(0, 1), 2)
+    # The target qubit 2 stays in |0>; the rotation acts on (data, ancilla).
+    u = events_unitary(_BELL_ROTATION, 3)
     expected_bits = ("00", "10", "01", "11")
     outputs = []
     for bell, bits in zip(BELL_STATES, expected_bits):
-        out = u @ bell
-        assert phase_distance(out.reshape(2, 2), basis_state(bits).reshape(2, 2)) < 1e-12
+        out = u @ np.kron(bell, basis_state("0"))
+        assert phase_distance(out.reshape(4, 2), basis_state(bits + "0").reshape(4, 2)) < 1e-12
         outputs.append(bits)
     assert len(set(outputs)) == 4
 
 
 def test_bell_rotation_singlet_lands_on_11_exactly():
-    u = events_unitary(bell_to_computational(0, 1), 2)
-    assert np.allclose(u @ BELL_STATES[3], basis_state("11"), atol=1e-12)
+    u = events_unitary(_BELL_ROTATION, 3)
+    assert np.allclose(u @ np.kron(BELL_STATES[3], basis_state("0")), basis_state("110"), atol=1e-12)
 
 
 def test_bell_rotation_composes_with_inverse_to_identity():
-    u = events_unitary(bell_to_computational(0, 1), 2)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+    u = events_unitary(_BELL_ROTATION, 3)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
 
 
 def test_correction_table_entries_are_paulis_up_to_phase():
@@ -131,8 +133,7 @@ def test_correction_table_entries_are_paulis_up_to_phase():
 
 def test_a_prefix_that_leaves_a_non_pauli_residual_trips_the_correction_check(monkeypatch):
     # The teleport prefix is Clifford, so only an injected rotation can trip the check.
-    prefix = circuits._teleport_prefix
-    monkeypatch.setattr(circuits, "_teleport_prefix", lambda: (*prefix(), KrausChannel((TARGET,), (rotation_x(0.3),))))
+    monkeypatch.setattr(circuits, "_BELL_ROTATION", (*_BELL_ROTATION, KrausChannel((TARGET,), (rotation_x(0.3),))))
     caches = (correction_table, circuits._controlled_correction)
     for cache in caches:
         cache.cache_clear()
@@ -148,9 +149,7 @@ def test_corrections_restore_every_branch():
     # Exhaustive branch simulation: project the rotated state on each
     # outcome, apply the correction, and demand the input state back.
     rng = np.random.default_rng(42)
-    pre = events_unitary(
-        list(entangle_gate(ANCILLA, TARGET)) + list(bell_to_computational(DATA, ANCILLA)), 3
-    )
+    pre = events_unitary(list(_ENTANGLE) + list(_BELL_ROTATION), 3)
     for outcome in ("00", "01", "10", "11"):
         b = int(outcome, 2)
         correction = correction_table()[outcome]

@@ -557,6 +557,30 @@ RULE_MESSAGES = (
     ),
     # A string of digits is not read as the grid 0, 1, 2, 3.
     (["teleport"], 'experiment:\n  delays: "0123"\n', "experiment.delays must be a list of seconds"),
+    # A pair given as a string is not split into characters: with spins C, D and H, "DH" is not the pair [D, H].
+    (
+        ["teleport", "--engine", "pulse"],
+        molecule_yaml().replace("name: C2,", "name: C,").replace("name: C1,", "name: D,").replace("[C1, H]", "DH").replace("[C1, C2]", "CD"),
+        "invalid molecule section: a coupling pair must name two spins, got 'DH'",
+    ),
+    # Spins or couplings that are not a list of mappings are refused by their path before
+    # any value is read: the bad rf miscalibration beside the first is never reached.
+    (
+        ["teleport"],
+        "molecule: {spins: [C2, C1, H]}\nnoise: {rf_miscalibration: wobbly}\n",
+        "molecule.spins[0] must be a mapping, got 'C2'",
+    ),
+    (["teleport"], "molecule: {spins: {name: C2}}\n", "molecule.spins must be a list of mappings, got {'name': 'C2'}"),
+    (
+        ["teleport"],
+        molecule_yaml().split("  couplings:")[0] + "  couplings: 5\n",
+        "molecule.couplings must be a list of mappings, got 5",
+    ),
+    (
+        ["teleport"],
+        molecule_yaml().replace("{pair: [C1, C2], j_hz: 103.0}", "[C1, C2]"),
+        "molecule.couplings[1] must be a mapping, got ['C1', 'C2']",
+    ),
 )
 
 

@@ -20,7 +20,6 @@ from nmrteleport.experiment import (
     SweepConfig,
     SweepRecord,
     compare_curves,
-    fit_decay,
     fit_exponential,
     run_sweep,
     tomograph,
@@ -103,7 +102,7 @@ def test_control_sweep_matches_closed_form_oracle(relaxations, delays):
 
 def test_control_fit_recovers_carbon_t2():
     records = run_sweep(SweepConfig(DEFAULT_DELAYS, "control", tce_model()))
-    fit = fit_decay(records)
+    fit = fit_exponential([r.delay for r in records], [r.fe for r in records])
     assert abs(fit.time_constant - 0.3) / 0.3 < 0.15
 
 
@@ -141,7 +140,8 @@ def test_fit_recovers_exact_exponential():
     assert abs(fit.offset - 0.5) / 0.5 < 1e-6
     assert fit.tau_identifiable
 
-    via_records = fit_decay(records_from_curve(times, values))
+    records = records_from_curve(times, values)
+    via_records = fit_exponential([r.delay for r in records], [r.fe for r in records])
     assert via_records.time_constant == pytest.approx(fit.time_constant, rel=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_fit_tau_is_the_root_of_the_exact_profile_slope():
     for engine in ("gate", "pulse"):
         for kind in ("teleport", "control"):
             records = run_sweep(SweepConfig(DEFAULT_DELAYS, kind, tce_model(), engine))
-            fit = fit_decay(records)
+            fit = fit_exponential([r.delay for r in records], [r.fe for r in records])
             assert fit.tau_identifiable
             _assert_at_the_exact_root([r.delay for r in records], [r.fe for r in records], fit)
 
@@ -600,15 +600,10 @@ def test_a_sweep_of_three_blocks_equals_its_one_delay_sweeps():
 def test_a_violation_in_the_prefix_names_every_delay(monkeypatch):
     # The entangling CNOT is step 1 of both circuits; the prefix runs once for every delay.
     circuits._controlled_correction()  # built from the clean gates before the patch
-    real = circuits.entangle_gate
-
-    def corrupted(ancilla, target):
-        hadamard, cnot = real(ancilla, target)
-        bad = circuits.KrausChannel(cnot.targets, cnot.elements)
-        object.__setattr__(bad, "elements", tuple(1.1 * a for a in bad.elements))
-        return hadamard, bad
-
-    monkeypatch.setattr(circuits, "entangle_gate", corrupted)
+    hadamard, cnot = circuits._ENTANGLE
+    bad = circuits.KrausChannel(cnot.targets, cnot.elements)
+    object.__setattr__(bad, "elements", tuple(1.1 * a for a in bad.elements))
+    monkeypatch.setattr(circuits, "_ENTANGLE", (hadamard, bad))
     for kind in ("teleport", "control"):
         with pytest.raises(NumericalInvariantError) as info:
             run_sweep(SweepConfig((0.0, 0.3, 0.6), kind, tce_model()))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nmrteleport import tomography
 from nmrteleport.channels import depolarizing_channel
-from nmrteleport.errors import NumericalInvariantError, UnphysicalBlochError
+from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.experiment import SweepRecord
 from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, validate_density
 from nmrteleport.tomography import (
@@ -56,7 +56,7 @@ def test_state_tomography_renormalizes_marginal_excess():
 
 
 def test_state_tomography_rejects_unphysical_bloch_vector():
-    with pytest.raises(UnphysicalBlochError):
+    with pytest.raises(NumericalInvariantError, match="Bloch vector length"):
         state_tomography(1.0, 0.5, 0.0)
 
 
@@ -276,7 +276,7 @@ def test_nan_fails_process_map_and_fidelity_checks():
         _check_process(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
     with pytest.raises(NumericalInvariantError):
         _fidelities(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix)
-    with pytest.raises(UnphysicalBlochError):
+    with pytest.raises(NumericalInvariantError, match="Bloch vector length"):
         state_tomography(np.nan, 0.0, 0.0)
 
 
