@@ -129,7 +129,9 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
         (["teleport"], "molecule: {spins: {name: C2}}\n"),
         (["teleport"], molecule().split("  couplings:")[0] + "  couplings: 5\n"),
     ]
-    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema + shapes
+    # A spin name that YAML reads as a number, named by both couplings, listed last for the same reason.
+    spin_names = [(["teleport", "--engine", "pulse"], molecule().replace("C1", "5"))]
+    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema + shapes + spin_names
 
 
 def run(

@@ -195,6 +195,26 @@ def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.
     return np.array((amplitude, mean_value - amplitude * mean_decay)), amplitude * centered - centered_values, decay
 
 
+def _seed_index(times: np.ndarray, values: np.ndarray) -> int:
+    """Index of the grid seed whose :func:`_profile_fit` leaves the least sum of
+    squares, all of ``_TAU_GRID`` scored in one evaluation: a ``(40, N)`` stack of
+    decays, each row fitted by :func:`_profile_fit`'s rule, flat where its design is
+    rank-deficient.  The sums are ``einsum`` reductions, so none reaches BLAS."""
+    n = times.size
+    with np.errstate(over="ignore"):  # as in _profile_fit: a huge delay decays to 0
+        decay = np.exp(-times / _TAU_GRID[:, None])
+    mean_decay = decay.sum(axis=1) / n
+    centered, centered_values = decay - mean_decay[:, None], values - values.sum() / n
+    spread = np.einsum("ij,ij->i", centered, centered)
+    decay_sq = spread + n * mean_decay * mean_decay
+    sigma_max_sq = (decay_sq + n) / 2.0 + np.hypot((decay_sq - n) / 2.0, n * mean_decay)
+    full_rank = np.sqrt(n * spread) > max(n, 2) * _EPS * sigma_max_sq
+    products = np.einsum("ij,j->i", centered, centered_values)
+    amplitude = np.divide(products, spread, out=np.zeros_like(spread), where=full_rank)
+    residual = amplitude[:, None] * centered - centered_values
+    return int(np.argmin(np.einsum("ij,ij->i", residual, residual)))
+
+
 def _profile_slope(times: np.ndarray, values: np.ndarray, tau: float) -> float:
     """dS/dtau, S the sum of squares at the best (A, C) for each tau: there dS/dA =
     dS/dC = 0, so dS/dtau = 2A * sum(r t exp(-t/tau)) / tau**2 (variable projection;
@@ -248,10 +268,12 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     four or more times, each nonnegative or ``inf``; raises ``ValueError`` otherwise,
     and when a fitted amplitude, offset or RMS residual overflows a float.
 
-    tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds)
-    and refined to the root of the profile's slope dS/dtau in
-    [seed/1.5, seed*1.5] (:func:`_slope_root`; tolerance 1e-12 of the seed,
-    at most 500 evaluations); amplitude and offset come in closed form at
+    tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds),
+    all 40 scored in one call (:func:`_seed_index`) that picks the seed that
+    scoring them one at a time picks, or one tied with it to rounding.  tau is
+    refined to the root of the profile's slope dS/dtau in [seed/1.5, seed*1.5]
+    (:func:`_slope_root`; tolerance 1e-12 of the seed, at most 500
+    evaluations); amplitude and offset come in closed form at
     each tau, flat when the design is rank-deficient (:func:`_profile_fit`).
     No randomness anywhere, so refits are reproducible bit for bit.
 
@@ -276,8 +298,7 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     # subnormals), so the fitted bits are those of the unscaled fit wherever it does not overflow.
     exponent = math.frexp(float(np.abs(values).max()))[1]
     scaled = np.ldexp(values, -exponent)
-    residuals = [_profile_fit(times, scaled, tau)[1] for tau in _TAU_GRID]
-    seed = float(_TAU_GRID[int(np.argmin([r @ r for r in residuals]))])
+    seed = float(_TAU_GRID[_seed_index(times, scaled)])
     tau, inside = _slope_root(lambda tau: _profile_slope(times, scaled, tau), seed / 1.5, seed * 1.5, seed * 1e-12, 500)
     coef, residual, _ = _profile_fit(times, scaled, seed if inside is None else tau)
     try:

@@ -45,6 +45,8 @@ class SpinParams:
     t2: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"spin name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("spin needs a name")
         if not 0.0 < self.larmor_hz < math.inf:

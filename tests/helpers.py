@@ -8,17 +8,20 @@ checks stay meaningful.
 import math
 import os
 import warnings
+from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
 import nmrteleport
+from nmrteleport import experiment
 from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_channels
 from nmrteleport.circuits import Circuit, prepare, run_events
-from nmrteleport.experiment import SweepRecord, tomograph
+from nmrteleport.experiment import SweepRecord, fit_exponential, tomograph
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, RfRotation, realize_pulses
-from nmrteleport.errors import NumericalInvariantError
+from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.qstate import (
     HERMITICITY_TOL,
     PAULIS,
@@ -222,6 +225,34 @@ def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarr
     design[:, 0] = np.exp(-times / tau)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     return design @ coef
+
+
+def per_seed_scores(times: np.ndarray, values: np.ndarray) -> list[float]:
+    """The sum of squares that ``experiment._profile_fit`` leaves at each seed of the
+    fit's grid, one seed at a time: the oracle of ``experiment._seed_index``."""
+    return [float(r @ r) for r in (experiment._profile_fit(times, values, tau)[1] for tau in experiment._TAU_GRID)]
+
+
+def per_seed_index(times: np.ndarray, values: np.ndarray) -> int:
+    """The grid seed of least :func:`per_seed_scores`, the first of equal ones."""
+    return int(np.argmin(per_seed_scores(times, values)))
+
+
+def fit_outcome(times, values, seed_index=None):
+    """What ``fit_exponential`` makes of a curve, bit for bit: each field of the fit
+    (floats as hex), or the class and message of the error it raised, with the
+    fields of a non-converged fit's best parameters.  With ``seed_index``, the fit
+    starts from the grid seed that ``seed_index(times, scaled_values)`` picks."""
+    def bits(fit):
+        return tuple(x.hex() if isinstance(x, float) else x for x in astuple(fit))
+
+    with mock.patch.object(experiment, "_seed_index", seed_index or experiment._seed_index):
+        try:
+            return bits(fit_exponential(times, values))
+        except FitConvergenceError as exc:
+            return type(exc), str(exc), bits(exc.best)
+        except ValueError as exc:
+            return type(exc), str(exc)
 
 
 def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:

@@ -581,6 +581,17 @@ RULE_MESSAGES = (
         molecule_yaml().replace("{pair: [C1, C2], j_hz: 103.0}", "[C1, C2]"),
         "molecule.couplings[1] must be a mapping, got ['C1', 'C2']",
     ),
+    # A spin name that YAML reads as a number or a boolean is refused, with the value, on
+    # either engine, before a coupling that names it puts the pair's names in order.
+    *(
+        (
+            ["teleport", "--engine", engine],
+            molecule_yaml().replace("C1", name),
+            f"invalid molecule section: spin name must be a string, got {shown}",
+        )
+        for engine in ("gate", "pulse")
+        for name, shown in (("5", "5"), ("true", "True"))
+    ),
 )
 
 

@@ -30,9 +30,12 @@ from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_p
 from tests.helpers import (
     child_env,
     delay_grids,
+    fit_outcome,
     kraus_fe,
     lstsq_profile,
     per_output_reconstruction,
+    per_seed_index,
+    per_seed_scores,
     process_map,
     relaxation_fe,
     relaxation_params,
@@ -236,6 +239,54 @@ def test_a_rank_deficient_design_fits_flat_without_warnings(tmp_path, delays):
     assert (fit.amplitude, fit.offset, fit.tau_identifiable) == (0.0, pytest.approx(0.65, abs=1e-15), False)
     summary = (tmp_path / "summary.txt").read_text()
     assert summary.count("tau_identifiable = no") == 2 and summary.count(" A = 0\n") == 2
+
+
+# A fit's delays: ordinary ones, 0, inf and 1e308 (whose -t/tau overflows to the decay of inf).
+_FIT_TIMES = st.one_of(st.just(0.0), st.just(math.inf), st.just(1e308), st.floats(0.0, 10.0, allow_subnormal=False))
+
+
+@st.composite
+def fit_curves(draw):
+    """Delays, or a grid of :data:`DEGENERATE_GRIDS`, with flat, noiseless-decay or
+    arbitrary values at one scale from subnormal to near the float maximum."""
+    times = draw(st.one_of(st.sampled_from(list(DEGENERATE_GRIDS.values())), st.lists(_FIT_TIMES, min_size=4, max_size=12)))
+    unit, kind = st.floats(-1.0, 1.0), draw(st.sampled_from(["flat", "noiseless", "arbitrary"]))
+    if kind == "flat":
+        values = [draw(unit)] * len(times)
+    elif kind == "noiseless":
+        amplitude, offset, tau = draw(unit), draw(unit), draw(st.floats(0.01, 20.0))
+        with np.errstate(over="ignore"):
+            values = amplitude * np.exp(-np.array(times) / tau) + offset
+    else:
+        values = draw(st.lists(unit, min_size=len(times), max_size=len(times)))
+    return np.array(times), draw(st.sampled_from([1.0, 1e-310, 1e-300, 1e-9, 1e300, 5e307])) * np.asarray(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_curves())
+@example((np.array(DEGENERATE_GRIDS["decays that underflow"]), np.array([0.9, 0.4, 0.7, 0.6])))
+@example((np.array([0.0, 0.3, 0.6, 0.9]), np.array([1e308, -1e308, 1e308, 0.0])))
+@example((np.array([0.0, 0.3, 0.6, 0.9]), np.array([1e-310, 5e-311, 2e-311, 1e-311])))
+@example((np.array([math.inf, 1.0, math.inf, math.inf]), np.array([0.0, math.exp(-1.0), 0.0, 0.0])))
+# Seeds near 1 s decay to 1e-18 at these delays: rows the rank rule fits flat, though not all 0.
+@example((np.array([40.0, 41.0, 42.0, 43.0]), 1e17 * np.exp(-np.array([40.0, 41.0, 42.0, 43.0]))))
+def test_the_grid_scored_in_one_call_picks_the_per_seed_loop_seed(curve):
+    # Oracle: the 40 seeds scored one at a time by _profile_fit.  The one-call grid sums
+    # by einsum, the loop by BLAS, so where two seeds' scores differ only by rounding
+    # the grid may pick the other.  Its score must then tie the least within 1e-12,
+    # or both must be rounding noise: on a curve that every seed fits exactly (two
+    # distinct delays), the least is 0 and another seed's ~1e-32, residuals within a
+    # few ulps of the values, whose largest magnitude the fit scales into [0.5, 1).
+    times, values = curve
+    scaled = np.ldexp(values, -math.frexp(float(np.abs(values).max()))[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = experiment._seed_index(times, scaled)
+    best, scores = per_seed_index(times, scaled), per_seed_scores(times, scaled)
+    rounding = times.size * (8.0 * np.finfo(float).eps) ** 2
+    assert index == best or scores[index] - scores[best] <= 1e-12 * scores[best] + rounding, (index, best)
+    if index == best:
+        assert fit_outcome(times, values) == fit_outcome(times, values, per_seed_index)
 
 
 def test_fit_reports_non_convergence_with_best_seed(monkeypatch):
