@@ -14,6 +14,9 @@ What a sweep does not vary is built once and shared read-only: the four
 tomography inputs on the register, per register size, and the relaxation
 channels of the last delay grid and spin relaxation times asked for, so the
 control sweep of a ``compare`` reuses those of its teleport sweep.
+
+The decay fit states its least-squares profile once, in :func:`_profiles`, for
+the 40-seed grid, every slope and the final fit alike, and never calls BLAS.
 """
 
 from __future__ import annotations
@@ -169,64 +172,30 @@ def _where(exc: NumericalInvariantError, delays: Sequence[float] | None, start: 
     return f"{where}, circuit step {step} ({kind} on qubits {exc.event.targets})"
 
 
-def _profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best (amplitude, offset) for a fixed tau, the residual, and exp(-t/tau).
+def _profiles(times: np.ndarray, centered_values: np.ndarray, taus: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """The least-squares profile at each tau of ``taus``, a float or an array: the
+    amplitude A, the mean decay, the residual A*d - v and the decay e = exp(-t/tau),
+    with the shape of ``taus`` in front (d is e centered, v the centered values).
 
-    With e = exp(-t/tau) centered to d and the values centered to v, the
-    least-squares amplitude is A = (d.v)/(d.d), the offset C = mean(values) -
-    A*mean(e), and the residual A*d - v.  The fit is flat (A = 0) when the
-    design [e, 1] is rank-deficient by the rule of a least-squares solver's
-    default cutoff, sigma_min <= max(N, 2)*eps*sigma_max: then d is zero or
-    only rounding noise, e.g. when every decay underflows or rounds to 1.
-    sigma_max^2 is the larger eigenvalue of the design's Gram matrix
-    [[e.e, N*mean(e)], [N*mean(e), N]], and sigma_min*sigma_max the square
-    root of its determinant N*(d.d)."""
+    A = (d.v)/(d.d), and the offset is mean(values) - A*mean(e).  A = 0 (flat)
+    where the design [e, 1] is rank-deficient by a least-squares solver's default
+    cutoff, sigma_min <= max(N, 2)*eps*sigma_max, e.g. when every decay underflows
+    or rounds to 1: sigma_max^2 is the larger eigenvalue of the Gram matrix
+    [[e.e, N*mean(e)], [N*mean(e), N]], and sigma_min*sigma_max the root of its
+    determinant N*(d.d).  The dot products are ``einsum`` reductions, so none reaches
+    BLAS, and a tau scored alone gives its grid row's bits.  The caller ignores the
+    overflow of a huge delay's -t/tau to -inf (the decay of ``inf``, 0)."""
     n = times.size
-    with np.errstate(over="ignore"):  # a huge delay's -t/tau overflows to -inf: the decay of an inf delay, 0
-        decay = np.exp(-times / tau)
-    mean_decay, mean_value = decay.sum() / n, values.sum() / n
-    centered, centered_values = decay - mean_decay, values - mean_value
-    spread = centered @ centered
+    decay = np.exp(-times / np.asarray(taus)[..., None])
+    mean_decay = decay.sum(axis=-1) / n
+    centered = decay - mean_decay[..., None]
+    spread = np.einsum("...j,...j->...", centered, centered)
     decay_sq = spread + n * mean_decay * mean_decay  # e.e
-    sigma_max_sq = (decay_sq + n) / 2.0 + math.hypot((decay_sq - n) / 2.0, n * mean_decay)
-    amplitude = 0.0
-    if math.sqrt(n * spread) > max(n, 2) * _EPS * sigma_max_sq:
-        amplitude = (centered @ centered_values) / spread
-    return np.array((amplitude, mean_value - amplitude * mean_decay)), amplitude * centered - centered_values, decay
-
-
-def _seed_index(times: np.ndarray, values: np.ndarray) -> int:
-    """Index of the grid seed whose :func:`_profile_fit` leaves the least sum of
-    squares, all of ``_TAU_GRID`` scored in one evaluation: a ``(40, N)`` stack of
-    decays, each row fitted by :func:`_profile_fit`'s rule, flat where its design is
-    rank-deficient.  The sums are ``einsum`` reductions, so none reaches BLAS."""
-    n = times.size
-    with np.errstate(over="ignore"):  # as in _profile_fit: a huge delay decays to 0
-        decay = np.exp(-times / _TAU_GRID[:, None])
-    mean_decay = decay.sum(axis=1) / n
-    centered, centered_values = decay - mean_decay[:, None], values - values.sum() / n
-    spread = np.einsum("ij,ij->i", centered, centered)
-    decay_sq = spread + n * mean_decay * mean_decay
     sigma_max_sq = (decay_sq + n) / 2.0 + np.hypot((decay_sq - n) / 2.0, n * mean_decay)
     full_rank = np.sqrt(n * spread) > max(n, 2) * _EPS * sigma_max_sq
-    products = np.einsum("ij,j->i", centered, centered_values)
+    products = np.einsum("...j,j->...", centered, centered_values)
     amplitude = np.divide(products, spread, out=np.zeros_like(spread), where=full_rank)
-    residual = amplitude[:, None] * centered - centered_values
-    return int(np.argmin(np.einsum("ij,ij->i", residual, residual)))
-
-
-def _profile_slope(times: np.ndarray, values: np.ndarray, tau: float) -> float:
-    """dS/dtau, S the sum of squares at the best (A, C) for each tau: there dS/dA =
-    dS/dC = 0, so dS/dtau = 2A * sum(r t exp(-t/tau)) / tau**2 (variable projection;
-    Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  A delay of ``inf``
-    adds 0 to the slope, without forming ``inf * 0``: only a grid that holds one
-    pays for the mask."""
-    coef, residual, decay = _profile_fit(times, values, tau)
-    if times.max() < math.inf:
-        weighted = times * decay
-    else:
-        weighted = np.multiply(times, decay, out=np.zeros_like(decay), where=decay > 0.0)
-    return 2.0 * float(coef[0]) * float(residual @ weighted) / tau**2
+    return amplitude, mean_decay, amplitude[..., None] * centered - centered_values, decay
 
 
 def _slope_root(
@@ -269,13 +238,14 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     and when a fitted amplitude, offset or RMS residual overflows a float.
 
     tau is seeded from a fixed logarithmic grid (0.05 s to 10 s, 40 seeds),
-    all 40 scored in one call (:func:`_seed_index`) that picks the seed that
-    scoring them one at a time picks, or one tied with it to rounding.  tau is
-    refined to the root of the profile's slope dS/dtau in [seed/1.5, seed*1.5]
+    all 40 scored in one call of the profile kernel (:func:`_profiles`), whose
+    rows are bit for bit the seeds scored one at a time.  tau is refined to the
+    root of the profile's slope dS/dtau in [seed/1.5, seed*1.5]
     (:func:`_slope_root`; tolerance 1e-12 of the seed, at most 500
-    evaluations); amplitude and offset come in closed form at
-    each tau, flat when the design is rank-deficient (:func:`_profile_fit`).
-    No randomness anywhere, so refits are reproducible bit for bit.
+    evaluations); amplitude and offset come in closed form at each tau, flat
+    when the design is rank-deficient.  The grid, every slope and the final
+    fit are the same kernel, whose dot products never reach BLAS.  No
+    randomness anywhere, so refits are reproducible bit for bit.
 
     tau is not identifiable when the amplitude vanishes against the values
     (|A| at most 1e-8 of the larger of |C| and the values' scale, the least
@@ -298,17 +268,31 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     # subnormals), so the fitted bits are those of the unscaled fit wherever it does not overflow.
     exponent = math.frexp(float(np.abs(values).max()))[1]
     scaled = np.ldexp(values, -exponent)
-    seed = float(_TAU_GRID[_seed_index(times, scaled)])
-    tau, inside = _slope_root(lambda tau: _profile_slope(times, scaled, tau), seed / 1.5, seed * 1.5, seed * 1e-12, 500)
-    coef, residual, _ = _profile_fit(times, scaled, seed if inside is None else tau)
+    mean_value = scaled.sum() / times.size
+    centered_values = scaled - mean_value
+    # dS/dtau, S the sum of squares at the best (A, C) for each tau: there dS/dA = dS/dC = 0,
+    # so dS/dtau = 2A * sum(r t exp(-t/tau)) / tau**2 (variable projection; Golub & Pereyra,
+    # SIAM J. Numer. Anal. 10, 413 (1973)).  An inf delay's multiplier is 0: it adds 0, not inf * 0.
+    multiplier = np.where(times < math.inf, times, 0.0)
+
+    def slope(tau: float) -> float:
+        amplitude, _, residual, decay = _profiles(times, centered_values, tau)
+        return 2.0 * float(amplitude) * float(np.einsum("j,j->", residual, multiplier * decay)) / tau**2
+
+    with np.errstate(over="ignore"):  # a huge delay's -t/tau overflows to -inf: the decay of an inf delay, 0
+        _, _, residuals, _ = _profiles(times, centered_values, _TAU_GRID)
+        seed = float(_TAU_GRID[np.argmin(np.einsum("ij,ij->i", residuals, residuals))])
+        tau, inside = _slope_root(slope, seed / 1.5, seed * 1.5, seed * 1e-12, 500)
+        amplitude, mean_decay, residual, _ = _profiles(times, centered_values, seed if inside is None else tau)
+    coef = float(amplitude), float(mean_value - amplitude * mean_decay)
     try:
-        amplitude, offset = math.ldexp(float(coef[0]), exponent), math.ldexp(float(coef[1]), exponent)
-        rms = math.ldexp(math.sqrt(residual @ residual / times.size), exponent)
+        amplitude, offset = math.ldexp(coef[0], exponent), math.ldexp(coef[1], exponent)
+        rms = math.ldexp(math.sqrt(np.einsum("j,j->", residual, residual) / times.size), exponent)
     except OverflowError:
         raise ValueError(f"values {values.tolist()} are too large: their fitted decay overflows a float") from None
     if inside is None:
         raise FitConvergenceError("decay fit did not converge", best=DecayFit(amplitude, seed, offset, rms))
-    identifiable = abs(float(coef[0])) > _AMPLITUDE_FLOOR * max(1.0, abs(float(coef[1]))) and inside
+    identifiable = abs(coef[0]) > _AMPLITUDE_FLOOR * max(1.0, abs(coef[1])) and inside
     return DecayFit(amplitude, tau, offset, rms, identifiable)
 
 

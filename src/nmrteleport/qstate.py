@@ -21,10 +21,10 @@ Conventions used package-wide:
   states evolve only through :func:`evolve`, which applies it to raw
   ``(..., 2^n, 2^n)`` stacks, and the pulse compiler and the correction
   table compose their unitaries with it;
-* every complex product is an ``einsum`` contraction without ``optimize``,
-  so none reaches BLAS and no state or process bit depends on the BLAS
-  kernel: the package calls LAPACK only for the positivity certificate (a
-  pass/fail), and BLAS only for the decay fit's real dot products.
+* every product, complex or the decay fit's real dot products, is an
+  ``einsum`` contraction without ``optimize``, so none reaches BLAS and no
+  output bit depends on the BLAS kernel: the package calls LAPACK only for
+  the positivity certificate (a pass/fail), and BLAS never.
 """
 
 from __future__ import annotations

@@ -8,9 +8,7 @@ checks stay meaningful.
 import math
 import os
 import warnings
-from dataclasses import astuple
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,9 +17,9 @@ import nmrteleport
 from nmrteleport import experiment
 from nmrteleport.channels import KrausChannel, RelaxationParams, relaxation_channels
 from nmrteleport.circuits import Circuit, prepare, run_events
-from nmrteleport.experiment import SweepRecord, fit_exponential, tomograph
+from nmrteleport.experiment import SweepRecord, tomograph
 from nmrteleport.nmr import FreeEvolution, MoleculeModel, RfRotation, realize_pulses
-from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
+from nmrteleport.errors import NumericalInvariantError
 from nmrteleport.qstate import (
     HERMITICITY_TOL,
     PAULIS,
@@ -227,32 +225,42 @@ def lstsq_profile(times: np.ndarray, values: np.ndarray, tau: float) -> np.ndarr
     return design @ coef
 
 
+def profile_fit(times: np.ndarray, values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fit's profile at one tau, scored on its own: the reference for the rows
+    of ``experiment._profiles``.  Best (amplitude, offset) for a fixed tau, the
+    residual, and exp(-t/tau).
+
+    With e = exp(-t/tau) centered to d and the values centered to v, the
+    least-squares amplitude is A = (d.v)/(d.d), the offset C = mean(values) -
+    A*mean(e), and the residual A*d - v.  The fit is flat (A = 0) when the
+    design [e, 1] is rank-deficient by the rule of a least-squares solver's
+    default cutoff, sigma_min <= max(N, 2)*eps*sigma_max, sigma_max^2 being
+    the larger eigenvalue of the Gram matrix [[e.e, N*mean(e)], [N*mean(e), N]]
+    and sigma_min*sigma_max the square root of its determinant N*(d.d)."""
+    n, eps = times.size, float(np.finfo(float).eps)
+    with np.errstate(over="ignore"):  # a huge delay's -t/tau overflows to -inf: the decay of an inf delay, 0
+        decay = np.exp(-times / tau)
+    mean_decay, mean_value = decay.sum() / n, values.sum() / n
+    centered, centered_values = decay - mean_decay, values - mean_value
+    spread = np.einsum("i,i->", centered, centered)
+    decay_sq = spread + n * mean_decay * mean_decay  # e.e
+    sigma_max_sq = (decay_sq + n) / 2.0 + math.hypot((decay_sq - n) / 2.0, n * mean_decay)
+    amplitude = 0.0
+    if math.sqrt(n * spread) > max(n, 2) * eps * sigma_max_sq:
+        amplitude = np.einsum("i,i->", centered, centered_values) / spread
+    return np.array((amplitude, mean_value - amplitude * mean_decay)), amplitude * centered - centered_values, decay
+
+
 def per_seed_scores(times: np.ndarray, values: np.ndarray) -> list[float]:
-    """The sum of squares that ``experiment._profile_fit`` leaves at each seed of the
-    fit's grid, one seed at a time: the oracle of ``experiment._seed_index``."""
-    return [float(r @ r) for r in (experiment._profile_fit(times, values, tau)[1] for tau in experiment._TAU_GRID)]
+    """The sum of squares that :func:`profile_fit` leaves at each seed of the fit's
+    grid, one seed at a time."""
+    residuals = (profile_fit(times, values, tau)[1] for tau in experiment._TAU_GRID)
+    return [float(np.einsum("i,i->", r, r)) for r in residuals]
 
 
 def per_seed_index(times: np.ndarray, values: np.ndarray) -> int:
     """The grid seed of least :func:`per_seed_scores`, the first of equal ones."""
     return int(np.argmin(per_seed_scores(times, values)))
-
-
-def fit_outcome(times, values, seed_index=None):
-    """What ``fit_exponential`` makes of a curve, bit for bit: each field of the fit
-    (floats as hex), or the class and message of the error it raised, with the
-    fields of a non-converged fit's best parameters.  With ``seed_index``, the fit
-    starts from the grid seed that ``seed_index(times, scaled_values)`` picks."""
-    def bits(fit):
-        return tuple(x.hex() if isinstance(x, float) else x for x in astuple(fit))
-
-    with mock.patch.object(experiment, "_seed_index", seed_index or experiment._seed_index):
-        try:
-            return bits(fit_exponential(times, values))
-        except FitConvergenceError as exc:
-            return type(exc), str(exc), bits(exc.best)
-        except ValueError as exc:
-            return type(exc), str(exc)
 
 
 def lift_operator(op: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:

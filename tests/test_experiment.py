@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_p
 from tests.helpers import (
     child_env,
     delay_grids,
-    fit_outcome,
     kraus_fe,
     lstsq_profile,
     per_output_reconstruction,
@@ -224,8 +224,8 @@ def test_profile_fit_matches_the_least_squares_solver_at_every_grid_tau():
     curves = [(np.array(grid), rng.uniform(0.25, 1.0, len(grid))) for grid in DEGENERATE_GRIDS.values()]
     curves += _seeded_curves(np.random.default_rng(2025), 90)
     for times, values in curves:
-        for tau in experiment._TAU_GRID:
-            _, residual, _ = experiment._profile_fit(times, values, tau)
+        _, _, residuals, _ = experiment._profiles(times, values - values.sum() / times.size, experiment._TAU_GRID)
+        for tau, residual in zip(experiment._TAU_GRID, residuals):
             assert np.max(np.abs(residual + values - lstsq_profile(times, values, tau))) <= 1e-12, (times, tau)
 
 
@@ -270,23 +270,36 @@ def fit_curves(draw):
 @example((np.array([math.inf, 1.0, math.inf, math.inf]), np.array([0.0, math.exp(-1.0), 0.0, 0.0])))
 # Seeds near 1 s decay to 1e-18 at these delays: rows the rank rule fits flat, though not all 0.
 @example((np.array([40.0, 41.0, 42.0, 43.0]), 1e17 * np.exp(-np.array([40.0, 41.0, 42.0, 43.0]))))
+# Delays of a few 1e-15 s: at grid taus near 1 s the rank rule passes or fails by less than 4x.
+@example((np.array([0.0, 3e-15, 6e-15, 9e-15]), np.array([0.9, 0.4, 0.7, 0.6])))
 def test_the_grid_scored_in_one_call_picks_the_per_seed_loop_seed(curve):
-    # Oracle: the 40 seeds scored one at a time by _profile_fit.  The one-call grid sums
-    # by einsum, the loop by BLAS, so where two seeds' scores differ only by rounding
-    # the grid may pick the other.  Its score must then tie the least within 1e-12,
-    # or both must be rounding noise: on a curve that every seed fits exactly (two
-    # distinct delays), the least is 0 and another seed's ~1e-32, residuals within a
-    # few ulps of the values, whose largest magnitude the fit scales into [0.5, 1).
+    # Oracle: the 40 seeds scored one at a time by helpers.profile_fit.  The grid's
+    # sums of squares are the loop's bit for bit, a tau scored alone gives its
+    # grid row's bits, and the fit's bracket is centred on the loop's seed.
     times, values = curve
     scaled = np.ldexp(values, -math.frexp(float(np.abs(values).max()))[1])
-    with warnings.catch_warnings():
+    centered = scaled - scaled.sum() / times.size
+    real_root, brackets = experiment._slope_root, []
+
+    def spy(slope, lower, upper, xatol, maxfun):
+        brackets.append((lower, upper))
+        return real_root(slope, lower, upper, xatol, maxfun)
+
+    with warnings.catch_warnings(), mock.patch.object(experiment, "_slope_root", spy):
         warnings.simplefilter("error")
-        index = experiment._seed_index(times, scaled)
-    best, scores = per_seed_index(times, scaled), per_seed_scores(times, scaled)
-    rounding = times.size * (8.0 * np.finfo(float).eps) ** 2
-    assert index == best or scores[index] - scores[best] <= 1e-12 * scores[best] + rounding, (index, best)
-    if index == best:
-        assert fit_outcome(times, values) == fit_outcome(times, values, per_seed_index)
+        with np.errstate(over="ignore"):  # as in fit_exponential: a huge delay's decay is 0
+            grid = experiment._profiles(times, centered, experiment._TAU_GRID)
+            alone = [experiment._profiles(times, centered, tau) for tau in experiment._TAU_GRID]
+        try:
+            fit_exponential(times, values)
+        except (FitConvergenceError, ValueError):
+            pass
+    scores = np.einsum("ij,ij->i", grid[2], grid[2])
+    assert [x.hex() for x in scores.tolist()] == [x.hex() for x in per_seed_scores(times, scaled)]
+    for row, outputs in enumerate(alone):
+        assert [np.asarray(x).tobytes() for x in outputs] == [x[row].tobytes() for x in grid], row
+    seed = experiment._TAU_GRID[per_seed_index(times, scaled)]
+    assert brackets == [(seed / 1.5, seed * 1.5)]
 
 
 def test_fit_reports_non_convergence_with_best_seed(monkeypatch):
@@ -306,13 +319,16 @@ def test_fit_reports_a_nan_slope_as_non_convergence(monkeypatch, first_nan):
     # The first two slopes are the bracket's ends; the next one is inside it.
     times = np.linspace(0.0, 1.4, 8)
     values = 0.5 * np.exp(-times / 0.3) + 0.5
-    real, calls = experiment._profile_slope, []
+    real_root, calls = experiment._slope_root, []
 
-    def nan_slope(times, values, tau):
-        calls.append(tau)
-        return math.nan if len(calls) > first_nan else real(times, values, tau)
+    def root_of_nan_slopes(slope, lower, upper, xatol, maxfun):
+        def nan_slope(tau):
+            calls.append(tau)
+            return math.nan if len(calls) > first_nan else slope(tau)
 
-    monkeypatch.setattr(experiment, "_profile_slope", nan_slope)
+        return real_root(nan_slope, lower, upper, xatol, maxfun)
+
+    monkeypatch.setattr(experiment, "_slope_root", root_of_nan_slopes)
     with pytest.raises(FitConvergenceError) as info:
         fit_exponential(times, values)
     assert info.value.best.time_constant in experiment._TAU_GRID
