@@ -131,7 +131,11 @@ def cases() -> list[tuple[list[str], str | bytes | None]]:
     ]
     # A spin name that YAML reads as a number, named by both couplings, listed last for the same reason.
     spin_names = [(["teleport", "--engine", "pulse"], molecule().replace("C1", "5"))]
-    return [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema + shapes + spin_names
+    # The control circuit's ancilla Hadamard under rf miscalibration, listed last for the same reason.
+    control_rf_error = [(["control", "--engine", "pulse"], "noise:\n  rf_miscalibration: 0.02\n")]
+    return (
+        [(args, None) for args in runs] + list(CONFIG_CASES) + to_inf + rf_error + schema + shapes + spin_names + control_rf_error
+    )
 
 
 def run(

@@ -2,13 +2,15 @@
 
 The built-in parameter set describes trichloroethylene (TCE): one hydrogen
 and two carbon-13 nuclei, with measured Larmor frequencies, J couplings and
-relaxation times.  Gates are compiled to rotating-frame schedules: tuples
-of x/y rf rotations (:class:`RfRotation`) and intervals of free evolution
-under the weak-coupling (sigma_z.sigma_z) Hamiltonian
-(:class:`FreeEvolution`).  z rotations never appear explicitly because in
-the rotating frame they are realized by x/y conjugation.  Refocusing is
-modeled declaratively: a free-evolution interval lists the couplings that
-are active, and everything else contributes nothing.  The pulse engine,
+relaxation times.  The gates the circuits hold, Hadamards and CNOTs, are
+compiled to rotating-frame schedules: tuples of x/y rf rotations
+(:class:`RfRotation`) and intervals of free evolution under the
+weak-coupling (sigma_z.sigma_z) Hamiltonian (:class:`FreeEvolution`).  A
+Hadamard is one sequence, Ry(pi/2) then Rx(pi), alone or inside a CNOT.  z
+rotations never appear explicitly because in the rotating frame they are
+realized by x/y conjugation.  Refocusing is modeled declaratively: a
+free-evolution interval lists the couplings that are active, and
+everything else contributes nothing.  The pulse engine,
 :func:`realize_pulses`, does not replay a schedule pulse by pulse: it
 rewrites a circuit's steps, replacing each one- and two-spin gate by the
 one-element channel of the unitary the gate's schedule realizes.
@@ -29,9 +31,8 @@ import numpy as np
 
 from .channels import KrausChannel, RelaxationParams
 from .errors import RfAngleError, UnsupportedGateError
-from .qstate import CNOT, _apply_on, rotation_x, rotation_y
+from .qstate import CNOT, HADAMARD, _apply_on, rotation_x, rotation_y
 
-_ANGLE_EPS = 1e-12
 _MATCH_TOL = 1e-9
 
 
@@ -168,53 +169,14 @@ class FreeEvolution:
         object.__setattr__(self, "couplings", couplings)
 
 
-def _wrap_angle(angle: float) -> float:
-    wrapped = math.remainder(angle, 2.0 * math.pi)
-    return wrapped if abs(wrapped) > _ANGLE_EPS else 0.0
-
-
-def _rz_pulses(spin: str, angle: float) -> list[RfRotation]:
+def _rz_pulses(spin: str, angle: float) -> tuple[RfRotation, ...]:
     """z rotation by x/y conjugation: Rz(a) = Rx(pi/2) Ry(a) Rx(-pi/2)."""
-    angle = _wrap_angle(angle)
-    if angle == 0.0:
-        return []
-    return [
-        RfRotation(spin, "x", -math.pi / 2.0),
-        RfRotation(spin, "y", angle),
-        RfRotation(spin, "x", math.pi / 2.0),
-    ]
+    return (RfRotation(spin, "x", -math.pi / 2.0), RfRotation(spin, "y", angle), RfRotation(spin, "x", math.pi / 2.0))
 
 
-def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles (phi, theta, lam) with U ~ Rz(phi) Ry(theta) Rz(lam)."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    v = u * np.exp(-0.5j * np.angle(det))
-    a, b = v[0, 0], v[1, 0]
-    theta = 2.0 * math.atan2(abs(b), abs(a))
-    if abs(b) < _ANGLE_EPS:
-        return -2.0 * float(np.angle(a)), theta, 0.0
-    if abs(a) < _ANGLE_EPS:
-        return 2.0 * float(np.angle(b)), theta, 0.0
-    return (
-        float(np.angle(b) - np.angle(a)),
-        theta,
-        float(-np.angle(b) - np.angle(a)),
-    )
-
-
-def _single_spin_schedule(u: np.ndarray, spin: str) -> list[RfRotation]:
-    phi, theta, lam = _zyz_angles(u)
-    pulses = _rz_pulses(spin, lam)
-    theta = _wrap_angle(theta)
-    if theta != 0.0:
-        pulses.append(RfRotation(spin, "y", theta))
-    pulses.extend(_rz_pulses(spin, phi))
-    return pulses
-
-
-def _hadamard_pulses(spin: str) -> list[RfRotation]:
+def _hadamard_pulses(spin: str) -> tuple[RfRotation, ...]:
     # H = X Ry(pi/2) up to global phase.
-    return [RfRotation(spin, "y", math.pi / 2.0), RfRotation(spin, "x", math.pi)]
+    return (RfRotation(spin, "y", math.pi / 2.0), RfRotation(spin, "x", math.pi))
 
 
 def _matches(u: np.ndarray, ref: np.ndarray) -> bool:
@@ -229,10 +191,11 @@ def compile_gate(gate: KrausChannel, model: MoleculeModel) -> tuple[RfRotation |
     """Translate one gate, a one-element circuit step, into an rf/J-coupling schedule:
     its rf rotations and free-evolution intervals, in order.
 
-    Supported: any single-qubit unitary (ZYZ decomposition), and a CNOT,
-    controlled by the first of its targets, between spins with an active J
-    coupling.  Everything else raises :class:`UnsupportedGateError`, as does a
-    target that is not a spin of the molecule.
+    Supported, each up to a global phase: the identity (an empty schedule),
+    a one-spin Hadamard (Ry(pi/2) then Rx(pi)), and a CNOT, controlled by the
+    first of its targets, between spins with an active J coupling.  Any other
+    gate raises :class:`UnsupportedGateError`, as does a target that is not a
+    spin of the molecule.
     """
     if len(gate.elements) != 1:
         raise UnsupportedGateError(f"cannot compile a channel of {len(gate.elements)} elements")
@@ -241,10 +204,11 @@ def compile_gate(gate: KrausChannel, model: MoleculeModel) -> tuple[RfRotation |
         raise UnsupportedGateError(f"gate targets {bad} are not spins of the {len(model.spins)}-spin molecule")
     u = gate.elements[0]
     if len(gate.targets) == 1:
-        spin = model.spins[gate.targets[0]].name
         if _matches(u, np.eye(2, dtype=complex)):
             return ()
-        return tuple(_single_spin_schedule(u, spin))
+        if not _matches(u, HADAMARD):
+            raise UnsupportedGateError("one-spin gate is not a Hadamard")
+        return _hadamard_pulses(model.spins[gate.targets[0]].name)
     if len(gate.targets) == 2:
         control, target = (model.spins[t].name for t in gate.targets)
         if not model.is_active(control, target):

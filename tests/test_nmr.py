@@ -155,18 +155,44 @@ def test_compiled_cnot_matches_ideal_unitary():
 
 
 def test_compiled_single_spin_gates_match_ideal():
+    # The circuits' only one-spin gate is the Hadamard; any other one-spin gate is refused.
     model = tce_model()
     rng = np.random.default_rng(33)
-    gates = [HADAMARD, PAULI_X, PAULI_Z, rotation_z(0.7), rotation_x(-2.1)]
+    others = [PAULI_X, PAULI_Z, rotation_z(0.7), rotation_x(-2.1)]
     for _ in range(5):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, _ = np.linalg.qr(g)
-        gates.append(q)
+        others.append(q)
     for q_idx in (0, 1, 2):
-        for gate in gates:
-            sched = compile_gate(KrausChannel((q_idx,), (gate,)), model)
-            u = schedule_product(sched, model)
-            assert phase_distance(u, lift_operator(gate, (q_idx,), 3)) < 1e-8
+        sched = compile_gate(KrausChannel((q_idx,), (HADAMARD,)), model)
+        u = schedule_product(sched, model)
+        assert phase_distance(u, lift_operator(HADAMARD, (q_idx,), 3)) < 1e-8
+        for gate in others:
+            with pytest.raises(UnsupportedGateError, match="^one-spin gate is not a Hadamard$"):
+                compile_gate(KrausChannel((q_idx,), (gate,)), model)
+
+
+@pytest.mark.parametrize("angle_error", [0.05, 0.2])
+def test_miscalibrated_hadamard_is_its_two_pulses_scaled(angle_error):
+    # Oracle: Rx(pi(1+e)) Ry(pi/2 (1+e)), multiplied out with expm from pulses written here.
+    model = tce_model()
+    for q_idx, name in enumerate(("C2", "C1", "H")):
+        reference = schedule_product((RfRotation(name, "y", math.pi / 2.0), RfRotation(name, "x", math.pi)), model, angle_error)
+        (realized,) = realize_pulses((KrausChannel((q_idx,), (HADAMARD,)),), model, angle_error)
+        assert phase_distance(lift_operator(realized.elements[0], (q_idx,), 3), reference) < 1e-12
+
+
+def test_gates_are_matched_to_one_part_in_a_billion():
+    # A Hadamard or CNOT off by a z rotation of 1e-7 (3.5e-8 and 5e-8 in the largest
+    # entry) is refused; a Hadamard off by 1e-11 (3.5e-12) compiles as the exact one does.
+    model = tce_model()
+    with pytest.raises(UnsupportedGateError, match="^one-spin gate is not a Hadamard$"):
+        compile_gate(KrausChannel((1,), (HADAMARD @ rotation_z(1e-7),)), model)
+    with pytest.raises(UnsupportedGateError, match="^two-spin gate is not a CNOT$"):
+        compile_gate(KrausChannel((0, 1), (CNOT @ np.kron(np.eye(2), rotation_z(1e-7)),)), model)
+    exact = compile_gate(KrausChannel((1,), (HADAMARD,)), model)
+    assert compile_gate(KrausChannel((1,), (HADAMARD @ rotation_z(1e-11),)), model) == exact
+    assert len(exact) == 2
 
 
 def test_uncoupled_spins_are_rejected():
