@@ -13,7 +13,10 @@ relative directory ``out``; a case with a config file first writes it as
 code, stdout, stderr and every output file must match byte for byte.  Prints
 one line per differing case, naming what differs, and exits 1 if there is
 any.  Outputs go to WORK_DIR if given (it must not hold earlier results),
-else to a temporary directory removed afterwards.
+else to a temporary directory removed afterwards.  Each run keeps its exit
+code, stdout and stderr in the files ``exit``, ``stdout`` and ``stderr``
+beside its ``out``, in ``<WORK_DIR>/<case>-old`` and ``<WORK_DIR>/<case>-new``,
+the case numbered from 0 in the order of :func:`cases`.
 
 ``--old-env`` and ``--new-env`` (each repeatable) add a variable to the
 environment of the old or the new tree's runs only.  Given the same tree
@@ -149,6 +152,8 @@ def run(
     command = [sys.executable, "-m", "nmrteleport", *args, "--out", "out"]
     proc = subprocess.run(command, cwd=work, env=env, capture_output=True)
     produced = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+    for name, content in produced.items():
+        (work / name).write_bytes(content)
     for path in sorted((work / "out").glob("*")) if (work / "out").is_dir() else []:
         produced[path.name] = path.read_bytes()
     return produced

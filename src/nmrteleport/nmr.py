@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -244,16 +243,11 @@ def _unitaries(ev: RfRotation | FreeEvolution, model: MoleculeModel, angle_error
     return steps
 
 
-@lru_cache(maxsize=32)
 def _realized(gate: KrausChannel, model: MoleculeModel, angle_error: float) -> KrausChannel:
     """The step that the gate's compiled schedule realizes, on ``gate.targets``:
     its rf rotations, each angle scaled by ``1 + angle_error``, and the zz phases
     of its active couplings, in schedule order; relaxation during gates is
-    idealized away.
-
-    Computed once per (gate, model, angle error) while it stays among the 32
-    most recent (steps and models compare by identity).
-    """
+    idealized away."""
     k = len(gate.targets)
     local = {t: i for i, t in enumerate(gate.targets)}
     u = np.eye(2**k, dtype=complex).reshape((2,) * (2 * k))

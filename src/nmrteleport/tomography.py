@@ -2,25 +2,25 @@
 
 A process is characterized by its outputs for the four fixed input states
 |0>, |1>, |+> and |+i>, given as one stack (the circuit executor runs the
-four inputs together): each output is reconstructed from its Pauli
-expectation values, then the Pauli transfer matrix R[m][n] = tr(P_m E(P_n))/2
-over the basis (I, X, Y, Z) follows from the exact dual of the inputs,
-E(I) = E(|0>) + E(|1>), E(Z) = E(|0>) - E(|1>), E(X) = 2E(|+>) - E(I) and
-E(Y) = 2E(|+i>) - E(I).  The chi matrix (E(rho) = sum chi_mn P_m rho P_n)
-follows by the fixed basis change vec(R) = M vec(chi), inverted as
-vec(chi) = M† vec(R)/4 because M M† = 4I for the Pauli basis, and the
-entanglement fidelity with respect to the maximally mixed input is
-chi[0][0] = tr(R)/4.  Neither step solves a linear system, and both identities
-are checked exactly, once, where they are built.
+four inputs together): each output's Bloch vector r is read once, and after
+the Bloch rule (1, r) are its Pauli coordinates, those of the state that state
+tomography rebuilds from r.  The Pauli transfer matrix R[m][n] =
+tr(P_m E(P_n))/2 over the basis (I, X, Y, Z) follows from the exact dual of
+the inputs, E(I) = E(|0>) + E(|1>), E(Z) = E(|0>) - E(|1>),
+E(X) = 2E(|+>) - E(I) and E(Y) = 2E(|+i>) - E(I).  The chi matrix
+(E(rho) = sum chi_mn P_m rho P_n) follows by the fixed basis change
+vec(R) = M vec(chi), inverted as vec(chi) = M† vec(R)/4 because M M† = 4I for
+the Pauli basis, and the entanglement fidelity with respect to the maximally
+mixed input is chi[0][0] = tr(R)/4.  Neither step solves a linear system, and
+both identities are checked exactly, once, where they are built.
 
 The inputs are built once per process, as one read-only stack, and shared.
 A reconstruction (:func:`reconstruct_process`) returns the transfer and chi
 matrices as two read-only stacks, and checks each rule once over its whole
-stack (the output states, then R[0][0] = 1 and the chi matrices).  The
-states rebuilt from their Bloch vectors are not checked again: (I + r.sigma)/2
-with |r| <= 1 is a density matrix by construction.  The fidelity rule is
-stated once, in :func:`_fidelities`: chi[0][0] of every map of a stack,
-checked against tr(R)/4 in one reduction and clipped into [0, 1].
+stack (the output states, the Bloch rule, then R[0][0] = 1 and the chi
+matrices).  The fidelity rule is stated once, in :func:`_fidelities`:
+chi[0][0] of every map of a stack, checked against tr(R)/4 in one reduction
+and clipped into [0, 1].
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -35,10 +35,6 @@ import numpy as np
 from .errors import NumericalInvariantError
 from .qstate import (
     DensityMatrix,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PAULIS,
     _violation,
     real_expectations,
@@ -62,20 +58,21 @@ def state_tomography(x: float, y: float, z: float) -> DensityMatrix:
     A Bloch vector up to 1e-6 beyond unit length is renormalized onto the
     Bloch sphere; anything longer is unphysical data and raises.
     """
-    return DensityMatrix(1, _bloch_matrices(np.array([x, y, z], dtype=float)))
+    w = _coordinates(np.array([x, y, z], dtype=float))
+    return DensityMatrix(1, sum(c * p for c, p in zip(w, _PAULI_OPS)) / 2.0)
 
 
-def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
-    """(I + xX + yY + zZ)/2 for every Bloch vector of a ``(..., 3)`` array, after the
-    Bloch rule of :func:`state_tomography` (NaN fails it); unvalidated."""
+def _coordinates(bloch: np.ndarray) -> np.ndarray:
+    """The Pauli coordinates w = (1, r) of the state with Bloch vector r, for every r
+    of a ``(..., 3)`` array, after the Bloch rule of :func:`state_tomography` (NaN
+    fails it)."""
     x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
     length = np.sqrt(x * x + y * y + z * z)
     worst = float(np.max(length))
     if not worst <= 1.0 + BLOCH_EXCESS_TOL:
         raise NumericalInvariantError(f"Bloch vector length {worst} exceeds 1")
-    scale = np.where(length > 1.0, length, 1.0)
-    x, y, z = (c[..., None, None] / scale[..., None, None] for c in (x, y, z))
-    return (IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
+    r = bloch / np.where(length > 1.0, length, 1.0)[..., None]
+    return np.concatenate([np.ones(r.shape[:-1] + (1,)), r], axis=-1)
 
 
 def _transfer_matrices(w: np.ndarray) -> np.ndarray:
@@ -89,11 +86,11 @@ def _transfer_matrices(w: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _canonical_inputs() -> np.ndarray:
     """|0>, |1>, |+>, |+i> as one read-only ``(4, 2, 2)`` stack, built on the first call
-    and shared; :func:`_transfer_matrices` must take their own Pauli coordinates
-    exactly to the identity, so it is their exact dual."""
+    and shared; the chain every reconstruction runs (Bloch vectors, :func:`_coordinates`,
+    :func:`_transfer_matrices`) must take them exactly to the identity process."""
     blochs = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     stack = np.stack([state_tomography(*bloch).matrix for bloch in blochs])
-    if not np.array_equal(_transfer_matrices(real_expectations(stack, _PAULI_OPS)), np.eye(4)):
+    if not np.array_equal(_transfer_matrices(_coordinates(real_expectations(stack, _PAULI_OPS[1:]))), np.eye(4)):
         raise NumericalInvariantError("the transfer recipe is not the exact dual of the input states")
     stack.flags.writeable = False
     return stack
@@ -133,9 +130,8 @@ def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the four canonical inputs (in their order): two checked, read-only ``(N, 4, 4)``
     stacks, one map per leading index in C order.
 
-    Each output must be a density matrix, and is itself reconstructed by
-    state tomography from its Bloch components before the transfer matrix
-    is formed, mirroring how the data would be taken.  Every check runs
+    Each output must be a density matrix, and its Bloch vector is read once, from
+    its Hermitian part, as the data would be taken.  Every check runs
     once over the whole stack, and a violation raises with the ``index`` of the
     worst member: (..., input) for an output state, (...) for a map.  No step
     mixes members, so a map is the same bit for bit whatever stack it is in.
@@ -143,10 +139,8 @@ def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (4, 2, 2):
         raise ValueError(f"outputs of shape {outputs.shape} are not four single-qubit states")
-    validate_density(outputs)
-    # (I + r.sigma)/2 with |r| <= 1 is a density matrix by construction: not checked again.
-    states = _bloch_matrices(real_expectations(outputs, _PAULI_OPS[1:]))
-    transfer = _transfer_matrices(real_expectations(states, _PAULI_OPS))
+    bloch = real_expectations(validate_density(outputs), _PAULI_OPS[1:])
+    transfer = _transfer_matrices(_coordinates(bloch))
     vec_r = transfer.reshape(transfer.shape[:-2] + (16,))
     chi = (np.einsum("ji,...j->...i", _transfer_from_chi().conj(), vec_r) / 4.0).reshape(transfer.shape)
     _check_process(transfer, chi)

@@ -28,7 +28,7 @@ from nmrteleport.qstate import (
     DensityMatrix,
     real_expectations,
 )
-from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_process, state_tomography
+from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_process
 
 
 def random_pure_state(rng, num_qubits: int = 1) -> np.ndarray:
@@ -370,8 +370,9 @@ def per_output_reconstruction(outputs) -> tuple[np.ndarray, np.ndarray]:
     """Transfer and chi matrices of a process, one output at a time, from its
     outputs (DensityMatrix) for the four canonical inputs.
 
-    Each output goes through Pauli expectations, state tomography of its
-    Bloch vector and the coordinates w_n of that state.  The exact inverse of
+    Each output's Bloch vector r, from its Pauli expectations and scaled onto
+    the sphere if it is longer than 1, gives its coordinates w_n = (1, r), those
+    of the state that state tomography rebuilds.  The exact inverse of
     :data:`CANONICAL_COORDINATES` then gives R column by column, E(I) =
     (w_0 + w_1)/2, E(X) = w_2 - E(I), E(Y) = w_3 - E(I), E(Z) = (w_0 - w_1)/2;
     and chi = M† vec(R)/4, summed term by term, inverts the 16x16 map
@@ -379,8 +380,9 @@ def per_output_reconstruction(outputs) -> tuple[np.ndarray, np.ndarray]:
     """
     w = []
     for out in outputs:
-        state = state_tomography(*(pauli_expectation(out.matrix, p) for p in PAULI_LABELS[1:]))
-        w.append(np.array([pauli_expectation(state.matrix, p) for p in PAULI_LABELS]))
+        r = np.array([pauli_expectation(out.matrix, p) for p in PAULI_LABELS[1:]])
+        length = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+        w.append(np.concatenate([[1.0], r / length if length > 1.0 else r]))
     e_i = (w[0] + w[1]) / 2.0
     transfer = np.stack([e_i, w[2] - e_i, w[3] - e_i, (w[0] - w[1]) / 2.0], axis=1)
     ops = [

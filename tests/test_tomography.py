@@ -12,9 +12,10 @@ from nmrteleport.experiment import SweepRecord
 from nmrteleport.qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, validate_density
 from nmrteleport.tomography import (
     BLOCH_EXCESS_TOL,
-    _bloch_matrices,
+    _PAULI_OPS,
     _canonical_inputs,
     _check_process,
+    _coordinates,
     _fidelities,
     _transfer_from_chi,
     _transfer_matrices,
@@ -58,6 +59,12 @@ def test_state_tomography_renormalizes_marginal_excess():
 def test_state_tomography_rejects_unphysical_bloch_vector():
     with pytest.raises(NumericalInvariantError, match="Bloch vector length"):
         state_tomography(1.0, 0.5, 0.0)
+
+
+def test_state_tomography_rejects_bloch_excess_beyond_its_tolerance():
+    # 1e-5 beyond unit length is data, not rounding: the rule renormalizes only up to 1e-6.
+    with pytest.raises(NumericalInvariantError, match="Bloch vector length"):
+        state_tomography(1.0 + 1e-5, 0.0, 0.0)
 
 
 def test_identity_process_map():
@@ -183,6 +190,15 @@ def test_reconstruction_inverses_are_exact(monkeypatch):
         build.cache_clear()
 
 
+def test_canonical_inputs_refuse_a_recipe_that_is_not_their_dual(monkeypatch):
+    # The four outputs taken in reverse order: the chain no longer ends at the identity.
+    dual = tomography._transfer_matrices
+    monkeypatch.setattr(tomography, "_transfer_matrices", lambda w: dual(w[..., ::-1, :]))
+    _canonical_inputs.cache_clear()  # nothing is cached by a call that raises
+    with pytest.raises(NumericalInvariantError, match="^the transfer recipe is not the exact dual of the input states$"):
+        _canonical_inputs()
+
+
 def test_canonical_inputs_are_the_four_reference_states():
     states = _canonical_inputs()
     assert states.shape == (4, 2, 2)
@@ -227,6 +243,16 @@ def test_vectorized_reconstruction_matches_per_output_oracle():
         assert np.max(np.abs(got_transfer - transfer)) <= 1e-15
         assert np.max(np.abs(got_chi - chi)) <= 1e-15
         assert not got_transfer.flags.writeable and not got_chi.flags.writeable
+
+
+def test_reconstruction_reads_each_output_once(monkeypatch):
+    outputs = random_outputs(np.random.default_rng(83), (2, 3))
+    calls, real = [], tomography.real_expectations
+    monkeypatch.setattr(tomography, "real_expectations", lambda stack, ops: calls.append((stack.shape, ops)) or real(stack, ops))
+    reconstruct_process(outputs)
+    assert len(calls) == 1
+    shape, ops = calls[0]
+    assert shape == (2, 3, 4, 2, 2) and np.array_equal(ops, _PAULI_OPS[1:])  # X, Y and Z
 
 
 def test_batched_reconstruction_checks_every_member():
@@ -292,7 +318,8 @@ UNIT = st.floats(-1.0, 1.0)
     )
 )
 def test_bloch_matrices_within_the_bloch_rule_are_density_matrices(vectors):
-    # Why a reconstruction does not validate the states it rebuilds from Bloch vectors.
+    # Why a reconstruction checks no state beyond its outputs: coordinates (1, r) that
+    # pass the Bloch rule are those of a density matrix.
     blochs = []
     for x, y, z, length in vectors:
         norm = math.sqrt(x * x + y * y + z * z)
@@ -300,4 +327,5 @@ def test_bloch_matrices_within_the_bloch_rule_are_density_matrices(vectors):
     blochs = np.array(blochs)
     x, y, z = blochs.T
     assume(np.max(np.sqrt(x * x + y * y + z * z)) <= 1.0 + BLOCH_EXCESS_TOL)  # not rounded past the rule
-    validate_density(_bloch_matrices(blochs))
+    i, x, y, z = _coordinates(blochs).T[..., None, None]
+    validate_density((i * IDENTITY_2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0)
