@@ -425,6 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; return its exit code.  It changes no process state: the
+    error of an echo to a closed stdout, say, reaches the caller."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _run_config(args)
@@ -437,8 +439,4 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except BrokenPipeError:
-        # The reader of stdout left early: the files are complete, only the echo
-        # was cut.  Point stdout at devnull so the flush at shutdown cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK

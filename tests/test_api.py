@@ -1,5 +1,6 @@
 """The package exports no symbol that only its tests use, loads lazily, only
-its command line sets a BLAS thread default, and only its fit calls BLAS."""
+its command line sets a BLAS thread default and pauses the collector, and no
+module calls BLAS."""
 
 import ast
 import os
@@ -62,14 +63,15 @@ print(len(exports), run_sweep is nmrteleport.experiment.run_sweep, cli.__name__)
     assert _child(code) == f"{len(_exports())} True nmrteleport.cli"
 
 
-# Runs a statement, then prints the thread variable as numpy's first import saw it, and as it is.
+# Runs a statement, then prints the thread variable and whether the collector was
+# enabled as numpy's first import saw them, and the thread variable as it is.
 SPY = """
-import os, runpy, sys
+import gc, os, runpy, sys
 seen = []
 class Spy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy":
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            seen.append((os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled()))
 sys.meta_path.insert(0, Spy())
 try:
     %s
@@ -82,13 +84,14 @@ MODULE = "sys.argv = ['nmrteleport', '--help']; runpy.run_module('nmrteleport', 
 
 
 def test_command_line_runs_blas_on_one_thread_unless_the_user_says_otherwise():
+    # The command line also pauses the collector over its imports.
     for statement in (SCRIPT, MODULE):
-        assert _child(SPY % statement).splitlines()[-1] == "['1'] 1", statement
-        assert _child(SPY % statement, OPENBLAS_NUM_THREADS="3").splitlines()[-1] == "['3'] 3", statement
+        assert _child(SPY % statement).splitlines()[-1] == "[('1', False)] 1", statement
+        assert _child(SPY % statement, OPENBLAS_NUM_THREADS="3").splitlines()[-1] == "[('3', False)] 3", statement
 
 
 def test_library_import_leaves_blas_threads_alone():
-    assert _child(SPY % "import nmrteleport.cli") == "[None] None"
+    assert _child(SPY % "import nmrteleport.cli") == "[(None, True)] None"
 
 
 BLAS_PRODUCTS = {"dot", "vdot", "vecdot", "inner", "matmul", "tensordot", "multi_dot"}

@@ -303,17 +303,18 @@ def test_failed_rerun_leaves_the_previous_output_set_intact(failure, tmp_path, m
     assert snapshot(out) == previous and not list(out.glob("*.tmp"))
 
 
-def test_entry_freezes_the_collector_after_main_and_exits_with_its_code():
-    # The atexit handler runs after sys.exit, as at any exit of the script.
+def test_entry_runs_main_with_the_imports_frozen_and_exits_with_its_code():
+    # main runs with the collector enabled again; the atexit handler runs after
+    # sys.exit, as at any exit of the script.
     code = """
 import atexit, gc
 import nmrteleport.__main__ as script
-script.main = lambda: print(gc.get_freeze_count()) or 3
-atexit.register(lambda: print(gc.get_freeze_count() > 0))
+script.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 3
+atexit.register(lambda: print("atexit"))
 script.entry()
 """
     result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
-    assert (result.returncode, result.stdout, result.stderr) == (3, "0\nTrue\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (3, "True True\natexit\n", "")
 
 
 @pytest.mark.parametrize("args, code", [(["--help"], 0), (["teleport", "--engine", "bogus"], 2)])
@@ -358,10 +359,25 @@ def test_a_clean_compare_calls_lapack_only_to_certify(tmp_path, monkeypatch):
     assert set(calls) == {"cholesky"}
 
 
-def test_library_main_leaves_the_collector_alone(tmp_path):
-    frozen = gc.get_freeze_count()
+def test_library_main_leaves_the_collector_alone(tmp_path, monkeypatch):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(["tomo", "--channel", "identity", "--out", str(tmp_path)]) == 0
-    assert gc.get_freeze_count() == frozen
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    # Nor stdout: the error of an echo to a closed stdout reaches the caller.
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return 1
+
+    dup2_calls = []
+    monkeypatch.setattr(os, "dup2", lambda *args: dup2_calls.append(args))
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["tomo", "--channel", "identity", "--out", str(tmp_path / "piped")])
+    assert dup2_calls == [] and (tmp_path / "piped" / "summary.txt").is_file()
 
 
 def test_closed_stdout_exits_0_with_every_file_written(tmp_path):
@@ -384,6 +400,22 @@ def test_closed_stdout_exits_0_with_every_file_written(tmp_path):
     assert written == sorted(path.name for path in (tmp_path / "piped").iterdir())
     for name in written:
         assert (tmp_path / "piped" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["compare", "--help"]])
+def test_closed_stdout_exits_0_on_help(args):
+    # argparse leaves the help in stdout's buffer and exits; the flush after it finds
+    # the reader gone.  Unbuffered stdout fails at argparse's write, which swallows it.
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nmrteleport", *args], env=env, stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")
 
 
 def test_tomo_takes_no_delays(tmp_path, capsys):

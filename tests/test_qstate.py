@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from nmrteleport.qstate import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
+    PAULIS,
     PSD_SLACK,
     TRACE_TOL,
     DensityMatrix,
@@ -129,15 +131,31 @@ def test_pauli_expectation_linearity():
 
 
 def test_pauli_expectation_label_mismatch():
-    # The oracle's own checks; the package reports a corrupted state by the
-    # imaginary residue of its expectation values instead.
+    # The oracle's own checks; the package rejects a corrupted state in validate_density.
     with pytest.raises(ValueError):
         pauli_expectation(projector(basis_state("00")), "X")
     with pytest.raises(ValueError):
         pauli_expectation(projector(basis_state("0")), "Q")
-    corrupted = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(NumericalInvariantError):
-        real_expectations(corrupted, pauli_string("Y")[None])
+
+
+@given(st.lists(st.integers(1, 4), max_size=2), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_pauli_expectations_of_a_validated_2x2_stack_have_no_imaginary_part(batch, drift, seed):
+    # real_expectations drops the imaginary part of tr(H P): for the Hermitian part H
+    # that validate_density returns it is exactly 0.0, whether the states are exact or
+    # drift from Hermitian by up to HERMITICITY_TOL.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_density(rng).matrix for _ in range(math.prod(batch))]).reshape(*batch, 2, 2)
+    noise = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+    drifted = stack + drift * HERMITICITY_TOL / 2.0 * noise / np.abs(noise).max()
+    paulis = np.stack([PAULIS[label] for label in "XYZ"])
+    einsum, values = np.einsum, []
+    for matrices in (stack, drifted):
+        hermitian = validate_density(matrices, HERMITICITY_TOL, np.inf, np.inf)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "einsum", lambda *args: values.append(einsum(*args)) or values[-1])
+            real = real_expectations(hermitian, paulis)
+        assert real.shape == (*batch, 3) and np.array_equal(real, values[-1].real)
+        assert np.all(values[-1].imag == 0.0)
 
 
 def test_state_fidelity_anchors():
