@@ -23,10 +23,11 @@ def entry() -> None:
     except BrokenPipeError:  # at main's last step, the summary echo: every file is written
         code = EXIT_OK
     finally:  # argparse's SystemExit (--help, a rejected option) passes here too
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:  # stdout's reader has gone; the flush at shutdown must not fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:  # its reader has gone; the flush at shutdown must not fail
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

@@ -425,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; return its exit code.  It changes no process state: the
-    error of an echo to a closed stdout, say, reaches the caller."""
+    """Run one command; return its exit code, also when the report of an error
+    finds stderr's reader gone.  It changes no process state: the error of an echo
+    to a closed stdout, say, reaches the caller."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _run_config(args)
@@ -434,9 +435,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_outputs(cfg.out_dir, outputs)
         print("\n".join(outputs["summary.txt"]), flush=True)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, report = EXIT_CONFIG, f"error: {exc}"
     except NumericalInvariantError as exc:
-        print(f"numerical invariant violated: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        code, report = EXIT_NUMERICAL, f"numerical invariant violated: {exc}"
+    else:
+        return EXIT_OK
+    with contextlib.suppress(BrokenPipeError):
+        print(report, file=sys.stderr)
+    return code

@@ -4,11 +4,11 @@
 from the data qubit to a circuit's readout qubit, and its entanglement
 fidelity, at each delay.  It runs the delay-independent circuit prefix once,
 then the delays in blocks of at most 256, each block and all four tomography
-inputs as one stack, tomographed in one vectorized reconstruction whose
-fidelities are checked in one pass, so working memory does not grow with the
-grid.  No step mixes delays, so the blocks change no result: the same circuit
-always produces bit-identical records.  A sweep tomographs the teleportation
-(readout on the target spin) or control (readout on the data spin) circuit.
+inputs as one stack, tomographed in one vectorized reconstruction, so working
+memory does not grow with the grid.  No step mixes delays, so the blocks
+change no result: the same circuit always produces bit-identical records.  A
+sweep tomographs the teleportation (readout on the target spin) or control
+(readout on the data spin) circuit.
 
 What a sweep does not vary is built once and shared read-only: the four
 tomography inputs on the register, per register size, and the relaxation
@@ -113,10 +113,10 @@ def tomograph(circuit: Circuit) -> list[SweepRecord]:
     """The process from qubit 0 (the four canonical inputs, every other qubit in |0>)
     to ``circuit.readout`` at every delay of ``circuit.delays``, one
     :class:`SweepRecord` per delay: the prefix once, then blocks of at most 256
-    delays, each one ``(block, 4, d, d)`` stack with one reconstruction and one check
-    of chi[0][0] against tr(R)/4.  A violated invariant is reported with the delay,
-    tomography input and circuit step (or reconstruction) where it happened; a
-    circuit with no delay step names no delay."""
+    delays, each one ``(block, 4, d, d)`` stack with one reconstruction.  A
+    violated invariant is reported with the delay, tomography input and circuit
+    step (or reconstruction) where it happened; a circuit with no delay step
+    names no delay."""
     events, delays = circuit.events, circuit.delays
     start = next((i for i, ev in enumerate(events) if _has_delay_axis(ev)), len(events))
     records, lo = [], 0
@@ -126,7 +126,7 @@ def tomograph(circuit: Circuit) -> list[SweepRecord]:
             block = slice(lo, lo + _DELAY_BLOCK)
             final = run_events(events[start:], np.broadcast_to(prefix, (len(delays[block]),) + prefix.shape), block)
             transfer, chi = reconstruct_process(reduce_stack(final, [circuit.readout]))
-            records += map(SweepRecord, delays[block], _fidelities(transfer, chi).tolist(), transfer, chi)
+            records += map(SweepRecord, delays[block], _fidelities(chi).tolist(), transfer, chi)
     except NumericalInvariantError as exc:
         where = _where(exc, delays[lo:] if start < len(events) else None, start)  # indices count from the block
         raise NumericalInvariantError(f"{where}: {exc}") from exc

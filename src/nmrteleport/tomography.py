@@ -12,15 +12,19 @@ E(X) = 2E(|+>) - E(I) and E(Y) = 2E(|+i>) - E(I).  The chi matrix
 vec(R) = M vec(chi), inverted as vec(chi) = M† vec(R)/4 because M M† = 4I for
 the Pauli basis, and the entanglement fidelity with respect to the maximally
 mixed input is chi[0][0] = tr(R)/4.  Neither step solves a linear system, and
-both identities are checked exactly, once, where they are built.
+both inverses are checked exactly, once, where they are built.
 
 The inputs are built once per process, as one read-only stack, and shared.
 A reconstruction (:func:`reconstruct_process`) returns the transfer and chi
 matrices as two read-only stacks, and checks each rule once over its whole
-stack (the output states, the Bloch rule, then R[0][0] = 1 and the chi
-matrices).  The fidelity rule is stated once, in :func:`_fidelities`:
-chi[0][0] of every map of a stack, checked against tr(R)/4 in one reduction
-and clipped into [0, 1].
+stack: the output states, the Bloch rule, then complete positivity, the one
+process check (chi a density matrix, its positivity slack widened).  The other
+process identities hold by construction for outputs that pass the first two,
+and ``test_reconstruction_identities_hold_by_construction`` pins them: R[0][0]
+= (1 + 1)/2 = 1; chi = chi† bit for bit (the coefficients of chi_ab and chi_ba
+are conjugates in {0, +-1, +-i}, summed in the same order); tr chi = R[0][0] up
+to one rounding; and chi[0][0] = tr(R)/4 (column 0 of M is vec(I)), which
+:func:`_fidelities` clips into [0, 1].
 
 Basis ordering and the R <-> chi conversion convention are defined here and
 nowhere else; all tests reference this single definition.
@@ -33,23 +37,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalInvariantError
-from .qstate import (
-    DensityMatrix,
-    PAULIS,
-    _violation,
-    real_expectations,
-    validate_density,
-)
+from .qstate import DensityMatrix, PAULIS, real_expectations, validate_density
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
 _PAULI_OPS = np.stack([PAULIS[p] for p in PAULI_BASIS])
 
 BLOCH_EXCESS_TOL = 1e-6
-TRANSFER_TRACE_TOL = 1e-9
-CHI_HERMITICITY_TOL = 1e-9
-CHI_TRACE_TOL = 1e-9
 CHI_PSD_SLACK = 1e-8
-FIDELITY_CONSISTENCY_TOL = 1e-9
 
 
 def state_tomography(x: float, y: float, z: float) -> DensityMatrix:
@@ -108,33 +102,17 @@ def _transfer_from_chi() -> np.ndarray:
     return m
 
 
-def _check_process(transfer: np.ndarray, chi: np.ndarray) -> None:
-    """The process rule on one map or on ``(..., 4, 4)`` stacks of them: R[0][0] = 1
-    (trace preservation) and a density-matrix-like chi (complete positivity).  NaN
-    fails both; a violation raises with the ``index`` of the worst map."""
-    r00 = transfer[..., 0, 0]
-    deviations = np.abs(r00 - 1.0)
-    if not float(np.max(deviations)) <= TRANSFER_TRACE_TOL:
-        worst = np.argmax(deviations)
-        raise _violation(f"R[0][0] = {r00.flat[worst]} violates trace preservation", worst, r00.shape)
-    try:
-        validate_density(chi, CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK)
-    except NumericalInvariantError as exc:
-        error = NumericalInvariantError(f"chi matrix: {exc}")
-        error.index = exc.index
-        raise error from exc
-
-
 def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transfer and chi matrices from a ``(..., 4, 2, 2)`` stack of outputs of
     the four canonical inputs (in their order): two checked, read-only ``(N, 4, 4)``
     stacks, one map per leading index in C order.
 
     Each output must be a density matrix, and its Bloch vector is read once, from
-    its Hermitian part, as the data would be taken.  Every check runs
-    once over the whole stack, and a violation raises with the ``index`` of the
-    worst member: (..., input) for an output state, (...) for a map.  No step
-    mixes members, so a map is the same bit for bit whatever stack it is in.
+    its Hermitian part, as the data would be taken; each chi must be completely
+    positive.  Every check runs once over the whole stack, and a violation raises
+    with the ``index`` of the worst member: (..., input) for an output state,
+    (...) for a map.  No step mixes members, so a map is the same bit for bit
+    whatever stack it is in.
     """
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (4, 2, 2):
@@ -143,27 +121,25 @@ def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     transfer = _transfer_matrices(_coordinates(bloch))
     vec_r = transfer.reshape(transfer.shape[:-2] + (16,))
     chi = (np.einsum("ji,...j->...i", _transfer_from_chi().conj(), vec_r) / 4.0).reshape(transfer.shape)
-    _check_process(transfer, chi)
+    try:
+        validate_density(chi, psd_slack=CHI_PSD_SLACK)
+    except NumericalInvariantError as exc:
+        error = NumericalInvariantError(f"chi matrix: {exc}")
+        error.index = exc.index
+        raise error from exc
     transfer, chi = np.array(transfer.reshape(-1, 4, 4)), np.array(chi.reshape(-1, 4, 4))
     transfer.flags.writeable = False
     chi.flags.writeable = False
     return transfer, chi
 
 
-def _fidelities(transfer: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """The entanglement fidelity chi[0][0] of every map of ``(..., 4, 4)`` stacks,
-    checked against tr(R)/4 in one reduction and clipped into [0, 1].  NaN fails
-    the check; a mismatch raises with the ``index`` of the worst map.
+def _fidelities(chi: np.ndarray) -> np.ndarray:
+    """The entanglement fidelity chi[0][0] of every map of a ``(..., 4, 4)`` stack of
+    reconstructed chi matrices, clipped into [0, 1]; it equals tr(R)/4 by construction.
 
     1 means the process preserves quantum information perfectly, 0.5 is the
     best any classical transmission can do, and 0.25 is total randomization.
     """
-    fe_chi = chi[..., 0, 0].real
-    fe_transfer = transfer.trace(axis1=-2, axis2=-1) / 4.0
-    mismatch = np.abs(fe_chi - fe_transfer)
-    if not float(mismatch.max()) <= FIDELITY_CONSISTENCY_TOL:
-        worst = np.argmax(mismatch)
-        message = f"fidelity mismatch: chi00={float(fe_chi.flat[worst])} vs tr(R)/4={float(fe_transfer.flat[worst])}"
-        raise _violation(message, worst, fe_chi.shape)
+    fe = chi[..., 0, 0].real
     # min(max(x, 0), 1) as Python takes it, so a -0.0 stays -0.0.
-    return np.where(fe_chi < 0.0, 0.0, np.where(fe_chi > 1.0, 1.0, fe_chi))
+    return np.where(fe < 0.0, 0.0, np.where(fe > 1.0, 1.0, fe))

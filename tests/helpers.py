@@ -206,7 +206,7 @@ def process_map(run) -> SweepRecord:
     inputs, as a record at delay 0 with its checked fidelity; ``run`` may add one
     leading axis of length one."""
     (transfer,), (chi,) = reconstruct_process(run(_canonical_inputs()))
-    return SweepRecord(0.0, float(_fidelities(transfer, chi)), transfer, chi)
+    return SweepRecord(0.0, float(_fidelities(chi)), transfer, chi)
 
 
 def channel_map(channel: KrausChannel) -> SweepRecord:

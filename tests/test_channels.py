@@ -149,6 +149,14 @@ def test_channel_construction_rejects_non_trace_preserving():
         KrausChannel((0, 0), (np.eye(4, dtype=complex),))
 
 
+def test_trace_preservation_tolerance_is_pinned_from_both_sides():
+    # Literals, not the module's constant: Σ A†A off by 1e-8 is refused, by 1e-12 accepted.
+    message = "^channel is not trace preserving: sum A†A deviates from I by 1.000e-08$"
+    with pytest.raises(ValueError, match=message):
+        KrausChannel((0,), (np.diag([math.sqrt(1.0 + 1e-8), 1.0]).astype(complex),))
+    KrausChannel((0,), (np.diag([math.sqrt(1.0 + 1e-12), 1.0]).astype(complex),))
+
+
 def test_apply_channel_rejects_out_of_range_targets():
     ch = dephasing(0.1, 0.3, target=2)
     with pytest.raises(ValueError):

@@ -402,6 +402,28 @@ def test_closed_stdout_exits_0_with_every_file_written(tmp_path):
         assert (tmp_path / "piped" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stderr_exits_2_with_no_output_directory(tmp_path, unbuffered):
+    # Like `nmrteleport teleport --delays 0,nan 2>&1 | head -0`: the reader of stderr is
+    # gone before the error report.  The report fails at its print, and buffered, as by
+    # default, again at the flush on shutdown; the exit code must still say why.
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "refused"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nmrteleport", "teleport", "--delays", "0,nan", "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=write_end,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (cli.EXIT_CONFIG, b"")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--help"], ["compare", "--help"]])
 def test_closed_stdout_exits_0_on_help(args):
     # argparse leaves the help in stdout's buffer and exits; the flush after it finds
@@ -1000,22 +1022,20 @@ def test_a_violation_in_a_builtin_tomo_channel_names_its_input_and_step(tmp_path
 
 
 def test_a_reconstruction_failure_in_a_tomo_channel_names_a_delay_only_if_it_has_one(tmp_path, monkeypatch):
-    # tr(R)/4 moves by 2.5e-7 past chi[0][0]; then the output of input 3 is no state.
-    def reconstruct(outputs):
-        transfer, chi = tomography.reconstruct_process(outputs)
-        transfer = transfer.copy()
-        transfer[0, 3, 3] += 1e-6
-        return transfer, chi
+    # The outputs transposed: each is a state, but the map is not completely positive.
+    # Then the output of input 3 is no state.
+    def transposed(stack, keep, real=experiment.reduce_stack):
+        return real(stack, keep).swapaxes(-1, -2)
 
     def reduced(stack, keep, real=experiment.reduce_stack):
         outputs = real(stack, keep).copy()
         outputs[0, 3] *= 1.5
         return outputs
 
-    mismatch = r": fidelity mismatch: chi00=\S+ vs tr\(R\)/4=\S+\n"
+    not_positive = r": chi matrix: eigenvalue -\d\.\d{3}e-01 < -1\.0e-08\n"
     not_a_state = re.escape(", process reconstruction: trace deviates from 1 by 5.000e-01\n")
     for patched, where, violation in (
-        (("reconstruct_process", reconstruct), "process reconstruction", mismatch),
+        (("reduce_stack", transposed), "process reconstruction", not_positive),
         (("reduce_stack", reduced), "tomography input 3", not_a_state),
     ):
         with monkeypatch.context() as patch:

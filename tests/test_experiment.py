@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmrteleport import circuits, cli, experiment, tomography
+from nmrteleport import circuits, cli, experiment
 from nmrteleport.channels import RelaxationParams, relaxation_channels
 from nmrteleport.circuits import ANCILLA, DATA, prepare, run_events
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
@@ -504,7 +504,7 @@ def test_hoisted_sweep_matches_per_delay_tomography():
             config = SweepConfig(delays, kind, model, engine, rotation_error)
             for record, outputs in zip(run_sweep(config), per_input_outputs(config)):
                 (transfer,), (chi,) = reconstruct_process(np.stack([out.matrix for out in outputs]))
-                fe = float(_fidelities(transfer, chi))
+                fe = float(_fidelities(chi))
                 if engine == "gate":
                     assert np.array_equal(record.transfer_matrix, transfer)
                     assert np.array_equal(record.chi_matrix, chi)
@@ -762,26 +762,21 @@ def test_sweep_builds_one_circuit_and_one_relaxation_channel_per_spin(monkeypatc
 
 
 def test_a_fidelity_mismatch_in_a_sweep_names_its_delay(monkeypatch):
-    # tr(R)/4 of the third map moves by 2.5e-7, past the 1e-9 tolerance; chi[0][0] does not.
+    # The third map's outputs are transposed: each is still a state, but the map is
+    # not completely positive, the one process check a reconstruction can fail.
     delays = (0.0, 0.3, 0.6, 0.9)
-    clean = run_sweep(SweepConfig(delays, "teleport", tce_model()))
 
-    def reconstruct(outputs):
-        transfer, chi = tomography.reconstruct_process(outputs)
-        transfer = transfer.copy()
-        transfer[2, 3, 3] += 1e-6
-        return transfer, chi
+    def reduced(stack, keep, real=experiment.reduce_stack):
+        outputs = real(stack, keep).copy()
+        outputs[2] = outputs[2].swapaxes(-1, -2)
+        return outputs
 
-    monkeypatch.setattr(experiment, "reconstruct_process", reconstruct)
+    monkeypatch.setattr(experiment, "reduce_stack", reduced)
     for engine in ("gate", "pulse"):
         with pytest.raises(NumericalInvariantError) as info:
             run_sweep(SweepConfig(delays, "teleport", tce_model(), engine))
-        prefix = f"teleport sweep, {engine} engine, delay 0.6 s, process reconstruction: fidelity mismatch: "
-        found = re.fullmatch(re.escape(prefix) + r"chi00=(\S+) vs tr\(R\)/4=(\S+)", str(info.value))
-        assert found, str(info.value)
-        fe_chi, fe_transfer = map(float, found.groups())
-        assert abs(fe_chi - clean[2].fe) < 1e-12
-        assert abs(fe_transfer - fe_chi - 2.5e-7) < 1e-12
+        prefix = f"teleport sweep, {engine} engine, delay 0.6 s, process reconstruction: "
+        assert str(info.value) == prefix + "chi matrix: eigenvalue -3.614e-01 < -1.0e-08"
 
 
 def test_a_sweep_with_the_same_delays_and_another_t2_gets_fresh_noise(fresh_delay_noise):

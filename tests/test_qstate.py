@@ -27,7 +27,7 @@ from nmrteleport.qstate import (
     reduce_stack,
     validate_density,
 )
-from nmrteleport.tomography import CHI_HERMITICITY_TOL, CHI_PSD_SLACK, CHI_TRACE_TOL
+from nmrteleport.tomography import CHI_PSD_SLACK
 from tests.helpers import (
     BELL_STATES,
     apply_elements,
@@ -245,6 +245,13 @@ def test_enforce_hermitian_raises_beyond_tolerance():
     assert np.array_equal(validate_density(drift, HERMITICITY_TOL, np.inf, np.inf), (drift + drift.T) / 2.0)
 
 
+def test_trace_tolerance_is_pinned_from_both_sides():
+    # Literals, not the module's constant: a trace of 1 + 1e-8 is refused, 1 + 1e-12 accepted.
+    with pytest.raises(NumericalInvariantError, match="^trace deviates from 1 by 1.000e-08$"):
+        validate_density(np.diag([0.5 + 1e-8, 0.5]).astype(complex))
+    validate_density(np.diag([0.5 + 1e-12, 0.5]).astype(complex))
+
+
 def test_partial_trace_of_product_matches_factor_randomized():
     rng = np.random.default_rng(31)
     pairs = [(random_density(rng, 1).matrix, random_density(rng, 1).matrix) for _ in range(20)]
@@ -344,7 +351,7 @@ def test_validate_density_passes_exactly_when_the_least_eigenvalue_is_within_the
 
 
 # (Hermiticity, trace, slack): the states' rule, chi's, and one without a slack.
-TOLERANCE_SETS = ((HERMITICITY_TOL, TRACE_TOL, PSD_SLACK), (CHI_HERMITICITY_TOL, CHI_TRACE_TOL, CHI_PSD_SLACK), (HERMITICITY_TOL, TRACE_TOL, np.inf))
+TOLERANCE_SETS = ((HERMITICITY_TOL, TRACE_TOL, PSD_SLACK), (HERMITICITY_TOL, TRACE_TOL, CHI_PSD_SLACK), (HERMITICITY_TOL, TRACE_TOL, np.inf))
 FAULTS = ("asymmetric", "trace", "negative", "nan", "inf", "signed_zeros")
 
 

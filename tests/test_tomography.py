@@ -14,9 +14,7 @@ from nmrteleport.tomography import (
     BLOCH_EXCESS_TOL,
     _PAULI_OPS,
     _canonical_inputs,
-    _check_process,
     _coordinates,
-    _fidelities,
     _transfer_from_chi,
     _transfer_matrices,
     reconstruct_process,
@@ -209,12 +207,10 @@ def test_canonical_inputs_are_the_four_reference_states():
 
 
 def test_process_map_validation():
-    good = IDENTITY_MAP
-    with pytest.raises(NumericalInvariantError):
-        _check_process(np.diag([0.9, 1.0, 1.0, 1.0]), good.chi_matrix)
-    bad_chi = np.diag([0.7, 0.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(NumericalInvariantError):
-        _check_process(np.eye(4), bad_chi)
+    # The transpose map takes every input to a state, but its chi is not positive.
+    with pytest.raises(NumericalInvariantError) as info:
+        reconstruct_process(np.stack([s.T for s in _canonical_inputs()]))
+    assert str(info.value) == "chi matrix: eigenvalue -5.000e-01 < -1.0e-08" and info.value.index == ()
 
 
 def test_evaluate_must_return_single_qubit_density_matrix():
@@ -297,13 +293,26 @@ def test_chi_stack_check_holds_its_slack_and_names_the_map():
 
 
 def test_nan_fails_process_map_and_fidelity_checks():
-    good = IDENTITY_MAP
-    with pytest.raises(NumericalInvariantError):
-        _check_process(np.diag([np.nan, 1.0, 1.0, 1.0]), good.chi_matrix)
-    with pytest.raises(NumericalInvariantError):
-        _fidelities(np.diag([1.0, 1.0, np.nan, 1.0]), good.chi_matrix)
+    outputs = np.array(_canonical_inputs())
+    outputs[2, 0, 1] = np.nan
+    with pytest.raises(NumericalInvariantError) as info:
+        reconstruct_process(outputs)
+    assert info.value.index == (2,)
     with pytest.raises(NumericalInvariantError, match="Bloch vector length"):
         state_tomography(np.nan, 0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_reconstruction_identities_hold_by_construction(count, seed):
+    # Why complete positivity is the one process check: on outputs that pass the
+    # state and Bloch checks, trace preservation, a Hermitian chi of unit trace and
+    # chi[0][0] = tr(R)/4 hold by the reconstruction's own arithmetic.
+    transfers, chis = reconstruct_process(random_outputs(np.random.default_rng(seed), (count,)))
+    assert np.all(transfers[:, 0, 0] == 1.0)
+    assert np.array_equal(chis, chis.conj().swapaxes(-1, -2))
+    assert np.max(np.abs(chis.trace(axis1=-2, axis2=-1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(chis[:, 0, 0] - transfers.trace(axis1=-2, axis2=-1) / 4.0)) <= 1e-15
 
 
 UNIT = st.floats(-1.0, 1.0)
