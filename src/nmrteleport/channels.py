@@ -1,8 +1,8 @@
 """Completely positive trace-preserving noise maps as Kraus operation elements.
 
-Provides T1/T2 relaxation (amplitude damping combined with phase damping)
-over a whole delay grid at once, pure dephasing being the case T1 = inf, and
-depolarizing noise.
+Provides the delay-grid rule :func:`validate_delays`, T1/T2 relaxation
+(amplitude damping combined with phase damping) over a whole delay grid at
+once, pure dephasing being the case T1 = inf, and depolarizing noise.
 
 Durations may be ``math.inf``: an infinite dephasing interval is exactly the
 projection onto the computational basis, so the idealized measurement limit
@@ -13,13 +13,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .qstate import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 CPTP_TOL = 1e-10
+
+
+def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
+    """The delay grid as a tuple of floats, checked: nonempty, strictly increasing and
+    nonnegative (``inf`` is allowed, NaN is not).  Raises ``ValueError``."""
+    delays = tuple(float(d) for d in delays)
+    if not delays:
+        raise ValueError("need at least one delay")
+    if any(not d >= 0.0 for d in delays):
+        raise ValueError(f"delays must be nonnegative seconds or inf, got {delays}")
+    if any(not b > a for a, b in zip(delays, delays[1:])):
+        raise ValueError(f"delays must be strictly increasing, got {delays}")
+    return delays
 
 
 def _decay(duration: float, timescale: float) -> float:
@@ -88,11 +101,11 @@ class KrausChannel:
 
 
 def relaxation_channels(
-    durations: Sequence[float], params: RelaxationParams, target: int = 0
+    durations: Iterable[float], params: RelaxationParams, target: int = 0
 ) -> KrausChannel:
-    """Combined T1/T2 relaxation over every duration of a grid (seconds), as one
-    channel of four ``(D, 2, 2)`` elements: ``elements[i][d]`` is element i of
-    the channel for ``durations[d]``.  One trace-preservation check covers the grid.
+    """Combined T1/T2 relaxation over every duration of a delay grid (seconds,
+    checked by :func:`validate_delays`), as one channel of four ``(D, 2, 2)``
+    elements: ``elements[i][d]`` is element i of the channel for ``durations[d]``.
 
     Amplitude damping toward |0> with gamma = 1 - exp(-duration/t1), composed
     with just enough extra dephasing that the total off-diagonal decay factor
@@ -105,11 +118,7 @@ def relaxation_channels(
     ``math.exp`` of its own duration, since ``np.exp`` may differ from it in
     the last bit.
     """
-    for duration in durations:
-        if not duration >= 0.0:
-            raise ValueError(f"duration must be nonnegative, got {duration}")
-    if not len(durations):
-        raise ValueError("need at least one duration")
+    durations = validate_delays(durations)
     # Per duration: the population of |1> retained, and the total off-diagonal decay.
     survival, coherence = np.array([(_decay(d, params.t1), _decay(d, params.t2)) for d in durations]).T
     amp = np.sqrt(survival)  # off-diagonal factor from T1 alone

@@ -6,13 +6,13 @@ that should end up holding the input.  The gates on them are fixed steps,
 built once at import, which both circuits and the correction table read.
 
 Every step of a circuit is a :class:`~nmrteleport.channels.KrausChannel`: a
-gate is the one-element channel of its unitary, ``KrausChannel(targets,
-(U,))``, so one trace-preservation rule checks gates and noise alike, and
-one executor, :func:`run_events`, runs them.  A circuit also names its
-readout qubit: the target for teleportation, the data qubit for the control,
-and the delay grid its delay steps cover.  Its delay-independent prefix is
-not stored: it is the steps before the first whose elements carry a leading
-delay axis.
+gate is the one-element channel of its unitary, so one trace-preservation
+rule checks gates and noise alike, and one executor, :func:`run_events`, runs
+them.  A circuit also names its readout qubit (the target for teleportation,
+the data qubit for the control) and the delay grid its delay steps cover.
+:class:`Circuit` is where the register and grid rules are checked; the state
+kernels it drives trust them.  Its delay-independent prefix is the steps
+before the first whose elements carry a leading delay axis.
 
 The measurement of the data/ancilla pair is never sampled.  Dephasing during
 the decoherence delay diagonalizes those qubits in the computational basis,
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, RelaxationParams, relaxation_channels
+from .channels import KrausChannel, RelaxationParams, relaxation_channels, validate_delays
 from .errors import NumericalInvariantError
 from .qstate import CNOT, HADAMARD, PAULIS, _apply_on, evolve, validate_density
 
@@ -40,19 +40,6 @@ if TYPE_CHECKING:
     from .nmr import MoleculeModel
 
 DATA, ANCILLA, TARGET = 0, 1, 2
-
-
-def validate_delays(delays: Iterable[float]) -> tuple[float, ...]:
-    """The delay grid as a tuple of floats, checked: nonempty, strictly increasing and
-    nonnegative (``inf`` is allowed, NaN is not).  Raises ``ValueError``."""
-    delays = tuple(float(d) for d in delays)
-    if not delays:
-        raise ValueError("need at least one delay")
-    if any(not d >= 0.0 for d in delays):
-        raise ValueError(f"delays must be nonnegative seconds or inf, got {delays}")
-    if any(not b > a for a, b in zip(delays, delays[1:])):
-        raise ValueError(f"delays must be strictly increasing, got {delays}")
-    return delays
 
 
 def _has_delay_axis(step: KrausChannel) -> bool:

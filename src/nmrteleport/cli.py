@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .channels import RelaxationParams, depolarizing_channel, relaxation_channels
-from .circuits import Circuit, validate_delays
+from .channels import RelaxationParams, depolarizing_channel, relaxation_channels, validate_delays
+from .circuits import Circuit
 from .errors import ConfigError, NumericalInvariantError, RfAngleError, UnsupportedGateError
 from .experiment import (
     DEFAULT_DELAYS,

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, _has_delay_axis, control_circuit, prepare, run_events, teleport_circuit, validate_delays
+from .channels import validate_delays
+from .circuits import Circuit, _has_delay_axis, control_circuit, prepare, run_events, teleport_circuit
 from .errors import FitConvergenceError, NumericalInvariantError
 from .nmr import MoleculeModel, realize_pulses
 from .qstate import reduce_stack
@@ -291,7 +292,7 @@ def fit_exponential(times: Sequence[float], values: Sequence[float]) -> DecayFit
     except OverflowError:
         raise ValueError(f"values {values.tolist()} are too large: their fitted decay overflows a float") from None
     if inside is None:
-        raise FitConvergenceError("decay fit did not converge", best=DecayFit(amplitude, seed, offset, rms))
+        raise FitConvergenceError("decay fit did not converge", best=DecayFit(amplitude, seed, offset, rms, tau_identifiable=False))
     identifiable = abs(coef[0]) > _AMPLITUDE_FLOOR * max(1.0, abs(coef[1])) and inside
     return DecayFit(amplitude, tau, offset, rms, identifiable)
 

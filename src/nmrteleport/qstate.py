@@ -66,16 +66,11 @@ def rotation_y(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def validate_density(
-    matrices: np.ndarray,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_slack: float = PSD_SLACK,
-) -> np.ndarray:
-    """The density-matrix rule (Hermitian, unit trace, eigenvalues >= -psd_slack) on one
-    matrix or a ``(..., d, d)`` stack; NaN fails every guard.  A violation raises
-    with ``index``, the position of the worst matrix (the first NaN one, if any) in
-    the stack's leading axes.
+def validate_density(matrices: np.ndarray, psd_slack: float = PSD_SLACK) -> np.ndarray:
+    """The density-matrix rule (Hermitian within ``HERMITICITY_TOL``, unit trace within
+    ``TRACE_TOL``, eigenvalues >= -psd_slack) on one matrix or a ``(..., d, d)`` stack;
+    NaN fails every guard.  A violation raises with ``index``, the position of the
+    worst matrix (the first NaN one, if any) in the stack's leading axes.
 
     Positivity is certified by one Cholesky factorization of H + psd_slack·I for
     the whole stack, which completes exactly when every member is positive definite
@@ -96,12 +91,12 @@ def validate_density(
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the guard below
         asymmetry = np.abs(m - dagger)
     deviation = float(asymmetry.max())
-    if not deviation <= hermiticity_tol:
-        message = f"matrix deviates from Hermitian by {deviation:.3e} (tol {hermiticity_tol:.1e})"
+    if not deviation <= HERMITICITY_TOL:
+        message = f"matrix deviates from Hermitian by {deviation:.3e} (tol {HERMITICITY_TOL:.1e})"
         raise _violation(message, np.argmax(asymmetry.max(axis=(-2, -1))), batch)
     trace_devs = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0)
     trace_dev = float(trace_devs.max())
-    if not trace_dev <= trace_tol:
+    if not trace_dev <= TRACE_TOL:
         raise _violation(f"trace deviates from 1 by {trace_dev:.3e}", np.argmax(trace_devs), batch)
     # A fresh C-ordered sum, halved in place by complex division, not by x * 0.5:
     # (-0.0 + 1j) / 2 is 0.5j, but (-0.0 + 1j) * 0.5 is -0.0 + 0.5j.
@@ -147,22 +142,17 @@ def evolve(stack: np.ndarray, elements, targets: tuple[int, ...]) -> np.ndarray:
     """sum_i A_i rho A_i† on ``targets`` for every rho of a ``(..., 2^n, 2^n)`` stack,
     unvalidated.  A unitary is a one-element set; terms add up in element order.
 
-    An element may carry leading batch axes, which must equal the stack's
-    leading axes and index them (a sweep's relaxation gives each delay its own
-    channel this way); a zero element adds exact zeros, so zeros in a set
-    leave its result unchanged.  Raises ``ValueError`` on bad targets or
-    batch axes."""
+    The targets and elements are a checked circuit step's: an element's leading
+    batch axes are the stack's leading axes and index them (a sweep's relaxation
+    gives each delay its own channel this way).  A zero element adds exact
+    zeros, so zeros in a set leave its result unchanged."""
     stack = np.asarray(stack, dtype=complex)
-    n, k = stack.shape[-1].bit_length() - 1, len(targets)
-    if len(set(targets)) != k or not all(0 <= t < n for t in targets):
-        raise ValueError(f"targets {targets} invalid for a {n}-qubit register")
+    n = stack.shape[-1].bit_length() - 1
     tens = stack.reshape(stack.shape[:-2] + (2,) * (2 * n))
     cols = tuple(n + t for t in targets)
     out = np.zeros_like(tens)
     for a in elements:
         a = np.asarray(a, dtype=complex)
-        if a.shape[:-2] != stack.shape[:-2][: a.ndim - 2]:
-            raise ValueError(f"element batch axes {a.shape[:-2]} are not the leading axes of a {stack.shape} stack")
         if a.ndim > 2:
             a = a.reshape(a.shape[:-2] + (1,) * (stack.ndim - a.ndim) + a.shape[-2:])
         # A rho A†: A on the row axes of the targets, then conj(A) on their column axes.
@@ -191,11 +181,10 @@ class DensityMatrix:
 
 
 def reduce_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of every matrix of a ``(..., 2^n, 2^n)`` stack onto ``keep``."""
+    """Partial trace of every matrix of a ``(..., 2^n, 2^n)`` stack onto ``keep``,
+    distinct qubits of the register (a checked circuit's readout)."""
     keep = sorted(keep)
     n = stack.shape[-1].bit_length() - 1
-    if not keep or len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"invalid qubit indices {keep} for {n}-qubit state")
     tens = stack.reshape(stack.shape[:-2] + (2,) * (2 * n))
     # Row subscript q, column subscript n+q; tracing a qubit identifies the pair.
     row = list(range(n))

@@ -104,19 +104,15 @@ def _transfer_from_chi() -> np.ndarray:
 
 def reconstruct_process(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transfer and chi matrices from a ``(..., 4, 2, 2)`` stack of outputs of
-    the four canonical inputs (in their order): two checked, read-only ``(N, 4, 4)``
-    stacks, one map per leading index in C order.
+    the four canonical inputs (in their order), a checked circuit's readout: two
+    checked, read-only ``(N, 4, 4)`` stacks, one map per leading index in C order.
 
     Each output must be a density matrix, and its Bloch vector is read once, from
-    its Hermitian part, as the data would be taken; each chi must be completely
-    positive.  Every check runs once over the whole stack, and a violation raises
-    with the ``index`` of the worst member: (..., input) for an output state,
-    (...) for a map.  No step mixes members, so a map is the same bit for bit
-    whatever stack it is in.
+    its Hermitian part; each chi must be completely positive.  Every check runs
+    once over the whole stack, and a violation raises with the ``index`` of the
+    worst member: (..., input) for an output state, (...) for a map.  No step
+    mixes members, so a map is the same bit for bit whatever stack it is in.
     """
-    outputs = np.asarray(outputs, dtype=complex)
-    if outputs.shape[-3:] != (4, 2, 2):
-        raise ValueError(f"outputs of shape {outputs.shape} are not four single-qubit states")
     bloch = real_expectations(validate_density(outputs), _PAULI_OPS[1:])
     transfer = _transfer_matrices(_coordinates(bloch))
     vec_r = transfer.reshape(transfer.shape[:-2] + (16,))

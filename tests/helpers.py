@@ -130,21 +130,22 @@ def _violation(message: str, worst: np.intp, batch: tuple[int, ...]) -> Numerica
     return error
 
 
-def validation_outcome(validate, matrices, *tolerances):
-    """What ``validate`` makes of ``matrices``: the returned bytes, or the class,
-    message and ``index`` of the error it raised.  A warning is not caught here."""
+def validation_outcome(validate, matrices, psd_slack):
+    """What ``validate`` makes of ``matrices`` with positivity slack ``psd_slack``: the
+    returned bytes, or the class, message and ``index`` of the error it raised.  A
+    warning is not caught here."""
     try:
-        return validate(matrices, *tolerances).tobytes()
+        return validate(matrices, psd_slack=psd_slack).tobytes()
     except NumericalInvariantError as exc:
         return type(exc), str(exc), exc.index
 
 
-def reference_outcome(matrices, *tolerances):
+def reference_outcome(matrices, psd_slack):
     """:func:`validation_outcome` of :func:`reference_validate_density`, which warns of an
     invalid value on an inf entry (from M - M†) before its guard fails it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return validation_outcome(reference_validate_density, matrices, *tolerances)
+        return validation_outcome(reference_validate_density, matrices, psd_slack)
 
 
 def record_linalg_calls(monkeypatch) -> list[str]:
@@ -183,6 +184,8 @@ def relaxation_params(draw):
 delay_grids = st.lists(
     st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e3, allow_subnormal=False)), min_size=1, max_size=8
 )
+# The same grids as the delay-grid rule takes them: strictly increasing.
+sweep_grids = delay_grids.map(lambda delays: tuple(sorted(set(delays))))
 
 
 def random_cptp_elements(rng, num_elements: int = 3) -> list[np.ndarray]:

@@ -287,6 +287,14 @@ def test_a_circuit_reads_out_a_qubit_of_its_register():
             Circuit(3, (), readout)
 
 
+def test_a_circuit_refuses_a_target_or_readout_past_its_register():
+    # The circuit is the one place these register rules are stated: the kernels it drives trust it.
+    with pytest.raises(ValueError, match=r"^event targets \[3\] exceed register size 3$"):
+        Circuit(3, (KrausChannel((DATA,), (PAULI_X,)), KrausChannel((3,), (PAULI_X,))))
+    with pytest.raises(ValueError, match="^readout qubit 3 outside register size 3$"):
+        Circuit(3, (KrausChannel((TARGET,), (PAULI_X,)),), 3)
+
+
 def test_a_circuit_covers_the_grid_its_delay_steps_cover():
     two = relaxation_channels((0.1, 0.2), RelaxationParams(25.0, 0.3))
     three = relaxation_channels((0.1, 0.2, 0.3), RelaxationParams(25.0, 0.3))

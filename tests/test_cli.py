@@ -214,6 +214,15 @@ def test_nan_relaxation_times_and_rf_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: invalid channel parameters: {blamed} must be positive")
 
 
+def test_a_bad_tomo_duration_is_refused_by_the_delay_grid_rule(tmp_path):
+    # A relaxation channel's duration is a grid of one delay, checked by the grid rule alone.
+    for channel, grid in (("dephasing(-1,0.3)", "(-1.0,)"), ("relaxation(nan,5,3)", "(nan,)")):
+        out = tmp_path / "refused"
+        message = f"error: invalid channel parameters: delays must be nonnegative seconds or inf, got {grid}\n"
+        assert run_cli(["tomo", "--channel", channel, "--out", str(out)]) == (cli.EXIT_CONFIG, message)
+        assert not out.exists()
+
+
 def test_config_noise_switches_must_be_booleans(tmp_path, capsys):
     for body in ('noise: {t1: "false", t2: "false"}\n', "noise: {t2: 0}\n", "noise: {t1: null}\n"):
         cfg = tmp_path / "switches.yaml"

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmrteleport import circuits, cli, experiment
-from nmrteleport.channels import RelaxationParams, relaxation_channels
-from nmrteleport.circuits import ANCILLA, DATA, prepare, run_events
+from nmrteleport.channels import RelaxationParams, relaxation_channels, validate_delays
+from nmrteleport.circuits import ANCILLA, DATA, Circuit, prepare, run_events, teleport_circuit
 from nmrteleport.errors import FitConvergenceError, NumericalInvariantError
 from nmrteleport.experiment import (
     DEFAULT_DELAYS,
@@ -30,7 +30,6 @@ from nmrteleport.qstate import DensityMatrix, evolve, reduce_stack, validate_den
 from nmrteleport.tomography import _canonical_inputs, _fidelities, reconstruct_process
 from tests.helpers import (
     child_env,
-    delay_grids,
     kraus_fe,
     lstsq_profile,
     per_output_reconstruction,
@@ -39,6 +38,7 @@ from tests.helpers import (
     process_map,
     relaxation_fe,
     relaxation_params,
+    sweep_grids,
     teleport_fe,
 )
 
@@ -88,7 +88,6 @@ def tce_relaxations(c2=(25.0, 0.3), c1=(25.0, 0.4), h=(5.0, 3.0)) -> tuple[Relax
 
 
 spin_relaxations = st.tuples(relaxation_params(), relaxation_params(), relaxation_params())
-sweep_grids = delay_grids.map(lambda delays: tuple(sorted(set(delays))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,6 +311,7 @@ def test_fit_reports_non_convergence_with_best_seed(monkeypatch):
     with pytest.raises(FitConvergenceError) as info:
         fit_exponential(times, values)
     assert info.value.best.time_constant in experiment._TAU_GRID
+    assert info.value.best.tau_identifiable is False
 
 
 @pytest.mark.parametrize("first_nan", [0, 2], ids=["at the ends", "inside the bracket"])
@@ -332,6 +332,7 @@ def test_fit_reports_a_nan_slope_as_non_convergence(monkeypatch, first_nan):
     with pytest.raises(FitConvergenceError) as info:
         fit_exponential(times, values)
     assert info.value.best.time_constant in experiment._TAU_GRID
+    assert info.value.best.tau_identifiable is False
 
 
 @pytest.mark.parametrize("engine", ["gate", "pulse"])
@@ -439,6 +440,29 @@ def test_gate_and_pulse_engines_agree():
         pulse = run_sweep(SweepConfig(delays, kind, model, engine="pulse"))
         for g, p in zip(gate, pulse):
             assert abs(g.fe - p.fe) < 1e-6
+
+
+# Every entry that takes a delay grid, and the one rule's message for each bad grid.
+GRID_ENTRIES = {
+    "validate_delays": validate_delays,
+    "relaxation_channels": lambda delays: relaxation_channels(delays, RelaxationParams(25.0, 0.3)),
+    "Circuit": lambda delays: Circuit(1, (), delays=delays),
+    "SweepConfig": lambda delays: SweepConfig(delays, "teleport", tce_model()),
+    "teleport_circuit": lambda delays: teleport_circuit(delays, tce_model()),
+}
+BAD_GRIDS = {
+    "empty": ((), "need at least one delay"),
+    "negative": ((-1.0,), "delays must be nonnegative seconds or inf, got (-1.0,)"),
+    "nan": ((math.nan,), "delays must be nonnegative seconds or inf, got (nan,)"),
+    "repeated": ((0.3, 0.3), "delays must be strictly increasing, got (0.3, 0.3)"),
+}
+
+
+@pytest.mark.parametrize("grid, message", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+@pytest.mark.parametrize("entry", GRID_ENTRIES.values(), ids=GRID_ENTRIES.keys())
+def test_every_grid_entry_refuses_a_bad_grid_with_the_one_rule_message(entry, grid, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(grid)
 
 
 def test_sweep_config_validation():

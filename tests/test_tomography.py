@@ -259,8 +259,6 @@ def test_batched_reconstruction_checks_every_member():
         with pytest.raises(NumericalInvariantError) as info:
             reconstruct_process(outputs)
         assert info.value.index == (4, 3)
-    with pytest.raises(ValueError):
-        reconstruct_process(np.zeros((3, 2, 2)))
 
 
 def test_batched_reconstruction_locates_a_map_that_is_not_completely_positive():
